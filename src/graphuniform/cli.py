@@ -60,6 +60,7 @@ def cmd_solve(args) -> int:
             "solve", inputs, {"seed": args.seed, "init": args.init},
             {"residual_tol": args.tol, "max_iters": args.max_iters}),
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
         "iterations": trace.iterations,
         "energy": energy(final),
         "max_residual": report.max_norm,
@@ -74,8 +75,8 @@ def cmd_solve(args) -> int:
         print(f"converged in {trace.iterations} iterations   "
               f"energy {energy(final):.12g}   max residual {report.max_norm:.3e}")
     else:
-        print(f"did not converge within {trace.iterations} iterations "
-              f"(max residual {report.max_norm:.3e})")
+        print(f"did not converge ({trace.stop_reason}) after {trace.iterations} iterations   "
+              f"max residual {report.max_norm:.3e}")
     print(f"wrote {args.out}")
     print(f"wrote {trace_path}")
     return 0 if trace.converged else 3

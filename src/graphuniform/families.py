@@ -86,40 +86,30 @@ def lagrange_solve(ratio: float) -> LagrangeSolution:
 
 
 class EnergyEvaluator:
-    """Evaluates E(theta) = energy of the converged harmonic map at theta.
+    """Evaluates E(theta) = energy of the converged harmonic map at theta,
+    solving from the family's reference map at theta each time."""
 
-    Keeps the last converged lifts as a warm start for nearby parameters
-    (the deck words are identical across the family, so lifts carry over).
-    """
-
-    def __init__(self, fam: MetricFamily, cfg: SolverConfig | None = None, warm: bool = True):
+    def __init__(self, fam: MetricFamily, cfg: SolverConfig | None = None):
         self.family = fam
         self.cfg = cfg or SolverConfig()
-        self.warm = warm
         self.solve_count = 0
         self.last_trace: SolveTrace | None = None
-        self._warm_lifts = None
 
     def energy(self, theta: float | None = None) -> float:
         _surface, _graph, reference = self.family.build(theta)
-        start = reference
-        if self.warm and self._warm_lifts is not None:
-            start = reference.with_lifts(self._warm_lifts)
-        trace = solve(start, self.cfg)
+        trace = solve(reference, self.cfg)
         self.solve_count += 1
         self.last_trace = trace
         if not trace.converged:
             raise NonConvergenceError(
                 f"harmonic solve did not reach residual {self.cfg.residual_tol} "
-                f"at parameter {theta!r} within {self.cfg.max_iters} iterations")
-        if self.warm:
-            self._warm_lifts = trace.final_map.lift_array()
+                f"at parameter {theta!r} ({trace.stop_reason} after {trace.iterations} iterations)")
         return energy(trace.final_map)
 
 
 def energy_of_parameter(fam: MetricFamily, theta: float | None, cfg: SolverConfig | None = None) -> float:
     """One-shot E(theta) from the family's reference start."""
-    return EnergyEvaluator(fam, cfg, warm=False).energy(theta)
+    return EnergyEvaluator(fam, cfg).energy(theta)
 
 
 @dataclass(frozen=True)
@@ -134,21 +124,13 @@ def sample_curve(
     fam: MetricFamily,
     parameters: tuple[float, ...],
     cfg: SolverConfig | None = None,
-    warm: bool = True,
 ) -> EnergyCurve:
-    """E(theta) over a parameter grid; cold-start sampling may run on
-    GU_THREADS workers, warm sampling is sequential by nature."""
+    """E(theta) over a parameter grid, each point solved from the family's
+    reference map; may run on GU_THREADS workers."""
     parameters = tuple(parameters)
-    if warm:
-        ev = EnergyEvaluator(fam, cfg, warm=True)
-        values, iters = [], []
-        for theta in parameters:
-            values.append(ev.energy(theta))
-            iters.append(ev.last_trace.iterations)
-        return EnergyCurve(fam.family_id, parameters, tuple(values), tuple(iters))
 
     def one(theta: float):
-        ev = EnergyEvaluator(fam, cfg, warm=False)
+        ev = EnergyEvaluator(fam, cfg)
         e = ev.energy(theta)
         return e, ev.last_trace.iterations
 
@@ -176,7 +158,7 @@ def minimize_1d(
     lo, hi = bracket
     if not (lo < hi and tol > 0.0):
         raise DomainError(f"bad bracket {bracket!r} or tolerance {tol!r}")
-    ev = EnergyEvaluator(fam, cfg, warm=True)
+    ev = EnergyEvaluator(fam, cfg)
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -9,6 +9,7 @@ periodic weights can be assigned per class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, GraphValidationError
@@ -34,9 +35,9 @@ class WeightedGraph:
         """Build from unoriented (u, v, weight, class) tuples; halves 2k and 2k+1."""
         origins, reversals, weights, classes = [], [], [], []
         for k, (u, v, w, cls) in enumerate(edges):
-            if not w > 0:
+            if not 0 < w < math.inf:
                 raise GraphValidationError(
-                    "WEIGHT_NOT_POSITIVE", f"edge {k} has weight {w!r}"
+                    "WEIGHT_NOT_POSITIVE", f"edge {k} has weight {w!r}; weights must be finite and positive"
                 )
             origins += [u, v]
             reversals += [2 * k + 1, 2 * k]
@@ -125,8 +126,8 @@ def validate(g: WeightedGraph, allow_disconnected: bool = False) -> GraphValidat
         elif r == e:
             issues.append(("REVERSAL_FIXED_POINT", f"half-edge {e} is its own reversal"))
     for e in range(n):
-        if not g.weights[e] > 0:
-            issues.append(("WEIGHT_NOT_POSITIVE", f"half-edge {e} has weight {g.weights[e]!r}"))
+        if not 0 < g.weights[e] < math.inf:
+            issues.append(("WEIGHT_NOT_POSITIVE", f"half-edge {e} has weight {g.weights[e]!r}; weights must be finite and positive"))
         r = g.reversals[e]
         if 0 <= r < n and e < r:
             if g.weights[e] != g.weights[r]:

@@ -98,6 +98,8 @@ class HPoint:
         v = np.asarray(self.coords, dtype=float)
         if v.shape != (3,):
             raise GeometryError(f"point needs 3 coordinates, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise GeometryError(f"point coordinates must be finite, got {v.tolist()!r}")
         v = _normalize_point_arr(v)
         v.flags.writeable = False
         object.__setattr__(self, "coords", v)
@@ -217,13 +219,20 @@ def angle_between(v: HTangent, w: HTangent) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
+def tangent_basis_arr(p: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases at points of shape (..., 3), shape (..., 2, 3):
+    the x1-axis projected onto the tangent plane, then its +90 degree rotation."""
+    t1 = _project_tangent_arr(p, np.array([0.0, 1.0, 0.0]))
+    t1 = t1 / np.sqrt(minkowski_dot(t1, t1))[..., None]
+    t2 = minkowski_cross(p, t1)
+    t2 = t2 / np.sqrt(minkowski_dot(t2, t2))[..., None]
+    return np.stack([t1, t2], axis=-2)
+
+
 def tangent_basis(p: HPoint) -> tuple[HTangent, HTangent]:
     """Deterministic orthonormal basis of the tangent plane at p."""
-    a = np.array([0.0, 1.0, 0.0])
-    t1 = _project_tangent_arr(p.coords, a)
-    t1 = t1 / math.sqrt(float(minkowski_dot(t1, t1)))
-    e1 = HTangent(p, t1)
-    return e1, normal_at(p, e1)
+    b1, b2 = tangent_basis_arr(p.coords)
+    return HTangent(p, b1), HTangent(p, b2)
 
 
 def frame_matrix(p: HPoint, u: HTangent) -> np.ndarray:

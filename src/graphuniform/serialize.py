@@ -9,6 +9,7 @@ files.  Parsers raise SchemaError carrying the path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from typing import Any
@@ -119,6 +120,8 @@ def _as_int(x: Any, path: str) -> int:
 def _as_float(x: Any, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(path, f"expected a number, got {x!r}")
+    if not math.isfinite(x):
+        raise SchemaError(path, f"expected a finite number, got {x!r}")
     return float(x)
 
 

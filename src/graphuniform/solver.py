@@ -1,10 +1,14 @@
-"""Harmonic-map solver: energy descent over vertex lifts with fixed deck words.
+"""Harmonic-map solver: Riemannian Newton-CG over vertex lifts with fixed deck words.
 
-The descent step moves every vertex toward the weighted barycenter of its
-deck-translated neighbors (the balanced-condition residual divided by the
-vertex weight), with Armijo backtracking so accepted steps strictly decrease
-energy.  Convergence is declared on the residual itself, the harmonicity
-criterion, not on energy stalling.
+Each step solves the Newton equation H s = 2r (r the balanced-condition
+residual, -2r the energy gradient) inexactly by truncated conjugate
+gradients on a matrix-free Hessian-vector product, then moves every vertex
+along its share of s by the exponential map, with Armijo backtracking so
+accepted steps strictly decrease energy.  The squared distance is jointly
+convex on the hyperbolic plane, so the Hessian is positive semidefinite and
+CG meets non-positive curvature only through rounding or on a degenerate
+map; its first iterate is a gradient step.  Convergence is declared on the
+residual itself, the harmonicity criterion, not on energy stalling.
 """
 
 from __future__ import annotations
@@ -21,14 +25,22 @@ from .graphs import WeightedGraph
 from .hyperboloid import (
     HPoint,
     Isometry,
+    _project_tangent_arr,
+    _sinhc,
     dist_arr,
     exp_arr,
     log_arr,
+    minkowski_cross,
     minkowski_dot,
     tangent_basis,
+    tangent_basis_arr,
 )
 from .maps import MarkedMap, energy, gauge_transform
 from .surfaces import SurfaceModel
+
+# Largest gauge-fixed distance between the limits of two starts that still
+# counts as agreement in a uniqueness probe.
+GAUGE_TOL = 1e-7
 
 
 def worker_count() -> int:
@@ -64,8 +76,14 @@ class SolveTrace:
     energies: tuple[float, ...]
     residuals: tuple[float, ...]
     final_map: MarkedMap
-    converged: bool
     iterations: int
+    # "converged" (residual tolerance met), "budget" (max_iters used up) or
+    # "stalled" (no step passes the line search: the float floor)
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def jsonl(self) -> str:
         """One JSON object per iteration: iteration, energy, residual."""
@@ -76,20 +94,23 @@ class SolveTrace:
 
 
 class _Workspace:
-    """Raw-array view of a MarkedMap for the inner loop."""
+    """Raw-array view of a MarkedMap for the inner loop, half-edges grouped
+    by origin so that sums over each vertex's star are segment sums."""
 
     def __init__(self, m: MarkedMap):
         g = m.graph
-        self.origins = np.array(g.origins)
-        self.termini = np.array([g.terminus(e) for e in range(g.half_edge_count)])
-        self.weights = np.array(g.weights)
-        self.mats = m._deck_mats
-        even = [e for e in range(g.half_edge_count) if e < g.reversals[e]]
-        self.even = np.array(even)
-        self.vertex_weight = np.zeros(g.vertex_count)
-        np.add.at(self.vertex_weight, self.origins, self.weights)
-        if np.any(self.vertex_weight == 0.0):
+        if not set(range(g.vertex_count)) <= set(g.origins):
             raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")
+        order = np.argsort(g.origins, kind="stable")
+        self.origins = np.array(g.origins)[order]
+        self.termini = np.array([g.terminus(e) for e in order])
+        self.weights = np.array(g.weights)[order]
+        self.mats = m._deck_mats[order]
+        self.even = np.flatnonzero([e < g.reversals[e] for e in order])
+        self.first_edge = np.searchsorted(self.origins, np.arange(g.vertex_count))
+
+    def star_sums(self, per_edge: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(per_edge, self.first_edge)
 
     def energy(self, x: np.ndarray) -> float:
         e = self.even
@@ -99,21 +120,85 @@ class _Workspace:
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         q = np.einsum("eij,ej->ei", self.mats, x[self.termini])
-        tangents = log_arr(x[self.origins], q)
-        r = np.zeros_like(x)
-        np.add.at(r, self.origins, self.weights[:, None] * tangents)
-        return r
+        return self.star_sums(self.weights[:, None] * log_arr(x[self.origins], q))
+
+    def hessian(self, x: np.ndarray):
+        """Riemannian Hessian of the energy at x, as a map on tangent fields.
+
+        Per half-edge from p to q (length ell, geodesic pole n, variation
+        values v0 at p and v1 at q) this is the polarized closed-form second
+        variation, 2w [<v0,u0> u0 - <v1,u1> u0 + (ell coth ell <v0,n>
+        - ell/sinh ell <v1,n>) n].  It is evaluated as 2w [v0 - P v1
+        + (ell coth ell - 1) <v0,n> n - (ell/sinh ell - 1) <v1,n> n], with P
+        the parallel transport q -> p, which stays finite as ell -> 0.  The
+        edge geometry is computed once per x; each product costs one pass
+        over the half-edges.
+        """
+        o, t, mats = self.origins, self.termini, self.mats
+        p = x[o]
+        q = np.einsum("eij,ej->ei", mats, x[t])
+        ell = dist_arr(p, q)
+        pole = minkowski_cross(p, q)
+        size = np.sqrt(np.maximum(0.0, minkowski_dot(pole, pole)))
+        pole /= np.where(size > 0.0, size, 1.0)[:, None]
+        sinhc = _sinhc(ell)
+        a = (np.cosh(ell) / sinhc - 1.0)[:, None]
+        b = (1.0 / sinhc - 1.0)[:, None]
+        transport = (p + q) / (1.0 - minkowski_dot(p, q))[:, None]
+        w2 = 2.0 * self.weights[:, None]
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            v0 = v[o]
+            v1 = np.einsum("eij,ej->ei", mats, v[t])
+            terms = v0 - v1 - minkowski_dot(p, v1)[:, None] * transport
+            terms += (a * minkowski_dot(v0, pole)[:, None] - b * minkowski_dot(v1, pole)[:, None]) * pole
+            return _project_tangent_arr(x, self.star_sums(w2 * terms))
+
+        return apply
 
 
 def _residual_norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, minkowski_dot(r, r)))
 
 
+def _inner(u: np.ndarray, w: np.ndarray) -> float:
+    """Metric pairing of two tangent fields (one tangent vector per vertex)."""
+    return float(np.sum(minkowski_dot(u, w)))
+
+
+def _newton_step(hessian, r: np.ndarray) -> np.ndarray:
+    """Inexact solution s of H s = 2r by truncated conjugate gradients.
+
+    Stops once the CG residual falls under min(0.5, sqrt|2r|) |2r| or after
+    4V steps.  At non-positive curvature it returns the current iterate, or
+    the first search direction (a gradient step) if there is none yet.
+    """
+    res = 2.0 * r
+    rr = _inner(res, res)
+    norm = math.sqrt(rr)
+    target = (min(0.5, math.sqrt(norm)) * norm) ** 2
+    s = np.zeros_like(r)
+    d = res
+    for i in range(4 * len(r)):
+        hd = hessian(d)
+        curv = _inner(d, hd)
+        if curv <= 0.0:
+            return s if i else d
+        alpha = rr / curv
+        s = s + alpha * d
+        res = res - alpha * hd
+        rr, rr_old = _inner(res, res), rr
+        if rr <= target:
+            break
+        d = res + (rr / rr_old) * d
+    return s
+
+
 def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
     """Minimize energy over vertex lifts; deck words are never touched.
 
-    Returns the trace whether or not the residual tolerance was reached
-    within max_iters; `converged` says which.
+    Returns the trace whether or not the residual tolerance was reached;
+    `stop_reason` says why it stopped.
     """
     cfg = cfg or SolverConfig()
     ws = _Workspace(m0)
@@ -121,23 +206,23 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
     energies: list[float] = []
     residual_trace: list[float] = []
     steps = 0
-    converged = False
+    stop_reason = "stalled"
 
     e_cur = ws.energy(x)
     while True:
         r = ws.residual(x)
-        norms = _residual_norms(r)
-        max_res = float(np.max(norms))
+        max_res = float(np.max(_residual_norms(r)))
         energies.append(e_cur)
         residual_trace.append(max_res)
         if max_res <= cfg.residual_tol:
-            converged = True
+            stop_reason = "converged"
             break
         if steps >= cfg.max_iters:
+            stop_reason = "budget"
             break
 
-        delta = r / ws.vertex_weight[:, None]
-        slope = 2.0 * float(np.sum(norms * norms / ws.vertex_weight))
+        delta = _newton_step(ws.hessian(x), r)
+        slope = 2.0 * _inner(r, delta)
         # once the predicted decrease drops under the float resolution of the
         # energy, the Armijo comparison is rounding noise; switch the
         # acceptance test to strict residual decrease, which stays measurable
@@ -163,7 +248,13 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
         steps += 1
 
     final = m0.with_lifts(x)
-    return SolveTrace(tuple(energies), tuple(residual_trace), final, converged, steps)
+    return SolveTrace(tuple(energies), tuple(residual_trace), final, steps, stop_reason)
+
+
+def hessian_product(m: MarkedMap, vectors: np.ndarray) -> np.ndarray:
+    """Riemannian Hessian of the energy at m applied to one tangent vector
+    per vertex (rows of `vectors`, ambient coordinates)."""
+    return _Workspace(m).hessian(m.lift_array())(np.asarray(vectors, dtype=float))
 
 
 def gauge_fix(m: MarkedMap) -> MarkedMap:
@@ -185,13 +276,12 @@ def fd_gradient(m: MarkedMap, h: float = 1e-5) -> np.ndarray:
     tangent coordinates (2 per vertex)."""
     ws = _Workspace(m)
     x = m.lift_array()
-    bases = [tangent_basis(p) for p in m.vertex_lifts]
-    n = len(bases)
-    grad = np.zeros(2 * n)
-    for v in range(n):
+    bases = tangent_basis_arr(x)
+    grad = np.zeros(2 * len(x))
+    for v in range(len(x)):
         for j in range(2):
             step = np.zeros_like(x)
-            step[v] = h * bases[v][j].vec
+            step[v] = h * bases[v, j]
             e_plus = ws.energy(exp_arr(x, step))
             e_minus = ws.energy(exp_arr(x, -step))
             grad[2 * v + j] = (e_plus - e_minus) / (2.0 * h)
@@ -200,35 +290,26 @@ def fd_gradient(m: MarkedMap, h: float = 1e-5) -> np.ndarray:
 
 def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     """Central finite-difference Hessian of energy in the same coordinates as
-    fd_gradient; symmetrized.  Meaningful as a second-order object at a
-    harmonic map, where the coordinate choice drops out."""
+    fd_gradient: differences of the closed-form gradient -2 * residual, read
+    in the tangent basis of each moved point; symmetrized.  Meaningful as a
+    second-order object at a harmonic map, where the coordinate choice drops
+    out."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
     ws = _Workspace(m)
     x = m.lift_array()
-    bases = [tangent_basis(p) for p in m.vertex_lifts]
-    dim = 2 * len(bases)
-
-    def offset_energy(coe: np.ndarray) -> float:
-        step = np.zeros_like(x)
-        for v in range(len(bases)):
-            step[v] = coe[2 * v] * bases[v][0].vec + coe[2 * v + 1] * bases[v][1].vec
-        return ws.energy(exp_arr(x, step))
-
-    e0 = ws.energy(x)
+    bases = tangent_basis_arr(x)
+    dim = 2 * len(x)
     hess = np.zeros((dim, dim))
     for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h
-        hess[i, i] = (offset_energy(ei) - 2.0 * e0 + offset_energy(-ei)) / (h * h)
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = h
-            val = (
-                offset_energy(ei + ej) - offset_energy(ei - ej)
-                - offset_energy(-ei + ej) + offset_energy(-ei - ej)
-            ) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = val
+        step = np.zeros_like(x)
+        step[i // 2] = h * bases[i // 2, i % 2]
+        grads = []
+        for sign in (1.0, -1.0):
+            moved = exp_arr(x, sign * step)
+            grad = -2.0 * ws.residual(moved)
+            grads.append(minkowski_dot(grad[:, None, :], tangent_basis_arr(moved)).ravel())
+        hess[:, i] = (grads[0] - grads[1]) / (2.0 * h)
     return 0.5 * (hess + hess.T)
 
 
@@ -240,11 +321,20 @@ class UniquenessReport:
     max_gauge_deviation: float
     max_raw_deviation: float
     degenerate: bool
-    message: str
 
     @property
     def ok(self) -> bool:
-        return all(self.converged) and not self.degenerate
+        return all(self.converged) and not self.degenerate and self.max_gauge_deviation <= GAUGE_TOL
+
+    @property
+    def message(self) -> str:
+        if self.degenerate:
+            return "uniqueness hypothesis violated"
+        if not all(self.converged):
+            return f"{self.converged.count(False)} of {self.n_starts} starts did not converge"
+        if self.max_gauge_deviation > GAUGE_TOL:
+            return f"starts disagree (gauge-fixed deviation {self.max_gauge_deviation:.3e})"
+        return "all starts agree"
 
 
 def _image_is_one_dimensional(m: MarkedMap) -> bool:
@@ -305,7 +395,6 @@ def uniqueness_probe(
         return worst
 
     degenerate = any(t.converged and _image_is_one_dimensional(t.final_map) for t in traces)
-    message = "uniqueness hypothesis violated" if degenerate else "all starts agree"
     return UniquenessReport(
         n_starts,
         tuple(t.converged for t in traces),
@@ -313,5 +402,4 @@ def uniqueness_probe(
         max_pair_dev(fixed),
         max_pair_dev([t.final_map for t in traces]),
         degenerate,
-        message,
     )

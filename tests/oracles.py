@@ -149,3 +149,31 @@ def polygon_area_fan_oracle(corner_coords) -> float:
         c = raw_dist(pts[0], pts[k])
         total += triangle_area_from_sides(a, b, c)
     return total
+
+
+def subdivide(m, k: int):
+    """k-fold subdivision of a marked map.
+
+    Every edge splits into k pieces of weight k*w, the deck word rides on the
+    last piece, and the k-1 new vertices sit evenly along the lifted geodesic
+    (numbered after the old ones, edge by edge).  Pieces of one geodesic stay
+    balanced, so the subdivision of a harmonic map is harmonic with the same
+    energy.
+    """
+    from graphuniform import HPoint, MarkedMap, WeightedGraph
+
+    lifts = [p.coords for p in m.vertex_lifts]
+    edges, words = [], []
+    for e, u, v, w, cls in m.graph.unoriented_edges():
+        p, q = lifts[u], m.deck_matrix(e) @ lifts[v]
+        d = raw_dist(p, q)
+        chain = [u]
+        for j in range(1, k):
+            lifts.append((math.sinh((1.0 - j / k) * d) * p + math.sinh(j / k * d) * q) / math.sinh(d))
+            chain.append(len(lifts) - 1)
+        chain.append(v)
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            edges.append((a, b, k * w, cls))
+            words.append(m.deck_words[e] if i == k - 1 else ())
+    graph = WeightedGraph.from_edges(len(lifts), edges)
+    return MarkedMap.from_unoriented_words(m.surface, graph, tuple(HPoint(x) for x in lifts), tuple(words))

@@ -67,6 +67,38 @@ def test_solve_exit_3_when_budget_too_small(map_file, tmp_path, capsys):
     assert serialize.read_json(out)["converged"] is False
 
 
+def test_solve_reports_stop_reason(map_file, tmp_path, capsys):
+    out = str(tmp_path / "solved.json")
+    assert main(["solve", "--map", map_file, "--out", out]) == 0
+    assert serialize.read_json(out)["stop_reason"] == "converged"
+    capsys.readouterr()
+    rc = main(["solve", "--map", map_file, "--out", out,
+               "--init", "random", "--seed", "1", "--max-iters", "0"])
+    assert rc == 3
+    assert "(budget)" in capsys.readouterr().out
+    assert serialize.read_json(out)["stop_reason"] == "budget"
+
+
+@pytest.mark.parametrize("field,literal", [
+    (("vertex_lifts", 0, 1), "NaN"),
+    (("graph", "edges", 0, "weight"), "1e400"),
+], ids=["nan-lift", "1e400-weight"])
+def test_solve_exit_2_on_non_finite_input(map_file, tmp_path, capsys, field, literal):
+    # the JSON reader turns these literals into nan and inf; both are refused
+    # where the document is read, before any solve
+    doc = serialize.read_json(map_file)
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = "PLACEHOLDER"
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    rc = main(["solve", "--map", str(path), "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 def test_solve_exit_2_on_bad_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  ")

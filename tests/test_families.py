@@ -103,27 +103,30 @@ def test_minimize_rejects_bracket_hugging_minimum():
         minimize_1d(fam, (2.5, 3.5), tol=1e-3, cfg=cfg)  # minimum outside bracket
 
 
-def test_evaluator_warm_equals_cold():
+def test_evaluator_repeats_match_one_shot_energy():
+    # one evaluator serves many parameters, each solved from its own
+    # reference map, so its values equal the one-shot evaluations
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-10, max_iters=2000)
-    ev = EnergyEvaluator(fam, cfg, warm=True)
+    ev = EnergyEvaluator(fam, cfg)
     params = (0.9, 1.1, 1.3)
-    warm = [ev.energy(s) for s in params]
-    cold = [energy_of_parameter(fam, s, cfg) for s in params]
-    for a, b in zip(warm, cold):
+    repeated = [ev.energy(s) for s in params]
+    one_shot = [energy_of_parameter(fam, s, cfg) for s in params]
+    for a, b in zip(repeated, one_shot):
         assert abs(a - b) < 1e-8 * (1.0 + abs(a))
     assert ev.solve_count == len(params)
 
 
-def test_sample_curve_modes_agree():
+def test_sample_curve_matches_closed_form():
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-9, max_iters=2000)
     params = (0.8, 1.2, 1.6)
-    warm = sample_curve(fam, params, cfg, warm=True)
-    cold = sample_curve(fam, params, cfg, warm=False)
-    assert warm.parameters == cold.parameters == params
-    for a, b in zip(warm.energies, cold.energies):
-        assert abs(a - b) < 1e-8 * (1.0 + abs(a))
+    curve = sample_curve(fam, params, cfg)
+    assert curve.parameters == params
+    assert len(curve.iterations) == len(params)
+    for s, e in zip(params, curve.energies):
+        want = hexagon_family_energy(s, 1.0, 1.0)
+        assert abs(e - want) < 1e-8 * (1.0 + want)
 
 
 def test_properness_probe_grows_both_ways():

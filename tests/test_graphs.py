@@ -119,6 +119,8 @@ def test_validation_codes():
         classes=("e", "e"),
     )
     assert {"WEIGHT_NOT_POSITIVE", "WEIGHT_NOT_SYMMETRIC"} <= codes(bad)
+    infinite = WeightedGraph(2, (0, 1), (1, 0), (float("inf"), float("inf")), ("e", "e"))
+    assert "WEIGHT_NOT_POSITIVE" in codes(infinite)
 
     fixed_point = WeightedGraph(
         vertex_count=1,
@@ -167,5 +169,8 @@ def test_builders_reject_bad_parameters():
         cycle_with_doubled_edges(6, 0.0, 1.0)
     with pytest.raises(GraphValidationError):
         bouquet(2, weight=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(GraphValidationError):
+            bouquet(1, weight=bad)
     with pytest.raises(DomainError):
         hexagon_tiling_genus(1, 1.0, 1.0)

@@ -45,6 +45,15 @@ def test_point_normalization_and_validation():
         HPoint(np.array([-math.cosh(1.0), math.sinh(1.0), 0.0]))  # lower sheet
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_rejects_non_finite_coordinates(bad):
+    # NaN passes both the timelike and the upper-sheet comparison
+    with pytest.raises(GeometryError):
+        HPoint(np.array([bad, 0.0, 0.0]))
+    with pytest.raises(GeometryError):
+        HPoint(np.array([2.0, bad, 0.0]))
+
+
 def test_exp_log_roundtrip_random():
     rng = np.random.default_rng(0)
     for _ in range(60):

@@ -1,22 +1,40 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import oracles
 from graphuniform.errors import DomainError, GraphValidationError
+from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet
-from graphuniform.hyperboloid import HPoint, dist, dist_arr
+from graphuniform.hyperboloid import HPoint, dist, dist_arr, exp_arr, minkowski_dot, tangent_basis_arr
 from graphuniform.maps import MarkedMap, balanced_residual, energy, initial_lifts
 from graphuniform.solver import (
     SolverConfig,
+    UniquenessReport,
     fd_gradient,
     gauge_fix,
     hessian_fd,
+    hessian_product,
     solve,
     uniqueness_probe,
     worker_count,
 )
-from graphuniform.surfaces import genus2_deck_words
+from graphuniform.surfaces import family, genus2_deck_words
+from graphuniform.variations import VertexVariation, second_variation_fd, second_variation_geodesic
+
+SEAM = math.log(2.0 + math.sqrt(3.0))
+
+
+def perturbed(m, scale, seed):
+    """Every lift moved by a seeded random tangent vector of the given scale."""
+    rng = np.random.default_rng(seed)
+    x = m.lift_array()
+    noise = rng.standard_normal(x.shape) * scale
+    noise[..., 0] = 0.0
+    noise += minkowski_dot(noise, x)[..., None] * x
+    return m.with_lifts(exp_arr(x, noise))
 
 
 def test_config_validation():
@@ -33,7 +51,7 @@ def test_solve_converges_from_random_start(genus2_bundle):
     lifts = initial_lifts(surface, graph, mode="random", seed=1)
     start = ref.with_lifts(lifts)
     trace = solve(start, SolverConfig(residual_tol=1e-9, max_iters=2000))
-    assert trace.converged
+    assert trace.converged and trace.stop_reason == "converged"
     assert balanced_residual(trace.final_map).max_norm <= 1e-9
     assert abs(energy(trace.final_map) - energy(ref)) < 1e-8 * (1.0 + energy(ref))
 
@@ -200,3 +218,84 @@ def test_zero_iteration_budget_reports_nonconvergence(genus2_bundle):
     trace = solve(ref.with_lifts(lifts), SolverConfig(residual_tol=1e-9, max_iters=0))
     assert not trace.converged
     assert trace.iterations == 0
+    assert trace.stop_reason == "budget"
+
+
+def test_unreachable_tolerance_stops_as_stalled(genus2_bundle):
+    # 1e-15 lies under the float64 residual floor of the genus-2 map: the
+    # line search runs out of steps long before the iteration budget
+    surface, graph, ref = genus2_bundle
+    lifts = initial_lifts(surface, graph, mode="random", seed=8)
+    trace = solve(ref.with_lifts(lifts), SolverConfig(residual_tol=1e-15))
+    assert trace.stop_reason == "stalled"
+    assert not trace.converged
+    assert trace.iterations < SolverConfig().max_iters
+    assert trace.residuals[-1] < 1e-11
+
+
+def test_report_with_disagreeing_starts_is_not_ok():
+    report = UniquenessReport(
+        n_starts=2, converged=(True, True), energies=(23.44, 23.44),
+        max_gauge_deviation=1e-3, max_raw_deviation=0.5, degenerate=False)
+    assert not report.ok
+    assert "disagree" in report.message
+    agree = UniquenessReport(2, (True, True), (23.44, 23.44), 1e-12, 0.5, False)
+    assert agree.ok and agree.message == "all starts agree"
+
+
+def _tangent_field(m, coords):
+    bases = tangent_basis_arr(m.lift_array())
+    return coords[0::2, None] * bases[:, 0] + coords[1::2, None] * bases[:, 1]
+
+
+def test_hessian_product_matches_fd_hessian_at_solution(genus2_solved):
+    m = genus2_solved
+    hess = hessian_fd(m, h=1e-4)
+    bases = tangent_basis_arr(m.lift_array())
+    rng = np.random.default_rng(30)
+    for _ in range(3):
+        coords = rng.standard_normal(2 * m.graph.vertex_count)
+        hv = hessian_product(m, _tangent_field(m, coords))
+        got = minkowski_dot(hv[:, None, :], bases).ravel()
+        want = hess @ coords
+        assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want)))
+
+
+def test_hessian_product_is_second_variation_off_critical_points(genus2_bundle):
+    # the product is the Hessian under the exponential retraction at every
+    # point, so it reproduces the second derivative along exp away from
+    # harmonic maps too
+    _, _, ref = genus2_bundle
+    m = perturbed(ref, 0.2, seed=31)
+    assert balanced_residual(m).max_norm > 0.1
+    for seed in (32, 33, 34):
+        v = VertexVariation.random(m, seed=seed)
+        vecs = np.array([t.vec for t in v.vectors])
+        quad = float(np.sum(minkowski_dot(vecs, hessian_product(m, vecs))))
+        assert abs(quad - second_variation_geodesic(m, v)) < 1e-10 * (1.0 + abs(quad))
+        fd = second_variation_fd(m, v, h=1e-3)
+        assert abs(quad - fd) < 1e-6 * (1.0 + abs(quad))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 32])
+def test_subdivided_genus2_solves_in_few_newton_steps(k):
+    # a k-fold subdivision with weights k*w keeps the harmonic energy, and
+    # the Newton iteration count does not grow with k
+    _, _, ref = family("hexagon-genus2").build(SEAM)
+    start = perturbed(oracles.subdivide(ref, k), 0.05, seed=k)
+    trace = solve(start)
+    assert trace.converged
+    assert trace.iterations <= 20
+    exact = hexagon_family_energy(SEAM, 1.0, 1.0)
+    assert abs(energy(trace.final_map) - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize("k,seed", [(2, 22), (2, 23), (2, 41), (2, 70), (4, 38), (4, 51), (4, 64)])
+def test_random_starts_on_subdivisions_converge(k, seed):
+    # first-order descent stalled above the tolerance from these starts
+    _, _, ref = family("hexagon-genus2").build(SEAM)
+    sub = oracles.subdivide(ref, k)
+    trace = solve(sub.with_lifts(initial_lifts(sub.surface, sub.graph, "random", seed)))
+    assert trace.converged
+    exact = hexagon_family_energy(SEAM, 1.0, 1.0)
+    assert abs(energy(trace.final_map) - exact) <= 1e-9 * exact

@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     TangencyError,
 )
-from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges, hexagon_tiling_genus, triangle_tiling
+from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges, triangle_tiling
 from .hyperboloid import HPoint, HTangent, Isometry
 from .maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts, rebase_vertex
 from .solver import SolverConfig, SolveTrace, gauge_fix, hessian_fd, solve, uniqueness_probe
@@ -58,7 +58,7 @@ __all__ = [
     "BracketError", "DegenerateEdgeError", "DomainError", "GeometryError",
     "GraphValidationError", "NonConvergenceError", "NotHyperbolicError",
     "SchemaError", "TangencyError",
-    "WeightedGraph", "bouquet", "cycle_with_doubled_edges", "hexagon_tiling_genus", "triangle_tiling",
+    "WeightedGraph", "bouquet", "cycle_with_doubled_edges", "triangle_tiling",
     "HPoint", "HTangent", "Isometry",
     "MarkedMap", "balanced_residual", "energy", "gauge_transform", "initial_lifts", "rebase_vertex",
     "SolverConfig", "SolveTrace", "gauge_fix", "hessian_fd", "solve", "uniqueness_probe",

@@ -198,10 +198,6 @@ def cmd_example(args) -> int:
         checks = _example_hexagon_genus2(args)
     elif args.name == "regular-4g":
         checks = _example_regular_4g(args.genus)
-    elif args.name == "genus-g":
-        if args.genus < 2:
-            raise DomainError(f"genus must be at least 2, got {args.genus}")
-        checks = _example_regular_4g(args.genus)
     else:
         checks = _example_klein(args)
     print(summary_table(checks))
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("example", help="reproduce a built-in worked example")
-    p.add_argument("name", choices=["regular-4g", "hexagon-genus2", "genus-g", "klein"])
+    p.add_argument("name", choices=["regular-4g", "hexagon-genus2", "klein"])
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--mc", type=float, default=1.0)
     p.add_argument("--md", type=float, default=1.0)
@@ -287,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--map", help="map JSON with embedded surface and graph")
     group.add_argument("--surface", help="surface JSON (polygon only)")
     p.add_argument("--out", required=True)
-    p.add_argument("--depth", type=int, default=1, help="translate shells to draw")
-    p.add_argument("--size", type=int, default=640, help="image size in pixels")
+    p.add_argument("--depth", type=int, default=1, help="translate shells to draw (0, 1 or 2)")
+    p.add_argument("--size", type=int, default=640, help="image size in pixels (positive)")
     p.set_defaults(func=cmd_render)
 
     return parser

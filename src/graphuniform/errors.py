@@ -33,9 +33,9 @@ class GraphValidationError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A JSON document does not match the expected schema.
+    """A JSON document, or a setting read with it, does not match the expected schema.
 
-    The `path` attribute locates the offending field.
+    The `path` attribute locates the offending field or names the setting.
     """
 
     def __init__(self, path: str, message: str):

@@ -12,14 +12,13 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .hyperboloid import hexagon_partner_length, triangle_from_angles
 from .maps import energy
-from .solver import SolveTrace, SolverConfig, solve, worker_count
+from .solver import SolveTrace, SolverConfig, solve
 from .surfaces import MetricFamily
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -126,22 +125,14 @@ def sample_curve(
     cfg: SolverConfig | None = None,
 ) -> EnergyCurve:
     """E(theta) over a parameter grid, each point solved from the family's
-    reference map; may run on GU_THREADS workers."""
+    reference map."""
     parameters = tuple(parameters)
-
-    def one(theta: float):
+    energies, iterations = [], []
+    for theta in parameters:
         ev = EnergyEvaluator(fam, cfg)
-        e = ev.energy(theta)
-        return e, ev.last_trace.iterations
-
-    workers = min(worker_count(), max(1, len(parameters)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, parameters))
-    else:
-        results = [one(t) for t in parameters]
-    return EnergyCurve(fam.family_id, parameters,
-                       tuple(r[0] for r in results), tuple(r[1] for r in results))
+        energies.append(ev.energy(theta))
+        iterations.append(ev.last_trace.iterations)
+    return EnergyCurve(fam.family_id, parameters, tuple(energies), tuple(iterations))
 
 
 def minimize_1d(

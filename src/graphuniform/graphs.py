@@ -58,15 +58,6 @@ class WeightedGraph:
     def terminus(self, e: int) -> int:
         return self.origins[self.reversals[e]]
 
-    def star(self, v: int) -> "EdgeStar":
-        return EdgeStar(v, tuple(e for e in range(self.half_edge_count) if self.origins[e] == v))
-
-    def stars(self) -> list["EdgeStar"]:
-        by_vertex: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for e, o in enumerate(self.origins):
-            by_vertex[o].append(e)
-        return [EdgeStar(v, tuple(es)) for v, es in enumerate(by_vertex)]
-
     def degree(self, v: int) -> int:
         return sum(1 for o in self.origins if o == v)
 
@@ -92,12 +83,6 @@ class WeightedGraph:
                         seen.add(w)
                         frontier.append(w)
         return len(seen) == self.vertex_count
-
-
-@dataclass(frozen=True)
-class EdgeStar:
-    vertex: int
-    edges: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -166,62 +151,6 @@ def cycle_with_doubled_edges(length: int, m_c: float, m_d: float) -> WeightedGra
     prim = [(i, (i + 1) % length, m_c if cls(i) == "c" else m_d, cls(i)) for i in range(length)]
     sec = [(i, (i + 1) % length, m_c if cls(i) == "c" else m_d, cls(i)) for i in range(length)]
     return WeightedGraph.from_edges(length, prim + sec)
-
-
-def hexagon_tiling_genus(g: int, m_c: float = 1.0, m_d: float = 1.0) -> WeightedGraph:
-    """1-skeleton of the genus-g surface glued from 4(g-1) right-angled hexagons.
-
-    2(g-1) pairs of pants, each two hexagons sewn along three seams (class d);
-    pants are paired into genus-1 blocks through two of their boundary circles
-    and the blocks are chained through the third (class c arcs).  Result:
-    6(g-1) vertices of degree 4, 6(g-1) edges of each class.
-    """
-    if g < 2:
-        raise DomainError(f"hexagon tiling needs genus >= 2, got {g}")
-    if g == 2:
-        return cycle_with_doubled_edges(6, m_c, m_d)
-
-    blocks = g - 1
-    # pants-vertex (block, pants, corner) -> union-find over circle gluings
-    def pv(i, p, j):
-        return (i * 2 + p) * 6 + j
-
-    parent = list(range(blocks * 12))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    gluings = []  # (pants-vertex pair identifications, arc endpoints)
-    for i in range(blocks):
-        for k in (0, 2):
-            gluings.append(((i, 0, k), (i, 1, k)))
-        gluings.append(((i, 1, 4), ((i + 1) % blocks, 0, 4)))
-    for (i1, p1, k1), (i2, p2, k2) in gluings:
-        union(pv(i1, p1, k1), pv(i2, p2, k2))
-        union(pv(i1, p1, k1 + 1), pv(i2, p2, k2 + 1))
-
-    labels: dict[int, int] = {}
-    def vid(i, p, j):
-        root = find(pv(i, p, j))
-        if root not in labels:
-            labels[root] = len(labels)
-        return labels[root]
-
-    edges: list[tuple[int, int, float, str]] = []
-    for i in range(blocks):
-        for p in (0, 1):
-            for k in (1, 3, 5):
-                edges.append((vid(i, p, k), vid(i, p, (k + 1) % 6), m_d, "d"))
-    for (i1, p1, k1), _ in gluings:
-        for _h in (0, 1):
-            edges.append((vid(i1, p1, k1), vid(i1, p1, k1 + 1), m_c, "c"))
-    return WeightedGraph.from_edges(6 * blocks, edges)
 
 
 def triangle_tiling(p: int, q: int, r: int, copies: int,

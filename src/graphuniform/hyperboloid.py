@@ -332,13 +332,6 @@ class Isometry:
     def apply(self, p: HPoint) -> HPoint:
         return HPoint(self.matrix @ p.coords)
 
-    def apply_tangent(self, t: HTangent) -> HTangent:
-        return HTangent(self.apply(t.base), self.matrix @ t.vec)
-
-    def form_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.T @ J_MATRIX @ m - J_MATRIX)))
-
     def close_to(self, other: "Isometry", tol: float = GEOM_TOL) -> bool:
         return float(np.max(np.abs(self.matrix - other.matrix))) <= tol
 

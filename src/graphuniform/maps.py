@@ -6,12 +6,18 @@ deck transformation).  The lifted edge e runs from lift(o(e)) to
 deck_e * lift(t(e)); the words are combinatorial data encoding the homotopy
 class and are never recomputed from floats.  A gauge isometry can be applied
 on top without touching the words, so gauge moves keep the class exact.
+
+Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
+holds the half-edge arrays, built once per map from the words, and is the
+one kernel for energy, balanced residual and the Hessian-vector product;
+`variations` and `solver` evaluate through it too.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,9 +27,13 @@ from .hyperboloid import (
     HPoint,
     HTangent,
     Isometry,
-    J_MATRIX,
+    J_DIAG,
+    _project_tangent_arr,
+    _sinhc,
     dist_arr,
     log_arr,
+    minkowski_cross,
+    minkowski_dot,
 )
 from .surfaces import SurfaceModel
 
@@ -35,11 +45,106 @@ def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
+class EdgeData:
+    """Half-edge arrays of a marked map, sorted by origin so that every sum
+    over a vertex star is a segment sum; half-edge e sits in row[e].  Methods
+    take the lifts as a (V, 3) array x, so callers can evaluate at trial
+    positions without building a map."""
+
+    vertex_count: int
+    row: np.ndarray
+    origins: np.ndarray
+    termini: np.ndarray
+    weights: np.ndarray
+    mats: np.ndarray  # (E, 3, 3) deck matrices, gauge included
+    even: np.ndarray  # rows of the first half-edge of each reversal pair
+    busy: np.ndarray  # vertices with a nonempty star
+    starts: np.ndarray  # first row of each busy vertex's star
+
+    @staticmethod
+    def build(graph: WeightedGraph, mats: np.ndarray) -> "EdgeData":
+        """Arrays of `graph` with deck matrices `mats` (in half-edge order)."""
+        origins = np.asarray(graph.origins, dtype=int)
+        reversals = np.asarray(graph.reversals, dtype=int)
+        order = np.argsort(origins, kind="stable")
+        busy = np.flatnonzero(np.bincount(origins, minlength=graph.vertex_count))
+        return EdgeData(
+            vertex_count=graph.vertex_count,
+            row=np.argsort(order),
+            origins=origins[order],
+            termini=origins[reversals][order],
+            weights=np.asarray(graph.weights, dtype=float)[order],
+            mats=mats[order],
+            even=np.flatnonzero(order < reversals[order]),
+            busy=busy,
+            starts=np.searchsorted(origins[order], busy))
+
+    def star_sums(self, per_edge: np.ndarray) -> np.ndarray:
+        """Sum of per-row values over each vertex star (zero for an empty star)."""
+        sums = np.add.reduceat(per_edge, self.starts)
+        if len(self.busy) == self.vertex_count:
+            return sums
+        # reduceat has no empty segments: scatter the busy vertices' sums
+        out = np.zeros((self.vertex_count,) + per_edge.shape[1:])
+        out[self.busy] = sums
+        return out
+
+    def far_ends(self, x: np.ndarray) -> np.ndarray:
+        """Lifted terminus of every row: its deck matrix applied to the terminus lift."""
+        return np.einsum("eij,ej->ei", self.mats, x[self.termini])
+
+    def energy(self, x: np.ndarray) -> float:
+        e = self.even
+        q = np.einsum("eij,ej->ei", self.mats[e], x[self.termini[e]])
+        return float(np.sum(self.weights[e] * dist_arr(x[self.origins[e]], q) ** 2))
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Weighted sum of outgoing edge tangents at every vertex, shape (V, 3)."""
+        return self.star_sums(self.weights[:, None] * log_arr(x[self.origins], self.far_ends(x)))
+
+    def hessian(self, x: np.ndarray):
+        """Riemannian Hessian of the energy at x, as a map on tangent fields.
+
+        Per half-edge from p to q (length ell, geodesic pole n, variation
+        values v0 at p and v1 at q) this is the polarized closed-form second
+        variation, 2w [<v0,u0> u0 - <v1,u1> u0 + (ell coth ell <v0,n>
+        - ell/sinh ell <v1,n>) n].  It is evaluated as 2w [v0 - P v1
+        + (ell coth ell - 1) <v0,n> n - (ell/sinh ell - 1) <v1,n> n], with P
+        the parallel transport q -> p, which stays finite as ell -> 0.  The
+        edge geometry is computed once per x; each product costs one pass
+        over the half-edges.
+        """
+        o, t, mats = self.origins, self.termini, self.mats
+        p = x[o]
+        q = self.far_ends(x)
+        ell = dist_arr(p, q)
+        pole = minkowski_cross(p, q)
+        size = np.sqrt(np.maximum(0.0, minkowski_dot(pole, pole)))
+        pole /= np.where(size > 0.0, size, 1.0)[:, None]
+        sinhc = _sinhc(ell)
+        a = (np.cosh(ell) / sinhc - 1.0)[:, None]
+        b = (1.0 / sinhc - 1.0)[:, None]
+        transport = (p + q) / (1.0 - minkowski_dot(p, q))[:, None]
+        w2 = 2.0 * self.weights[:, None]
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            v0 = v[o]
+            v1 = np.einsum("eij,ej->ei", mats, v[t])
+            terms = v0 - v1 - minkowski_dot(p, v1)[:, None] * transport
+            terms += (a * minkowski_dot(v0, pole)[:, None] - b * minkowski_dot(v1, pole)[:, None]) * pole
+            return _project_tangent_arr(x, self.star_sums(w2 * terms))
+
+        return apply
+
+
+@dataclass(frozen=True, eq=False)
 class MarkedMap:
     """Vertex lifts + per-half-edge deck words (+ an overall gauge isometry).
 
     The effective deck matrix of half-edge e is gauge * word(e) * gauge^-1;
-    matrices are cached at construction, words are the source of truth.
+    matrices are cached at construction in `edges`, words are the source of
+    truth.  Maps derived by `with_lifts` and `gauge_transform` share or
+    conjugate the cached arrays instead of rebuilding them.
     """
 
     surface: SurfaceModel
@@ -59,24 +164,21 @@ class MarkedMap:
         object.__setattr__(self, "deck_words", tuple(tuple(w) for w in self.deck_words))
 
         ginv = self.gauge.inverse().matrix
-        mats = []
-        for word in self.deck_words:
-            mats.append(self.gauge.matrix @ self.surface.word_matrix(word) @ ginv)
-        mats = np.array(mats)
-        lifts = np.array([p.coords for p in self.vertex_lifts])
-        object.__setattr__(self, "_deck_mats", mats)
-        object.__setattr__(self, "_lift_arr", lifts)
-
-        for e in range(g.half_edge_count):
-            r = g.reversals[e]
-            if e < r:
-                back = J_MATRIX @ mats[e].T @ J_MATRIX
-                # product round-off grows with the square of the matrix norm
-                scale = (1.0 + float(np.max(np.abs(back)))) ** 2
-                defect = float(np.max(np.abs(mats[r] - back)))
-                if defect > _REVERSAL_TOL * scale:
-                    raise GeometryError(
-                        f"deck word of half-edge {r} is not inverse to half-edge {e} (defect {defect:.3e})")
+        mats = np.array([self.gauge.matrix @ self.surface.word_matrix(word) @ ginv
+                         for word in self.deck_words]).reshape(-1, 3, 3)
+        reversals = np.asarray(g.reversals, dtype=int)
+        back = mats.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)  # J m^T J, the inverses
+        # product round-off grows with the square of the matrix norm
+        scale = (1.0 + np.max(np.abs(back), axis=(1, 2))) ** 2
+        defect = np.max(np.abs(mats[reversals] - back), axis=(1, 2))
+        bad = np.flatnonzero((defect > _REVERSAL_TOL * scale) & (np.arange(len(mats)) < reversals))
+        if bad.size:
+            e = int(bad[0])
+            raise GeometryError(
+                f"deck word of half-edge {reversals[e]} is not inverse to half-edge {e} "
+                f"(defect {defect[e]:.3e})")
+        object.__setattr__(self, "edges", EdgeData.build(g, mats))
+        object.__setattr__(self, "_lift_arr", np.array([p.coords for p in self.vertex_lifts]))
 
     @staticmethod
     def from_unoriented_words(
@@ -105,12 +207,12 @@ class MarkedMap:
         return self._lift_arr.copy()
 
     def deck_matrix(self, e: int) -> np.ndarray:
-        return self._deck_mats[e]
+        return self.edges.mats[self.edges.row[e]]
 
     def edge_segment(self, e: int) -> tuple[HPoint, HPoint]:
         """Endpoints of the lifted half-edge e."""
         p = self.vertex_lifts[self.graph.origins[e]]
-        q = self._deck_mats[e] @ self._lift_arr[self.graph.terminus(e)]
+        q = self.deck_matrix(e) @ self._lift_arr[self.graph.terminus(e)]
         return p, HPoint(q)
 
     def edge_tangent(self, e: int) -> HTangent:
@@ -123,27 +225,26 @@ class MarkedMap:
         return float(dist_arr(p.coords, q.coords))
 
     def with_lifts(self, lifts) -> "MarkedMap":
-        """Same class and gauge, new vertex positions."""
+        """Same class and gauge, new vertex positions; the words and edge
+        arrays are shared."""
         pts = tuple(p if isinstance(p, HPoint) else HPoint(np.asarray(p, dtype=float)) for p in lifts)
-        return MarkedMap(self.surface, self.graph, pts, self.deck_words, self.gauge)
+        if len(pts) != self.graph.vertex_count:
+            raise GraphValidationError(
+                "LIFT_COUNT", f"{len(pts)} lifts for {self.graph.vertex_count} vertices")
+        m = copy.copy(self)
+        object.__setattr__(m, "vertex_lifts", pts)
+        object.__setattr__(m, "_lift_arr", np.array([p.coords for p in pts]))
+        return m
 
 
 def energy(m: MarkedMap) -> float:
     """Sum over unoriented edges of weight * (lifted edge length)^2."""
-    total = 0.0
-    g = m.graph
-    x = m._lift_arr
-    for e in range(g.half_edge_count):
-        if e < g.reversals[e]:
-            p = x[g.origins[e]]
-            q = m._deck_mats[e] @ x[g.terminus(e)]
-            total += g.weights[e] * float(dist_arr(p, q)) ** 2
-    return total
+    return m.edges.energy(m._lift_arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalancedReport:
-    residuals: tuple[HTangent, ...]
+    residuals: np.ndarray  # (V, 3): the residual tangent vector at each vertex lift
     max_norm: float
     rms_norm: float
 
@@ -157,24 +258,18 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
     Zero residual everywhere is the harmonicity criterion; the residual is
     also half the negative Riemannian energy gradient at each vertex lift.
     """
-    g = m.graph
-    x = m._lift_arr
-    acc = np.zeros((g.vertex_count, 3))
-    for e in range(g.half_edge_count):
-        o = g.origins[e]
-        q = m._deck_mats[e] @ x[g.terminus(e)]
-        acc[o] += g.weights[e] * log_arr(x[o], q)
-    residuals = tuple(HTangent(m.vertex_lifts[v], acc[v]) for v in range(g.vertex_count))
-    norms = [r.norm for r in residuals]
-    max_norm = max(norms)
-    rms = math.sqrt(sum(n * n for n in norms) / len(norms))
-    return BalancedReport(residuals, max_norm, rms)
+    residuals = m.edges.residual(m._lift_arr)
+    norms = np.sqrt(np.maximum(0.0, minkowski_dot(residuals, residuals)))
+    return BalancedReport(residuals, float(np.max(norms)), math.sqrt(float(np.mean(norms * norms))))
 
 
 def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
     """Move every lift by g and conjugate the deck matrices; words unchanged."""
-    lifts = tuple(g.apply(p) for p in m.vertex_lifts)
-    return MarkedMap(m.surface, m.graph, lifts, m.deck_words, g @ m.gauge)
+    moved = m.with_lifts(m._lift_arr @ g.matrix.T)
+    object.__setattr__(moved, "gauge", g @ m.gauge)
+    conjugated = g.matrix @ m.edges.mats @ g.inverse().matrix
+    object.__setattr__(moved, "edges", replace(m.edges, mats=conjugated))
+    return moved
 
 
 def rebase_vertex(m: MarkedMap, v: int, word: tuple[int, ...]) -> MarkedMap:

@@ -1,5 +1,5 @@
-"""Poincare-disk SVG figures: fundamental polygon, its depth-1 translates,
-and the graph image.
+"""Poincare-disk SVG figures: fundamental polygon, its translates up to
+depth 2, and the graph image.
 
 Hyperboloid points project to the disk by (x1, x2) / (1 + x0); geodesics are
 drawn as sampled polylines of the true geodesic (no arc fitting), which keeps
@@ -66,48 +66,43 @@ def _polygon_outline(corners: np.ndarray, segments: int = 24) -> np.ndarray:
     return disk_projection(np.concatenate(pieces))
 
 
+def _surface_svg(surface: SurfaceModel, translate_depth: int, size: int, tile_color: str) -> _Svg:
+    """Canvas with the fundamental polygon (black) and its translates by
+    generator words of length 1..translate_depth (gray), or the surface's
+    tiles when it has no polygon."""
+    if not 0 <= translate_depth <= 2:
+        raise DomainError(f"translate depth must be 0, 1, or 2, got {translate_depth}")
+    if size <= 0:
+        raise DomainError(f"image size must be positive, got {size}")
+    svg = _Svg(size)
+    if surface.polygon is not None:
+        corners = np.array([p.coords for p in surface.polygon])
+        frontier = [np.eye(3)]
+        for _ in range(translate_depth):
+            frontier = [base @ surface.generator_matrix(sign * (k + 1))
+                        for base in frontier
+                        for k in range(len(surface.generators))
+                        for sign in (1, -1)]
+            for mat in frontier:
+                svg.polyline(_polygon_outline((mat @ corners.T).T), "#cccccc", 0.8, closed=True)
+        svg.polyline(_polygon_outline(corners), "#000000", 1.6, closed=True)
+    elif surface.tiles:
+        for tri in surface.tiles:
+            svg.polyline(_polygon_outline(np.array([p.coords for p in tri]), 12),
+                         tile_color, 0.8, closed=True)
+    return svg
+
+
 def render_map_svg(m: MarkedMap, translate_depth: int = 1, size: int = 640) -> str:
     """Figure of a marked map: polygon (black), its generator translates up to
     the given depth (gray), lifted graph edges (crimson) and vertices (dots)."""
-    if translate_depth < 0 or translate_depth > 2:
-        raise DomainError(f"translate depth must be 0, 1, or 2, got {translate_depth}")
-    svg = _Svg(size)
-    surface = m.surface
-
-    if surface.polygon is not None:
-        corners = np.array([p.coords for p in surface.polygon])
-    elif surface.tiles:
-        corners = None
-        for tri in surface.tiles:
-            svg.polyline(_polygon_outline(np.array([p.coords for p in tri]), 12),
-                         "#bbbbbb", 0.8, closed=True)
-    else:
-        corners = None
-
-    if corners is not None:
-        mats = [np.eye(3)]
-        frontier = [np.eye(3)]
-        for _ in range(translate_depth):
-            new_frontier = []
-            for base in frontier:
-                for k in range(len(surface.generators)):
-                    for sign in (1, -1):
-                        new_frontier.append(base @ surface.generator_matrix(sign * (k + 1)))
-            frontier = new_frontier
-            mats.extend(new_frontier)
-        for mat in mats[1:]:
-            svg.polyline(_polygon_outline((mat @ corners.T).T), "#cccccc", 0.8, closed=True)
-        svg.polyline(_polygon_outline(corners), "#000000", 1.6, closed=True)
-
-    g = m.graph
+    svg = _surface_svg(m.surface, translate_depth, size, "#bbbbbb")
+    edges = m.edges
     x = m.lift_array()
-    for e in range(g.half_edge_count):
-        if e < g.reversals[e]:
-            p = x[g.origins[e]]
-            q = m.deck_matrix(e) @ x[g.terminus(e)]
-            svg.polyline(disk_projection(_geodesic_points(p, q)), "crimson", 1.4)
-    for v in range(g.vertex_count):
-        svg.circle(disk_projection(x[v]), 3.0, "crimson")
+    for p, q in zip(x[edges.origins[edges.even]], edges.far_ends(x)[edges.even]):
+        svg.polyline(disk_projection(_geodesic_points(p, q)), "crimson", 1.4)
+    for point in x:
+        svg.circle(disk_projection(point), 3.0, "crimson")
     return svg.text()
 
 
@@ -115,19 +110,4 @@ def render_surface_svg(surface: SurfaceModel, translate_depth: int = 1, size: in
     """Figure of just the fundamental polygon and its translates."""
     if surface.polygon is None and not surface.tiles:
         raise DomainError("surface has neither polygon nor tiles to draw")
-    svg = _Svg(size)
-    if surface.polygon is not None:
-        corners = np.array([p.coords for p in surface.polygon])
-        mats = [np.eye(3)]
-        if translate_depth >= 1:
-            for k in range(len(surface.generators)):
-                for sign in (1, -1):
-                    mats.append(surface.generator_matrix(sign * (k + 1)))
-        for mat in mats[1:]:
-            svg.polyline(_polygon_outline((mat @ corners.T).T), "#cccccc", 0.8, closed=True)
-        svg.polyline(_polygon_outline(corners), "#000000", 1.6, closed=True)
-    else:
-        for tri in surface.tiles:
-            svg.polyline(_polygon_outline(np.array([p.coords for p in tri]), 12),
-                         "#555555", 0.8, closed=True)
-    return svg.text()
+    return _surface_svg(surface, translate_depth, size, "#555555").text()

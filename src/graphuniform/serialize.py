@@ -88,14 +88,19 @@ def make_manifest(command: str, inputs: list[str], seeds: dict, tolerances: dict
     across reruns with the same settings.
     """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = int(epoch) if epoch is not None else int(time.time())
+    try:
+        stamp = int(epoch) if epoch is not None else int(time.time())
+        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(stamp))
+    except (ValueError, OverflowError, OSError):
+        raise SchemaError(
+            "SOURCE_DATE_EPOCH", f"must be a whole number of seconds since 1970, got {epoch!r}") from None
     return {
         "command": command,
         "inputs": list(inputs),
         "seeds": dict(seeds),
         "tolerances": dict(tolerances),
         "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(stamp)),
+        "timestamp": timestamp,
     }
 
 

@@ -9,13 +9,14 @@ convex on the hyperbolic plane, so the Hessian is positive semidefinite and
 CG meets non-positive curvature only through rounding or on a degenerate
 map; its first iterate is a gradient step.  Convergence is declared on the
 residual itself, the harmonicity criterion, not on energy stalling.
+
+Energy, residual and Hessian products come from the map's `maps.EdgeData`
+kernel, evaluated at trial lift arrays.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,32 +26,19 @@ from .graphs import WeightedGraph
 from .hyperboloid import (
     HPoint,
     Isometry,
-    _project_tangent_arr,
-    _sinhc,
     dist_arr,
     exp_arr,
     log_arr,
-    minkowski_cross,
     minkowski_dot,
     tangent_basis,
     tangent_basis_arr,
 )
-from .maps import MarkedMap, energy, gauge_transform
+from .maps import MarkedMap, energy, gauge_transform, initial_lifts
 from .surfaces import SurfaceModel
 
 # Largest gauge-fixed distance between the limits of two starts that still
 # counts as agreement in a uniqueness probe.
 GAUGE_TOL = 1e-7
-
-
-def worker_count() -> int:
-    """Parallelism cap from GU_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("GU_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"GU_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -91,70 +79,6 @@ class SolveTrace:
         for i, (e, r) in enumerate(zip(self.energies, self.residuals)):
             lines.append('{"iteration": %d, "energy": %.17g, "residual": %.17g}' % (i, e, r))
         return "\n".join(lines) + "\n"
-
-
-class _Workspace:
-    """Raw-array view of a MarkedMap for the inner loop, half-edges grouped
-    by origin so that sums over each vertex's star are segment sums."""
-
-    def __init__(self, m: MarkedMap):
-        g = m.graph
-        if not set(range(g.vertex_count)) <= set(g.origins):
-            raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")
-        order = np.argsort(g.origins, kind="stable")
-        self.origins = np.array(g.origins)[order]
-        self.termini = np.array([g.terminus(e) for e in order])
-        self.weights = np.array(g.weights)[order]
-        self.mats = m._deck_mats[order]
-        self.even = np.flatnonzero([e < g.reversals[e] for e in order])
-        self.first_edge = np.searchsorted(self.origins, np.arange(g.vertex_count))
-
-    def star_sums(self, per_edge: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(per_edge, self.first_edge)
-
-    def energy(self, x: np.ndarray) -> float:
-        e = self.even
-        p = x[self.origins[e]]
-        q = np.einsum("eij,ej->ei", self.mats[e], x[self.termini[e]])
-        return float(np.sum(self.weights[e] * dist_arr(p, q) ** 2))
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        q = np.einsum("eij,ej->ei", self.mats, x[self.termini])
-        return self.star_sums(self.weights[:, None] * log_arr(x[self.origins], q))
-
-    def hessian(self, x: np.ndarray):
-        """Riemannian Hessian of the energy at x, as a map on tangent fields.
-
-        Per half-edge from p to q (length ell, geodesic pole n, variation
-        values v0 at p and v1 at q) this is the polarized closed-form second
-        variation, 2w [<v0,u0> u0 - <v1,u1> u0 + (ell coth ell <v0,n>
-        - ell/sinh ell <v1,n>) n].  It is evaluated as 2w [v0 - P v1
-        + (ell coth ell - 1) <v0,n> n - (ell/sinh ell - 1) <v1,n> n], with P
-        the parallel transport q -> p, which stays finite as ell -> 0.  The
-        edge geometry is computed once per x; each product costs one pass
-        over the half-edges.
-        """
-        o, t, mats = self.origins, self.termini, self.mats
-        p = x[o]
-        q = np.einsum("eij,ej->ei", mats, x[t])
-        ell = dist_arr(p, q)
-        pole = minkowski_cross(p, q)
-        size = np.sqrt(np.maximum(0.0, minkowski_dot(pole, pole)))
-        pole /= np.where(size > 0.0, size, 1.0)[:, None]
-        sinhc = _sinhc(ell)
-        a = (np.cosh(ell) / sinhc - 1.0)[:, None]
-        b = (1.0 / sinhc - 1.0)[:, None]
-        transport = (p + q) / (1.0 - minkowski_dot(p, q))[:, None]
-        w2 = 2.0 * self.weights[:, None]
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            v0 = v[o]
-            v1 = np.einsum("eij,ej->ei", mats, v[t])
-            terms = v0 - v1 - minkowski_dot(p, v1)[:, None] * transport
-            terms += (a * minkowski_dot(v0, pole)[:, None] - b * minkowski_dot(v1, pole)[:, None]) * pole
-            return _project_tangent_arr(x, self.star_sums(w2 * terms))
-
-        return apply
 
 
 def _residual_norms(r: np.ndarray) -> np.ndarray:
@@ -201,16 +125,18 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
     `stop_reason` says why it stopped.
     """
     cfg = cfg or SolverConfig()
-    ws = _Workspace(m0)
+    edges = m0.edges
+    if len(edges.busy) < m0.graph.vertex_count:
+        raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")
     x = m0.lift_array()
     energies: list[float] = []
     residual_trace: list[float] = []
     steps = 0
     stop_reason = "stalled"
 
-    e_cur = ws.energy(x)
+    e_cur = edges.energy(x)
     while True:
-        r = ws.residual(x)
+        r = edges.residual(x)
         max_res = float(np.max(_residual_norms(r)))
         energies.append(e_cur)
         residual_trace.append(max_res)
@@ -221,7 +147,7 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
             stop_reason = "budget"
             break
 
-        delta = _newton_step(ws.hessian(x), r)
+        delta = _newton_step(edges.hessian(x), r)
         slope = 2.0 * _inner(r, delta)
         # once the predicted decrease drops under the float resolution of the
         # energy, the Armijo comparison is rounding noise; switch the
@@ -231,12 +157,12 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
         accepted = False
         for _ in range(80):
             x_new = exp_arr(x, tau * delta)
-            e_new = ws.energy(x_new)
+            e_new = edges.energy(x_new)
             if e_new <= e_cur - cfg.armijo_slope * tau * slope:
                 accepted = True
                 break
             if cfg.armijo_slope * tau * slope <= floor:
-                new_max = float(np.max(_residual_norms(ws.residual(x_new))))
+                new_max = float(np.max(_residual_norms(edges.residual(x_new))))
                 if new_max < max_res:
                     accepted = True
                     break
@@ -254,7 +180,7 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
 def hessian_product(m: MarkedMap, vectors: np.ndarray) -> np.ndarray:
     """Riemannian Hessian of the energy at m applied to one tangent vector
     per vertex (rows of `vectors`, ambient coordinates)."""
-    return _Workspace(m).hessian(m.lift_array())(np.asarray(vectors, dtype=float))
+    return m.edges.hessian(m.lift_array())(np.asarray(vectors, dtype=float))
 
 
 def gauge_fix(m: MarkedMap) -> MarkedMap:
@@ -274,17 +200,14 @@ def gauge_fix(m: MarkedMap) -> MarkedMap:
 def fd_gradient(m: MarkedMap, h: float = 1e-5) -> np.ndarray:
     """Central finite-difference energy gradient in the canonical orthonormal
     tangent coordinates (2 per vertex)."""
-    ws = _Workspace(m)
+    edges = m.edges
     x = m.lift_array()
     bases = tangent_basis_arr(x)
     grad = np.zeros(2 * len(x))
-    for v in range(len(x)):
-        for j in range(2):
-            step = np.zeros_like(x)
-            step[v] = h * bases[v, j]
-            e_plus = ws.energy(exp_arr(x, step))
-            e_minus = ws.energy(exp_arr(x, -step))
-            grad[2 * v + j] = (e_plus - e_minus) / (2.0 * h)
+    for i in range(len(grad)):
+        step = np.zeros_like(x)
+        step[i // 2] = h * bases[i // 2, i % 2]
+        grad[i] = (edges.energy(exp_arr(x, step)) - edges.energy(exp_arr(x, -step))) / (2.0 * h)
     return grad
 
 
@@ -296,7 +219,7 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     out."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
-    ws = _Workspace(m)
+    edges = m.edges
     x = m.lift_array()
     bases = tangent_basis_arr(x)
     dim = 2 * len(x)
@@ -307,7 +230,7 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
         grads = []
         for sign in (1.0, -1.0):
             moved = exp_arr(x, sign * step)
-            grad = -2.0 * ws.residual(moved)
+            grad = -2.0 * edges.residual(moved)
             grads.append(minkowski_dot(grad[:, None, :], tangent_basis_arr(moved)).ravel())
         hess[:, i] = (grads[0] - grads[1]) / (2.0 * h)
     return 0.5 * (hess + hess.T)
@@ -340,22 +263,18 @@ class UniquenessReport:
 def _image_is_one_dimensional(m: MarkedMap) -> bool:
     """True when at every vertex the outgoing edge tangents span at most a
     line -- the map's image lies in a single geodesic (or a point), which is
-    exactly the degenerate case excluded by the uniqueness hypothesis."""
-    g = m.graph
-    for v in range(g.vertex_count):
-        rows = []
-        b1, b2 = tangent_basis(m.vertex_lifts[v])
-        for e in range(g.half_edge_count):
-            if g.origins[e] == v:
-                t = m.edge_tangent(e)
-                rows.append([
-                    float(minkowski_dot(t.vec, b1.vec)),
-                    float(minkowski_dot(t.vec, b2.vec)),
-                ])
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
-        if sv[0] > 1e-9 and sv[-1] > 1e-6 * sv[0]:
-            return False
-    return True
+    exactly the degenerate case excluded by the uniqueness hypothesis.  A star
+    spans a plane when the larger singular value of its tangents (in
+    tangent_basis coordinates, from their 2x2 Gram matrix) exceeds 1e-9 and
+    the smaller exceeds 1e-6 times the larger."""
+    edges = m.edges
+    x = m.lift_array()
+    p = x[edges.origins]
+    tangents = log_arr(p, edges.far_ends(x))
+    coords = minkowski_dot(tangents[:, None, :], tangent_basis_arr(p))
+    gram = edges.star_sums(coords[:, :, None] * coords[:, None, :])
+    low, high = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(gram))).T
+    return not np.any((high > 1e-9) & (low > 1e-6 * high))
 
 
 def uniqueness_probe(
@@ -371,19 +290,12 @@ def uniqueness_probe(
     if n_starts < 2:
         raise DomainError(f"uniqueness probe needs at least 2 starts, got {n_starts}")
     cfg = cfg or SolverConfig()
-    from .maps import initial_lifts
 
     def run(i: int) -> SolveTrace:
         lifts = initial_lifts(surface, graph, "random", seed=cfg.seed + i)
         return solve(MarkedMap.from_unoriented_words(surface, graph, lifts, deck_words), cfg)
 
-    workers = min(worker_count(), n_starts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run, range(n_starts)))
-    else:
-        traces = [run(i) for i in range(n_starts)]
-
+    traces = [run(i) for i in range(n_starts)]
     fixed = [gauge_fix(t.final_map) for t in traces]
 
     def max_pair_dev(maps) -> float:

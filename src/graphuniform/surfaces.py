@@ -122,9 +122,6 @@ class SurfaceModel:
             out = out @ self.generator_matrix(w)
         return out
 
-    def word_isometry(self, word: tuple[int, ...]) -> Isometry:
-        return Isometry(self.word_matrix(word))
-
 
 @dataclass(frozen=True)
 class VertexCycle:

@@ -7,6 +7,10 @@ field of that family is a Jacobi field of the curvature -1 plane, which
 splits into a tangential part affine in t and a normal part spanned by
 cosh/sinh -- so both variation derivatives of the energy have closed forms,
 checkable against finite differences.
+
+Both closed forms are evaluated for all half-edges at once on the map's
+`maps.EdgeData` arrays; `jacobi_solve` keeps the per-edge field as the
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -21,10 +25,14 @@ from .hyperboloid import (
     HPoint,
     HTangent,
     dist,
+    dist_arr,
     exp_arr,
+    log_arr,
+    minkowski_cross,
     minkowski_dot,
     normal_at,
     tangent_basis,
+    tangent_basis_arr,
 )
 from .maps import MarkedMap, energy
 
@@ -55,14 +63,13 @@ class VertexVariation:
     def plus(self, other: "VertexVariation") -> "VertexVariation":
         return VertexVariation(tuple(a + b for a, b in zip(self.vectors, other.vectors)))
 
+    def array(self) -> np.ndarray:
+        """The vectors as rows of a (V, 3) array."""
+        return np.array([v.vec for v in self.vectors]).reshape(-1, 3)
+
     def coordinates(self, m: MarkedMap) -> np.ndarray:
         """Components in the canonical orthonormal bases (matches hessian_fd)."""
-        out = np.zeros(2 * len(self.vectors))
-        for v, vec in enumerate(self.vectors):
-            b1, b2 = tangent_basis(m.vertex_lifts[v])
-            out[2 * v] = float(minkowski_dot(vec.vec, b1.vec))
-            out[2 * v + 1] = float(minkowski_dot(vec.vec, b2.vec))
-        return out
+        return minkowski_dot(self.array()[:, None, :], tangent_basis_arr(m.lift_array())).ravel()
 
 
 @dataclass(frozen=True)
@@ -144,41 +151,56 @@ def jacobi_solve(m: MarkedMap, e: int, variation: VertexVariation) -> JacobiFiel
 
 def first_variation(m: MarkedMap, variation: VertexVariation) -> float:
     """d/ds of energy under the vertex-exponential homotopy, at s = 0:
-    -2 * sum over oriented edges of weight * <V(origin), T_e(0)>."""
-    g = m.graph
-    total = 0.0
-    for e in range(g.half_edge_count):
-        t = m.edge_tangent(e)
-        v = variation.vectors[g.origins[e]]
-        total += g.weights[e] * float(minkowski_dot(v.vec, t.vec))
-    return -2.0 * total
+    -2 * sum over oriented edges of weight * <V(origin), T_e(0)>, that is
+    -2 * sum over vertices of <V_v, r_v> with r the balanced residual."""
+    r = m.edges.residual(m.lift_array())
+    return -2.0 * float(np.sum(minkowski_dot(variation.array(), r)))
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    return w / np.sqrt(minkowski_dot(w, w))[:, None]
 
 
 def second_variation_geodesic(m: MarkedMap, variation: VertexVariation) -> float:
     """d^2/ds^2 of energy under the same homotopy, summed in closed form.
 
     Per oriented edge: d^2 + (ell/2) * ((a^2+b^2) sinh 2ell + 2ab (cosh 2ell - 1)),
-    the integral of |grad_T V|^2 + |V_normal|^2 |T|^2 over the edge.
+    the integral of |grad_T V|^2 + |V_normal|^2 |T|^2 over the edge, with the
+    Jacobi coefficients (c, d, a, b) of jacobi_solve_segment computed for all
+    half-edges at once.
     """
-    g = m.graph
-    total = 0.0
-    for e in range(g.half_edge_count):
-        f = jacobi_solve(m, e, variation)
-        ell = f.length
-        term = f.d * f.d + (ell / 2.0) * (
-            (f.a * f.a + f.b * f.b) * math.sinh(2.0 * ell)
-            + 2.0 * f.a * f.b * (math.cosh(2.0 * ell) - 1.0)
-        )
-        total += g.weights[e] * term
-    return total
+    edges = m.edges
+    x = m.lift_array()
+    vec = variation.array()
+    p = x[edges.origins]
+    q = edges.far_ends(x)
+    # back onto the sheet, as the HPoint end of jacobi_solve: the deck
+    # matrices' rounding grows with the square of their norm
+    q /= np.sqrt(-minkowski_dot(q, q))[:, None]
+    ell = dist_arr(p, q)
+    if np.any(ell < 1e-12):
+        raise DegenerateEdgeError("jacobi field needs an edge of positive length")
+    ch, sh = np.cosh(ell), np.sinh(ell)
+    u0 = log_arr(p, q) / ell[:, None]
+    n0 = _unit(minkowski_cross(p, u0))
+    u1 = sh[:, None] * p + ch[:, None] * u0
+    n1 = _unit(minkowski_cross(q, u1))
+    v0 = vec[edges.origins]
+    v1 = np.einsum("eij,ej->ei", edges.mats, vec[edges.termini])
+
+    c = minkowski_dot(v0, u0)
+    d = minkowski_dot(v1, u1) - c
+    a = minkowski_dot(v0, n0)
+    b = (minkowski_dot(v1, n1) - a * ch) / sh
+    terms = d * d + (ell / 2.0) * (
+        (a * a + b * b) * np.sinh(2.0 * ell) + 2.0 * a * b * (np.cosh(2.0 * ell) - 1.0))
+    return float(np.sum(edges.weights * terms))
 
 
 def energy_along(m: MarkedMap, variation: VertexVariation, s: float) -> float:
     """Energy of the map with every vertex moved by s along its variation
     vector (edges re-geodesicized by construction)."""
-    x = m.lift_array()
-    step = s * np.array([v.vec for v in variation.vectors])
-    return energy(m.with_lifts(exp_arr(x, step)))
+    return energy(m.with_lifts(exp_arr(m.lift_array(), s * variation.array())))
 
 
 def first_variation_fd(m: MarkedMap, variation: VertexVariation, h: float = 1e-5) -> float:

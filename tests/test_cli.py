@@ -160,7 +160,7 @@ def test_optimize_exit_4_on_bad_bracket():
 
 def test_example_subcommands_all_pass(capsys):
     for argv in (["example", "regular-4g"],
-                 ["example", "genus-g", "--genus", "3"],
+                 ["example", "regular-4g", "--genus", "3"],
                  ["example", "klein"]):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -175,7 +175,7 @@ def test_example_hexagon_genus2_passes(capsys):
 
 
 def test_example_genus_g_rejects_low_genus():
-    assert main(["example", "genus-g", "--genus", "1"]) == 4
+    assert main(["example", "regular-4g", "--genus", "1"]) == 4
 
 
 # ------------------------------------------------------------ check/render
@@ -197,6 +197,32 @@ def test_render_surface_svg(tmp_path, genus2_bundle):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_render_surface_honours_depth_two(tmp_path, genus2_bundle):
+    surface, _graph, _ref = genus2_bundle
+    spath = str(tmp_path / "surface.json")
+    serialize.write_artifact(spath, serialize.surface_to_json(surface))
+    svgs = []
+    for depth in ("1", "2"):
+        out = str(tmp_path / f"depth{depth}.svg")
+        assert main(["render", "--surface", spath, "--depth", depth, "--out", out]) == 0
+        svgs.append(open(out).read())
+    assert svgs[1].count("<polygon") > svgs[0].count("<polygon")
+
+
+@pytest.mark.parametrize("source", ["surface", "map"])
+@pytest.mark.parametrize("option,value", [("--depth", "5"), ("--depth", "-1"), ("--size", "-5"), ("--size", "0")])
+def test_render_exit_4_on_out_of_range_limits(map_file, tmp_path, capsys, genus2_bundle, source, option, value):
+    path = map_file
+    if source == "surface":
+        path = str(tmp_path / "surface.json")
+        serialize.write_artifact(path, serialize.surface_to_json(genus2_bundle[0]))
+    out = tmp_path / "out.svg"
+    assert main(["render", f"--{source}", path, option, value, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert option[2:] in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_render_accepts_solve_artifact(map_file, tmp_path):
     solved = str(tmp_path / "solved.json")
     assert main(["solve", "--map", map_file, "--out", solved]) == 0
@@ -206,6 +232,14 @@ def test_render_accepts_solve_artifact(map_file, tmp_path):
 
 
 # ------------------------------------------------------------ determinism
+
+
+def test_bad_source_date_epoch_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    rc = main(["optimize", "--tol", "1e-3", "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "SOURCE_DATE_EPOCH" in err and "Traceback" not in err
 
 
 def test_artifacts_bit_identical_under_frozen_epoch(map_file, tmp_path, monkeypatch):

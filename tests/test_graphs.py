@@ -6,7 +6,6 @@ from graphuniform.graphs import (
     WeightedGraph,
     bouquet,
     cycle_with_doubled_edges,
-    hexagon_tiling_genus,
     triangle_tiling,
     validate,
 )
@@ -43,26 +42,6 @@ def test_cycle_with_doubled_edges_structure():
         assert cl == [want, want]
 
 
-def test_hexagon_tiling_genus_two_is_doubled_cycle():
-    a = hexagon_tiling_genus(2, 2.0, 3.0)
-    b = cycle_with_doubled_edges(6, 2.0, 3.0)
-    assert a.vertex_count == b.vertex_count
-    assert list(a.origins) == list(b.origins)
-    assert list(a.reversals) == list(b.reversals)
-    assert np.allclose(a.weights, b.weights)
-    assert list(a.classes) == list(b.classes)
-
-
-def test_hexagon_tiling_higher_genus_counts():
-    for genus in (3, 4, 5):
-        g = hexagon_tiling_genus(genus, 1.0, 1.0)
-        assert g.vertex_count == 6 * (genus - 1)
-        assert validate(g).ok
-        assert g.is_connected()
-        # pants decomposition: every vertex still has one c-pair and one d-pair
-        assert all(d == 4 for d in validate(g).degree_sequence)
-
-
 def test_triangle_tiling_structure():
     g = triangle_tiling(2, 3, 7, copies=2, weights=(1.0, 2.0, 3.0))
     assert g.vertex_count == 3
@@ -94,14 +73,6 @@ def test_reversal_pairs_are_consistent():
         assert g.origins[e] == g.terminus(r)
         assert g.weights[e] == g.weights[r]
         assert g.classes[e] == g.classes[r]
-
-
-def test_star_enumerates_outgoing_half_edges():
-    g = cycle_with_doubled_edges(6, 1.0, 1.0)
-    star = g.star(0)
-    assert len(star.edges) == 4
-    assert all(g.origins[e] == 0 for e in star.edges)
-    assert [s.edges for s in g.stars()] == [g.star(v).edges for v in range(6)]
 
 
 def test_validation_codes():
@@ -172,5 +143,3 @@ def test_builders_reject_bad_parameters():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(GraphValidationError):
             bouquet(1, weight=bad)
-    with pytest.raises(DomainError):
-        hexagon_tiling_genus(1, 1.0, 1.0)

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from graphuniform.errors import DomainError, GeometryError
-from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, minkowski_dot
+from graphuniform.graphs import WeightedGraph
+from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot
 from graphuniform.maps import (
+    _REVERSAL_TOL,
     MarkedMap,
     balanced_residual,
     energy,
@@ -136,3 +138,49 @@ def test_edge_segment_and_tangent_are_consistent(genus2_bundle):
         assert t.base.close_to(p, 1e-12)
         assert abs(t.norm - ref.edge_length(e)) < 1e-11
         assert abs(dist_arr(p.coords, q.coords) - ref.edge_length(e)) < 1e-11
+
+
+def test_residual_is_weighted_sum_of_edge_tangents(genus2_bundle):
+    _, graph, ref = genus2_bundle
+    m = perturbed(ref, 0.2, seed=12)
+    x = m.lift_array()
+    want = np.zeros((graph.vertex_count, 3))
+    for e in range(graph.half_edge_count):
+        o, q = graph.origins[e], m.deck_matrix(e) @ x[graph.terminus(e)]
+        want[o] += graph.weights[e] * log_arr(x[o], q)
+    got = balanced_residual(m).residuals
+    assert np.max(np.abs(got - want)) < 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def test_isolated_vertices_have_zero_residual(genus2_bundle):
+    # vertices 1 and 3 carry no edge: one empty star between busy ones, one
+    # at the end of the half-edge rows
+    surface, _, _ = genus2_bundle
+    graph = WeightedGraph.from_edges(4, [(0, 2, 1.0, "e"), (2, 0, 2.0, "e")])
+    lifts = (HPoint.origin(), HPoint.at(0.3, 1.0), HPoint.at(0.5, 0.0), HPoint.at(0.2, 2.0))
+    m = MarkedMap(surface, graph, lifts, ((1,), (-1,), (), ()))
+    residuals = balanced_residual(m).residuals
+    assert residuals.shape == (4, 3)
+    assert np.all(residuals[[1, 3]] == 0.0)
+    assert np.max(np.abs(residuals[[0, 2]])) > 0.1
+    total = 1.0 * m.edge_length(0) ** 2 + 2.0 * m.edge_length(2) ** 2
+    assert abs(energy(m) - total) < 1e-12 * total
+
+
+def _assert_same_deck_matrices(a, b):
+    for e in range(a.graph.half_edge_count):
+        want = b.deck_matrix(e)
+        scale = (1.0 + np.max(np.abs(want))) ** 2
+        assert np.max(np.abs(a.deck_matrix(e) - want)) <= _REVERSAL_TOL * scale
+
+
+def test_derived_maps_match_fresh_construction(genus2_bundle):
+    surface, graph, ref = genus2_bundle
+    m = perturbed(ref, 0.1, seed=6)
+    _assert_same_deck_matrices(m, MarkedMap(surface, graph, m.vertex_lifts, m.deck_words, m.gauge))
+    g = Isometry.x_translation(0.9) @ Isometry.rotation(HPoint.origin(), 0.4)
+    moved = gauge_transform(gauge_transform(m, g), g)
+    fresh = MarkedMap(surface, graph, moved.vertex_lifts, m.deck_words, g @ g @ m.gauge)
+    assert moved.deck_words == m.deck_words
+    assert np.max(np.abs(moved.gauge.matrix - fresh.gauge.matrix)) < 1e-12
+    _assert_same_deck_matrices(moved, fresh)

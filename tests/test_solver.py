@@ -19,7 +19,6 @@ from graphuniform.solver import (
     hessian_product,
     solve,
     uniqueness_probe,
-    worker_count,
 )
 from graphuniform.surfaces import family, genus2_deck_words
 from graphuniform.variations import VertexVariation, second_variation_fd, second_variation_geodesic
@@ -100,7 +99,7 @@ def test_gauge_fix_canonical_position(genus2_solved):
     lifts = fixed.lift_array()
     assert dist(HPoint(lifts[0]), HPoint.origin()) < 1e-12
     # first outgoing edge points along the +x1 axis
-    t = fixed.edge_tangent(int(fixed.graph.star(0).edges[0]))
+    t = fixed.edge_tangent(fixed.graph.origins.index(0))
     direction = t.vec / t.norm
     assert abs(direction[2]) < 1e-9
     assert direction[1] > 0
@@ -174,8 +173,10 @@ def test_solver_rejects_isolated_vertices(genus2_bundle):
     )
     lifts = (HPoint.origin(), HPoint.at(0.5, 0.0))
     m = MarkedMap(surface, graph, lifts, ((1,), (-1,)))
-    with pytest.raises(GraphValidationError):
+    assert np.all(balanced_residual(m).residuals[1] == 0.0)
+    with pytest.raises(GraphValidationError) as exc:
         solve(m, SolverConfig(max_iters=1))
+    assert exc.value.code == "ISOLATED_VERTEX"
 
 
 def test_uniqueness_probe_agrees_on_genus2(genus2_bundle):
@@ -200,16 +201,6 @@ def test_uniqueness_probe_flags_single_loop(octagon_surface):
     assert report.degenerate
     assert not report.ok
     assert "uniqueness hypothesis" in report.message
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GU_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GU_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("GU_THREADS", "banana")
-    with pytest.raises(DomainError):
-        worker_count()
 
 
 def test_zero_iteration_budget_reports_nonconvergence(genus2_bundle):

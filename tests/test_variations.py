@@ -53,6 +53,31 @@ def test_first_variation_vanishes_at_harmonic_map(genus2_solved):
         assert abs(first_variation(genus2_solved, v)) < 1e-8
 
 
+def test_first_variation_equals_per_edge_sum(genus2_bundle):
+    _, graph, ref = genus2_bundle
+    m = perturbed(ref, 0.2, seed=22)
+    v = VertexVariation.random(m, seed=23)
+    total = sum(graph.weights[e] * float(minkowski_dot(v.vectors[graph.origins[e]].vec, m.edge_tangent(e).vec))
+                for e in range(graph.half_edge_count))
+    assert abs(first_variation(m, v) + 2.0 * total) < 1e-12 * (1.0 + abs(total))
+
+
+def test_second_variation_equals_sum_of_jacobi_fields(genus2_bundle):
+    # agreement is rounding-limited and degrades with the size of the
+    # deck-translated coordinates, so the map is kept near the reference
+    _, graph, ref = genus2_bundle
+    m = perturbed(ref, 0.1, seed=24)
+    for seed in (25, 26, 27):
+        v = VertexVariation.random(m, seed=seed)
+        total = 0.0
+        for e in range(graph.half_edge_count):
+            f = jacobi_solve(m, e, v)
+            ell = f.length
+            total += graph.weights[e] * (f.d * f.d + (ell / 2.0) * (
+                (f.a * f.a + f.b * f.b) * np.sinh(2.0 * ell) + 2.0 * f.a * f.b * (np.cosh(2.0 * ell) - 1.0)))
+        assert abs(second_variation_geodesic(m, v) - total) <= 1e-12 * abs(total)
+
+
 def test_second_variation_matches_fd(genus2_solved):
     # h = 1e-3 balances truncation against eps/h^2 evaluation noise
     for seed in (10, 11, 12):
@@ -122,6 +147,8 @@ def test_jacobi_rejects_degenerate_edge(genus2_bundle):
     v = VertexVariation.random(m, seed=18)
     with pytest.raises(DegenerateEdgeError):
         jacobi_solve(m, 0, v)
+    with pytest.raises(DegenerateEdgeError):
+        second_variation_geodesic(m, v)
 
 
 def test_hessian_consistency_report(genus2_solved):

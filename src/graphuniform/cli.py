@@ -50,15 +50,17 @@ def cmd_solve(args) -> int:
     if args.init != "map":
         m = m.with_lifts(initial_lifts(m.surface, m.graph, args.init, args.seed))
 
+    # the manifest rejects a bad SOURCE_DATE_EPOCH, so build it before the solve
+    manifest = serialize.make_manifest(
+        "solve", inputs, {"seed": args.seed, "init": args.init},
+        {"residual_tol": args.tol, "max_iters": args.max_iters})
     cfg = SolverConfig(residual_tol=args.tol, max_iters=args.max_iters, seed=args.seed)
     trace = solve(m, cfg)
     final = trace.final_map
     report = balanced_residual(final)
 
     payload = {
-        "manifest": serialize.make_manifest(
-            "solve", inputs, {"seed": args.seed, "init": args.init},
-            {"residual_tol": args.tol, "max_iters": args.max_iters}),
+        "manifest": manifest,
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
         "iterations": trace.iterations,
@@ -91,6 +93,13 @@ def cmd_optimize(args) -> int:
         raise DomainError(
             f"only the 'hexagon-genus2' family has a metric parameter to optimize, got {args.family!r}")
     fam = family("hexagon-genus2", weights=(args.mc, args.md))
+    manifest = None
+    if args.out:  # rejects a bad SOURCE_DATE_EPOCH before the search
+        manifest = serialize.make_manifest(
+            "optimize", [],
+            {"seed": args.seed},
+            {"search_tol": args.tol, "residual_tol": args.solver_tol,
+             "max_iters": args.max_iters})
     cfg = SolverConfig(residual_tol=args.solver_tol, max_iters=args.max_iters, seed=args.seed)
     theta, value = minimize_1d(fam, (args.bracket[0], args.bracket[1]), tol=args.tol, cfg=cfg)
     sol = lagrange_solve(args.mc / args.md)
@@ -102,11 +111,7 @@ def cmd_optimize(args) -> int:
 
     if args.out:
         payload = {
-            "manifest": serialize.make_manifest(
-                "optimize", [],
-                {"seed": args.seed},
-                {"search_tol": args.tol, "residual_tol": args.solver_tol,
-                 "max_iters": args.max_iters}),
+            "manifest": manifest,
             "family": args.family,
             "weights": {"m_c": args.mc, "m_d": args.md},
             "bracket": [args.bracket[0], args.bracket[1]],

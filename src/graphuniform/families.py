@@ -12,6 +12,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,8 @@ from .maps import energy
 from .solver import SolveTrace, SolverConfig, solve
 from .surfaces import MetricFamily
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 
 
 def hexagon_family_energy(s: float, m_c: float, m_d: float) -> float:
@@ -141,33 +143,77 @@ def minimize_1d(
     tol: float = 1e-8,
     cfg: SolverConfig | None = None,
 ) -> tuple[float, float]:
-    """Golden-section search for the family's energy minimizer.
+    """Brent's method for the family's energy minimizer inside the bracket.
 
-    Requires the minimum strictly inside the bracket; hitting an end within
-    2*tol raises BracketError.
+    Each step fits a parabola through the three best points seen so far and
+    falls back to a golden-section step when the parabola is unsafe (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5).  The
+    resolution at theta is tol1 = sqrt(eps)*|theta| + tol/3, so tol is an
+    absolute tolerance on top of a sqrt(eps)*|theta| floor: below that floor
+    energy differences are float noise.  The search stops when
+    |theta - (a+b)/2| <= 2*tol1 - (b-a)/2 for the current interval [a, b].
+
+    Requires the minimum strictly inside the bracket.  BracketError is raised
+    when the result lies within 2*tol of an end, or when the final interval
+    still ends at lo or hi, i.e. the search never found a worse point on
+    that side.
     """
     lo, hi = bracket
     if not (lo < hi and tol > 0.0):
         raise DomainError(f"bad bracket {bracket!r} or tolerance {tol!r}")
     ev = EnergyEvaluator(fam, cfg)
+    # x: best point so far, w: second best, v: the previous w; d: the last
+    # step, e: the step before it (a parabola must move less than half of e)
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = ev.energy(c), ev.energy(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = ev.energy(c)
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = ev.energy(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            prev_e, e = e, d
+            if abs(p) < abs(0.5 * q * prev_e) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = math.copysign(tol1, m - x)
+        if not parabolic:
+            e = (a - x) if x >= m else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = ev.energy(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = ev.energy(d)
-    theta, value = (c, fc) if fc < fd else (d, fd)
-    if theta - lo <= 2.0 * tol or hi - theta <= 2.0 * tol:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    if a == lo or b == hi or x - lo <= 2.0 * tol or hi - x <= 2.0 * tol:
         raise BracketError(
-            f"minimum of {fam.family_id} sits at the bracket boundary near {theta!r}; widen {bracket!r}")
-    return theta, value
+            f"minimum of {fam.family_id} sits at the bracket boundary near {x!r}; widen {bracket!r}")
+    return x, fx
 
 
 @dataclass(frozen=True)

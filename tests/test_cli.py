@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from graphuniform import serialize
+from graphuniform import cli, serialize
 from graphuniform.cli import main
 
 THETA_STAR = math.log(2.0 + math.sqrt(3.0))
@@ -240,6 +240,26 @@ def test_bad_source_date_epoch_exits_2(tmp_path, monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "SOURCE_DATE_EPOCH" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+def test_bad_source_date_epoch_rejected_before_work(command, map_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    out = tmp_path / "o.json"
+    argv = {"solve": ["solve", "--map", map_file, "--out", str(out)],
+            "optimize": ["optimize", "--tol", "1e-3", "--out", str(out)]}[command]
+    before = set(tmp_path.iterdir())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solve or search ran before the epoch was checked")
+
+    monkeypatch.setattr(cli, "solve", no_work)
+    monkeypatch.setattr(cli, "minimize_1d", no_work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SOURCE_DATE_EPOCH" in captured.err
+    assert set(tmp_path.iterdir()) == before  # no artifact, no trace file
 
 
 def test_artifacts_bit_identical_under_frozen_epoch(map_file, tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from graphuniform.families import (
 )
 from graphuniform.hyperboloid import hexagon_partner_length
 from graphuniform.solver import SolverConfig
-from graphuniform.surfaces import family
+from graphuniform.surfaces import MetricFamily, family
 
 THETA_STAR = math.log(2.0 + math.sqrt(3.0))
 
@@ -96,11 +96,32 @@ def test_minimizer_first_order_condition():
     assert abs(slope) < 1e-5 * (1.0 + hexagon_family_energy(theta, 1.0, 1.0))
 
 
-def test_minimize_rejects_bracket_hugging_minimum():
+@pytest.mark.parametrize("tol", [1e-3, 1e-8])
+@pytest.mark.parametrize("bracket", [(2.5, 3.5), (0.1, 0.9)], ids=["below", "above"])
+def test_minimize_rejects_bracket_hugging_minimum(bracket, tol):
+    # the minimum lies outside the bracket, beyond its lower or upper end; at
+    # tol 1e-8 the search stops about sqrt(eps)*|theta| from that end, outside
+    # 2*tol, so only the final interval still ending there gives it away
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-8, max_iters=2000)
     with pytest.raises(BracketError):
-        minimize_1d(fam, (2.5, 3.5), tol=1e-3, cfg=cfg)  # minimum outside bracket
+        minimize_1d(fam, bracket, tol=tol, cfg=cfg)
+
+
+@pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+def test_minimize_evaluation_budget(ratio):
+    # a golden-section search needs 43 evaluations to shrink (0.5, 3.0) to 1e-8
+    hexagon = family("hexagon-genus2", weights=(ratio, 1.0))
+    calls = []
+
+    def counting_builder(s):
+        calls.append(s)
+        return hexagon.build(s)
+
+    fam = MetricFamily("counted", hexagon.domain, counting_builder)
+    theta, _ = minimize_1d(fam, (0.5, 3.0), tol=1e-8)
+    assert len(calls) <= 25
+    assert abs(theta - lagrange_solve(ratio).s) < 1e-6
 
 
 def test_evaluator_repeats_match_one_shot_energy():

@@ -26,6 +26,22 @@ def test_genus2_surface_validates(genus2_bundle):
     assert max(report.relator_defects) < 1e-8
 
 
+def test_ld_cross_matches_numpy_cross_exactly():
+    # the long-double Minkowski cross product is J (u x w), written out by
+    # components; every component must round exactly as np.cross does
+    from graphuniform.surfaces import _ld_cross
+
+    rng = np.random.default_rng(7)
+    scales = np.longdouble(10.0) ** rng.integers(-3, 4, size=(500, 2))
+    for su, sw in scales:
+        u = rng.standard_normal(3).astype(np.longdouble) * su
+        w = rng.standard_normal(3).astype(np.longdouble) * sw
+        want = np.cross(u, w) * np.array([-1, 1, 1], dtype=np.longdouble)
+        got = _ld_cross(u, w)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, want)
+
+
 def test_genus2_polygon_closes_with_right_angles():
     corners = hexagon_corners(1.3)
     angles = polygon_interior_angles(corners)

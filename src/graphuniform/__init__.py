@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     TangencyError,
 )
-from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges, triangle_tiling
+from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 from .hyperboloid import HPoint, HTangent, Isometry
 from .maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts, rebase_vertex
 from .solver import SolverConfig, SolveTrace, gauge_fix, hessian_fd, solve, uniqueness_probe
@@ -30,7 +30,6 @@ from .surfaces import (
     build_genus2_hexagon_surface,
     build_klein_quartic,
     build_regular_4g_surface,
-    build_triangle_surface,
     family,
     validate_surface,
 )
@@ -58,12 +57,12 @@ __all__ = [
     "BracketError", "DegenerateEdgeError", "DomainError", "GeometryError",
     "GraphValidationError", "NonConvergenceError", "NotHyperbolicError",
     "SchemaError", "TangencyError",
-    "WeightedGraph", "bouquet", "cycle_with_doubled_edges", "triangle_tiling",
+    "WeightedGraph", "bouquet", "cycle_with_doubled_edges",
     "HPoint", "HTangent", "Isometry",
     "MarkedMap", "balanced_residual", "energy", "gauge_transform", "initial_lifts", "rebase_vertex",
     "SolverConfig", "SolveTrace", "gauge_fix", "hessian_fd", "solve", "uniqueness_probe",
     "MetricFamily", "SurfaceModel", "build_genus2_hexagon_surface", "build_klein_quartic",
-    "build_regular_4g_surface", "build_triangle_surface", "family", "validate_surface",
+    "build_regular_4g_surface", "family", "validate_surface",
     "EnergyEvaluator", "LagrangeSolution", "energy_of_parameter", "hexagon_family_energy",
     "lagrange_solve", "minimize_1d", "properness_probe", "sample_curve", "triangle_energy",
     "VertexVariation", "first_variation", "hessian_consistency", "jacobi_solve",

@@ -214,7 +214,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_all(fast=not args.thorough)
+    results = run_all()
     print(summary_table(results))
     return 0 if all(r.ok for r in results) else 5
 
@@ -241,6 +241,14 @@ def cmd_render(args) -> int:
 # parser
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite positive number."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphuniform",
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["map", "barycenter", "random"], default="map",
                    help="starting lifts: from the map file, or reseeded")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9, help="max residual norm for convergence")
+    p.add_argument("--tol", type=positive_float, default=1e-9, help="max residual norm for convergence")
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--out", required=True, help="output artifact path")
     p.add_argument("--trace", help="iteration trace path (default: OUT.trace.jsonl)")
@@ -262,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimize harmonic energy over a metric family")
     p.add_argument("--family", default="hexagon-genus2")
-    p.add_argument("--mc", type=float, default=1.0, help="weight of c-class edges")
-    p.add_argument("--md", type=float, default=1.0, help="weight of d-class edges")
+    p.add_argument("--mc", type=positive_float, default=1.0, help="weight of c-class edges")
+    p.add_argument("--md", type=positive_float, default=1.0, help="weight of d-class edges")
     p.add_argument("--bracket", type=float, nargs=2, default=[0.5, 3.0], metavar=("LO", "HI"))
-    p.add_argument("--tol", type=float, default=1e-8, help="parameter search tolerance")
-    p.add_argument("--solver-tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=positive_float, default=1e-8, help="parameter search tolerance")
+    p.add_argument("--solver-tol", type=positive_float, default=1e-9)
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional output artifact path")
@@ -275,12 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="reproduce a built-in worked example")
     p.add_argument("name", choices=["regular-4g", "hexagon-genus2", "klein"])
     p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--mc", type=float, default=1.0)
-    p.add_argument("--md", type=float, default=1.0)
+    p.add_argument("--mc", type=positive_float, default=1.0)
+    p.add_argument("--md", type=positive_float, default=1.0)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("check", help="run the internal consistency checks")
-    p.add_argument("--thorough", action="store_true", help="higher iteration budgets")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("render", help="draw a map or surface into an SVG")

@@ -53,10 +53,11 @@ def lagrange_solve(ratio: float) -> LagrangeSolution:
     """Solve the constrained stationarity system for weight ratio m_c/m_d.
 
     Bisection on stationarity_ratio(s) = ratio over a bracket expanded
-    geometrically from [1e-6, 50] if needed.
+    geometrically from [1e-6, 50] if needed.  BracketError when t(s) *
+    tanh(t(s)/2) underflows to 0 before the ratio is reached.
     """
-    if not ratio > 0.0:
-        raise DomainError(f"weight ratio must be positive, got {ratio!r}")
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"weight ratio must be finite and positive, got {ratio!r}")
     lo, hi = 1e-6, 50.0
     for _ in range(60):
         if stationarity_ratio(lo) < ratio:
@@ -65,8 +66,12 @@ def lagrange_solve(ratio: float) -> LagrangeSolution:
     else:
         raise BracketError(f"no lower bracket for ratio {ratio!r}")
     for _ in range(60):
-        if stationarity_ratio(hi) > ratio:
-            break
+        try:
+            if stationarity_ratio(hi) > ratio:
+                break
+        except ZeroDivisionError:
+            raise BracketError(
+                f"no upper bracket for ratio {ratio!r}: t(s) underflows at s = {hi!r}") from None
         hi *= 2.0
     else:
         raise BracketError(f"no upper bracket for ratio {ratio!r}")

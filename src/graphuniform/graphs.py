@@ -3,8 +3,8 @@
 Half-edge k has an origin vertex and a reversal partner; loops and parallel
 edges are first-class.  Weights are stored per half-edge and must agree on
 reversal pairs.  Each edge also carries a geometric class label ("c"/"d" for
-pants tilings, "1"/"2"/"3" for triangle sides, "loop" for bouquets) so
-periodic weights can be assigned per class.
+the hexagon tiling, "loop" for bouquets) so periodic weights can be assigned
+per class.
 """
 
 from __future__ import annotations
@@ -152,22 +152,3 @@ def cycle_with_doubled_edges(length: int, m_c: float, m_d: float) -> WeightedGra
     sec = [(i, (i + 1) % length, m_c if cls(i) == "c" else m_d, cls(i)) for i in range(length)]
     return WeightedGraph.from_edges(length, prim + sec)
 
-
-def triangle_tiling(p: int, q: int, r: int, copies: int,
-                    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> WeightedGraph:
-    """Edge classes of a tiling by `copies` triangles with angles pi/p, pi/q, pi/r.
-
-    Vertices 0, 1, 2 are the corner classes with angles pi/p, pi/q, pi/r; each
-    mirror-pair of triangles contributes one edge of each class, where class
-    "i" is the side opposite corner i.
-    """
-    if 1.0 / p + 1.0 / q + 1.0 / r >= 1.0:
-        raise DomainError(f"triangle signature ({p},{q},{r}) is not hyperbolic")
-    if copies < 2 or copies % 2 != 0:
-        raise DomainError(f"copies must be a positive even count of triangles, got {copies}")
-    edges: list[tuple[int, int, float, str]] = []
-    for _ in range(copies // 2):
-        edges.append((1, 2, weights[0], "1"))
-        edges.append((0, 2, weights[1], "2"))
-        edges.append((0, 1, weights[2], "3"))
-    return WeightedGraph.from_edges(3, edges)

@@ -2,8 +2,8 @@
 
 Points live on the upper sheet of <p, p> = -1 in Minkowski 3-space, where
 <p, q> = -p0*q0 + p1*q1 + p2*q2.  Isometries are 3x3 matrices preserving the
-form and the sheet, so geodesics, exponentials, reflections and translation
-lengths all reduce to plain linear algebra.  Everything here is a pure value:
+form and the sheet, so geodesics, exponentials and translation lengths all
+reduce to plain linear algebra.  Everything here is a pure value:
 constructors normalize, methods return new objects.
 """
 
@@ -182,15 +182,6 @@ def direction(p: HPoint, q: HPoint) -> HTangent:
     return log_map(p, q).scaled(1.0 / d)
 
 
-def geodesic_pole(p: HPoint, q: HPoint) -> np.ndarray:
-    """Unit spacelike vector Minkowski-orthogonal to the geodesic through p and q."""
-    u = minkowski_cross(p.coords, q.coords)
-    n = minkowski_dot(u, u)
-    if n < 1e-24:
-        raise DegenerateEdgeError("geodesic through coincident points is not unique")
-    return u / math.sqrt(n)
-
-
 def normal_at(p: HPoint, u: HTangent) -> HTangent:
     """Unit tangent at p obtained by rotating the unit vector u by +90 degrees."""
     n = minkowski_cross(p.coords, u.vec)
@@ -198,16 +189,6 @@ def normal_at(p: HPoint, u: HTangent) -> HTangent:
     if m < 1e-24:
         raise DegenerateEdgeError("cannot rotate a zero tangent")
     return HTangent(p, n / math.sqrt(m))
-
-
-def rotate_tangent(u: HTangent, angle: float) -> HTangent:
-    """Rotate a tangent vector by the given angle (counterclockwise) in its tangent plane."""
-    nrm = u.norm
-    if nrm < 1e-14:
-        raise DegenerateEdgeError("cannot rotate a zero tangent")
-    unit = u.scaled(1.0 / nrm)
-    n = normal_at(u.base, unit)
-    return HTangent(u.base, nrm * (math.cos(angle) * unit.vec + math.sin(angle) * n.vec))
 
 
 def angle_between(v: HTangent, w: HTangent) -> float:
@@ -251,19 +232,6 @@ def _minkowski_gram_schmidt(m: np.ndarray) -> np.ndarray:
     e2 -= minkowski_dot(e2, e1) * e1
     e2 /= math.sqrt(minkowski_dot(e2, e2))
     return np.column_stack([e0, e1, e2])
-
-
-def reflection_matrix(pole: np.ndarray) -> np.ndarray:
-    """Reflection across the geodesic with the given unit spacelike pole.
-
-    Raw matrix (determinant -1): reflections are construction scaffolding, not
-    Isometry values, which this package keeps orientation-preserving.
-    """
-    pole = np.asarray(pole)
-    q = float(minkowski_dot(pole, pole))
-    if abs(q - 1.0) > 1e-8:
-        raise GeometryError("reflection pole must be unit spacelike")
-    return np.eye(3, dtype=pole.dtype) - 2.0 * np.outer(pole, pole) @ np.diag(np.asarray([-1, 1, 1], dtype=pole.dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,27 +378,6 @@ def hexagon_partner_length(s: float) -> float:
     if s <= 0.0:
         raise DomainError(f"hexagon side length must be positive, got {s!r}")
     return 2.0 * math.asinh(0.5 / math.sinh(s / 2.0))
-
-
-def right_angled_polygon_corners(side_lengths: list[float]) -> list[HPoint]:
-    """Corners of the polygon traced from the origin with right-angle left turns.
-
-    Starts at the origin heading along the x1-axis; a closed figure comes back
-    to the start.  Closure is the caller's check, not an assumption here.
-    """
-    p = HPoint.origin()
-    u = HTangent(p, np.array([0.0, 1.0, 0.0]))
-    corners = [p]
-    for L in side_lengths:
-        if L <= 0.0:
-            raise DomainError("polygon sides must have positive length")
-        q = exp_map(p, u.scaled(L))
-        # Velocity of the unit-speed geodesic at its endpoint, then turn left.
-        d = np.sinh(L) * p.coords + np.cosh(L) * u.vec
-        u = rotate_tangent(HTangent(q, d), math.pi / 2.0)
-        p = q
-        corners.append(p)
-    return corners[:-1] if len(side_lengths) >= 3 else corners
 
 
 def polygon_interior_angles(corners: list[HPoint]) -> list[float]:

@@ -302,12 +302,9 @@ def initial_lifts(
     corners; "random" draws a Dirichlet-weighted corner combination per
     vertex from the given seed.
     """
-    if surface.polygon is not None:
-        corners = np.array([p.coords for p in surface.polygon])
-    elif surface.tiles:
-        corners = np.array([p.coords for p in surface.tiles[0]])
-    else:
+    if surface.polygon is None:
         raise DomainError("surface has no polygon to seed lifts in")
+    corners = np.array([p.coords for p in surface.polygon])
     if mode == "barycenter":
         center = corners.mean(axis=0)
         return tuple(HPoint(center) for _ in range(graph.vertex_count))

@@ -66,10 +66,9 @@ def _polygon_outline(corners: np.ndarray, segments: int = 24) -> np.ndarray:
     return disk_projection(np.concatenate(pieces))
 
 
-def _surface_svg(surface: SurfaceModel, translate_depth: int, size: int, tile_color: str) -> _Svg:
-    """Canvas with the fundamental polygon (black) and its translates by
-    generator words of length 1..translate_depth (gray), or the surface's
-    tiles when it has no polygon."""
+def _surface_svg(surface: SurfaceModel, translate_depth: int, size: int) -> _Svg:
+    """Canvas with the fundamental polygon (black), if the surface has one,
+    and its translates by generator words of length 1..translate_depth (gray)."""
     if not 0 <= translate_depth <= 2:
         raise DomainError(f"translate depth must be 0, 1, or 2, got {translate_depth}")
     if size <= 0:
@@ -86,17 +85,13 @@ def _surface_svg(surface: SurfaceModel, translate_depth: int, size: int, tile_co
             for mat in frontier:
                 svg.polyline(_polygon_outline((mat @ corners.T).T), "#cccccc", 0.8, closed=True)
         svg.polyline(_polygon_outline(corners), "#000000", 1.6, closed=True)
-    elif surface.tiles:
-        for tri in surface.tiles:
-            svg.polyline(_polygon_outline(np.array([p.coords for p in tri]), 12),
-                         tile_color, 0.8, closed=True)
     return svg
 
 
 def render_map_svg(m: MarkedMap, translate_depth: int = 1, size: int = 640) -> str:
     """Figure of a marked map: polygon (black), its generator translates up to
     the given depth (gray), lifted graph edges (crimson) and vertices (dots)."""
-    svg = _surface_svg(m.surface, translate_depth, size, "#bbbbbb")
+    svg = _surface_svg(m.surface, translate_depth, size)
     edges = m.edges
     x = m.lift_array()
     for p, q in zip(x[edges.origins[edges.even]], edges.far_ends(x)[edges.even]):
@@ -108,6 +103,6 @@ def render_map_svg(m: MarkedMap, translate_depth: int = 1, size: int = 640) -> s
 
 def render_surface_svg(surface: SurfaceModel, translate_depth: int = 1, size: int = 640) -> str:
     """Figure of just the fundamental polygon and its translates."""
-    if surface.polygon is None and not surface.tiles:
-        raise DomainError("surface has neither polygon nor tiles to draw")
-    return _surface_svg(surface, translate_depth, size, "#555555").text()
+    if surface.polygon is None:
+        raise DomainError("surface has no polygon to draw")
+    return _surface_svg(surface, translate_depth, size).text()

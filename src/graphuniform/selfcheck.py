@@ -77,7 +77,7 @@ def check_lagrange_balanced() -> CheckResult:
                   abs(sol.s - target), 1e-10)
 
 
-def check_reference_map(fast: bool = True) -> CheckResult:
+def check_reference_map() -> CheckResult:
     s = 1.1
     _surface, _graph, reference = surfaces.build_genus2_hexagon_surface(s)
     report = balanced_residual(reference)
@@ -87,7 +87,7 @@ def check_reference_map(fast: bool = True) -> CheckResult:
                   extra=f"energy rel err {energy_err:.1e}")
 
 
-def check_solver_roundtrip(fast: bool = True) -> CheckResult:
+def check_solver_roundtrip() -> CheckResult:
     _surface, graph, reference = surfaces.build_genus2_hexagon_surface(1.0)
     rng = np.random.default_rng(11)
     x = reference.lift_array()
@@ -96,7 +96,7 @@ def check_solver_roundtrip(fast: bool = True) -> CheckResult:
         vec = rng.standard_normal(3) * 0.1
         vec[0] = 0.0
         lifts.append(x[v] + vec)
-    cfg = SolverConfig(residual_tol=1e-10, max_iters=4000 if fast else 20000)
+    cfg = SolverConfig(residual_tol=1e-10, max_iters=4000)
     trace = solve(reference.with_lifts(lifts), cfg)
     if not trace.converged:
         return CheckResult("solver returns to the balanced map", False,
@@ -107,7 +107,7 @@ def check_solver_roundtrip(fast: bool = True) -> CheckResult:
     return _check("solver returns to the balanced map", gap, 1e-7)
 
 
-def check_first_variation(fast: bool = True) -> CheckResult:
+def check_first_variation() -> CheckResult:
     _surface, _graph, reference = surfaces.build_genus2_hexagon_surface(0.9)
     variation = VertexVariation.random(reference, seed=5)
     exact = first_variation(reference, variation)
@@ -132,7 +132,7 @@ def check_triangle_energy() -> CheckResult:
     return _check("triangle-tiling energy closed form", worst, 1e-10)
 
 
-def run_all(fast: bool = True) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     return [
         check_hexagon_area(),
         check_genus2_relators(),
@@ -140,9 +140,9 @@ def run_all(fast: bool = True) -> list[CheckResult]:
         check_octagon_systole(),
         check_constraint_curve(),
         check_lagrange_balanced(),
-        check_reference_map(fast),
-        check_solver_roundtrip(fast),
-        check_first_variation(fast),
+        check_reference_map(),
+        check_solver_roundtrip(),
+        check_first_variation(),
         check_triangle_energy(),
     ]
 

@@ -108,10 +108,14 @@ def make_manifest(command: str, inputs: list[str], seeds: dict, tolerances: dict
 # schema helpers
 
 
+def _as_object(x: Any, path: str) -> dict:
+    if not isinstance(x, dict):
+        raise SchemaError(path, f"expected an object, got {type(x).__name__}")
+    return x
+
+
 def _need(obj: Any, key: str, path: str) -> Any:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    if key not in _as_object(obj, path):
         raise SchemaError(path, f"missing required field {key!r}")
     return obj[key]
 
@@ -205,8 +209,6 @@ def surface_to_json(s: SurfaceModel) -> dict:
         out["side_pairs"] = [list(sp) for sp in s.side_pairs]
     if s.relator_words is not None:
         out["relator_words"] = [list(w) for w in s.relator_words]
-    if s.tiles is not None:
-        out["tiles"] = [[p.coords.tolist() for p in t] for t in s.tiles]
     return out
 
 
@@ -235,14 +237,7 @@ def surface_from_json(obj: Any, path: str = "surface") -> SurfaceModel:
             _as_word(w, f"{path}.relator_words[{i}]")
             for i, w in enumerate(_as_list(obj["relator_words"], f"{path}.relator_words"))
         )
-    tiles = None
-    if obj.get("tiles") is not None:
-        tiles = tuple(
-            tuple(HPoint(_as_triple(p, f"{path}.tiles[{i}][{j}]")) for j, p in
-                  enumerate(_as_list(t, f"{path}.tiles[{i}]", 3)))
-            for i, t in enumerate(_as_list(obj["tiles"], f"{path}.tiles"))
-        )
-    return SurfaceModel(genus, gens, polygon, side_pairs, relators, tiles)
+    return SurfaceModel(genus, gens, polygon, side_pairs, relators)
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +265,7 @@ def map_from_json(
 ) -> MarkedMap:
     """Rebuild a map; surface/graph may be embedded in the document or passed
     in (explicit arguments win)."""
+    obj = _as_object(obj, path)
     if surface is None:
         if obj.get("surface") is None:
             raise SchemaError(f"{path}.surface", "no surface embedded and none provided")

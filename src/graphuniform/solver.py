@@ -39,22 +39,21 @@ from .surfaces import SurfaceModel
 # Largest gauge-fixed distance between the limits of two starts that still
 # counts as agreement in a uniqueness probe.
 GAUGE_TOL = 1e-7
+# Armijo line search: the trial step t*delta, t = 1, 1/2, 1/4, ..., passes
+# when the energy falls by at least SUFFICIENT_DECREASE * t * slope.
+SUFFICIENT_DECREASE = 1e-4
+BACKTRACK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tol: float = 1e-9
     max_iters: int = 10000
-    tau: float = 1.0
-    armijo_slope: float = 1e-4
-    armijo_factor: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if not self.residual_tol > 0:
             raise DomainError(f"residual_tol must be positive, got {self.residual_tol!r}")
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError(f"step damping must lie in (0, 1], got {self.tau!r}")
         if self.max_iters < 0:
             raise DomainError(f"max_iters must be nonnegative, got {self.max_iters!r}")
 
@@ -153,20 +152,20 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
         # energy, the Armijo comparison is rounding noise; switch the
         # acceptance test to strict residual decrease, which stays measurable
         floor = 16.0 * np.finfo(float).eps * max(1.0, abs(e_cur))
-        tau = cfg.tau
+        tau = 1.0
         accepted = False
         for _ in range(80):
             x_new = exp_arr(x, tau * delta)
             e_new = edges.energy(x_new)
-            if e_new <= e_cur - cfg.armijo_slope * tau * slope:
+            if e_new <= e_cur - SUFFICIENT_DECREASE * tau * slope:
                 accepted = True
                 break
-            if cfg.armijo_slope * tau * slope <= floor:
+            if SUFFICIENT_DECREASE * tau * slope <= floor:
                 new_max = float(np.max(_residual_norms(edges.residual(x_new))))
                 if new_max < max_res:
                     accepted = True
                     break
-            tau *= cfg.armijo_factor
+            tau *= BACKTRACK_FACTOR
         if not accepted:
             break  # at the numerical floor of both energy and residual
         x = x_new

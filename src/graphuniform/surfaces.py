@@ -4,7 +4,7 @@ A surface is a fundamental polygon in the hyperboloid model together with
 orientation-preserving isometries pairing its sides; vertex cycles, relator
 words, Gauss-Bonnet area and the pairing conditions are all checkable
 numerically.  Constructors cover the regular 4g-gon, the genus-2 surface
-tiled by four right-angled hexagons, triangle tilings, and the Klein 14-gon.
+tiled by four right-angled hexagons, and the Klein 14-gon.
 
 Generator matrices are built in extended precision (longdouble) and rounded
 to float64 once, after conjugating the development to be centered at a
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges, triangle_tiling
+from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 from .hyperboloid import (
     HPoint,
     Isometry,
@@ -29,7 +29,6 @@ from .hyperboloid import (
     angle_between,
     log_map,
     polygon_area,
-    triangle_from_angles,
 )
 
 _LD = np.longdouble
@@ -98,6 +97,15 @@ def _ld_right_angled_walk(lengths):
     return corners[:-1]
 
 
+def _ld_hexagon(s: float) -> list[np.ndarray]:
+    """Long-double corners of the right-angled hexagon with sides t(s), s, ..."""
+    if not s > 0.0:
+        raise DomainError(f"hexagon seam length must be positive, got {s!r}")
+    s_ld = _LD(s)
+    t_ld = 2 * np.arcsinh(0.5 / np.sinh(s_ld / 2))
+    return _ld_right_angled_walk([t_ld, s_ld] * 3)
+
+
 # --------------------------------------------------------------------------
 # surface values
 
@@ -111,7 +119,6 @@ class SurfaceModel:
     polygon: tuple[HPoint, ...] | None = None
     side_pairs: tuple[tuple[int, int, int], ...] | None = None
     relator_words: tuple[tuple[int, ...], ...] | None = None
-    tiles: tuple[tuple[HPoint, HPoint, HPoint], ...] | None = None
 
     def generator_matrix(self, signed_index: int) -> np.ndarray:
         """Matrix of generator k (1-based); negative index means the inverse."""
@@ -318,7 +325,7 @@ def build_klein_quartic() -> SurfaceModel:
 # t (class c) and s (class d) tile the surface.  The fundamental 16-gon is
 # the union of the base hexagon A with its reflected neighbors B, C across
 # sides 1, 0 and the double reflection D; the corner V1 shared by all four
-# tiles becomes an interior point and the development is centered there.
+# hexagons becomes an interior point and the development is centered there.
 #
 # Sides of the 16-gon in counterclockwise order, named by tile and the index
 # of the hexagon side they came from:
@@ -335,7 +342,7 @@ _GENUS2_SIDE_PAIRS = (
 
 # Deck words (in g1..g8) for the twelve graph edges i -> i+1 of the doubled
 # 6-cycle: the primary copy of each edge stays inside the base hexagon, the
-# secondary copy crosses into the neighboring tiles via r_{i-1} r_{i+1}.
+# secondary copy crosses into the neighboring hexagons via r_{i-1} r_{i+1}.
 _GENUS2_PRIMARY_WORDS = ((), (), (), (), (), ())
 _GENUS2_SECONDARY_WORDS = ((-4,), (1,), (2,), (-1, 3), (-2, 4), (-3,))
 
@@ -354,13 +361,7 @@ def build_genus2_hexagon_surface(
     (m_c, m_d), and the reference map sending graph vertices to the hexagon
     corners (the tiling 1-skeleton, which is balanced by symmetry).
     """
-    if s <= 0.0:
-        raise DomainError(f"hexagon seam length must be positive, got {s!r}")
-    m_c, m_d = weights
-    s_ld = _LD(s)
-    t_ld = 2 * np.arcsinh(0.5 / np.sinh(s_ld / 2))
-    lengths = [t_ld, s_ld, t_ld, s_ld, t_ld, s_ld]
-    v = _ld_right_angled_walk(lengths)
+    v = _ld_hexagon(s)
     refl = [_ld_reflection(_ld_pole_through(v[i], v[(i + 1) % 6])) for i in range(6)]
 
     u = _ld_to_origin(v[1])
@@ -388,7 +389,7 @@ def build_genus2_hexagon_surface(
     relators = tuple(c.relator_word for c in vertex_cycles(16, _GENUS2_SIDE_PAIRS))
     surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, relators)
 
-    graph = cycle_with_doubled_edges(6, m_c, m_d)
+    graph = cycle_with_doubled_edges(6, *weights)
     lifts = tuple(HPoint(np.asarray(u @ v[k], dtype=float)) for k in range(6))
 
     from .maps import MarkedMap  # deferred: maps depends on this module
@@ -399,80 +400,7 @@ def build_genus2_hexagon_surface(
 
 def hexagon_corners(s: float) -> list[HPoint]:
     """Corners of the right-angled hexagon with sides alternating t(s), s."""
-    if s <= 0.0:
-        raise DomainError(f"hexagon seam length must be positive, got {s!r}")
-    s_ld = _LD(s)
-    t_ld = 2 * np.arcsinh(0.5 / np.sinh(s_ld / 2))
-    walk = _ld_right_angled_walk([t_ld, s_ld, t_ld, s_ld, t_ld, s_ld])
-    return [HPoint(np.asarray(c, dtype=float)) for c in walk]
-
-
-def _develop_triangle_tiles(
-    a: HPoint, b: HPoint, c: HPoint, depth: int
-) -> tuple[tuple[HPoint, HPoint, HPoint], ...]:
-    from .hyperboloid import geodesic_pole, reflection_matrix
-
-    def key(tri):
-        center = tri[0].coords + tri[1].coords + tri[2].coords
-        return tuple(np.round(center, 7))
-
-    tiles = [(a, b, c)]
-    seen = {key(tiles[0])}
-    frontier = [tiles[0]]
-    for _ in range(depth):
-        new_frontier = []
-        for tri in frontier:
-            for i in range(3):
-                p, q = tri[i], tri[(i + 1) % 3]
-                m = reflection_matrix(geodesic_pole(p, q))
-                image = tuple(HPoint(m @ x.coords) for x in tri)
-                k = key(image)
-                if k not in seen:
-                    seen.add(k)
-                    tiles.append(image)
-                    new_frontier.append(image)
-        frontier = new_frontier
-    return tuple(tiles)
-
-
-def build_triangle_surface(p: int, q: int, r: int, depth: int = 2) -> SurfaceModel:
-    """Rotation group of the (p,q,r) triangle tiling, developed to `depth`.
-
-    Generators are the corner rotations by 2*pi/p, 2*pi/q, 2*pi/r (each the
-    product of reflections in the two adjacent sides), satisfying
-    g1^p = g2^q = g3^r = g1 g2 g3 = identity.  This is an orbifold-level
-    model: there is no fundamental polygon with free side pairings here, so
-    the polygon/side fields stay empty and `tiles` records the development
-    for rendering and bookkeeping.
-    """
-    if 1.0 / p + 1.0 / q + 1.0 / r >= 1.0:
-        raise DomainError(f"triangle signature ({p},{q},{r}) is not hyperbolic")
-    if depth < 0 or depth > 7:
-        raise DomainError(f"development depth must be in [0, 7], got {depth}")
-    tri = triangle_from_angles(math.pi / p, math.pi / q, math.pi / r)
-    a = HPoint.origin()
-    b = HPoint.at(tri.sides[2], 0.0)  # side 3 joins corners 1 and 2
-    c = HPoint.at(tri.sides[1], math.pi / p)
-
-    from .hyperboloid import geodesic_pole, reflection_matrix
-
-    r_ab = reflection_matrix(geodesic_pole(a, b))
-    r_bc = reflection_matrix(geodesic_pole(b, c))
-    r_ca = reflection_matrix(geodesic_pole(c, a))
-    gens = (
-        Isometry(r_ca @ r_ab),  # rotation about a by 2*pi/p
-        Isometry(r_ab @ r_bc),  # rotation about b by 2*pi/q
-        Isometry(r_bc @ r_ca),  # rotation about c by 2*pi/r
-    )
-    relators = ((1,) * p, (2,) * q, (3,) * r, (1, 2, 3))
-    tiles = _develop_triangle_tiles(a, b, c, depth)
-    return SurfaceModel(0, gens, None, None, relators, tiles=tiles)
-
-
-def triangle_corner_points(p: int, q: int, r: int) -> tuple[HPoint, HPoint, HPoint]:
-    """Corners of the base tile of build_triangle_surface, in class order."""
-    tri = triangle_from_angles(math.pi / p, math.pi / q, math.pi / r)
-    return HPoint.origin(), HPoint.at(tri.sides[2], 0.0), HPoint.at(tri.sides[1], math.pi / p)
+    return [HPoint(np.asarray(c, dtype=float)) for c in _ld_hexagon(s)]
 
 
 # --------------------------------------------------------------------------
@@ -517,19 +445,9 @@ def _center_bouquet(genus: int, weight: float):
     return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, words)
 
 
-def _triangle_bundle(p: int, q: int, r: int, depth: int, weights: tuple[float, float, float]):
-    surface = build_triangle_surface(p, q, r, depth)
-    graph = triangle_tiling(p, q, r, 2, weights)
-    from .maps import MarkedMap
-
-    lifts = triangle_corner_points(p, q, r)
-    words = ((), (), ())
-    return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, words)
-
-
 def family(kind: str, **fixed) -> MetricFamily:
-    """Families: 'hexagon-genus2' (parameter = seam length s), 'regular-4g'
-    and 'triangle' (singletons)."""
+    """Families: 'hexagon-genus2' (parameter = seam length s) and the
+    singleton 'regular-4g'."""
     if kind == "hexagon-genus2":
         weights = fixed.pop("weights", (1.0, 1.0))
         if fixed:
@@ -543,11 +461,4 @@ def family(kind: str, **fixed) -> MetricFamily:
         if genus < 2:
             raise DomainError(f"regular-4g family needs genus >= 2, got {genus}")
         return MetricFamily(kind, None, lambda: _center_bouquet(genus, weight))
-    if kind == "triangle":
-        p, q, r = fixed.pop("signature", (2, 3, 7))
-        depth = fixed.pop("depth", 2)
-        weights = fixed.pop("weights", (1.0, 1.0, 1.0))
-        if fixed:
-            raise DomainError(f"unknown triangle options {sorted(fixed)}")
-        return MetricFamily(kind, None, lambda: _triangle_bundle(p, q, r, depth, weights))
     raise DomainError(f"unknown family kind {kind!r}")

@@ -121,10 +121,128 @@ def test_solve_exit_2_on_missing_field(tmp_path, capsys):
     assert "surface" in capsys.readouterr().err
 
 
-def test_solve_exit_4_on_bad_tolerance(map_file, tmp_path):
-    rc = main(["solve", "--map", map_file, "--out", str(tmp_path / "o.json"),
-               "--tol", "-1"])
-    assert rc == 4
+def _no_work(*args, **kwargs):
+    raise AssertionError("the solve or search ran before its input was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol", "-1"],
+    ["solve", "--tol", "inf"],
+    ["solve", "--tol", "1e400"],
+    ["solve", "--tol", "nan"],
+    ["optimize", "--solver-tol", "inf"],
+    ["optimize", "--tol", "0"],
+    ["example", "hexagon-genus2", "--md", "0"],
+    ["example", "hexagon-genus2", "--mc", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_number_options_reject_non_finite_or_non_positive(argv, map_file, tmp_path, monkeypatch, capsys):
+    # rejected by the argument parser: exit 2 before any solve or search
+    out = tmp_path / "o.json"
+    tail = {"solve": ["--map", map_file, "--out", str(out)], "optimize": ["--out", str(out)]}
+    for name in ("solve", "minimize_1d", "lagrange_solve"):
+        monkeypatch.setattr(cli, name, _no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + tail.get(argv[0], []))
+    assert exc.value.code == 2
+    assert "finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+def test_map_document_that_is_not_an_object_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main([command, "--map", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "expected an object" in err and "Traceback" not in err
+
+
+# A malformed document is refused where it is read: exit 2 for a schema
+# error, 4 for a value the geometry or the graph rejects.  Each case edits
+# the genus-2 reference map document, or the surface or graph embedded in
+# it, which is then passed with --surface or --graph.
+def _set(key, value):
+    def edit(doc):
+        target = doc
+        for k in key[:-1]:
+            target = target[k]
+        target[key[-1]] = value
+        return doc
+    return edit
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _shorten(key):
+    def edit(doc):
+        doc[key].pop()
+        return doc
+    return edit
+
+
+def _not_object(doc):
+    return []
+
+
+_NOT_ISOMETRY = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+_FUZZ = {
+    "map-not-object": ("map", _not_object),
+    "map-missing-lifts": ("map", _drop("vertex_lifts")),
+    "map-lifts-not-array": ("map", _set(["vertex_lifts"], 5)),
+    "map-lift-short": ("map", _set(["vertex_lifts", 0], [1.0, 0.0])),
+    "map-lift-string": ("map", _set(["vertex_lifts", 0, 1], "0")),
+    "map-lift-nan": ("map", _set(["vertex_lifts", 0, 0], math.nan)),
+    "map-lift-inf": ("map", _set(["vertex_lifts", 0, 2], math.inf)),
+    "map-lift-spacelike": ("map", _set(["vertex_lifts", 0], [0.1, 1.0, 0.0])),
+    "map-lift-count": ("map", _shorten("vertex_lifts")),
+    "map-deck-count": ("map", _shorten("edge_decks")),
+    "map-deck-generator-zero": ("map", _set(["edge_decks", 6], [0])),
+    "map-deck-generator-past-end": ("map", _set(["edge_decks", 6], [9])),
+    "map-deck-generator-float": ("map", _set(["edge_decks", 6], [1.5])),
+    "map-gauge-not-isometry": ("map", _set(["gauge"], _NOT_ISOMETRY)),
+    "map-gauge-short": ("map", _set(["gauge"], [[1.0, 0.0, 0.0]])),
+    "surface-not-object": ("surface", _not_object),
+    "surface-missing-genus": ("surface", _drop("genus")),
+    "surface-genus-string": ("surface", _set(["genus"], "2")),
+    "surface-no-generators": ("surface", _set(["generators"], [])),
+    "surface-generator-not-isometry": ("surface", _set(["generators", 0], _NOT_ISOMETRY)),
+    "surface-generator-nan": ("surface", _set(["generators", 0, 1, 1], math.nan)),
+    "surface-polygon-spacelike": ("surface", _set(["polygon", 0], [0.1, 1.0, 0.0])),
+    "surface-side-pair-short": ("surface", _set(["side_pairs", 0], [0, 7])),
+    "graph-not-object": ("graph", _not_object),
+    "graph-missing-edges": ("graph", _drop("edges")),
+    "graph-edge-not-object": ("graph", _set(["edges", 0], 3)),
+    "graph-endpoint-past-end": ("graph", _set(["edges", 0, "to"], 6)),
+    "graph-endpoint-negative": ("graph", _set(["edges", 0, "from"], -1)),
+    "graph-weight-string": ("graph", _set(["edges", 0, "weight"], "1")),
+    "graph-weight-inf": ("graph", _set(["edges", 0, "weight"], math.inf)),
+    "graph-weight-zero": ("graph", _set(["edges", 0, "weight"], 0.0)),
+    "graph-class-number": ("graph", _set(["edges", 0, "class"], 3)),
+    "graph-vertex-count": ("graph", _set(["vertices"], 7)),
+    "graph-no-vertices": ("graph", _set(["vertices"], 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ))
+def test_malformed_documents_exit_2_or_4(case, map_file, tmp_path, capsys):
+    part, edit = _FUZZ[case]
+    documents = {"map": serialize.read_json(map_file)}
+    fresh = serialize.read_json(map_file)
+    documents[part] = edit(fresh if part == "map" else fresh[part])
+    argv = ["solve", "--out", str(tmp_path / "o.json")]
+    for name, doc in documents.items():
+        path = tmp_path / f"edited-{name}.json"
+        path.write_text(json.dumps(doc))  # nan and inf are written as NaN and Infinity
+        argv += [f"--{name}", str(path)]
+    assert main(argv) in (2, 4)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_error_exits_2():
@@ -172,6 +290,12 @@ def test_example_hexagon_genus2_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "log(2+sqrt(3))" in out
+
+
+def test_example_exit_4_when_weight_ratio_has_no_bracket(capsys):
+    assert main(["example", "hexagon-genus2", "--mc", "1e200"]) == 4
+    err = capsys.readouterr().err
+    assert "bracket" in err and "Traceback" not in err
 
 
 def test_example_genus_g_rejects_low_genus():
@@ -249,12 +373,8 @@ def test_bad_source_date_epoch_rejected_before_work(command, map_file, tmp_path,
     argv = {"solve": ["solve", "--map", map_file, "--out", str(out)],
             "optimize": ["optimize", "--tol", "1e-3", "--out", str(out)]}[command]
     before = set(tmp_path.iterdir())
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the solve or search ran before the epoch was checked")
-
-    monkeypatch.setattr(cli, "solve", no_work)
-    monkeypatch.setattr(cli, "minimize_1d", no_work)
+    monkeypatch.setattr(cli, "solve", _no_work)
+    monkeypatch.setattr(cli, "minimize_1d", _no_work)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -68,6 +68,16 @@ def test_lagrange_solve_various_ratios():
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
 
+def test_lagrange_solve_rejects_unreachable_and_non_finite_ratios():
+    # t(s) tanh(t(s)/2) underflows to 0 near s = 750, before the ratio 1e200
+    # is reached
+    with pytest.raises(BracketError):
+        lagrange_solve(1e200)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            lagrange_solve(bad)
+
+
 def test_lagrange_symmetry_under_ratio_inversion():
     a = lagrange_solve(3.0)
     b = lagrange_solve(1.0 / 3.0)

@@ -6,7 +6,6 @@ from graphuniform.graphs import (
     WeightedGraph,
     bouquet,
     cycle_with_doubled_edges,
-    triangle_tiling,
     validate,
 )
 
@@ -40,20 +39,6 @@ def test_cycle_with_doubled_edges_structure():
     for (u, v), cl in pair_classes.items():
         want = "c" if u % 2 == 0 else "d"
         assert cl == [want, want]
-
-
-def test_triangle_tiling_structure():
-    g = triangle_tiling(2, 3, 7, copies=2, weights=(1.0, 2.0, 3.0))
-    assert g.vertex_count == 3
-    assert validate(g).ok
-    classes = sorted(cls for _, _, _, _, cls in g.unoriented_edges())
-    assert classes == ["1", "2", "3"]
-    doubled = triangle_tiling(2, 3, 7, copies=4, weights=(1.0, 2.0, 3.0))
-    assert sorted(cls for _, _, _, _, cls in doubled.unoriented_edges()) == [
-        "1", "1", "2", "2", "3", "3",
-    ]
-    with pytest.raises(DomainError):
-        triangle_tiling(2, 3, 7, copies=3, weights=(1.0, 1.0, 1.0))
 
 
 def test_from_edges_roundtrip():

@@ -9,7 +9,6 @@ from graphuniform.hyperboloid import (
     HPoint,
     HTangent,
     Isometry,
-    angle_between,
     dist,
     dist_arr,
     exp_arr,
@@ -22,11 +21,10 @@ from graphuniform.hyperboloid import (
     polygon_area,
     polygon_interior_angles,
     regular_polygon,
-    right_angled_polygon_corners,
-    rotate_tangent,
     tangent_basis,
     triangle_from_angles,
 )
+from graphuniform.surfaces import hexagon_corners
 
 
 def random_points(rng, n, radius=2.0):
@@ -132,15 +130,6 @@ def test_isometry_rejects_orientation_reversal():
         Isometry(m)
 
 
-def test_rotation_moves_tangent_by_angle():
-    p = HPoint.at(0.7, 1.1)
-    b = tangent_basis(p)
-    for phi in [0.3, 1.2, -2.0]:
-        t = rotate_tangent(b[0], phi)
-        assert abs(angle_between(b[0], t) - abs(phi)) < 1e-12
-        assert abs(t.norm - 1.0) < 1e-12
-
-
 def test_translation_length_classification():
     g = Isometry.x_translation(1.7)
     assert abs(g.translation_length() - 1.7) < 1e-12
@@ -204,18 +193,8 @@ def test_hexagon_partner_length_identity_and_symmetry():
         assert abs(hexagon_partner_length(t) - s) < 1e-10 * (1.0 + s)
 
 
-def test_right_angled_polygon_corners_close_up():
-    sides = [1.0, 0.8, 1.2, 0.9, 1.1, hexagon_partner_length(1.0)]
-    # alternating (s, t, s, t, s, t) closes only for the matched partner;
-    # the generic checker just needs consistent right angles
-    corners = right_angled_polygon_corners([1.0, hexagon_partner_length(1.0)] * 3)
-    angles = polygon_interior_angles(corners)
-    assert np.max(np.abs(np.asarray(angles) - math.pi / 2)) < 1e-9
-    assert len(sides) == 6
-
-
 def test_polygon_area_matches_fan_oracle():
-    corners = right_angled_polygon_corners([1.0, hexagon_partner_length(1.0)] * 3)
+    corners = hexagon_corners(1.0)
     a = polygon_area(corners)
     assert abs(a - math.pi) < 1e-10
     assert abs(a - oracles.polygon_area_fan_oracle(corners)) < 1e-10

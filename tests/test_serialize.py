@@ -194,3 +194,10 @@ def test_map_schema_error_on_bad_lift(genus2_bundle):
     with pytest.raises(SchemaError) as exc:
         map_from_json(doc)
     assert exc.value.path == "map.vertex_lifts[0]"
+
+
+@pytest.mark.parametrize("doc", [[], "map", 3, None])
+def test_map_schema_error_when_document_is_not_an_object(doc):
+    with pytest.raises(SchemaError) as exc:
+        map_from_json(doc)
+    assert exc.value.path == "map"

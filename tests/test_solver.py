@@ -40,8 +40,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(residual_tol=0.0)
     with pytest.raises(DomainError):
-        SolverConfig(tau=1.5)
-    with pytest.raises(DomainError):
         SolverConfig(max_iters=-1)
 
 

@@ -9,7 +9,6 @@ from graphuniform.hyperboloid import polygon_area, polygon_interior_angles
 from graphuniform.surfaces import (
     build_genus2_hexagon_surface,
     build_regular_4g_surface,
-    build_triangle_surface,
     family,
     genus2_deck_words,
     hexagon_corners,
@@ -149,23 +148,6 @@ def test_word_matrix_inverse_convention(genus2_bundle):
     w = surface.word_matrix((1, -2, 3))
     expect = surface.generator_matrix(1) @ surface.generator_matrix(-2) @ surface.generator_matrix(3)
     assert np.max(np.abs(w - expect)) < 1e-12
-
-
-def test_triangle_surface_rotation_relators():
-    surface = build_triangle_surface(2, 3, 7, depth=2)
-    report = validate_surface(surface)
-    assert report.ok, report.issues
-    assert surface.genus == 0
-    assert surface.tiles and len(surface.tiles) > 1
-
-
-def test_triangle_surface_depth_domain():
-    with pytest.raises(DomainError):
-        build_triangle_surface(2, 3, 7, depth=-1)
-    with pytest.raises(DomainError):
-        build_triangle_surface(2, 3, 7, depth=8)
-    with pytest.raises(DomainError):
-        build_triangle_surface(3, 3, 3, depth=1)  # euclidean signature
 
 
 def test_family_domain_checks():

@@ -3,8 +3,11 @@
 Points live on the upper sheet of <p, p> = -1 in Minkowski 3-space, where
 <p, q> = -p0*q0 + p1*q1 + p2*q2.  Isometries are 3x3 matrices preserving the
 form and the sheet, so geodesics, exponentials and translation lengths all
-reduce to plain linear algebra.  Everything here is a pure value:
-constructors normalize, methods return new objects.
+reduce to plain linear algebra.  The `*_arr` functions work on arrays of
+shape (..., 3), which is how maps and the solver hold lifts; `points_arr`
+checks a whole array as HPoint checks one point.  `HPoint`, `HTangent` and
+`Isometry` are the pure value types at the API edges: constructors validate
+and normalize, methods return new objects.
 """
 
 from __future__ import annotations
@@ -33,12 +36,15 @@ J_MATRIX = np.diag(J_DIAG)
 
 def minkowski_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     """Bilinear form of signature (-, +, +) on the last axis."""
-    return -u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+    return (u * w) @ J_DIAG
 
 
 def minkowski_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vector v with <v, x> = det[u, w, x] for all x."""
-    return J_DIAG * np.cross(u, w)
+    """Vector v with <v, x> = det[u, w, x] for all x: J times the cross
+    product, written out (np.cross costs several times as much per call)."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    return np.stack([u2 * w1 - u1 * w2, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0], axis=-1)
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -52,13 +58,26 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalize_point_arr(v: np.ndarray) -> np.ndarray:
-    q = minkowski_dot(v, v)
-    if np.any(q >= 0):
-        raise NotHyperbolicError("point is not timelike")
-    if np.any(v[..., 0] <= 0):
-        raise NotHyperbolicError("point is not on the upper sheet")
-    return v / np.sqrt(-q)[..., None]
+def points_arr(v) -> np.ndarray:
+    """Validated, normalized, read-only copy of points of shape (..., 3).
+
+    The checks are HPoint's, in its order: three coordinates, all finite,
+    timelike, on the upper sheet.  The error names the first offending row.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise GeometryError(f"points need 3 coordinates, got shape {v.shape}")
+    flat = v.reshape(-1, 3)
+    q = minkowski_dot(flat, flat)
+    for bad, error, what in ((~np.isfinite(flat).all(axis=1), GeometryError, "has non-finite coordinates"),
+                             (q >= 0, NotHyperbolicError, "is not timelike"),
+                             (flat[:, 0] <= 0, NotHyperbolicError, "is not on the upper sheet")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(f"point{f' in row {i}' if v.ndim > 1 else ''} {what}: {flat[i].tolist()!r}")
+    out = v / np.sqrt(-q).reshape(v.shape[:-1] + (1,))
+    out.flags.writeable = False
+    return out
 
 
 def _project_tangent_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -78,7 +97,10 @@ def exp_arr(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exponential map, arrays of shape (..., 3)."""
     n = np.sqrt(np.maximum(0.0, minkowski_dot(v, v)))
     out = np.cosh(n)[..., None] * p + _sinhc(n)[..., None] * v
-    return _normalize_point_arr(out)
+    q = minkowski_dot(out, out)
+    if np.any(q >= 0) or np.any(out[..., 0] <= 0):
+        raise NotHyperbolicError("exponential map left the upper sheet")
+    return out / np.sqrt(-q)[..., None]
 
 
 def log_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -98,11 +120,7 @@ class HPoint:
         v = np.asarray(self.coords, dtype=float)
         if v.shape != (3,):
             raise GeometryError(f"point needs 3 coordinates, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise GeometryError(f"point coordinates must be finite, got {v.tolist()!r}")
-        v = _normalize_point_arr(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "coords", v)
+        object.__setattr__(self, "coords", points_arr(v))
 
     @staticmethod
     def origin() -> "HPoint":
@@ -224,13 +242,17 @@ def frame_matrix(p: HPoint, u: HTangent) -> np.ndarray:
 
 def _minkowski_gram_schmidt(m: np.ndarray) -> np.ndarray:
     """Re-orthonormalize the columns of an isometry matrix drifted by round-off."""
+    def unit(v: np.ndarray, sign: float) -> np.ndarray:
+        q = sign * float(minkowski_dot(v, v))
+        if not q > 0.0:
+            raise GeometryError("matrix columns do not span a Minkowski frame")
+        return v / math.sqrt(q)
+
     e0, e1, e2 = m[:, 0].copy(), m[:, 1].copy(), m[:, 2].copy()
-    e0 /= math.sqrt(-minkowski_dot(e0, e0))
-    e1 += minkowski_dot(e1, e0) * e0
-    e1 /= math.sqrt(minkowski_dot(e1, e1))
+    e0 = unit(e0, -1.0)
+    e1 = unit(e1 + minkowski_dot(e1, e0) * e0, 1.0)
     e2 += minkowski_dot(e2, e0) * e0
-    e2 -= minkowski_dot(e2, e1) * e1
-    e2 /= math.sqrt(minkowski_dot(e2, e2))
+    e2 = unit(e2 - minkowski_dot(e2, e1) * e1, 1.0)
     return np.column_stack([e0, e1, e2])
 
 
@@ -283,13 +305,6 @@ class Isometry:
         c, s = math.cos(angle), math.sin(angle)
         block = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         return Isometry(f @ block @ J_MATRIX @ f.T @ J_MATRIX)
-
-    @staticmethod
-    def from_frames(p: HPoint, u: HTangent, q: HPoint, w: HTangent) -> "Isometry":
-        """Orientation-preserving isometry sending (p, direction u) to (q, direction w)."""
-        fp = frame_matrix(p, u)
-        fq = frame_matrix(q, w)
-        return Isometry(fq @ J_MATRIX @ fp.T @ J_MATRIX)
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return Isometry(self.matrix @ other.matrix)

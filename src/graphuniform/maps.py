@@ -10,7 +10,8 @@ on top without touching the words, so gauge moves keep the class exact.
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per map from the words, and is the
 one kernel for energy, balanced residual and the Hessian-vector product;
-`variations` and `solver` evaluate through it too.
+`variations` and `solver` evaluate through it too.  The lifts are one
+validated (V, 3) array; `HPoint`s appear only at the API edges, built on demand.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .hyperboloid import (
     log_arr,
     minkowski_cross,
     minkowski_dot,
+    points_arr,
 )
 from .surfaces import SurfaceModel
 
@@ -42,6 +45,27 @@ _REVERSAL_TOL = 1e-10
 
 def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-w for w in reversed(word))
+
+
+def _lift_array(lifts, count: int) -> np.ndarray:
+    """(count, 3) read-only array of validated, normalized lifts, from an
+    array or a sequence of rows.  A sequence of HPoints is taken as it is:
+    its points are validated and normalized already."""
+    points = False
+    if not isinstance(lifts, np.ndarray):
+        lifts = tuple(lifts)
+        points = all(isinstance(p, HPoint) for p in lifts)
+        lifts = [p.coords if isinstance(p, HPoint) else p for p in lifts]
+    if len(lifts) != count:
+        raise GraphValidationError("LIFT_COUNT", f"{len(lifts)} lifts for {count} vertices")
+    try:
+        x = np.asarray(lifts, dtype=float).reshape(count, 3)
+    except ValueError:  # ragged rows, or rows of the wrong length
+        raise GeometryError(f"lifts need {count} rows of 3 coordinates") from None
+    if not points:
+        return points_arr(x)
+    x.flags.writeable = False  # a fresh array, built from the points' rows
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +173,16 @@ class MarkedMap:
 
     surface: SurfaceModel
     graph: WeightedGraph
-    vertex_lifts: tuple[HPoint, ...]
+    lifts: np.ndarray  # (V, 3), normalized, read-only; given as an array or HPoints/rows
     deck_words: tuple[tuple[int, ...], ...]
     gauge: Isometry = field(default_factory=Isometry.identity)
 
     def __post_init__(self):
         g = self.graph
-        if len(self.vertex_lifts) != g.vertex_count:
-            raise GraphValidationError(
-                "LIFT_COUNT", f"{len(self.vertex_lifts)} lifts for {g.vertex_count} vertices")
+        given = self.lifts
+        object.__setattr__(self, "lifts", _lift_array(given, g.vertex_count))
+        if isinstance(given, tuple) and all(isinstance(p, HPoint) for p in given):
+            self.__dict__["vertex_lifts"] = given  # the points are the rows
         if len(self.deck_words) != g.half_edge_count:
             raise GraphValidationError(
                 "DECK_COUNT", f"{len(self.deck_words)} deck words for {g.half_edge_count} half-edges")
@@ -178,13 +203,12 @@ class MarkedMap:
                 f"deck word of half-edge {reversals[e]} is not inverse to half-edge {e} "
                 f"(defect {defect[e]:.3e})")
         object.__setattr__(self, "edges", EdgeData.build(g, mats))
-        object.__setattr__(self, "_lift_arr", np.array([p.coords for p in self.vertex_lifts]))
 
     @staticmethod
     def from_unoriented_words(
         surface: SurfaceModel,
         graph: WeightedGraph,
-        lifts: tuple[HPoint, ...],
+        lifts,
         words: tuple[tuple[int, ...], ...],
         gauge: Isometry | None = None,
     ) -> "MarkedMap":
@@ -198,13 +222,19 @@ class MarkedMap:
         for (e, _u, _v, _w, _cls), word in zip(unoriented, words):
             full[e] = tuple(word)
             full[graph.reversals[e]] = _inverse_word(tuple(word))
-        return MarkedMap(surface, graph, tuple(lifts), tuple(full),
+        return MarkedMap(surface, graph, lifts, tuple(full),
                          gauge if gauge is not None else Isometry.identity())
 
     # -- accessors ---------------------------------------------------------
 
+    @cached_property
+    def vertex_lifts(self) -> tuple[HPoint, ...]:
+        """The lifts as points, built on first use."""
+        return tuple(HPoint(p) for p in self.lifts)
+
     def lift_array(self) -> np.ndarray:
-        return self._lift_arr.copy()
+        """A writable copy of `lifts`."""
+        return self.lifts.copy()
 
     def deck_matrix(self, e: int) -> np.ndarray:
         return self.edges.mats[self.edges.row[e]]
@@ -212,7 +242,7 @@ class MarkedMap:
     def edge_segment(self, e: int) -> tuple[HPoint, HPoint]:
         """Endpoints of the lifted half-edge e."""
         p = self.vertex_lifts[self.graph.origins[e]]
-        q = self.deck_matrix(e) @ self._lift_arr[self.graph.terminus(e)]
+        q = self.deck_matrix(e) @ self.lifts[self.graph.terminus(e)]
         return p, HPoint(q)
 
     def edge_tangent(self, e: int) -> HTangent:
@@ -227,19 +257,16 @@ class MarkedMap:
     def with_lifts(self, lifts) -> "MarkedMap":
         """Same class and gauge, new vertex positions; the words and edge
         arrays are shared."""
-        pts = tuple(p if isinstance(p, HPoint) else HPoint(np.asarray(p, dtype=float)) for p in lifts)
-        if len(pts) != self.graph.vertex_count:
-            raise GraphValidationError(
-                "LIFT_COUNT", f"{len(pts)} lifts for {self.graph.vertex_count} vertices")
+        x = _lift_array(lifts, self.graph.vertex_count)
         m = copy.copy(self)
-        object.__setattr__(m, "vertex_lifts", pts)
-        object.__setattr__(m, "_lift_arr", np.array([p.coords for p in pts]))
+        m.__dict__.pop("vertex_lifts", None)
+        object.__setattr__(m, "lifts", x)
         return m
 
 
 def energy(m: MarkedMap) -> float:
     """Sum over unoriented edges of weight * (lifted edge length)^2."""
-    return m.edges.energy(m._lift_arr)
+    return m.edges.energy(m.lifts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,14 +285,14 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
     Zero residual everywhere is the harmonicity criterion; the residual is
     also half the negative Riemannian energy gradient at each vertex lift.
     """
-    residuals = m.edges.residual(m._lift_arr)
+    residuals = m.edges.residual(m.lifts)
     norms = np.sqrt(np.maximum(0.0, minkowski_dot(residuals, residuals)))
     return BalancedReport(residuals, float(np.max(norms)), math.sqrt(float(np.mean(norms * norms))))
 
 
 def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
     """Move every lift by g and conjugate the deck matrices; words unchanged."""
-    moved = m.with_lifts(m._lift_arr @ g.matrix.T)
+    moved = m.with_lifts(m.lifts @ g.matrix.T)
     object.__setattr__(moved, "gauge", g @ m.gauge)
     conjugated = g.matrix @ m.edges.mats @ g.inverse().matrix
     object.__setattr__(moved, "edges", replace(m.edges, mats=conjugated))
@@ -279,8 +306,8 @@ def rebase_vertex(m: MarkedMap, v: int, word: tuple[int, ...]) -> MarkedMap:
         raise DomainError(f"no vertex {v}")
     word = tuple(word)
     gamma = m.gauge.matrix @ m.surface.word_matrix(word) @ m.gauge.inverse().matrix
-    lifts = list(m.vertex_lifts)
-    lifts[v] = HPoint(gamma @ lifts[v].coords)
+    lifts = m.lift_array()
+    lifts[v] = gamma @ lifts[v]
     inv = _inverse_word(word)
     new_words = []
     for e in range(m.graph.half_edge_count):
@@ -290,13 +317,13 @@ def rebase_vertex(m: MarkedMap, v: int, word: tuple[int, ...]) -> MarkedMap:
         if m.graph.terminus(e) == v:
             w = w + inv
         new_words.append(w)
-    return MarkedMap(m.surface, m.graph, tuple(lifts), tuple(new_words), m.gauge)
+    return MarkedMap(m.surface, m.graph, lifts, tuple(new_words), m.gauge)
 
 
 def initial_lifts(
     surface: SurfaceModel, graph: WeightedGraph, mode: str = "barycenter", seed: int = 0
-) -> tuple[HPoint, ...]:
-    """Seed positions inside the fundamental polygon.
+) -> np.ndarray:
+    """Seed positions inside the fundamental polygon, one row per vertex.
 
     "barycenter" puts every vertex at the normalized average of the polygon
     corners; "random" draws a Dirichlet-weighted corner combination per
@@ -306,13 +333,8 @@ def initial_lifts(
         raise DomainError("surface has no polygon to seed lifts in")
     corners = np.array([p.coords for p in surface.polygon])
     if mode == "barycenter":
-        center = corners.mean(axis=0)
-        return tuple(HPoint(center) for _ in range(graph.vertex_count))
+        return points_arr(np.tile(corners.mean(axis=0), (graph.vertex_count, 1)))
     if mode == "random":
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(graph.vertex_count):
-            w = rng.dirichlet(np.ones(len(corners)))
-            out.append(HPoint(w @ corners))
-        return tuple(out)
+        weights = np.random.default_rng(seed).dirichlet(np.ones(len(corners)), size=graph.vertex_count)
+        return points_arr(weights @ corners)
     raise DomainError(f"unknown lift seeding mode {mode!r}")

@@ -250,7 +250,7 @@ def map_to_json(m: MarkedMap, embed: bool = True) -> dict:
     if embed:
         out["surface"] = surface_to_json(m.surface)
         out["graph"] = graph_to_json(g)
-    out["vertex_lifts"] = [p.coords.tolist() for p in m.vertex_lifts]
+    out["vertex_lifts"] = m.lifts.tolist()
     out["edge_decks"] = [list(m.deck_words[e]) for (e, *_rest) in g.unoriented_edges()]
     if not m.gauge.is_identity(tol=0.0):
         out["gauge"] = m.gauge.matrix.tolist()
@@ -274,10 +274,11 @@ def map_from_json(
         if obj.get("graph") is None:
             raise SchemaError(f"{path}.graph", "no graph embedded and none provided")
         graph = graph_from_json(obj["graph"], f"{path}.graph")
-    lifts = tuple(
-        HPoint(_as_triple(p, f"{path}.vertex_lifts[{i}]"))
+    # schema checks per row; the geometric checks run on the whole array in MarkedMap
+    lifts = np.array([
+        _as_triple(p, f"{path}.vertex_lifts[{i}]")
         for i, p in enumerate(_as_list(_need(obj, "vertex_lifts", path), f"{path}.vertex_lifts"))
-    )
+    ])
     words = tuple(
         _as_word(w, f"{path}.edge_decks[{i}]")
         for i, w in enumerate(_as_list(_need(obj, "edge_decks", path), f"{path}.edge_decks"))

@@ -24,13 +24,14 @@ import numpy as np
 from .errors import DomainError, GraphValidationError
 from .graphs import WeightedGraph
 from .hyperboloid import (
-    HPoint,
+    J_DIAG,
+    J_MATRIX,
     Isometry,
+    _project_tangent_arr,
     dist_arr,
     exp_arr,
     log_arr,
     minkowski_dot,
-    tangent_basis,
     tangent_basis_arr,
 )
 from .maps import MarkedMap, energy, gauge_transform, initial_lifts
@@ -86,7 +87,7 @@ def _residual_norms(r: np.ndarray) -> np.ndarray:
 
 def _inner(u: np.ndarray, w: np.ndarray) -> float:
     """Metric pairing of two tangent fields (one tangent vector per vertex)."""
-    return float(np.sum(minkowski_dot(u, w)))
+    return float(np.vdot(u * J_DIAG, w))
 
 
 def _newton_step(hessian, r: np.ndarray) -> np.ndarray:
@@ -185,15 +186,19 @@ def hessian_product(m: MarkedMap, vectors: np.ndarray) -> np.ndarray:
 def gauge_fix(m: MarkedMap) -> MarkedMap:
     """Canonical gauge: first vertex lift at (1,0,0), first edge tangent along
     the positive x1-axis."""
-    origin = HPoint.origin()
-    p0 = m.vertex_lifts[0]
-    g1 = Isometry.from_frames(p0, tangent_basis(p0)[0], origin, tangent_basis(origin)[0])
-    moved = gauge_transform(m, g1)
-    t0 = moved.edge_tangent(0)
-    if t0.norm < 1e-12:
-        return moved
-    angle = math.atan2(t0.vec[2], t0.vec[1])
-    return gauge_transform(moved, Isometry.rotation(origin, -angle))
+    x = m.lifts
+    # inverse of the Minkowski frame (x0, tangent basis at x0): it takes x0
+    # to the origin and the first basis vector to the x1-axis
+    frame = np.column_stack([x[0], *tangent_basis_arr(x[0])])
+    to_origin = J_MATRIX @ frame.T @ J_MATRIX
+    # the first edge's initial tangent, up to a positive factor
+    t0 = to_origin @ _project_tangent_arr(x[m.graph.origins[0]], m.deck_matrix(0) @ x[m.graph.terminus(0)])
+    size = math.hypot(t0[1], t0[2])
+    if size < 1e-12:
+        return gauge_transform(m, Isometry(to_origin))
+    c, s = t0[1] / size, t0[2] / size
+    turn = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])  # by minus the tangent's angle
+    return gauge_transform(m, Isometry(turn @ to_origin))
 
 
 def fd_gradient(m: MarkedMap, h: float = 1e-5) -> np.ndarray:
@@ -290,19 +295,17 @@ def uniqueness_probe(
         raise DomainError(f"uniqueness probe needs at least 2 starts, got {n_starts}")
     cfg = cfg or SolverConfig()
 
-    def run(i: int) -> SolveTrace:
-        lifts = initial_lifts(surface, graph, "random", seed=cfg.seed + i)
-        return solve(MarkedMap.from_unoriented_words(surface, graph, lifts, deck_words), cfg)
-
-    traces = [run(i) for i in range(n_starts)]
+    starts = [initial_lifts(surface, graph, "random", seed=cfg.seed + i) for i in range(n_starts)]
+    base = MarkedMap.from_unoriented_words(surface, graph, starts[0], deck_words)
+    traces = [solve(base.with_lifts(x), cfg) for x in starts]
     fixed = [gauge_fix(t.final_map) for t in traces]
 
     def max_pair_dev(maps) -> float:
         worst = 0.0
         for i in range(len(maps)):
-            xi = maps[i]._lift_arr
+            xi = maps[i].lifts
             for j in range(i + 1, len(maps)):
-                worst = max(worst, float(np.max(dist_arr(xi, maps[j]._lift_arr))))
+                worst = max(worst, float(np.max(dist_arr(xi, maps[j].lifts))))
         return worst
 
     degenerate = any(t.converged and _image_is_one_dimensional(t.final_map) for t in traces)

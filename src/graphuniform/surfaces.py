@@ -452,7 +452,9 @@ def family(kind: str, **fixed) -> MetricFamily:
         weights = fixed.pop("weights", (1.0, 1.0))
         if fixed:
             raise DomainError(f"unknown hexagon-genus2 options {sorted(fixed)}")
-        return MetricFamily(kind, (0.01, 12.0), lambda s: build_genus2_hexagon_surface(s, weights))
+        # seams the float64 build serves: outside about (0.23, 9.5) it either
+        # fails or returns generators whose relators no longer close
+        return MetricFamily(kind, (0.25, 9.0), lambda s: build_genus2_hexagon_surface(s, weights))
     if kind == "regular-4g":
         genus = fixed.pop("genus", 2)
         weight = fixed.pop("weight", 1.0)

@@ -292,6 +292,14 @@ def test_example_hexagon_genus2_passes(capsys):
     assert "log(2+sqrt(3))" in out
 
 
+def test_optimize_exit_4_on_bracket_outside_buildable_seams(capsys):
+    # seams of 0.04-0.06 are outside the family's domain: the builder cannot
+    # make a surface there
+    assert main(["optimize", "--bracket", "0.04", "0.06"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_example_exit_4_when_weight_ratio_has_no_bracket(capsys):
     assert main(["example", "hexagon-genus2", "--mc", "1e200"]) == 4
     err = capsys.readouterr().err

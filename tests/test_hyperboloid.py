@@ -9,6 +9,8 @@ from graphuniform.hyperboloid import (
     HPoint,
     HTangent,
     Isometry,
+    J_DIAG,
+    _minkowski_gram_schmidt,
     dist,
     dist_arr,
     exp_arr,
@@ -17,6 +19,7 @@ from graphuniform.hyperboloid import (
     hexagon_partner_length,
     log_arr,
     log_map,
+    minkowski_cross,
     minkowski_dot,
     polygon_area,
     polygon_interior_angles,
@@ -198,3 +201,32 @@ def test_polygon_area_matches_fan_oracle():
     a = polygon_area(corners)
     assert abs(a - math.pi) < 1e-10
     assert abs(a - oracles.polygon_area_fan_oracle(corners)) < 1e-10
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((7, 3), (7, 3)), ((7, 1, 3), (7, 2, 3))],
+                         ids=["single", "rows", "broadcast"])
+def test_minkowski_cross_matches_j_times_numpy_cross(shapes):
+    rng = np.random.default_rng(21)
+    u = rng.standard_normal(shapes[0]) * 3.0
+    w = rng.standard_normal(shapes[1]) * 3.0
+    got = minkowski_cross(u, w)
+    want = J_DIAG * np.cross(u, w)
+    assert got.shape == want.shape
+    bound = 4.0 * np.finfo(float).eps * np.linalg.norm(u, axis=-1)[..., None] * np.linalg.norm(w, axis=-1)[..., None]
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_minkowski_dot_matches_elementwise_formula():
+    rng = np.random.default_rng(22)
+    u = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+    w = rng.standard_normal((50, 3)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+    want = -u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1] + u[:, 2] * w[:, 2]
+    bound = 4.0 * np.finfo(float).eps * np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
+    assert np.all(np.abs(minkowski_dot(u, w) - want) <= bound)
+    assert abs(minkowski_dot(u[0], w[0]) - want[0]) <= bound[0]
+
+
+def test_gram_schmidt_rejects_columns_without_a_frame():
+    # a spacelike first column has no unit timelike direction to keep
+    with pytest.raises(GeometryError):
+        _minkowski_gram_schmidt(np.array([[0.1, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -1,8 +1,10 @@
 
+import math
+
 import numpy as np
 import pytest
 
-from graphuniform.errors import DomainError, GeometryError
+from graphuniform.errors import DomainError, GeometryError, SchemaError
 from graphuniform.graphs import WeightedGraph
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot
 from graphuniform.maps import (
@@ -14,6 +16,7 @@ from graphuniform.maps import (
     initial_lifts,
     rebase_vertex,
 )
+from graphuniform.serialize import map_from_json, map_to_json
 
 
 def perturbed(m, scale, seed):
@@ -97,20 +100,29 @@ def test_with_lifts_accepts_points_and_arrays(genus2_bundle):
 def test_initial_lifts_modes(genus2_bundle):
     surface, graph, _ = genus2_bundle
     bary = initial_lifts(surface, graph, mode="barycenter")
-    assert len(bary) == graph.vertex_count
+    assert bary.shape == (graph.vertex_count, 3)
     # all vertices start at the same interior point
-    assert all(p.close_to(bary[0], 1e-12) for p in bary)
-
-    def arr(pts):
-        return np.array([p.coords for p in pts])
+    assert np.all(dist_arr(bary, bary[0]) <= 1e-12)
 
     r1 = initial_lifts(surface, graph, mode="random", seed=5)
     r2 = initial_lifts(surface, graph, mode="random", seed=5)
     r3 = initial_lifts(surface, graph, mode="random", seed=6)
-    assert np.array_equal(arr(r1), arr(r2))
-    assert np.max(np.abs(arr(r1) - arr(r3))) > 1e-3
+    assert np.array_equal(r1, r2)
+    assert np.max(np.abs(r1 - r3)) > 1e-3
     with pytest.raises(DomainError):
         initial_lifts(surface, graph, mode="nope")
+
+
+def test_random_initial_lifts_match_per_vertex_draws(genus2_bundle):
+    # one Dirichlet draw of all V rows takes the same random numbers as V
+    # single draws; the batched product may round differently
+    surface, graph, _ = genus2_bundle
+    corners = np.array([p.coords for p in surface.polygon])
+    rng = np.random.default_rng(5)
+    want = np.array([HPoint(rng.dirichlet(np.ones(len(corners))) @ corners).coords
+                     for _ in range(graph.vertex_count)])
+    got = initial_lifts(surface, graph, mode="random", seed=5)
+    assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_perturbation_produces_measurable_residual(genus2_bundle):
@@ -184,3 +196,64 @@ def test_derived_maps_match_fresh_construction(genus2_bundle):
     assert moved.deck_words == m.deck_words
     assert np.max(np.abs(moved.gauge.matrix - fresh.gauge.matrix)) < 1e-12
     _assert_same_deck_matrices(moved, fresh)
+
+
+# one bad row (vertex 3) per case, with the error map_from_json raises when
+# its schema rejects the row before any geometry (None: HPoint's error)
+_BAD_ROWS = {
+    "nan": ([2.0, math.nan, 0.0], SchemaError),
+    "inf": ([2.0, 0.0, math.inf], SchemaError),
+    "spacelike": ([0.1, 1.0, 0.0], None),
+    "lower-sheet": ([-math.cosh(1.0), math.sinh(1.0), 0.0], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_bad_lift_rows_rejected_like_hpoint(case, genus2_bundle):
+    surface, graph, ref = genus2_bundle
+    row, schema_error = _BAD_ROWS[case]
+    with pytest.raises(GeometryError) as point_exc:
+        HPoint(np.array(row))
+    error = type(point_exc.value)
+    x = ref.lift_array()
+    x[3] = row
+    with pytest.raises(error, match="row 3"):
+        ref.with_lifts(x)
+    with pytest.raises(error, match="row 3"):
+        MarkedMap(surface, graph, x, ref.deck_words)
+    with pytest.raises(error):
+        ref.with_lifts([HPoint(p) if i != 3 else p for i, p in enumerate(x)])
+    doc = map_to_json(ref)
+    doc["vertex_lifts"][3] = row
+    with pytest.raises(schema_error or error) as doc_exc:
+        map_from_json(doc)
+    if schema_error is not None:
+        assert doc_exc.value.path.startswith("map.vertex_lifts[3]")
+
+
+def test_lift_array_of_wrong_shape_rejected_like_hpoint(genus2_bundle):
+    surface, graph, ref = genus2_bundle
+    with pytest.raises(GeometryError):
+        HPoint(np.array([2.0, 1.0]))
+    short = ref.lift_array()[:, :2]
+    for build in (ref.with_lifts, lambda x: MarkedMap(surface, graph, x, ref.deck_words)):
+        with pytest.raises(GeometryError):
+            build(short)
+        with pytest.raises(GeometryError):
+            build(ref.lift_array()[:, 0])
+        with pytest.raises(GeometryError):
+            build([p if i != 2 else p[:2] for i, p in enumerate(ref.lift_array())])
+    doc = map_to_json(ref)
+    doc["vertex_lifts"][2] = [2.0, 1.0]
+    with pytest.raises(SchemaError):
+        map_from_json(doc)
+
+
+def test_lifts_are_read_only_and_points_built_on_demand(genus2_bundle):
+    _, _, ref = genus2_bundle
+    m = perturbed(ref, 0.1, seed=5)
+    assert not m.lifts.flags.writeable
+    assert "vertex_lifts" not in vars(m)
+    points = m.vertex_lifts
+    assert np.max(np.abs(np.array([p.coords for p in points]) - m.lifts)) < 1e-14
+    assert "vertex_lifts" not in vars(m.with_lifts(m.lifts))

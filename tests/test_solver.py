@@ -8,8 +8,8 @@ import oracles
 from graphuniform.errors import DomainError, GraphValidationError
 from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet
-from graphuniform.hyperboloid import HPoint, dist, dist_arr, exp_arr, minkowski_dot, tangent_basis_arr
-from graphuniform.maps import MarkedMap, balanced_residual, energy, initial_lifts
+from graphuniform.hyperboloid import HPoint, Isometry, dist, dist_arr, exp_arr, minkowski_dot, tangent_basis_arr
+from graphuniform.maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
 from graphuniform.solver import (
     SolverConfig,
     UniquenessReport,
@@ -288,3 +288,42 @@ def test_random_starts_on_subdivisions_converge(k, seed):
     assert trace.converged
     exact = hexagon_family_energy(SEAM, 1.0, 1.0)
     assert abs(energy(trace.final_map) - exact) <= 1e-9 * exact
+
+
+def test_gauge_fix_is_canonical_and_idempotent(genus2_solved):
+    fixed = gauge_fix(genus2_solved)
+    scale = 1.0 + np.max(np.abs(fixed.edges.mats))
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+        g = (Isometry.rotation(HPoint.origin(), a) @ Isometry.x_translation(rng.uniform(0.0, 1.5))
+             @ Isometry.rotation(HPoint.origin(), b))
+        again = gauge_fix(gauge_transform(genus2_solved, g))
+        assert np.max(np.abs(again.lift_array() - fixed.lift_array())) < 1e-10
+        assert np.max(np.abs(again.edges.mats - fixed.edges.mats)) < 1e-10 * scale
+    twice = gauge_fix(fixed)
+    assert np.max(np.abs(twice.lift_array() - fixed.lift_array())) < 1e-10
+    assert np.max(np.abs(twice.gauge.matrix - fixed.gauge.matrix)) < 1e-10
+
+
+def test_uniqueness_probe_builds_no_points_per_vertex(genus2_bundle, monkeypatch):
+    # the probe holds lifts as arrays: the number of HPoints it constructs
+    # must not grow with the graph (1-fold: V = 6, 4-fold: V = 42)
+    _surface, _graph, ref = genus2_bundle
+    maps = [oracles.subdivide(ref, k) for k in (1, 4)]
+    original = HPoint.__post_init__
+    calls = []
+
+    def counting(point):
+        calls.append(point)
+        original(point)
+
+    monkeypatch.setattr(HPoint, "__post_init__", counting)
+    counts = []
+    for m in maps:
+        words = tuple(m.deck_words[e] for e, *_ in m.graph.unoriented_edges())
+        before = len(calls)
+        report = uniqueness_probe(m.surface, m.graph, words, 4)
+        assert report.ok, report.message
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1], counts

@@ -185,3 +185,14 @@ def test_genus2_builder_rejects_bad_seam():
         build_genus2_hexagon_surface(0.0)
     with pytest.raises(DomainError):
         build_regular_4g_surface(1)
+
+
+def test_hexagon_family_builds_across_its_domain():
+    # 60 seams on a geometric grid strictly inside the declared domain: every
+    # one builds and its relators close
+    fam = family("hexagon-genus2")
+    lo, hi = fam.domain
+    for s in np.geomspace(lo, hi, 62)[1:-1]:
+        surface, _graph, _ref = fam.build(float(s))
+        report = validate_surface(surface)
+        assert not [issue for issue in report.issues if issue[0] == "RELATOR"], (s, report.issues)

@@ -21,7 +21,7 @@ from .errors import (
     TangencyError,
 )
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
-from .hyperboloid import HPoint, HTangent, Isometry
+from .hyperboloid import HPoint, Isometry
 from .maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts, rebase_vertex
 from .solver import SolverConfig, SolveTrace, gauge_fix, hessian_fd, solve, uniqueness_probe
 from .surfaces import (
@@ -58,7 +58,7 @@ __all__ = [
     "GraphValidationError", "NonConvergenceError", "NotHyperbolicError",
     "SchemaError", "TangencyError",
     "WeightedGraph", "bouquet", "cycle_with_doubled_edges",
-    "HPoint", "HTangent", "Isometry",
+    "HPoint", "Isometry",
     "MarkedMap", "balanced_residual", "energy", "gauge_transform", "initial_lifts", "rebase_vertex",
     "SolverConfig", "SolveTrace", "gauge_fix", "hessian_fd", "solve", "uniqueness_probe",
     "MetricFamily", "SurfaceModel", "build_genus2_hexagon_surface", "build_klein_quartic",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad input file or usage, 3 solver did not converge,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -26,7 +27,7 @@ from .errors import (
 from .families import hexagon_family_energy, lagrange_solve, minimize_1d
 from .hyperboloid import regular_polygon
 from .maps import balanced_residual, energy, initial_lifts
-from .selfcheck import CheckResult, run_all, summary_table
+from .selfcheck import CheckResult, _check, run_all, summary_table
 from .solver import SolverConfig, solve
 from .surfaces import build_regular_4g_surface, family, validate_surface
 from . import serialize
@@ -133,28 +134,24 @@ def cmd_optimize(args) -> int:
 # example
 
 
-def _pfcheck(name: str, value: float, bound: float) -> CheckResult:
-    return CheckResult(name, bool(value <= bound), f"{value:.3e} (tol {bound:.0e})")
-
-
 def _example_hexagon_genus2(args) -> list[CheckResult]:
     checks = []
     sol = lagrange_solve(args.mc / args.md)
     print(f"stationary seam s* = {sol.s:.6f}   partner length t* = {sol.t:.6f}")
-    checks.append(_pfcheck("closure constraint at s*", abs(sol.constraint_residual), 1e-10))
-    checks.append(_pfcheck("stationarity condition at s*", abs(sol.stationarity_residual), 1e-10))
+    checks.append(_check("closure constraint at s*", abs(sol.constraint_residual), 1e-10))
+    checks.append(_check("stationarity condition at s*", abs(sol.stationarity_residual), 1e-10))
     if args.mc == args.md:
-        checks.append(_pfcheck("equal weights give s* = log(2+sqrt(3))",
-                               abs(sol.s - math.log(2.0 + math.sqrt(3.0))), 1e-9))
+        checks.append(_check("equal weights give s* = log(2+sqrt(3))",
+                             abs(sol.s - math.log(2.0 + math.sqrt(3.0))), 1e-9))
     fam = family("hexagon-genus2", weights=(args.mc, args.md))
     theta, value = minimize_1d(fam, (0.5 * sol.s, 2.0 * sol.s), tol=1e-7,
                                cfg=SolverConfig(residual_tol=1e-9))
     print(f"energy-search minimizer = {theta:.6f}   minimum energy = {value:.6f}")
-    checks.append(_pfcheck("energy search agrees with stationarity solve",
-                           abs(theta - sol.s), 1e-5))
+    checks.append(_check("energy search agrees with stationarity solve",
+                         abs(theta - sol.s), 1e-5))
     closed = hexagon_family_energy(sol.s, args.mc, args.md)
-    checks.append(_pfcheck("minimum energy matches closed form",
-                           abs(value - closed) / closed, 1e-6))
+    checks.append(_check("minimum energy matches closed form",
+                         abs(value - closed) / closed, 1e-6))
     return checks
 
 
@@ -166,20 +163,20 @@ def _example_regular_4g(genus: int) -> list[CheckResult]:
     relator_ok = not any(code == "RELATOR" for code, _ in report.issues)
     checks.append(CheckResult(f"4g-gon relators close up (genus {genus})",
                               relator_ok, f"worst defect {worst:.3e} (norm-scaled gate)"))
-    checks.append(_pfcheck("polygon area matches Gauss-Bonnet",
-                           abs(report.area - report.area_expected), 1e-7))
+    checks.append(_check("polygon area matches Gauss-Bonnet",
+                         abs(report.area - report.area_expected), 1e-7))
     if genus == 2:
         expected = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
-        checks.append(_pfcheck("octagon generator translation length",
-                               abs(surface.generators[0].translation_length() - expected), 1e-8))
+        checks.append(_check("octagon generator translation length",
+                             abs(surface.generators[0].translation_length() - expected), 1e-8))
     _s, _g, ref = family("regular-4g", genus=genus).build()
     rep = balanced_residual(ref)
-    checks.append(_pfcheck("center bouquet map is balanced", rep.max_norm, 1e-10))
+    checks.append(_check("center bouquet map is balanced", rep.max_norm, 1e-10))
     geo = regular_polygon(4 * genus, math.pi / (2 * genus))
     closed = 2 * genus * (2.0 * geo.inradius) ** 2
     print(f"bouquet map energy = {energy(ref):.6f}   loops have length {2 * geo.inradius:.6f}")
-    checks.append(_pfcheck("bouquet energy matches closed form",
-                           abs(energy(ref) - closed) / closed, 1e-12))
+    checks.append(_check("bouquet energy matches closed form",
+                         abs(energy(ref) - closed) / closed, 1e-12))
     return checks
 
 
@@ -190,11 +187,11 @@ def _example_klein(args) -> list[CheckResult]:
     surface = build_klein_quartic()
     report = validate_surface(surface)
     worst = max(report.relator_defects)
-    checks.append(_pfcheck("14-gon relators close up", worst, 1e-8))
-    checks.append(_pfcheck("polygon area is 8*pi", abs(report.area - 8.0 * math.pi), 1e-8))
-    checks.append(_pfcheck("both corner cycles have angle sum 2*pi",
-                           max(abs(a - 2.0 * math.pi) for a in report.angle_sums), 1e-8))
-    checks.append(_pfcheck("corner cycle count is 2", abs(len(report.angle_sums) - 2), 0))
+    checks.append(_check("14-gon relators close up", worst, 1e-8))
+    checks.append(_check("polygon area is 8*pi", abs(report.area - 8.0 * math.pi), 1e-8))
+    checks.append(_check("both corner cycles have angle sum 2*pi",
+                         max(abs(a - 2.0 * math.pi) for a in report.angle_sums), 1e-8))
+    checks.append(_check("corner cycle count is 2", abs(len(report.angle_sums) - 2), 0))
     return checks
 
 
@@ -249,6 +246,7 @@ def positive_float(text: str) -> float:
     return value
 
 
+@functools.cache  # once per process: a parser is ~285 objects in cycles only a full gc frees
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphuniform",

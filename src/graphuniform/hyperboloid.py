@@ -3,11 +3,11 @@
 Points live on the upper sheet of <p, p> = -1 in Minkowski 3-space, where
 <p, q> = -p0*q0 + p1*q1 + p2*q2.  Isometries are 3x3 matrices preserving the
 form and the sheet, so geodesics, exponentials and translation lengths all
-reduce to plain linear algebra.  The `*_arr` functions work on arrays of
-shape (..., 3), which is how maps and the solver hold lifts; `points_arr`
-checks a whole array as HPoint checks one point.  `HPoint`, `HTangent` and
-`Isometry` are the pure value types at the API edges: constructors validate
-and normalize, methods return new objects.
+reduce to plain linear algebra.  Inside the library points and tangent
+vectors are plain arrays of shape (..., 3), and the `*_arr` functions work on
+them; `points_arr` and `tangents_arr` validate a whole array at once.
+`HPoint` and `Isometry` are the value types at the API edges: constructors
+validate and normalize, methods return new objects.
 """
 
 from __future__ import annotations
@@ -85,6 +85,28 @@ def _project_tangent_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w + minkowski_dot(w, p)[..., None] * p
 
 
+def tangents_arr(p: np.ndarray, w) -> np.ndarray:
+    """Validated, read-only tangent vectors w at the points p, both (..., 3).
+
+    A row of w must be Minkowski-orthogonal to its point up to 1e-8 times
+    max(1, max |row|); the error names the first row that is not.  Accepted
+    rows are projected onto the tangent plane to remove that defect.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != p.shape:
+        raise GeometryError(f"tangents need shape {p.shape}, got {w.shape}")
+    defect = np.abs(minkowski_dot(w, p)).reshape(-1)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1)).reshape(-1)
+    bad = ~(defect <= 1e-8 * scale)  # NaN fails too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TangencyError(f"vector{f' in row {i}' if w.ndim > 1 else ''} is not tangent "
+                            f"at its point (defect {defect[i]:.3e})")
+    out = _project_tangent_arr(p, w)
+    out.flags.writeable = False
+    return out
+
+
 def dist_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # chord identity <p-q, p-q> = 4 sinh^2(d/2): no cancellation for p near q,
     # unlike arccosh(-<p,q>) whose error floor is sqrt(eps)
@@ -136,86 +158,15 @@ class HPoint:
         return dist(self, other) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class HTangent:
-    """A tangent vector at a base point (spacelike or zero, Minkowski-orthogonal to it)."""
-
-    base: HPoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.vec, dtype=float)
-        if w.shape != (3,):
-            raise GeometryError(f"tangent needs 3 coordinates, got shape {w.shape}")
-        p = self.base.coords
-        defect = abs(minkowski_dot(w, p))
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if defect > 1e-8 * scale:
-            raise TangencyError(f"vector is not tangent at its base (defect {defect:.3e})")
-        w = _project_tangent_arr(p, w)
-        w.flags.writeable = False
-        object.__setattr__(self, "vec", w)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(max(0.0, float(minkowski_dot(self.vec, self.vec))))
-
-    def scaled(self, c: float) -> "HTangent":
-        return HTangent(self.base, c * self.vec)
-
-    def __add__(self, other: "HTangent") -> "HTangent":
-        if not self.base.close_to(other.base, 1e-9):
-            raise GeometryError("cannot add tangents at different base points")
-        return HTangent(self.base, self.vec + other.vec)
-
-    @staticmethod
-    def zero(base: HPoint) -> "HTangent":
-        return HTangent(base, np.zeros(3))
-
-
 def dist(p: HPoint, q: HPoint) -> float:
     return float(dist_arr(p.coords, q.coords))
-
-
-def exp_map(p: HPoint, v: HTangent) -> HPoint:
-    return HPoint(exp_arr(p.coords, v.vec))
-
-
-def log_map(p: HPoint, q: HPoint) -> HTangent:
-    return HTangent(p, log_arr(p.coords, q.coords))
 
 
 def geodesic_point(p: HPoint, q: HPoint, t: float) -> HPoint:
     """Point at parameter t in [0, 1] on the geodesic from p to q."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter {t} outside [0, 1]")
-    return exp_map(p, log_map(p, q).scaled(t))
-
-
-def direction(p: HPoint, q: HPoint) -> HTangent:
-    """Unit tangent at p pointing toward q."""
-    d = dist(p, q)
-    if d < 1e-14:
-        raise DegenerateEdgeError("no direction between coincident points")
-    return log_map(p, q).scaled(1.0 / d)
-
-
-def normal_at(p: HPoint, u: HTangent) -> HTangent:
-    """Unit tangent at p obtained by rotating the unit vector u by +90 degrees."""
-    n = minkowski_cross(p.coords, u.vec)
-    m = minkowski_dot(n, n)
-    if m < 1e-24:
-        raise DegenerateEdgeError("cannot rotate a zero tangent")
-    return HTangent(p, n / math.sqrt(m))
-
-
-def angle_between(v: HTangent, w: HTangent) -> float:
-    """Unsigned angle between two tangent vectors at the same point."""
-    a, b = v.norm, w.norm
-    if a < 1e-14 or b < 1e-14:
-        raise DegenerateEdgeError("angle with a zero tangent is undefined")
-    c = float(minkowski_dot(v.vec, w.vec)) / (a * b)
-    return math.acos(min(1.0, max(-1.0, c)))
+    return HPoint(exp_arr(p.coords, t * log_arr(p.coords, q.coords)))
 
 
 def tangent_basis_arr(p: np.ndarray) -> np.ndarray:
@@ -226,18 +177,6 @@ def tangent_basis_arr(p: np.ndarray) -> np.ndarray:
     t2 = minkowski_cross(p, t1)
     t2 = t2 / np.sqrt(minkowski_dot(t2, t2))[..., None]
     return np.stack([t1, t2], axis=-2)
-
-
-def tangent_basis(p: HPoint) -> tuple[HTangent, HTangent]:
-    """Deterministic orthonormal basis of the tangent plane at p."""
-    b1, b2 = tangent_basis_arr(p.coords)
-    return HTangent(p, b1), HTangent(p, b2)
-
-
-def frame_matrix(p: HPoint, u: HTangent) -> np.ndarray:
-    """Matrix with columns (p, u, u rotated +90): a positively oriented Minkowski frame."""
-    n = normal_at(p, u.scaled(1.0 / u.norm))
-    return np.column_stack([p.coords, u.vec / u.norm, n.vec])
 
 
 def _minkowski_gram_schmidt(m: np.ndarray) -> np.ndarray:
@@ -300,8 +239,8 @@ class Isometry:
 
     @staticmethod
     def rotation(center: HPoint, angle: float) -> "Isometry":
-        e1, _ = tangent_basis(center)
-        f = frame_matrix(center, e1)
+        # a positively oriented Minkowski frame with its first column at center
+        f = np.column_stack([center.coords, *tangent_basis_arr(center.coords)])
         c, s = math.cos(angle), math.sin(angle)
         block = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         return Isometry(f @ block @ J_MATRIX @ f.T @ J_MATRIX)
@@ -395,16 +334,18 @@ def hexagon_partner_length(s: float) -> float:
     return 2.0 * math.asinh(0.5 / math.sinh(s / 2.0))
 
 
-def polygon_interior_angles(corners: list[HPoint]) -> list[float]:
-    n = len(corners)
-    out = []
-    for k in range(n):
-        prev_c, here, next_c = corners[k - 1], corners[k], corners[(k + 1) % n]
-        out.append(angle_between(log_map(here, prev_c), log_map(here, next_c)))
-    return out
+def polygon_interior_angles(corners: np.ndarray) -> np.ndarray:
+    """Interior angle at every corner of a geodesic polygon, corners (n, 3) in cyclic order."""
+    corners = np.asarray(corners, dtype=float)
+    back = log_arr(corners, np.roll(corners, 1, axis=0))
+    ahead = log_arr(corners, np.roll(corners, -1, axis=0))
+    a = np.sqrt(np.maximum(0.0, minkowski_dot(back, back)))
+    b = np.sqrt(np.maximum(0.0, minkowski_dot(ahead, ahead)))
+    if min(np.min(a), np.min(b)) < 1e-14:
+        raise DegenerateEdgeError("angle with a zero tangent is undefined")
+    return np.arccos(np.clip(minkowski_dot(back, ahead) / (a * b), -1.0, 1.0))
 
 
-def polygon_area(corners: list[HPoint]) -> float:
-    """Gauss-Bonnet area of a geodesic polygon given its corners in cyclic order."""
-    n = len(corners)
-    return (n - 2) * math.pi - sum(polygon_interior_angles(corners))
+def polygon_area(corners: np.ndarray) -> float:
+    """Gauss-Bonnet area of a geodesic polygon given its corners (n, 3) in cyclic order."""
+    return (len(corners) - 2) * math.pi - float(np.sum(polygon_interior_angles(corners)))

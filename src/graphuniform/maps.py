@@ -11,7 +11,8 @@ Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per map from the words, and is the
 one kernel for energy, balanced residual and the Hessian-vector product;
 `variations` and `solver` evaluate through it too.  The lifts are one
-validated (V, 3) array; `HPoint`s appear only at the API edges, built on demand.
+validated (V, 3) array, and edge endpoints and tangents are plain 3-vectors;
+`HPoint`s appear only at the API edges, built on demand.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import DomainError, GeometryError, GraphValidationError
 from .graphs import WeightedGraph
 from .hyperboloid import (
     HPoint,
-    HTangent,
     Isometry,
     J_DIAG,
     _project_tangent_arr,
@@ -239,20 +239,19 @@ class MarkedMap:
     def deck_matrix(self, e: int) -> np.ndarray:
         return self.edges.mats[self.edges.row[e]]
 
-    def edge_segment(self, e: int) -> tuple[HPoint, HPoint]:
-        """Endpoints of the lifted half-edge e."""
-        p = self.vertex_lifts[self.graph.origins[e]]
+    def edge_segment(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints of the lifted half-edge e; the far end is put back on the
+        sheet after the deck matrix moves it."""
+        p = self.lifts[self.graph.origins[e]]
         q = self.deck_matrix(e) @ self.lifts[self.graph.terminus(e)]
-        return p, HPoint(q)
+        return p, points_arr(q)
 
-    def edge_tangent(self, e: int) -> HTangent:
+    def edge_tangent(self, e: int) -> np.ndarray:
         """Initial tangent T_e(0) of the lifted half-edge (norm = edge length)."""
-        p, q = self.edge_segment(e)
-        return HTangent(p, log_arr(p.coords, q.coords))
+        return log_arr(*self.edge_segment(e))
 
     def edge_length(self, e: int) -> float:
-        p, q = self.edge_segment(e)
-        return float(dist_arr(p.coords, q.coords))
+        return float(dist_arr(*self.edge_segment(e)))
 
     def with_lifts(self, lifts) -> "MarkedMap":
         """Same class and gauge, new vertex positions; the words and edge
@@ -331,7 +330,7 @@ def initial_lifts(
     """
     if surface.polygon is None:
         raise DomainError("surface has no polygon to seed lifts in")
-    corners = np.array([p.coords for p in surface.polygon])
+    corners = surface.polygon
     if mode == "barycenter":
         return points_arr(np.tile(corners.mean(axis=0), (graph.vertex_count, 1)))
     if mode == "random":

@@ -75,7 +75,7 @@ def _surface_svg(surface: SurfaceModel, translate_depth: int, size: int) -> _Svg
         raise DomainError(f"image size must be positive, got {size}")
     svg = _Svg(size)
     if surface.polygon is not None:
-        corners = np.array([p.coords for p in surface.polygon])
+        corners = surface.polygon
         frontier = [np.eye(3)]
         for _ in range(translate_depth):
             frontier = [base @ surface.generator_matrix(sign * (k + 1))

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import SchemaError
 from .graphs import WeightedGraph
-from .hyperboloid import HPoint, Isometry
+from .hyperboloid import Isometry
 from .maps import MarkedMap
 from .surfaces import SurfaceModel
 
@@ -204,7 +204,7 @@ def surface_to_json(s: SurfaceModel) -> dict:
         "generators": [g.matrix.tolist() for g in s.generators],
     }
     if s.polygon is not None:
-        out["polygon"] = [p.coords.tolist() for p in s.polygon]
+        out["polygon"] = s.polygon.tolist()
     if s.side_pairs is not None:
         out["side_pairs"] = [list(sp) for sp in s.side_pairs]
     if s.relator_words is not None:
@@ -220,10 +220,10 @@ def surface_from_json(obj: Any, path: str = "surface") -> SurfaceModel:
     )
     polygon = None
     if obj.get("polygon") is not None:
-        polygon = tuple(
-            HPoint(_as_triple(p, f"{path}.polygon[{i}]"))
+        polygon = np.array([
+            _as_triple(p, f"{path}.polygon[{i}]")
             for i, p in enumerate(_as_list(obj["polygon"], f"{path}.polygon"))
-        )
+        ])
     side_pairs = None
     if obj.get("side_pairs") is not None:
         side_pairs = tuple(

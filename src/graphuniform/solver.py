@@ -269,7 +269,7 @@ def _image_is_one_dimensional(m: MarkedMap) -> bool:
     line -- the map's image lies in a single geodesic (or a point), which is
     exactly the degenerate case excluded by the uniqueness hypothesis.  A star
     spans a plane when the larger singular value of its tangents (in
-    tangent_basis coordinates, from their 2x2 Gram matrix) exceeds 1e-9 and
+    tangent_basis_arr coordinates, from their 2x2 Gram matrix) exceeds 1e-9 and
     the smaller exceeds 1e-6 times the larger."""
     edges = m.edges
     x = m.lift_array()

@@ -3,8 +3,9 @@
 A surface is a fundamental polygon in the hyperboloid model together with
 orientation-preserving isometries pairing its sides; vertex cycles, relator
 words, Gauss-Bonnet area and the pairing conditions are all checkable
-numerically.  Constructors cover the regular 4g-gon, the genus-2 surface
-tiled by four right-angled hexagons, and the Klein 14-gon.
+numerically.  The polygon is one validated (n, 3) array of corners in
+counterclockwise order.  Constructors cover the regular 4g-gon, the genus-2
+surface tiled by four right-angled hexagons, and the Klein 14-gon.
 
 Generator matrices are built in extended precision (longdouble) and rounded
 to float64 once, after conjugating the development to be centered at a
@@ -22,14 +23,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
-from .hyperboloid import (
-    HPoint,
-    Isometry,
-    J_MATRIX,
-    angle_between,
-    log_map,
-    polygon_area,
-)
+from .hyperboloid import Isometry, J_MATRIX, points_arr, polygon_interior_angles
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
@@ -116,9 +110,16 @@ class SurfaceModel:
 
     genus: int
     generators: tuple[Isometry, ...]
-    polygon: tuple[HPoint, ...] | None = None
+    polygon: np.ndarray | None = None  # (n, 3) corners, normalized, read-only
     side_pairs: tuple[tuple[int, int, int], ...] | None = None
     relator_words: tuple[tuple[int, ...], ...] | None = None
+
+    def __post_init__(self):
+        if self.polygon is not None:
+            corners = np.asarray(self.polygon, dtype=float)
+            if corners.ndim != 2:
+                raise GeometryError(f"polygon needs rows of 3 coordinates, got shape {corners.shape}")
+            object.__setattr__(self, "polygon", points_arr(corners))
 
     def generator_matrix(self, signed_index: int) -> np.ndarray:
         """Matrix of generator k (1-based); negative index means the inverse."""
@@ -222,27 +223,22 @@ def validate_surface(
     angle_sums: list[float] = []
     area = area_expected = None
     if surface.polygon is not None and surface.side_pairs is not None:
-        corners = [p.coords for p in surface.polygon]
+        corners = surface.polygon
         n = len(corners)
-        scale = 1.0 + max(float(np.max(np.abs(c))) for c in corners)
+        scale = 1.0 + float(np.max(np.abs(corners)))
         for a, b, g in surface.side_pairs:
             m = surface.generator_matrix(g)
             d1 = float(np.max(np.abs(m @ corners[a] - corners[(b + 1) % n])))
             d2 = float(np.max(np.abs(m @ corners[(a + 1) % n] - corners[b])))
             if max(d1, d2) > pairing_tol * scale:
                 issues.append(("PAIRING", f"generator {g} moves side {a} off side {b} by {max(d1, d2):.3e}"))
+        angles = polygon_interior_angles(corners).tolist()
         for cyc in vertex_cycles(n, surface.side_pairs):
-            total = 0.0
-            for k in cyc.corners:
-                here = surface.polygon[k]
-                total += angle_between(
-                    log_map(here, surface.polygon[(k - 1) % n]),
-                    log_map(here, surface.polygon[(k + 1) % n]),
-                )
+            total = sum(angles[k] for k in cyc.corners)
             angle_sums.append(total)
             if abs(total - 2.0 * math.pi) > angle_tol:
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
-        area = polygon_area(list(surface.polygon))
+        area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)
         if abs(area - area_expected) > area_tol:
             issues.append(("AREA", f"polygon area {area!r}, Gauss-Bonnet expects {area_expected!r}"))
@@ -269,13 +265,10 @@ def build_regular_4g_surface(g: int) -> SurfaceModel:
     inr = np.arccosh(np.cos(half) / np.sin(central))
     circum = np.arccosh(1.0 / (np.tan(half) * np.tan(central)))
 
-    corners = tuple(
-        HPoint(np.asarray(np.array(
-            [np.cosh(circum),
-             np.sinh(circum) * np.cos(2 * _PI_LD * k / n),
-             np.sinh(circum) * np.sin(2 * _PI_LD * k / n)], dtype=_LD), dtype=float))
-        for k in range(n)
-    )
+    theta = 2 * _PI_LD * np.arange(n) / n
+    corners = np.asarray(np.stack(
+        [np.full(n, np.cosh(circum)), np.sinh(circum) * np.cos(theta), np.sinh(circum) * np.sin(theta)],
+        axis=1), dtype=float)
     trans = np.eye(3, dtype=_LD)
     trans[0, 0] = trans[1, 1] = np.cosh(2 * inr)
     trans[0, 1] = trans[1, 0] = np.sinh(2 * inr)
@@ -315,7 +308,7 @@ def build_klein_quartic() -> SurfaceModel:
         m = _ld_reflection(axis_pole) @ _ld_reflection(_ld_pole_through(kw[a], kw[(a + 1) % n]))
         gens.append(Isometry(np.asarray(m, dtype=float)))
 
-    corners = tuple(HPoint(np.asarray(c, dtype=float)) for c in kw)
+    corners = np.asarray(kw, dtype=float)
     side_pairs = tuple((2 * k, (2 * k + 5) % n, k + 1) for k in range(7))
     relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
     return SurfaceModel(3, tuple(gens), corners, side_pairs, relators)
@@ -375,22 +368,16 @@ def build_genus2_hexagon_surface(
 
     mirror_b, mirror_c = refl[1], refl[0]
     mirror_d = refl[1] @ refl[0]
-    ident = np.eye(3, dtype=_LD)
-
-    def corner(mirror, k):
-        return HPoint(np.asarray(u @ (mirror @ v[k]), dtype=float))
-
-    polygon = tuple(
-        [corner(ident, k) for k in (2, 3, 4, 5, 0)]
-        + [corner(mirror_c, k) for k in (5, 4, 3, 2)]
-        + [corner(mirror_d, k) for k in (3, 4, 5, 0)]
-        + [corner(mirror_b, k) for k in (5, 4, 3)]
-    )
+    polygon = np.asarray(
+        [u @ v[k] for k in (2, 3, 4, 5, 0)]
+        + [u @ (mirror_c @ v[k]) for k in (5, 4, 3, 2)]
+        + [u @ (mirror_d @ v[k]) for k in (3, 4, 5, 0)]
+        + [u @ (mirror_b @ v[k]) for k in (5, 4, 3)], dtype=float)
     relators = tuple(c.relator_word for c in vertex_cycles(16, _GENUS2_SIDE_PAIRS))
     surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, relators)
 
     graph = cycle_with_doubled_edges(6, *weights)
-    lifts = tuple(HPoint(np.asarray(u @ v[k], dtype=float)) for k in range(6))
+    lifts = np.asarray([u @ v[k] for k in range(6)], dtype=float)
 
     from .maps import MarkedMap  # deferred: maps depends on this module
 
@@ -398,9 +385,9 @@ def build_genus2_hexagon_surface(
     return surface, graph, reference
 
 
-def hexagon_corners(s: float) -> list[HPoint]:
-    """Corners of the right-angled hexagon with sides alternating t(s), s."""
-    return [HPoint(np.asarray(c, dtype=float)) for c in _ld_hexagon(s)]
+def hexagon_corners(s: float) -> np.ndarray:
+    """Corners (6, 3) of the right-angled hexagon with sides alternating t(s), s."""
+    return points_arr(np.asarray(_ld_hexagon(s), dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +427,7 @@ def _center_bouquet(genus: int, weight: float):
     graph = bouquet(2 * genus, weight)
     from .maps import MarkedMap
 
-    lifts = tuple(HPoint.origin() for _ in range(1))
+    lifts = np.array([[1.0, 0.0, 0.0]])
     words = tuple((k + 1,) for k in range(2 * genus))
     return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, words)
 

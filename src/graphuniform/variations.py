@@ -8,9 +8,10 @@ splits into a tangential part affine in t and a normal part spanned by
 cosh/sinh -- so both variation derivatives of the energy have closed forms,
 checkable against finite differences.
 
-Both closed forms are evaluated for all half-edges at once on the map's
-`maps.EdgeData` arrays; `jacobi_solve` keeps the per-edge field as the
-reference they are tested against.
+A variation is a (V, 3) array of tangent vectors at the map's lifts.  Both
+closed forms are evaluated for all half-edges at once on the map's
+`maps.EdgeData` arrays; `jacobi_solve` keeps the per-edge field, on single
+3-vectors, as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -20,56 +21,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEdgeError, DomainError
+from .errors import DegenerateEdgeError, DomainError, GeometryError
 from .hyperboloid import (
-    HPoint,
-    HTangent,
-    dist,
+    _project_tangent_arr,
     dist_arr,
     exp_arr,
     log_arr,
     minkowski_cross,
     minkowski_dot,
-    normal_at,
-    tangent_basis,
+    points_arr,
     tangent_basis_arr,
+    tangents_arr,
 )
 from .maps import MarkedMap, energy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexVariation:
-    """One tangent vector per graph vertex (tangency enforced by HTangent)."""
+    """One tangent vector per graph vertex: row v of `vectors` is tangent at
+    row v of `base`, the map's lifts as they are (not normalized again).
+    Both are read-only (V, 3) arrays; tangents_arr checks the vectors."""
 
-    vectors: tuple[HTangent, ...]
+    base: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        base = np.array(self.base, dtype=float)
+        base.flags.writeable = False
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vectors", tangents_arr(base, self.vectors))
 
     @staticmethod
     def zero(m: MarkedMap) -> "VertexVariation":
-        return VertexVariation(tuple(HTangent.zero(p) for p in m.vertex_lifts))
+        return VertexVariation(m.lifts, np.zeros_like(m.lifts))
 
     @staticmethod
     def random(m: MarkedMap, seed: int = 0, scale: float = 1.0) -> "VertexVariation":
-        rng = np.random.default_rng(seed)
-        vecs = []
-        for p in m.vertex_lifts:
-            b1, b2 = tangent_basis(p)
-            c = rng.standard_normal(2)
-            vecs.append(HTangent(p, scale * (c[0] * b1.vec + c[1] * b2.vec)))
-        return VertexVariation(tuple(vecs))
+        """Gaussian coordinates in the canonical tangent bases; one (V, 2)
+        draw is the same stream as V draws of two."""
+        c = np.random.default_rng(seed).standard_normal((len(m.lifts), 2))
+        b = tangent_basis_arr(m.lifts)
+        return VertexVariation(m.lifts, scale * (c[:, :1] * b[:, 0] + c[:, 1:] * b[:, 1]))
 
     def scaled(self, c: float) -> "VertexVariation":
-        return VertexVariation(tuple(v.scaled(c) for v in self.vectors))
+        return VertexVariation(self.base, c * self.vectors)
 
     def plus(self, other: "VertexVariation") -> "VertexVariation":
-        return VertexVariation(tuple(a + b for a, b in zip(self.vectors, other.vectors)))
+        if self.base.shape != other.base.shape or np.any(dist_arr(self.base, other.base) > 1e-9):
+            raise GeometryError("cannot add variations at different base points")
+        return VertexVariation(self.base, self.vectors + other.vectors)
 
-    def array(self) -> np.ndarray:
-        """The vectors as rows of a (V, 3) array."""
-        return np.array([v.vec for v in self.vectors]).reshape(-1, 3)
-
-    def coordinates(self, m: MarkedMap) -> np.ndarray:
+    def coordinates(self) -> np.ndarray:
         """Components in the canonical orthonormal bases (matches hessian_fd)."""
-        return minkowski_dot(self.array()[:, None, :], tangent_basis_arr(m.lift_array())).ravel()
+        return minkowski_dot(self.vectors[:, None, :], tangent_basis_arr(self.base)).ravel()
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    return w / np.sqrt(minkowski_dot(w, w))[..., None]
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ class JacobiField:
 
     Tangential component (c + d*t) * u(t); normal component
     (a*cosh(ell*t) + b*sinh(ell*t)) * n(t), with (u, n) the transported
-    frame of the edge geodesic.
+    frame of the edge geodesic, starting from the unit tangent `unit` at
+    the point `start`.
     """
 
     length: float
@@ -86,61 +95,56 @@ class JacobiField:
     d: float
     a: float
     b: float
-    start: HPoint
-    unit: HTangent
+    start: np.ndarray
+    unit: np.ndarray
     boundary_error: float
 
-    def value_at(self, t: float) -> HTangent:
+    def value_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(point, field vector there) at edge parameter t."""
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"edge parameter {t} outside [0, 1]")
-        ell = self.length
-        tau = ell * t
-        p = self.start.coords
-        u = self.unit.vec
-        point = HPoint(math.cosh(tau) * p + math.sinh(tau) * u)
-        u_t = HTangent(point, math.sinh(tau) * p + math.cosh(tau) * u)
-        n_t = normal_at(point, u_t)
-        tangential = (self.c + self.d * t) * u_t.vec
-        normal = (self.a * math.cosh(tau) + self.b * math.sinh(tau)) * n_t.vec
-        return HTangent(point, tangential + normal)
+        tau = self.length * t
+        p, u = self.start, self.unit
+        point = points_arr(math.cosh(tau) * p + math.sinh(tau) * u)
+        u_t = _project_tangent_arr(point, math.sinh(tau) * p + math.cosh(tau) * u)
+        n_t = _unit(minkowski_cross(point, u_t))
+        tangential = (self.c + self.d * t) * u_t
+        normal = (self.a * math.cosh(tau) + self.b * math.sinh(tau)) * n_t
+        return point, _project_tangent_arr(point, tangential + normal)
 
 
-def jacobi_solve_segment(p: HPoint, q: HPoint, v0: HTangent, v1: HTangent) -> JacobiField:
+def jacobi_solve_segment(p: np.ndarray, q: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> JacobiField:
     """Jacobi field along the geodesic p -> q with endpoint values v0, v1."""
-    ell = dist(p, q)
+    ell = float(dist_arr(p, q))
     if ell < 1e-12:
         raise DegenerateEdgeError("jacobi field needs an edge of positive length")
-    from .hyperboloid import direction
+    u0 = log_arr(p, q) / ell
+    n0 = _unit(minkowski_cross(p, u0))
+    u1 = _project_tangent_arr(q, math.sinh(ell) * p + math.cosh(ell) * u0)
+    n1 = _unit(minkowski_cross(q, u1))
 
-    u0 = direction(p, q)
-    n0 = normal_at(p, u0)
-    u1 = HTangent(q, math.sinh(ell) * p.coords + math.cosh(ell) * u0.vec)
-    n1 = normal_at(q, u1)
-
-    vt0 = float(minkowski_dot(v0.vec, u0.vec))
-    vn0 = float(minkowski_dot(v0.vec, n0.vec))
-    vt1 = float(minkowski_dot(v1.vec, u1.vec))
-    vn1 = float(minkowski_dot(v1.vec, n1.vec))
+    vt0 = float(minkowski_dot(v0, u0))
+    vn0 = float(minkowski_dot(v0, n0))
+    vt1 = float(minkowski_dot(v1, u1))
+    vn1 = float(minkowski_dot(v1, n1))
 
     c, d = vt0, vt1 - vt0
     a = vn0
     b = (vn1 - a * math.cosh(ell)) / math.sinh(ell)
 
-    err0 = np.max(np.abs((c * u0.vec + a * n0.vec) - v0.vec))
-    rec1 = (c + d) * u1.vec + (a * math.cosh(ell) + b * math.sinh(ell)) * n1.vec
-    err1 = np.max(np.abs(rec1 - v1.vec))
+    err0 = np.max(np.abs((c * u0 + a * n0) - v0))
+    rec1 = (c + d) * u1 + (a * math.cosh(ell) + b * math.sinh(ell)) * n1
+    err1 = np.max(np.abs(rec1 - v1))
     return JacobiField(ell, c, d, a, b, p, u0, float(max(err0, err1)))
 
 
-def edge_boundary_values(m: MarkedMap, e: int, variation: VertexVariation) -> tuple[HTangent, HTangent]:
+def edge_boundary_values(m: MarkedMap, e: int, variation: VertexVariation) -> tuple[np.ndarray, np.ndarray]:
     """Variation values at the two ends of the lifted half-edge e: the origin
-    vertex's vector, and the terminus vector pushed through the deck matrix."""
-    g = m.graph
-    v0 = variation.vectors[g.origins[e]]
-    w = variation.vectors[g.terminus(e)]
-    mat = m.deck_matrix(e)
-    p1 = HPoint(mat @ w.base.coords)
-    return v0, HTangent(p1, mat @ w.vec)
+    vertex's vector, and the terminus vector pushed through the deck matrix,
+    projected at the far end of edge_segment."""
+    _, q = m.edge_segment(e)
+    w = m.deck_matrix(e) @ variation.vectors[m.graph.terminus(e)]
+    return variation.vectors[m.graph.origins[e]], _project_tangent_arr(q, w)
 
 
 def jacobi_solve(m: MarkedMap, e: int, variation: VertexVariation) -> JacobiField:
@@ -154,11 +158,7 @@ def first_variation(m: MarkedMap, variation: VertexVariation) -> float:
     -2 * sum over oriented edges of weight * <V(origin), T_e(0)>, that is
     -2 * sum over vertices of <V_v, r_v> with r the balanced residual."""
     r = m.edges.residual(m.lift_array())
-    return -2.0 * float(np.sum(minkowski_dot(variation.array(), r)))
-
-
-def _unit(w: np.ndarray) -> np.ndarray:
-    return w / np.sqrt(minkowski_dot(w, w))[:, None]
+    return -2.0 * float(np.sum(minkowski_dot(variation.vectors, r)))
 
 
 def second_variation_geodesic(m: MarkedMap, variation: VertexVariation) -> float:
@@ -171,11 +171,11 @@ def second_variation_geodesic(m: MarkedMap, variation: VertexVariation) -> float
     """
     edges = m.edges
     x = m.lift_array()
-    vec = variation.array()
+    vec = variation.vectors
     p = x[edges.origins]
     q = edges.far_ends(x)
-    # back onto the sheet, as the HPoint end of jacobi_solve: the deck
-    # matrices' rounding grows with the square of their norm
+    # back onto the sheet, as edge_segment's far end in jacobi_solve: the
+    # deck matrices' rounding grows with the square of their norm
     q /= np.sqrt(-minkowski_dot(q, q))[:, None]
     ell = dist_arr(p, q)
     if np.any(ell < 1e-12):
@@ -200,7 +200,7 @@ def second_variation_geodesic(m: MarkedMap, variation: VertexVariation) -> float
 def energy_along(m: MarkedMap, variation: VertexVariation, s: float) -> float:
     """Energy of the map with every vertex moved by s along its variation
     vector (edges re-geodesicized by construction)."""
-    return energy(m.with_lifts(exp_arr(m.lift_array(), s * variation.array())))
+    return energy(m.with_lifts(exp_arr(m.lift_array(), s * variation.vectors)))
 
 
 def first_variation_fd(m: MarkedMap, variation: VertexVariation, h: float = 1e-5) -> float:
@@ -230,7 +230,7 @@ def hessian_consistency(m: MarkedMap, n_random: int, seed: int = 0, h: float = 1
     for i in range(n_random):
         variation = VertexVariation.random(m, seed=seed + i)
         closed = second_variation_geodesic(m, variation)
-        coords = variation.coordinates(m)
+        coords = variation.coordinates()
         quad = float(coords @ hess @ coords)
         devs.append(abs(closed - quad) / max(1.0, abs(closed)))
     return ConsistencyReport(n_random, max(devs), tuple(devs))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -214,6 +215,8 @@ _FUZZ = {
     "surface-generator-not-isometry": ("surface", _set(["generators", 0], _NOT_ISOMETRY)),
     "surface-generator-nan": ("surface", _set(["generators", 0, 1, 1], math.nan)),
     "surface-polygon-spacelike": ("surface", _set(["polygon", 0], [0.1, 1.0, 0.0])),
+    "surface-polygon-lower-sheet": ("surface", _set(["polygon", 0], [-2.0, 1.0, 1.0])),
+    "surface-polygon-nan": ("surface", _set(["polygon", 0, 1], math.nan)),
     "surface-side-pair-short": ("surface", _set(["side_pairs", 0], [0, 7])),
     "graph-not-object": ("graph", _not_object),
     "graph-missing-edges": ("graph", _drop("edges")),
@@ -243,6 +246,15 @@ def test_malformed_documents_exit_2_or_4(case, map_file, tmp_path, capsys):
     assert main(argv) in (2, 4)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_repeated_main_leaves_no_garbage_cycles(capsys):
+    # a parser built per call would leave its argparse objects in reference
+    # cycles, which pile up until a full garbage collection
+    assert main(["example", "regular-4g"]) == 0
+    gc.collect()
+    assert main(["example", "regular-4g"]) == 0
+    assert gc.collect() == 0
 
 
 def test_usage_error_exits_2():

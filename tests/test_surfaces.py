@@ -124,10 +124,8 @@ def test_side_pairings_carry_sides(genus2_bundle, klein_surface, octagon_surface
         n = len(surface.polygon)
         for src, dst, gid in surface.side_pairs:
             m = surface.generator_matrix(gid)
-            a = np.asarray(surface.polygon[src].coords)
-            b = np.asarray(surface.polygon[(src + 1) % n].coords)
-            c = np.asarray(surface.polygon[dst].coords)
-            d = np.asarray(surface.polygon[(dst + 1) % n].coords)
+            a, b = surface.polygon[src], surface.polygon[(src + 1) % n]
+            c, d = surface.polygon[dst], surface.polygon[(dst + 1) % n]
             # generator sends side src to side dst with reversed orientation
             assert np.max(np.abs(m @ a - d)) < 1e-7
             assert np.max(np.abs(m @ b - c)) < 1e-7

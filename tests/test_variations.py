@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from graphuniform.errors import DegenerateEdgeError
-from graphuniform.hyperboloid import HPoint, exp_arr, minkowski_dot
+from graphuniform.errors import DegenerateEdgeError, GeometryError, TangencyError
+from graphuniform.hyperboloid import HPoint, exp_arr, geodesic_point, minkowski_dot, tangent_basis_arr
 from graphuniform.maps import MarkedMap, energy
 from graphuniform.variations import (
     VertexVariation,
@@ -57,7 +57,7 @@ def test_first_variation_equals_per_edge_sum(genus2_bundle):
     _, graph, ref = genus2_bundle
     m = perturbed(ref, 0.2, seed=22)
     v = VertexVariation.random(m, seed=23)
-    total = sum(graph.weights[e] * float(minkowski_dot(v.vectors[graph.origins[e]].vec, m.edge_tangent(e).vec))
+    total = sum(graph.weights[e] * float(minkowski_dot(v.vectors[graph.origins[e]], m.edge_tangent(e)))
                 for e in range(graph.half_edge_count))
     assert abs(first_variation(m, v) + 2.0 * total) < 1e-12 * (1.0 + abs(total))
 
@@ -118,23 +118,19 @@ def test_jacobi_midpoint_against_fd_transport(genus2_bundle):
     v = VertexVariation.random(m, seed=17)
     h = 1e-4
     lifts = m.lift_array()
-    vecs = np.stack([t.vec for t in v.vectors])
-    plus = m.with_lifts(exp_arr(lifts, h * vecs))
-    minus = m.with_lifts(exp_arr(lifts, -h * vecs))
+    plus = m.with_lifts(exp_arr(lifts, h * v.vectors))
+    minus = m.with_lifts(exp_arr(lifts, -h * v.vectors))
     for e, *_ in m.graph.unoriented_edges():
         field = jacobi_solve(m, e, v)
-        mid = field.value_at(0.5)
+        base, mid = field.value_at(0.5)
 
         def midpoint(mm):
             p, q = mm.edge_segment(e)
-            from graphuniform.hyperboloid import geodesic_point
-
-            return geodesic_point(p, q, 0.5).coords
+            return geodesic_point(HPoint(p), HPoint(q), 0.5).coords
 
         fd_vec = (midpoint(plus) - midpoint(minus)) / (2.0 * h)
-        base = mid.base.coords
         fd_vec += minkowski_dot(fd_vec, base) * base  # project to tangent plane
-        assert np.max(np.abs(fd_vec - mid.vec)) < 1e-6 * (1.0 + np.max(np.abs(mid.vec)))
+        assert np.max(np.abs(fd_vec - mid)) < 1e-6 * (1.0 + np.max(np.abs(mid)))
 
 
 def test_jacobi_rejects_degenerate_edge(genus2_bundle):
@@ -158,17 +154,40 @@ def test_hessian_consistency_report(genus2_solved):
 
 def test_variation_coordinates_roundtrip(genus2_solved):
     v = VertexVariation.random(genus2_solved, seed=20)
-    coords = v.coordinates(genus2_solved)
+    coords = v.coordinates()
     assert coords.shape == (2 * genus2_solved.graph.vertex_count,)
     # rebuilding from the same coordinates reproduces the vectors
-    from graphuniform.hyperboloid import tangent_basis
-
-    rebuilt = []
     for i, t in enumerate(v.vectors):
-        b = tangent_basis(t.base)
-        rebuilt.append(coords[2 * i] * b[0].vec + coords[2 * i + 1] * b[1].vec)
-    for t, r in zip(v.vectors, rebuilt):
-        assert np.max(np.abs(t.vec - r)) < 1e-12 * (1.0 + np.max(np.abs(t.vec)))
+        b = tangent_basis_arr(v.base[i])
+        rebuilt = coords[2 * i] * b[0] + coords[2 * i + 1] * b[1]
+        assert np.max(np.abs(t - rebuilt)) < 1e-12 * (1.0 + np.max(np.abs(t)))
+
+
+def test_random_variation_matches_per_vertex_draws(genus2_solved):
+    # one (V, 2) draw takes the same random numbers as V draws of two; the
+    # batched basis and projection may round differently
+    rng = np.random.default_rng(21)
+    want = []
+    for p in genus2_solved.lifts:
+        b = tangent_basis_arr(p)
+        c = rng.standard_normal(2)
+        w = 0.3 * (c[0] * b[0] + c[1] * b[1])
+        want.append(w + minkowski_dot(w, p) * p)
+    want = np.array(want)
+    got = VertexVariation.random(genus2_solved, seed=21, scale=0.3).vectors
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_variation_rejects_non_tangent_rows_and_mixed_bases(genus2_bundle):
+    _, _, ref = genus2_bundle
+    vectors = VertexVariation.random(ref, seed=22).vectors.copy()
+    vectors[2] = ref.lifts[2]
+    with pytest.raises(TangencyError, match="row 2"):
+        VertexVariation(ref.lifts, vectors)
+    # variations at two different maps cannot be added
+    with pytest.raises(GeometryError):
+        VertexVariation.random(ref, seed=23).plus(VertexVariation.random(perturbed(ref, 0.1, seed=24), seed=23))
 
 
 def test_zero_variation_gives_zero_derivatives(genus2_bundle):

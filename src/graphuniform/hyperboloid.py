@@ -3,9 +3,9 @@
 Points live on the upper sheet of <p, p> = -1 in Minkowski 3-space, where
 <p, q> = -p0*q0 + p1*q1 + p2*q2.  Isometries are 3x3 matrices preserving the
 form and the sheet, so geodesics, exponentials and translation lengths all
-reduce to plain linear algebra.  Inside the library points and tangent
-vectors are plain arrays of shape (..., 3), and the `*_arr` functions work on
-them; `points_arr` and `tangents_arr` validate a whole array at once.
+reduce to plain linear algebra.  Inside the library points, tangent vectors
+and isometries are plain arrays of shape (..., 3) and (..., 3, 3); the
+`*_arr` functions work on them and validate a whole array at once.
 `HPoint` and `Isometry` are the value types at the API edges: constructors
 validate and normalize, methods return new objects.
 """
@@ -195,13 +195,42 @@ def _minkowski_gram_schmidt(m: np.ndarray) -> np.ndarray:
     return np.column_stack([e0, e1, e2])
 
 
+def isometries_arr(m) -> np.ndarray:
+    """Validated, read-only copy of isometry matrices of shape (..., 3, 3): Isometry's
+    checks and cleanup on each (NaN fails too); the error names the first bad one."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-2:] != (3, 3):
+        raise GeometryError(f"isometry needs a 3x3 matrix, got shape {m.shape}")
+    flat = m.reshape(-1, 3, 3)
+    scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)) ** 2)
+    defect = np.abs((flat.transpose(0, 2, 1) * J_DIAG) @ flat - J_MATRIX).max(axis=(1, 2))
+    isometric = defect <= MAX_CONSTRUCTION_DEFECT * scale
+    out = flat.copy()
+    # the cleanup gate must scale with the squared norm: storage rounding
+    # alone produces defect ~ eps * |m|^2, and re-orthonormalizing such a
+    # matrix hurts (Gram-Schmidt error grows like eps * |m|^3)
+    for i in np.flatnonzero(isometric & (defect > GEOM_TOL * scale)):
+        out[i] = _minkowski_gram_schmidt(flat[i])
+    checks = ((lambda: ~isometric, "matrix{} does not preserve the Minkowski form (defect {:.3e})"),
+              (lambda: flat[:, 0, 0] <= 0, "matrix{} swaps the sheets of the hyperboloid"),
+              (lambda: np.linalg.det(out) < 0, "orientation-reversing matrix{} is not an Isometry value"))
+    for test, what in checks:  # in order: no determinant of a rejected matrix
+        bad = test()
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GeometryError(what.format(f" in row {i}" if m.ndim > 2 else "", defect[i]))
+    out = out.reshape(m.shape)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """An orientation-preserving linear isometry of the hyperbolic plane.
 
     Construction cleans small round-off drift against the Minkowski form
     (Gram-Schmidt once the defect passes GEOM_TOL) and rejects matrices that
-    are not isometries to begin with.
+    are not isometries to begin with; see `isometries_arr`.
     """
 
     matrix: np.ndarray
@@ -210,22 +239,7 @@ class Isometry:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise GeometryError(f"isometry needs a 3x3 matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))) ** 2)
-        defect = float(np.max(np.abs(m.T @ J_MATRIX @ m - J_MATRIX)))
-        if defect > MAX_CONSTRUCTION_DEFECT * scale:
-            raise GeometryError(f"matrix does not preserve the Minkowski form (defect {defect:.3e})")
-        if m[0, 0] <= 0:
-            raise GeometryError("matrix swaps the sheets of the hyperboloid")
-        # the cleanup gate must scale with the squared norm: storage rounding
-        # alone produces defect ~ eps * |m|^2, and re-orthonormalizing such a
-        # matrix hurts (Gram-Schmidt error grows like eps * |m|^3)
-        if defect > GEOM_TOL * scale:
-            m = _minkowski_gram_schmidt(m)
-        if np.linalg.det(m) < 0:
-            raise GeometryError("orientation-reversing matrix is not an Isometry value")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", isometries_arr(m))
 
     @staticmethod
     def identity() -> "Isometry":
@@ -254,9 +268,6 @@ class Isometry:
     def apply(self, p: HPoint) -> HPoint:
         return HPoint(self.matrix @ p.coords)
 
-    def close_to(self, other: "Isometry", tol: float = GEOM_TOL) -> bool:
-        return float(np.max(np.abs(self.matrix - other.matrix))) <= tol
-
     def is_identity(self, tol: float = GEOM_TOL) -> bool:
         return float(np.max(np.abs(self.matrix - np.eye(3)))) <= tol
 
@@ -268,6 +279,13 @@ class Isometry:
                 raise NotHyperbolicError(f"isometry is parabolic or the identity (trace {tr!r})")
             raise NotHyperbolicError(f"isometry is elliptic (trace {tr!r})")
         return math.acosh((tr - 1.0) / 2.0)
+
+
+def _prevalidated(cls, value: np.ndarray):
+    """An HPoint or Isometry around a validated row, which a second normalization could move."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "coords" if cls is HPoint else "matrix", value)
+    return obj
 
 
 # --------------------------------------------------------------------------

@@ -11,15 +11,16 @@ Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per map from the words, and is the
 one kernel for energy, balanced residual and the Hessian-vector product;
 `variations` and `solver` evaluate through it too.  The lifts are one
-validated (V, 3) array, and edge endpoints and tangents are plain 3-vectors;
-`HPoint`s appear only at the API edges, built on demand.
+validated (V, 3) array, deck matrices one (E, 3, 3) array from the surface's
+generator array, edge endpoints and tangents plain 3-vectors; `HPoint`s
+appear only at the API edges, built on demand.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +31,7 @@ from .hyperboloid import (
     HPoint,
     Isometry,
     J_DIAG,
+    _prevalidated,
     _project_tangent_arr,
     _sinhc,
     dist_arr,
@@ -41,6 +43,7 @@ from .hyperboloid import (
 from .surfaces import SurfaceModel
 
 _REVERSAL_TOL = 1e-10
+_IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never changes
 
 
 def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -175,22 +178,21 @@ class MarkedMap:
     graph: WeightedGraph
     lifts: np.ndarray  # (V, 3), normalized, read-only; given as an array or HPoints/rows
     deck_words: tuple[tuple[int, ...], ...]
-    gauge: Isometry = field(default_factory=Isometry.identity)
+    gauge: Isometry = _IDENTITY
 
     def __post_init__(self):
         g = self.graph
-        given = self.lifts
-        object.__setattr__(self, "lifts", _lift_array(given, g.vertex_count))
-        if isinstance(given, tuple) and all(isinstance(p, HPoint) for p in given):
-            self.__dict__["vertex_lifts"] = given  # the points are the rows
+        object.__setattr__(self, "lifts", _lift_array(self.lifts, g.vertex_count))
         if len(self.deck_words) != g.half_edge_count:
             raise GraphValidationError(
                 "DECK_COUNT", f"{len(self.deck_words)} deck words for {g.half_edge_count} half-edges")
         object.__setattr__(self, "deck_words", tuple(tuple(w) for w in self.deck_words))
 
-        ginv = self.gauge.inverse().matrix
-        mats = np.array([self.gauge.matrix @ self.surface.word_matrix(word) @ ginv
-                         for word in self.deck_words]).reshape(-1, 3, 3)
+        rows = {}  # one product per distinct word
+        index = [rows.setdefault(word, len(rows)) for word in self.deck_words]
+        mats = np.array([self.surface.word_matrix(word) for word in rows]).reshape(-1, 3, 3)[index]
+        if not self.gauge.is_identity(tol=0.0):
+            mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
         reversals = np.asarray(g.reversals, dtype=int)
         back = mats.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)  # J m^T J, the inverses
         # product round-off grows with the square of the matrix norm
@@ -222,15 +224,14 @@ class MarkedMap:
         for (e, _u, _v, _w, _cls), word in zip(unoriented, words):
             full[e] = tuple(word)
             full[graph.reversals[e]] = _inverse_word(tuple(word))
-        return MarkedMap(surface, graph, lifts, tuple(full),
-                         gauge if gauge is not None else Isometry.identity())
+        return MarkedMap(surface, graph, lifts, tuple(full), gauge if gauge is not None else _IDENTITY)
 
     # -- accessors ---------------------------------------------------------
 
     @cached_property
     def vertex_lifts(self) -> tuple[HPoint, ...]:
         """The lifts as points, built on first use."""
-        return tuple(HPoint(p) for p in self.lifts)
+        return tuple(_prevalidated(HPoint, p) for p in self.lifts)
 
     def lift_array(self) -> np.ndarray:
         """A writable copy of `lifts`."""

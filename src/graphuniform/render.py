@@ -80,7 +80,7 @@ def _surface_svg(surface: SurfaceModel, translate_depth: int, size: int) -> _Svg
         for _ in range(translate_depth):
             frontier = [base @ surface.generator_matrix(sign * (k + 1))
                         for base in frontier
-                        for k in range(len(surface.generators))
+                        for k in range(len(surface.matrices))
                         for sign in (1, -1)]
             for mat in frontier:
                 svg.polyline(_polygon_outline((mat @ corners.T).T), "#cccccc", 0.8, closed=True)

@@ -122,9 +122,16 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
     """Minimize energy over vertex lifts; deck words are never touched.
 
     Returns the trace whether or not the residual tolerance was reached;
-    `stop_reason` says why it stopped.
+    `stop_reason` says why it stopped.  DomainError when float64 overflows.
     """
-    cfg = cfg or SolverConfig()
+    try:
+        return _descend(m0, cfg or SolverConfig())
+    except FloatingPointError as exc:
+        raise DomainError(f"float64 overflowed ({exc}): edge weights or lift coordinates too large") from None
+
+
+@np.errstate(over="raise", invalid="raise")
+def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
     edges = m0.edges
     if len(edges.busy) < m0.graph.vertex_count:
         raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")

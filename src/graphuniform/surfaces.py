@@ -3,9 +3,10 @@
 A surface is a fundamental polygon in the hyperboloid model together with
 orientation-preserving isometries pairing its sides; vertex cycles, relator
 words, Gauss-Bonnet area and the pairing conditions are all checkable
-numerically.  The polygon is one validated (n, 3) array of corners in
-counterclockwise order.  Constructors cover the regular 4g-gon, the genus-2
-surface tiled by four right-angled hexagons, and the Klein 14-gon.
+numerically.  Generators are one validated (n, 3, 3) array (`Isometry`
+values only at the API edges), corners one (n, 3) array in counterclockwise
+order.  Constructors cover the regular 4g-gon, the genus-2 surface tiled by
+four right-angled hexagons, and the Klein 14-gon.
 
 Generator matrices are built in extended precision (longdouble) and rounded
 to float64 once, after conjugating the development to be centered at a
@@ -17,16 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
-from .hyperboloid import Isometry, J_MATRIX, points_arr, polygon_interior_angles
+from .hyperboloid import J_DIAG, Isometry, _prevalidated, isometries_arr, points_arr, polygon_interior_angles
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
+_J_LD = np.array([-1, 1, 1], dtype=_LD)
+_EYE_LD = np.eye(3, dtype=_LD)
 
 
 # --------------------------------------------------------------------------
@@ -55,22 +59,19 @@ def _ld_unit_space(v):
 
 
 def _ld_reflection(pole):
-    j = np.diag(np.array([-1, 1, 1], dtype=_LD))
-    return np.eye(3, dtype=_LD) - 2.0 * np.outer(pole, pole) @ j
+    return _EYE_LD - 2.0 * (pole[:, None] * pole * _J_LD)
 
 
 def _ld_pole_through(p, q):
     return _ld_unit_space(_ld_cross(p, q))
 
 
-def _ld_to_origin(c):
-    """Isometry taking c to (1,0,0): inverse of the canonical frame at c."""
-    j = np.diag(np.array([-1, 1, 1], dtype=_LD))
+def _ld_frame(c):
+    """Canonical Minkowski frame at c: the isometry taking (1,0,0) to c."""
     a = np.array([_LD(0), _LD(1), _LD(0)])
     e1 = _ld_unit_space(a + _ld_mdot(a, c) * c)
     e2 = _ld_unit_space(_ld_cross(c, e1))
-    f = np.column_stack([c, e1, e2])
-    return j @ f.T @ j
+    return np.column_stack([c, e1, e2])
 
 
 def _ld_right_angled_walk(lengths):
@@ -109,27 +110,46 @@ class SurfaceModel:
     """Fuchsian generator data; polygon/side/relator fields optional."""
 
     genus: int
-    generators: tuple[Isometry, ...]
+    matrices: np.ndarray  # (n, 3, 3), read-only; given as Isometry values (kept) or an array (checked)
     polygon: np.ndarray | None = None  # (n, 3) corners, normalized, read-only
     side_pairs: tuple[tuple[int, int, int], ...] | None = None
     relator_words: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        gens = self.matrices
+        if not isinstance(gens, np.ndarray) and all(isinstance(g, Isometry) for g in gens):
+            self.__dict__["generators"] = gens = tuple(gens)
+            stack = np.array([g.matrix for g in gens]).reshape(-1, 3, 3)
+        else:
+            stack = isometries_arr(gens)
+            if stack.ndim != 3:
+                raise GeometryError(f"generators need shape (n, 3, 3), got {stack.shape}")
+        # row k is generator k and row -k its inverse J m^T J; row 0 is the identity
+        inverses = stack.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)
+        table = np.concatenate([np.eye(3)[None], stack, inverses[::-1]])
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "matrices", table[1:len(stack) + 1])
         if self.polygon is not None:
             corners = np.asarray(self.polygon, dtype=float)
             if corners.ndim != 2:
                 raise GeometryError(f"polygon needs rows of 3 coordinates, got shape {corners.shape}")
             object.__setattr__(self, "polygon", points_arr(corners))
 
+    @cached_property
+    def generators(self) -> tuple[Isometry, ...]:
+        """The generators as Isometry values, built on first use."""
+        return tuple(_prevalidated(Isometry, m) for m in self.matrices)
+
     def generator_matrix(self, signed_index: int) -> np.ndarray:
         """Matrix of generator k (1-based); negative index means the inverse."""
-        if signed_index == 0 or abs(signed_index) > len(self.generators):
+        if signed_index == 0 or abs(signed_index) > len(self.matrices):
             raise DomainError(f"no generator with signed index {signed_index}")
-        m = self.generators[abs(signed_index) - 1].matrix
-        return m if signed_index > 0 else J_MATRIX @ m.T @ J_MATRIX
+        return self._table[signed_index]
 
     def word_matrix(self, word: tuple[int, ...]) -> np.ndarray:
-        out = np.eye(3)
+        """Product of the word's generator matrices (read-only for the empty word)."""
+        out = self._table[0]
         for w in word:
             out = out @ self.generator_matrix(w)
         return out
@@ -278,10 +298,10 @@ def build_regular_4g_surface(g: int) -> SurfaceModel:
         rot = np.eye(3, dtype=_LD)
         rot[1, 1] = rot[2, 2] = np.cos(phi)
         rot[1, 2], rot[2, 1] = -np.sin(phi), np.sin(phi)
-        gens.append(Isometry(np.asarray(rot @ trans @ rot.T, dtype=float)))
+        gens.append(rot @ trans @ rot.T)
     side_pairs = tuple((k + 2 * g, k, k + 1) for k in range(2 * g))
     relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
-    return SurfaceModel(g, tuple(gens), corners, side_pairs, relators)
+    return SurfaceModel(g, np.asarray(gens, dtype=float), corners, side_pairs, relators)
 
 
 def build_klein_quartic() -> SurfaceModel:
@@ -306,12 +326,12 @@ def build_klein_quartic() -> SurfaceModel:
         phi = _PI_LD * (2 * k + 3) / 7
         axis_pole = np.array([_LD(0), -np.sin(phi), np.cos(phi)], dtype=_LD)
         m = _ld_reflection(axis_pole) @ _ld_reflection(_ld_pole_through(kw[a], kw[(a + 1) % n]))
-        gens.append(Isometry(np.asarray(m, dtype=float)))
+        gens.append(m)
 
     corners = np.asarray(kw, dtype=float)
     side_pairs = tuple((2 * k, (2 * k + 5) % n, k + 1) for k in range(7))
     relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
-    return SurfaceModel(3, tuple(gens), corners, side_pairs, relators)
+    return SurfaceModel(3, np.asarray(gens, dtype=float), corners, side_pairs, relators)
 
 
 # Genus-2 hexagon tiling: four right-angled hexagons with sides alternating
@@ -332,17 +352,21 @@ _GENUS2_SIDE_PAIRS = (
     (0, 7, 1), (1, 14, 2), (2, 5, 3), (3, 12, 4),
     (15, 8, 5), (13, 10, 6), (6, 9, 7), (4, 11, 8),
 )
+_GENUS2_REFLECTION_WORDS = ((0, 2), (1, 3), (0, 4), (1, 5),
+                            (1, 0, 2, 1), (1, 0, 4, 1), (1, 0, 3, 0), (1, 0, 5, 0))
 
 # Deck words (in g1..g8) for the twelve graph edges i -> i+1 of the doubled
 # 6-cycle: the primary copy of each edge stays inside the base hexagon, the
 # secondary copy crosses into the neighboring hexagons via r_{i-1} r_{i+1}.
-_GENUS2_PRIMARY_WORDS = ((), (), (), (), (), ())
-_GENUS2_SECONDARY_WORDS = ((-4,), (1,), (2,), (-1, 3), (-2, 4), (-3,))
+_GENUS2_DECK_WORDS = ((), (), (), (), (), ()) + ((-4,), (1,), (2,), (-1, 3), (-2, 4), (-3,))
 
 
 def genus2_deck_words() -> tuple[tuple[int, ...], ...]:
     """Per-unoriented-edge deck words matching cycle_with_doubled_edges(6)."""
-    return _GENUS2_PRIMARY_WORDS + _GENUS2_SECONDARY_WORDS
+    return _GENUS2_DECK_WORDS
+
+
+_GENUS2_RELATORS = tuple(c.relator_word for c in vertex_cycles(16, _GENUS2_SIDE_PAIRS))
 
 
 def build_genus2_hexagon_surface(
@@ -354,35 +378,25 @@ def build_genus2_hexagon_surface(
     (m_c, m_d), and the reference map sending graph vertices to the hexagon
     corners (the tiling 1-skeleton, which is balanced by symmetry).
     """
-    v = _ld_hexagon(s)
+    return _genus2_hexagon(s, cycle_with_doubled_edges(6, *weights))
+
+
+def _genus2_hexagon(s: float, graph: WeightedGraph):
+    v = np.array(_ld_hexagon(s))
     refl = [_ld_reflection(_ld_pole_through(v[i], v[(i + 1) % 6])) for i in range(6)]
-
-    u = _ld_to_origin(v[1])
-    u_inv = np.diag(np.array([-1, 1, 1], dtype=_LD)) @ u.T @ np.diag(np.array([-1, 1, 1], dtype=_LD))
-    raw = [
-        refl[0] @ refl[2], refl[1] @ refl[3], refl[0] @ refl[4], refl[1] @ refl[5],
-        refl[1] @ refl[0] @ refl[2] @ refl[1], refl[1] @ refl[0] @ refl[4] @ refl[1],
-        refl[1] @ refl[0] @ refl[3] @ refl[0], refl[1] @ refl[0] @ refl[5] @ refl[0],
-    ]
-    gens = tuple(Isometry(np.asarray(u @ g @ u_inv, dtype=float)) for g in raw)
-
-    mirror_b, mirror_c = refl[1], refl[0]
-    mirror_d = refl[1] @ refl[0]
-    polygon = np.asarray(
-        [u @ v[k] for k in (2, 3, 4, 5, 0)]
-        + [u @ (mirror_c @ v[k]) for k in (5, 4, 3, 2)]
-        + [u @ (mirror_d @ v[k]) for k in (3, 4, 5, 0)]
-        + [u @ (mirror_b @ v[k]) for k in (5, 4, 3)], dtype=float)
-    relators = tuple(c.relator_word for c in vertex_cycles(16, _GENUS2_SIDE_PAIRS))
-    surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, relators)
-
-    graph = cycle_with_doubled_edges(6, *weights)
-    lifts = np.asarray([u @ v[k] for k in range(6)], dtype=float)
+    frame = _ld_frame(v[1])
+    u = frame.T * _J_LD[:, None] * _J_LD  # J frame^T J: takes v[1] to the origin
+    raw = np.array([reduce(np.matmul, [refl[i] for i in word]) for word in _GENUS2_REFLECTION_WORDS])
+    gens = np.asarray(u @ raw @ frame, dtype=float)
+    # the 16-gon's corners: hexagon corners mapped by 1 and mirrors C, D, B
+    tiles = zip((_EYE_LD, refl[0], refl[1] @ refl[0], refl[1]),
+                ((2, 3, 4, 5, 0), (5, 4, 3, 2), (3, 4, 5, 0), (5, 4, 3)))
+    polygon = np.asarray(np.concatenate([v[list(k)] @ m.T for m, k in tiles]) @ u.T, dtype=float)
+    surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, _GENUS2_RELATORS)
 
     from .maps import MarkedMap  # deferred: maps depends on this module
-
-    reference = MarkedMap.from_unoriented_words(surface, graph, lifts, genus2_deck_words())
-    return surface, graph, reference
+    lifts = np.asarray(v @ u.T, dtype=float)
+    return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, genus2_deck_words())
 
 
 def hexagon_corners(s: float) -> np.ndarray:
@@ -441,7 +455,8 @@ def family(kind: str, **fixed) -> MetricFamily:
             raise DomainError(f"unknown hexagon-genus2 options {sorted(fixed)}")
         # seams the float64 build serves: outside about (0.23, 9.5) it either
         # fails or returns generators whose relators no longer close
-        return MetricFamily(kind, (0.25, 9.0), lambda s: build_genus2_hexagon_surface(s, weights))
+        graph = cycle_with_doubled_edges(6, *weights)  # the same at every seam: built once
+        return MetricFamily(kind, (0.25, 9.0), lambda s: _genus2_hexagon(s, graph))
     if kind == "regular-4g":
         genus = fixed.pop("genus", 2)
         weight = fixed.pop("weight", 1.0)

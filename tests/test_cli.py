@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 
 import pytest
 
@@ -310,6 +311,23 @@ def test_optimize_exit_4_on_bracket_outside_buildable_seams(capsys):
     assert main(["optimize", "--bracket", "0.04", "0.06"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "solve"])
+def test_float64_overflow_exits_4_with_one_error_line(command, map_file, tmp_path, capsys):
+    argv = ["optimize", "--family", "hexagon-genus2", "--mc", "1e200", "--md", "1"]
+    if command == "solve":
+        doc = serialize.read_json(map_file)
+        doc["graph"]["edges"][0]["weight"] = 1e200
+        heavy = tmp_path / "heavy.json"
+        heavy.write_text(json.dumps(doc))
+        argv = ["solve", "--map", str(heavy), "--out", str(tmp_path / "o.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
 def test_example_exit_4_when_weight_ratio_has_no_bracket(capsys):

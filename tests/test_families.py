@@ -16,7 +16,7 @@ from graphuniform.families import (
     stationarity_ratio,
     triangle_energy,
 )
-from graphuniform.hyperboloid import hexagon_partner_length
+from graphuniform.hyperboloid import Isometry, hexagon_partner_length
 from graphuniform.solver import SolverConfig
 from graphuniform.surfaces import MetricFamily, family
 
@@ -146,6 +146,15 @@ def test_evaluator_repeats_match_one_shot_energy():
     for a, b in zip(repeated, one_shot):
         assert abs(a - b) < 1e-8 * (1.0 + abs(a))
     assert ev.solve_count == len(params)
+
+
+def test_family_evaluation_builds_no_isometry(monkeypatch):
+    evaluator = EnergyEvaluator(family("hexagon-genus2"))
+    built = []
+    post_init = Isometry.__post_init__
+    monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(1) or post_init(self))
+    evaluator.energy(1.3)
+    assert not built
 
 
 def test_sample_curve_matches_closed_form():

@@ -15,6 +15,7 @@ from graphuniform.hyperboloid import (
     exp_arr,
     geodesic_point,
     hexagon_partner_length,
+    isometries_arr,
     log_arr,
     minkowski_cross,
     minkowski_dot,
@@ -126,6 +127,39 @@ def test_isometry_rejects_orientation_reversal():
     m[2, 2] = -1.0
     with pytest.raises(GeometryError):
         Isometry(m)
+
+
+def test_isometries_arr_agrees_with_isometry_row_by_row(monkeypatch):
+    import graphuniform.surfaces as surfaces
+
+    # the genus-2 build at seam 0.27 hands over a raw stack whose generator 5
+    # has drifted past GEOM_TOL and needs the Gram-Schmidt cleanup
+    raw = []
+    monkeypatch.setattr(surfaces, "isometries_arr", lambda m: raw.append(np.array(m)) or isometries_arr(m))
+    surfaces.build_genus2_hexagon_surface(0.27)
+    out = isometries_arr(raw[0])
+    assert not out.flags.writeable
+    cleaned = [k for k in range(8) if not np.array_equal(out[k], raw[0][k])]
+    assert cleaned == [4]
+    for k in range(8):
+        assert out[k].tobytes() == Isometry(raw[0][k]).matrix.tobytes()
+    for shape in [(4, 3, 2), (3,), (2, 9)]:
+        with pytest.raises(GeometryError, match="3x3"):
+            isometries_arr(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([2.0, 1.0, 1.0]),  # does not preserve the form
+    np.diag([-1.0, -1.0, 1.0]),  # swaps the sheets
+    np.diag([1.0, 1.0, -1.0]),  # reverses the orientation
+    np.full((3, 3), np.nan),
+])
+def test_isometries_arr_rejects_rows_like_isometry(bad):
+    with pytest.raises(GeometryError) as single:
+        Isometry(bad)
+    stack = np.stack([Isometry.x_translation(0.5).matrix] * 2 + [bad] + [np.eye(3)])
+    with pytest.raises(type(single.value), match="in row 2"):
+        isometries_arr(stack)
 
 
 def test_translation_length_classification():

@@ -17,6 +17,8 @@ from graphuniform.maps import (
     rebase_vertex,
 )
 from graphuniform.serialize import map_from_json, map_to_json
+from graphuniform.solver import solve
+from graphuniform.surfaces import build_genus2_hexagon_surface
 
 
 def perturbed(m, scale, seed):
@@ -257,3 +259,15 @@ def test_lifts_are_read_only_and_points_built_on_demand(genus2_bundle):
     points = m.vertex_lifts
     assert np.max(np.abs(np.array([p.coords for p in points]) - m.lifts)) < 1e-14
     assert "vertex_lifts" not in vars(m.with_lifts(m.lifts))
+
+
+@pytest.mark.parametrize("s", [0.5, 3.0])
+def test_points_and_isometries_handed_out_are_the_array_rows(s, genus2_solved):
+    # a second normalization of a row moves it by up to 1.4e-13 at s = 3.0
+    surface, _, ref = build_genus2_hexagon_surface(s)
+    for m in (ref, solve(perturbed(ref, 0.05, seed=2)).final_map, genus2_solved):
+        assert np.array([p.coords for p in m.vertex_lifts]).tobytes() == m.lifts.tobytes()
+    assert np.array([g.matrix for g in surface.generators]).tobytes() == surface.matrices.tobytes()
+    with pytest.raises(GeometryError):
+        HPoint(np.array([0.1, 1.0, 0.0]))  # outside callers are still checked
+    assert HPoint(2.0 * ref.lifts[3]).close_to(ref.vertex_lifts[3])

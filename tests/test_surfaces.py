@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from graphuniform.errors import DomainError
-from graphuniform.hyperboloid import polygon_area, polygon_interior_angles
+from graphuniform.errors import DomainError, GeometryError
+from graphuniform.hyperboloid import J_MATRIX, Isometry, polygon_area, polygon_interior_angles
 from graphuniform.surfaces import (
+    SurfaceModel,
     build_genus2_hexagon_surface,
     build_regular_4g_surface,
     family,
@@ -146,6 +147,31 @@ def test_word_matrix_inverse_convention(genus2_bundle):
     w = surface.word_matrix((1, -2, 3))
     expect = surface.generator_matrix(1) @ surface.generator_matrix(-2) @ surface.generator_matrix(3)
     assert np.max(np.abs(w - expect)) < 1e-12
+
+
+def test_generator_table_matches_the_isometries(genus2_bundle, klein_surface, octagon_surface):
+    for surface in (genus2_bundle[0], klein_surface, octagon_surface):
+        stack = surface.matrices
+        assert not stack.flags.writeable
+        for k in range(1, len(stack) + 1):
+            m = surface.generators[k - 1].matrix
+            assert surface.generator_matrix(k).tobytes() == m.tobytes()
+            assert np.array_equal(surface.generator_matrix(-k), J_MATRIX @ m.T @ J_MATRIX)
+    # Isometry values given to the constructor are handed back unchanged
+    gens = (Isometry.x_translation(0.4), Isometry.identity())
+    assert SurfaceModel(2, gens).generators is gens
+    with pytest.raises(GeometryError, match="in row 1"):
+        SurfaceModel(2, np.stack([np.eye(3), np.diag([2.0, 1.0, 1.0])]))
+    with pytest.raises(GeometryError, match=r"\(n, 3, 3\)"):
+        SurfaceModel(2, np.eye(3))
+
+
+def test_reference_map_multiplies_each_distinct_word_once(monkeypatch):
+    calls = []
+    word_matrix = SurfaceModel.word_matrix
+    monkeypatch.setattr(SurfaceModel, "word_matrix", lambda self, w: calls.append(w) or word_matrix(self, w))
+    build_genus2_hexagon_surface(1.3)
+    assert len(calls) == len(set(calls)) == 13
 
 
 def test_family_domain_checks():

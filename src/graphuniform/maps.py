@@ -9,7 +9,7 @@ on top without touching the words, so gauge moves keep the class exact.
 
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per map from the words, and is the
-one kernel for energy, balanced residual and the Hessian-vector product;
+one kernel for energy, balanced residual and the Hessian blocks;
 `variations` and `solver` evaluate through it too.  The lifts are one
 validated (V, 3) array, deck matrices one (E, 3, 3) array from the surface's
 generator array, edge endpoints and tangents plain 3-vectors; `HPoint`s
@@ -31,6 +31,7 @@ from .hyperboloid import (
     HPoint,
     Isometry,
     J_DIAG,
+    J_MATRIX,
     _prevalidated,
     _project_tangent_arr,
     _sinhc,
@@ -106,60 +107,84 @@ class EdgeData:
             busy=busy,
             starts=np.searchsorted(origins[order], busy))
 
-    def star_sums(self, per_edge: np.ndarray) -> np.ndarray:
-        """Sum of per-row values over each vertex star (zero for an empty star)."""
-        sums = np.add.reduceat(per_edge, self.starts)
+    def star_sums(self, per_edge: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Sum of per-row values over each vertex star, rows along `axis`
+        (zero for an empty star)."""
+        sums = np.add.reduceat(per_edge, self.starts, axis=axis)
         if len(self.busy) == self.vertex_count:
             return sums
         # reduceat has no empty segments: scatter the busy vertices' sums
-        out = np.zeros((self.vertex_count,) + per_edge.shape[1:])
-        out[self.busy] = sums
+        shape = list(sums.shape)
+        shape[axis] = self.vertex_count
+        out = np.zeros(shape)
+        np.moveaxis(out, axis, 0)[self.busy] = np.moveaxis(sums, axis, 0)
         return out
 
     def far_ends(self, x: np.ndarray) -> np.ndarray:
         """Lifted terminus of every row: its deck matrix applied to the terminus lift."""
-        return np.einsum("eij,ej->ei", self.mats, x[self.termini])
+        return np.einsum("eij,...ej->...ei", self.mats, x[..., self.termini, :])
+
+    def geometry(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One pass over the rows at lifts x of shape (..., V, 3): origin
+        lifts p, far ends q, and sinhc(ell) and cosh(ell) of the lengths ell,
+        shaped (..., E, 1).  `residual` and `hessian` take it."""
+        p = x[..., self.origins, :]
+        q = self.far_ends(x)
+        ell = dist_arr(p, q)[..., None]
+        return p, q, _sinhc(ell), np.cosh(ell)
 
     def energy(self, x: np.ndarray) -> float:
         e = self.even
         q = np.einsum("eij,ej->ei", self.mats[e], x[self.termini[e]])
         return float(np.sum(self.weights[e] * dist_arr(x[self.origins[e]], q) ** 2))
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """Weighted sum of outgoing edge tangents at every vertex, shape (V, 3)."""
-        return self.star_sums(self.weights[:, None] * log_arr(x[self.origins], self.far_ends(x)))
+    def residual(self, x: np.ndarray, geometry: tuple | None = None) -> np.ndarray:
+        """Weighted sum of outgoing edge tangents log_p q at every vertex, shape
+        (..., V, 3) for lifts x of shape (..., V, 3)."""
+        p, q, sinhc, cosh = geometry or self.geometry(x)
+        tangents = _project_tangent_arr(p, (q - cosh * p) / sinhc)
+        return self.star_sums(self.weights[:, None] * tangents, axis=-2)
 
-    def hessian(self, x: np.ndarray):
-        """Riemannian Hessian of the energy at x, as a map on tangent fields.
+    def hessian(self, x: np.ndarray, geometry: tuple | None = None):
+        """Riemannian Hessian of the energy at lifts x (V, 3), as a map on
+        tangent fields.
 
         Per half-edge from p to q (length ell, geodesic pole n, variation
-        values v0 at p and v1 at q) this is the polarized closed-form second
-        variation, 2w [<v0,u0> u0 - <v1,u1> u0 + (ell coth ell <v0,n>
-        - ell/sinh ell <v1,n>) n].  It is evaluated as 2w [v0 - P v1
-        + (ell coth ell - 1) <v0,n> n - (ell/sinh ell - 1) <v1,n> n], with P
-        the parallel transport q -> p, which stays finite as ell -> 0.  The
-        edge geometry is computed once per x; each product costs one pass
-        over the half-edges.
+        values v0 at p and v1 = deck v[terminus] at q) this is the polarized
+        closed-form second variation, 2w [<v0,u0> u0 - <v1,u1> u0 + (ell coth
+        ell <v0,n> - ell/sinh ell <v1,n>) n], evaluated as
+        2w [(I + a n n^T J) v0 - (I + T p^T J + b n n^T J) v1] with
+        a = ell coth ell - 1 and b = ell/sinh ell - 1, finite as ell -> 0,
+        and T = (p + q) / (1 - <p,q>): v1 + <p,v1> T is v1 transported to p.
+        It is assembled once per x as 3x3 blocks:
+
+        - near, (V, 3, 3): the tangent projection I + x x^T J at each vertex
+          times the star sum of 2w (I + a n n^T J), acting on v[vertex];
+        - far, (E, 3, 3): 2w (-I - T p^T J - b n n^T J) times the row's deck
+          matrix, acting on v[terminus].  Its image is tangent at p
+          (<T,p> = -1, <n,p> = 0); a projection multiplied in would only
+          amplify rounding, by |p|^2.
+
+        A product is near v + star_sums(far v[termini]).
         """
-        o, t, mats = self.origins, self.termini, self.mats
-        p = x[o]
-        q = self.far_ends(x)
-        ell = dist_arr(p, q)
+        p, q, sinhc, cosh = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
         size = np.sqrt(np.maximum(0.0, minkowski_dot(pole, pole)))
         pole /= np.where(size > 0.0, size, 1.0)[:, None]
-        sinhc = _sinhc(ell)
-        a = (np.cosh(ell) / sinhc - 1.0)[:, None]
-        b = (1.0 / sinhc - 1.0)[:, None]
+        a = (cosh / sinhc - 1.0)[:, :, None]
+        b = (1.0 / sinhc - 1.0)[:, :, None]
         transport = (p + q) / (1.0 - minkowski_dot(p, q))[:, None]
-        w2 = 2.0 * self.weights[:, None]
+        w2 = 2.0 * self.weights[:, None, None]
+        eye = np.eye(3)
+        pole_pole = pole[:, :, None] * (pole * J_DIAG)[:, None, :]
+        near = self.star_sums(w2 * (eye + a * pole_pole))
+        near = (eye + x[:, :, None] * (x * J_DIAG)[:, None, :]) @ near
+        far = (w2 * (-eye - transport[:, :, None] * (p * J_DIAG)[:, None, :] - b * pole_pole)) @ self.mats
+        termini = self.termini
 
         def apply(v: np.ndarray) -> np.ndarray:
-            v0 = v[o]
-            v1 = np.einsum("eij,ej->ei", mats, v[t])
-            terms = v0 - v1 - minkowski_dot(p, v1)[:, None] * transport
-            terms += (a * minkowski_dot(v0, pole)[:, None] - b * minkowski_dot(v1, pole)[:, None]) * pole
-            return _project_tangent_arr(x, self.star_sums(w2 * terms))
+            return (np.einsum("vij,vj->vi", near, v)
+                    + self.star_sums(np.einsum("eij,ej->ei", far, v[termini])))
 
         return apply
 
@@ -293,8 +318,8 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
 def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
     """Move every lift by g and conjugate the deck matrices; words unchanged."""
     moved = m.with_lifts(m.lifts @ g.matrix.T)
-    object.__setattr__(moved, "gauge", g @ m.gauge)
-    conjugated = g.matrix @ m.edges.mats @ g.inverse().matrix
+    object.__setattr__(moved, "gauge", Isometry(g.matrix @ m.gauge.matrix))
+    conjugated = g.matrix @ m.edges.mats @ (J_MATRIX @ g.matrix.T @ J_MATRIX)  # g^-1 = J g^T J
     object.__setattr__(moved, "edges", replace(m.edges, mats=conjugated))
     return moved
 

@@ -29,9 +29,20 @@ from .surfaces import SurfaceModel
 
 
 def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
     return format(float(x), ".17g")
+
+
+def _format_number(x) -> str:
+    """A bool, integer or float, Python or numpy."""
+    if isinstance(x, float):  # np.float64 included
+        return _format_float(x)
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return _format_float(float(x))  # the other numpy floats
 
 
 def dumps(obj: Any, indent: int = 0) -> str:
@@ -50,17 +61,13 @@ def dumps(obj: Any, indent: int = 0) -> str:
             return "[]"
         flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
         if flat:
-            return "[" + ", ".join(dumps(v) for v in seq) + "]"
+            return "[" + ", ".join(map(_format_number, seq)) + "]"
         items = ",\n".join(f"{pad}  {dumps(v, indent + 2)}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+    if isinstance(obj, (bool, np.bool_, int, float, np.integer, np.floating)):
+        return _format_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

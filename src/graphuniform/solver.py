@@ -2,16 +2,21 @@
 
 Each step solves the Newton equation H s = 2r (r the balanced-condition
 residual, -2r the energy gradient) inexactly by truncated conjugate
-gradients on a matrix-free Hessian-vector product, then moves every vertex
-along its share of s by the exponential map, with Armijo backtracking so
-accepted steps strictly decrease energy.  The squared distance is jointly
+gradients, then moves every vertex along its share of s by the exponential
+map, with Armijo backtracking so accepted steps strictly decrease energy.
+The Hessian is assembled once per step as 3x3 blocks: `near`, one per
+vertex (its star's own terms), and `far`, one per half-edge (the coupling to
+the far end's lift), so a CG product is two batched 3x3 products and one
+star sum (`maps.EdgeData.hessian`).  The squared distance is jointly
 convex on the hyperbolic plane, so the Hessian is positive semidefinite and
 CG meets non-positive curvature only through rounding or on a degenerate
 map; its first iterate is a gradient step.  Convergence is declared on the
 residual itself, the harmonicity criterion, not on energy stalling.
 
-Energy, residual and Hessian products come from the map's `maps.EdgeData`
-kernel, evaluated at trial lift arrays.
+Energy, residual and Hessian blocks come from the map's `maps.EdgeData`
+kernel, evaluated at trial lift arrays; residual and blocks share one pass
+over the edge geometry per iterate, and the blocks are built only when a
+step is taken.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .hyperboloid import (
     J_DIAG,
     J_MATRIX,
     Isometry,
+    _prevalidated,
     _project_tangent_arr,
     dist_arr,
     exp_arr,
@@ -143,7 +149,8 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
 
     e_cur = edges.energy(x)
     while True:
-        r = edges.residual(x)
+        geometry = edges.geometry(x)
+        r = edges.residual(x, geometry)
         max_res = float(np.max(_residual_norms(r)))
         energies.append(e_cur)
         residual_trace.append(max_res)
@@ -154,7 +161,7 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
             stop_reason = "budget"
             break
 
-        delta = _newton_step(edges.hessian(x), r)
+        delta = _newton_step(edges.hessian(x, geometry), r)
         slope = 2.0 * _inner(r, delta)
         # once the predicted decrease drops under the float resolution of the
         # energy, the Armijo comparison is rounding noise; switch the
@@ -202,10 +209,12 @@ def gauge_fix(m: MarkedMap) -> MarkedMap:
     t0 = to_origin @ _project_tangent_arr(x[m.graph.origins[0]], m.deck_matrix(0) @ x[m.graph.terminus(0)])
     size = math.hypot(t0[1], t0[2])
     if size < 1e-12:
-        return gauge_transform(m, Isometry(to_origin))
+        return gauge_transform(m, _prevalidated(Isometry, to_origin))
     c, s = t0[1] / size, t0[2] / size
     turn = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])  # by minus the tangent's angle
-    return gauge_transform(m, Isometry(turn @ to_origin))
+    # a Minkowski-orthonormal frame's inverse turned about the origin is an
+    # isometry as built; gauge_transform validates its product with m.gauge
+    return gauge_transform(m, _prevalidated(Isometry, turn @ to_origin))
 
 
 def fd_gradient(m: MarkedMap, h: float = 1e-5) -> np.ndarray:
@@ -227,23 +236,25 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     fd_gradient: differences of the closed-form gradient -2 * residual, read
     in the tangent basis of each moved point; symmetrized.  Meaningful as a
     second-order object at a harmonic map, where the coordinate choice drops
-    out."""
+    out.  The moved lifts of all 2V columns form one (2, 2V, V, 3) stack,
+    +h and -h along each coordinate direction, which goes through the
+    batched residual in chunks of columns whose per-half-edge arrays are no
+    larger than the stack (about E / V chunks)."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
-    edges = m.edges
     x = m.lift_array()
-    bases = tangent_basis_arr(x)
     dim = 2 * len(x)
-    hess = np.zeros((dim, dim))
-    for i in range(dim):
-        step = np.zeros_like(x)
-        step[i // 2] = h * bases[i // 2, i % 2]
-        grads = []
-        for sign in (1.0, -1.0):
-            moved = exp_arr(x, sign * step)
-            grad = -2.0 * edges.residual(moved)
-            grads.append(minkowski_dot(grad[:, None, :], tangent_basis_arr(moved)).ravel())
-        hess[:, i] = (grads[0] - grads[1]) / (2.0 * h)
+    column = np.arange(dim)
+    steps = np.zeros((2, dim) + x.shape)
+    steps[0, column, column // 2] = h * tangent_basis_arr(x).reshape(dim, 3)
+    steps[1] = -steps[0]
+    hess = np.empty((dim, dim))
+    width = max(1, dim * len(x) // max(1, len(m.edges.origins)))
+    for lo in range(0, dim, width):
+        moved = exp_arr(x, steps[:, lo:lo + width])
+        grad = -2.0 * m.edges.residual(moved)
+        grads = minkowski_dot(grad[..., None, :], tangent_basis_arr(moved)).reshape(2, -1, dim)
+        hess[:, lo:lo + width] = ((grads[0] - grads[1]) / (2.0 * h)).T
     return 0.5 * (hess + hess.T)
 
 

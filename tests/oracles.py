@@ -177,3 +177,59 @@ def subdivide(m, k: int):
             words.append(m.deck_words[e] if i == k - 1 else ())
     graph = WeightedGraph.from_edges(len(lifts), edges)
     return MarkedMap.from_unoriented_words(m.surface, graph, tuple(HPoint(x) for x in lifts), tuple(words))
+
+
+def polarized_hvp(m, x, v):
+    """Riemannian Hessian of the energy at lifts x applied to the tangent
+    field v, one half-edge at a time in the map's own half-edge order.
+
+    Per half-edge from p to q = deck * x[terminus] (length ell, unit pole n
+    of the geodesic, v0 = v[origin], v1 = deck * v[terminus]) the polarized
+    second variation is 2w [v0 - v1 - <p, v1> T + (a <v0, n> - b <v1, n>) n]
+    with T = (p + q) / (1 - <p, q>), a = ell coth ell - 1 and
+    b = ell / sinh ell - 1; the sum at each vertex is projected onto the
+    tangent plane there.
+    """
+    g = m.graph
+    out = np.zeros_like(x)
+    for e in range(g.half_edge_count):
+        deck = m.deck_matrix(e)
+        o, t = g.origins[e], g.terminus(e)
+        p, q = x[o], deck @ x[t]
+        v0, v1 = v[o], deck @ v[t]
+        ell = 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, mdot(p - q, p - q))))
+        c = np.cross(p, q)
+        pole = np.array([-c[0], c[1], c[2]])
+        size = math.sqrt(max(0.0, mdot(pole, pole)))
+        if size > 0.0:
+            pole = pole / size
+        sinhc = math.sinh(ell) / ell if ell > 1e-8 else 1.0 + ell * ell / 6.0
+        a = math.cosh(ell) / sinhc - 1.0
+        b = 1.0 / sinhc - 1.0
+        transport = (p + q) / (1.0 - mdot(p, q))
+        terms = v0 - v1 - mdot(p, v1) * transport + (a * mdot(v0, pole) - b * mdot(v1, pole)) * pole
+        out[o] += 2.0 * g.weights[e] * terms
+    return np.array([w + mdot(w, p) * p for w, p in zip(out, x)])
+
+
+def hessian_fd_columns(m, h):
+    """The finite-difference Hessian of `solver.hessian_fd`, one coordinate
+    column at a time: central differences of -2 * residual at the lifts moved
+    by +h and -h along one tangent basis vector, read in the tangent bases of
+    the moved lifts, then symmetrized."""
+    from graphuniform.hyperboloid import exp_arr, minkowski_dot, tangent_basis_arr
+
+    x = m.lift_array()
+    bases = tangent_basis_arr(x)
+    dim = 2 * len(x)
+    hess = np.zeros((dim, dim))
+    for i in range(dim):
+        step = np.zeros_like(x)
+        step[i // 2] = h * bases[i // 2, i % 2]
+        grads = []
+        for sign in (1.0, -1.0):
+            moved = exp_arr(x, sign * step)
+            grad = -2.0 * m.edges.residual(moved)
+            grads.append(minkowski_dot(grad[:, None, :], tangent_basis_arr(moved)).ravel())
+        hess[:, i] = (grads[0] - grads[1]) / (2.0 * h)
+    return 0.5 * (hess + hess.T)

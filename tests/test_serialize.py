@@ -31,7 +31,8 @@ def test_dumps_floats_roundtrip_ieee_exactly():
 
 
 def test_dumps_rejects_non_finite():
-    for bad in (float("nan"), float("inf"), float("-inf")):
+    for bad in (float("nan"), float("inf"), float("-inf"),
+                [1.0, float("nan")], [np.float64("inf")], [2, np.float32("-inf")]):
         with pytest.raises(ValueError):
             dumps(bad)
 
@@ -53,6 +54,23 @@ def test_dumps_handles_numpy_scalars_and_arrays():
     text = dumps({"m": np.eye(2), "n": np.int64(3), "x": np.float64(0.5)})
     assert '"n": 3' in text
     assert '"x": 0.5' in text
+
+
+def test_dumps_bytes_of_nested_rows_ints_bools_and_numpy_scalars():
+    payload = {
+        "rows": [[1.0, np.float64(0.1), -2.5e-300], [3, True, np.float64(1e17)], [np.int64(-4), False, 2]],
+        "flags": [True, False],
+        "count": np.int64(7),
+        "empty": [],
+        "nested": {"deep": [[0.5], [np.float32(0.25), 1]], "none": None},
+        "text": 'a"b',
+        "array": np.array([[0.5, 1.5], [-0.0, 2.0]]),
+    }
+    assert dumps(payload) == (
+        '{\n  "rows": [\n    [1, 0.10000000000000001, -2.5e-300],\n    [3, true, 1e+17],\n'
+        '    [-4, false, 2]\n  ],\n  "flags": [true, false],\n  "count": 7,\n  "empty": [],\n'
+        '  "nested": {\n    "deep": [\n      [0.5],\n      [0.25, 1]\n    ],\n    "none": null\n  },\n'
+        '  "text": "a\\"b",\n  "array": [\n    [0.5, 1.5],\n    [-0, 2]\n  ]\n}')
 
 
 def test_write_and_read_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ from graphuniform.errors import DomainError, GraphValidationError
 from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet
 from graphuniform.hyperboloid import HPoint, Isometry, dist, dist_arr, exp_arr, minkowski_dot, tangent_basis_arr
-from graphuniform.maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
+from graphuniform.maps import EdgeData, MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
 from graphuniform.solver import (
     SolverConfig,
     UniquenessReport,
@@ -222,6 +222,26 @@ def test_unreachable_tolerance_stops_as_stalled(genus2_bundle):
     assert trace.residuals[-1] < 1e-11
 
 
+def test_solver_builds_edge_geometry_once_per_iterate_and_blocks_per_step(genus2_bundle, monkeypatch):
+    _, _, ref = genus2_bundle
+    calls = {"geometry": 0, "hessian": 0}
+    for name in calls:
+        original = getattr(EdgeData, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(EdgeData, name, counting)
+    trace = solve(perturbed(ref, 0.1, seed=45))
+    assert trace.converged and trace.iterations > 2
+    assert calls == {"geometry": trace.iterations + 1, "hessian": trace.iterations}
+    # a solve that starts converged builds no blocks
+    calls.update(geometry=0, hessian=0)
+    assert solve(ref).iterations == 0
+    assert calls == {"geometry": 1, "hessian": 0}
+
+
 def test_report_with_disagreeing_starts_is_not_ok():
     report = UniquenessReport(
         n_starts=2, converged=(True, True), energies=(23.44, 23.44),
@@ -265,6 +285,51 @@ def test_hessian_product_is_second_variation_off_critical_points(genus2_bundle):
         assert abs(quad - fd) < 1e-6 * (1.0 + abs(quad))
 
 
+def _map_with_empty_stars(surface):
+    # vertices 1 and 3 carry no edge: one empty star between busy ones, one
+    # at the end of the half-edge rows
+    graph = WeightedGraph.from_edges(4, [(0, 2, 1.0, "e"), (2, 0, 2.0, "e")])
+    lifts = (HPoint.origin(), HPoint.at(0.3, 1.0), HPoint.at(0.5, 0.0), HPoint.at(0.2, 2.0))
+    return MarkedMap(surface, graph, lifts, ((1,), (-1,), (), ()))
+
+
+def _hessian_test_maps(bundle, case):
+    surface, graph, ref = bundle
+    if case == "perturbed":
+        return perturbed(ref, 0.3, seed=40)
+    if case == "random":
+        return ref.with_lifts(initial_lifts(surface, graph, "random", seed=41))
+    if case == "gauged":
+        g = Isometry.x_translation(0.8) @ Isometry.rotation(HPoint.origin(), 1.1)
+        return gauge_transform(perturbed(ref, 0.2, seed=43), g)
+    return _map_with_empty_stars(surface)
+
+
+@pytest.mark.parametrize("case", ["perturbed", "random", "gauged", "empty-star"])
+def test_assembled_hessian_matches_per_edge_reference(genus2_bundle, case):
+    # the near/far blocks give the same product as the per-half-edge formula
+    m = _hessian_test_maps(genus2_bundle, case)
+    assert balanced_residual(m).max_norm > 0.01
+    x = m.lift_array()
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        v = _tangent_field(m, rng.standard_normal(2 * m.graph.vertex_count))
+        got = hessian_product(m, v)
+        want = oracles.polarized_hvp(m, x, v)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if case == "empty-star":
+        assert np.all(got[[1, 3]] == 0.0)
+
+
+@pytest.mark.parametrize("case", ["solved", "perturbed", "empty-star"])
+def test_batched_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved, case):
+    m = genus2_solved if case == "solved" else _hessian_test_maps(genus2_bundle, case)
+    for h in (1e-4, 1e-3):
+        got = hessian_fd(m, h)
+        assert got.shape == (2 * m.graph.vertex_count,) * 2
+        assert np.max(np.abs(got - oracles.hessian_fd_columns(m, h))) <= 1e-10
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 32])
 def test_subdivided_genus2_solves_in_few_newton_steps(k):
     # a k-fold subdivision with weights k*w keeps the harmonic energy, and
@@ -303,6 +368,19 @@ def test_gauge_fix_is_canonical_and_idempotent(genus2_solved):
     twice = gauge_fix(fixed)
     assert np.max(np.abs(twice.lift_array() - fixed.lift_array())) < 1e-10
     assert np.max(np.abs(twice.gauge.matrix - fixed.gauge.matrix)) < 1e-10
+
+
+def test_gauge_moves_build_only_the_stored_gauge(genus2_solved, monkeypatch):
+    g = Isometry.x_translation(0.7) @ Isometry.rotation(HPoint.origin(), 0.3)
+    built = []
+    post_init = Isometry.__post_init__
+    monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(1) or post_init(self))
+    fixed = gauge_fix(genus2_solved)
+    assert len(built) == 1
+    assert np.max(np.abs(fixed.gauge.matrix @ genus2_solved.lifts[0] - [1.0, 0.0, 0.0])) < 1e-12
+    moved = gauge_transform(fixed, g)
+    assert len(built) == 2
+    assert np.max(np.abs(moved.gauge.matrix - g.matrix @ fixed.gauge.matrix)) == 0.0
 
 
 def test_uniqueness_probe_builds_no_points_per_vertex(genus2_bundle, monkeypatch):

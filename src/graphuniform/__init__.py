@@ -41,8 +41,6 @@ from .families import (
     lagrange_solve,
     minimize_1d,
     properness_probe,
-    sample_curve,
-    triangle_energy,
 )
 from .variations import (
     VertexVariation,
@@ -64,7 +62,7 @@ __all__ = [
     "MetricFamily", "SurfaceModel", "build_genus2_hexagon_surface", "build_klein_quartic",
     "build_regular_4g_surface", "family", "validate_surface",
     "EnergyEvaluator", "LagrangeSolution", "energy_of_parameter", "hexagon_family_energy",
-    "lagrange_solve", "minimize_1d", "properness_probe", "sample_curve", "triangle_energy",
+    "lagrange_solve", "minimize_1d", "properness_probe",
     "VertexVariation", "first_variation", "hessian_consistency", "jacobi_solve",
     "second_variation_geodesic",
 ]

@@ -164,7 +164,7 @@ def _example_regular_4g(genus: int) -> list[CheckResult]:
     checks.append(CheckResult(f"4g-gon relators close up (genus {genus})",
                               relator_ok, f"worst defect {worst:.3e} (norm-scaled gate)"))
     checks.append(_check("polygon area matches Gauss-Bonnet",
-                         abs(report.area - report.area_expected), 1e-7))
+                         abs(report.area - report.area_expected), 1e-7 * report.area_expected / (4.0 * math.pi)))
     if genus == 2:
         expected = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
         checks.append(_check("octagon generator translation length",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, DomainError, NonConvergenceError
-from .hyperboloid import hexagon_partner_length, triangle_from_angles
+from .hyperboloid import hexagon_partner_length
 from .maps import energy
 from .solver import SolveTrace, SolverConfig, solve
 from .surfaces import MetricFamily
@@ -116,30 +116,6 @@ class EnergyEvaluator:
 def energy_of_parameter(fam: MetricFamily, theta: float | None, cfg: SolverConfig | None = None) -> float:
     """One-shot E(theta) from the family's reference start."""
     return EnergyEvaluator(fam, cfg).energy(theta)
-
-
-@dataclass(frozen=True)
-class EnergyCurve:
-    family_id: str
-    parameters: tuple[float, ...]
-    energies: tuple[float, ...]
-    iterations: tuple[int, ...]
-
-
-def sample_curve(
-    fam: MetricFamily,
-    parameters: tuple[float, ...],
-    cfg: SolverConfig | None = None,
-) -> EnergyCurve:
-    """E(theta) over a parameter grid, each point solved from the family's
-    reference map."""
-    parameters = tuple(parameters)
-    energies, iterations = [], []
-    for theta in parameters:
-        ev = EnergyEvaluator(fam, cfg)
-        energies.append(ev.energy(theta))
-        iterations.append(ev.last_trace.iterations)
-    return EnergyCurve(fam.family_id, parameters, tuple(energies), tuple(iterations))
 
 
 def minimize_1d(
@@ -263,16 +239,3 @@ def properness_probe(
         x < y for x, y in zip(above, above[1:]))
     exceeds = all(v > e_star for v in below + above)
     return PropernessReport(theta_star, e_star, factors, below, above, monotone, exceeds)
-
-
-def triangle_energy(
-    p: int, q: int, r: int, group_order: int,
-    m1: float = 1.0, m2: float = 1.0, m3: float = 1.0,
-) -> float:
-    """Energy of the triangle-tiling skeleton map: group_order copies of the
-    fundamental triangle pair, each contributing one edge of every class."""
-    if group_order < 1 or int(group_order) != group_order:
-        raise DomainError(f"group order must be a positive integer, got {group_order!r}")
-    tri = triangle_from_angles(math.pi / p, math.pi / q, math.pi / r)
-    l1, l2, l3 = tri.sides
-    return group_order * (m1 * l1 * l1 + m2 * l2 * l2 + m3 * l3 * l3)

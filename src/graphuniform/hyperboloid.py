@@ -144,30 +144,6 @@ class HPoint:
             raise GeometryError(f"point needs 3 coordinates, got shape {v.shape}")
         object.__setattr__(self, "coords", points_arr(v))
 
-    @staticmethod
-    def origin() -> "HPoint":
-        return HPoint(np.array([1.0, 0.0, 0.0]))
-
-    @staticmethod
-    def at(distance: float, angle: float) -> "HPoint":
-        """Point at the given distance from the origin, in the given direction."""
-        v = distance * np.array([0.0, math.cos(angle), math.sin(angle)])
-        return HPoint(exp_arr(np.array([1.0, 0.0, 0.0]), v))
-
-    def close_to(self, other: "HPoint", tol: float = GEOM_TOL) -> bool:
-        return dist(self, other) <= tol
-
-
-def dist(p: HPoint, q: HPoint) -> float:
-    return float(dist_arr(p.coords, q.coords))
-
-
-def geodesic_point(p: HPoint, q: HPoint, t: float) -> HPoint:
-    """Point at parameter t in [0, 1] on the geodesic from p to q."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"geodesic parameter {t} outside [0, 1]")
-    return HPoint(exp_arr(p.coords, t * log_arr(p.coords, q.coords)))
-
 
 def tangent_basis_arr(p: np.ndarray) -> np.ndarray:
     """Orthonormal tangent bases at points of shape (..., 3), shape (..., 2, 3):
@@ -245,28 +221,11 @@ class Isometry:
     def identity() -> "Isometry":
         return Isometry(np.eye(3))
 
-    @staticmethod
-    def x_translation(length: float) -> "Isometry":
-        """Hyperbolic translation by `length` along the x1-axis geodesic."""
-        c, s = math.cosh(length), math.sinh(length)
-        return Isometry(np.array([[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
-
-    @staticmethod
-    def rotation(center: HPoint, angle: float) -> "Isometry":
-        # a positively oriented Minkowski frame with its first column at center
-        f = np.column_stack([center.coords, *tangent_basis_arr(center.coords)])
-        c, s = math.cos(angle), math.sin(angle)
-        block = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-        return Isometry(f @ block @ J_MATRIX @ f.T @ J_MATRIX)
-
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return Isometry(self.matrix @ other.matrix)
 
     def inverse(self) -> "Isometry":
         return Isometry(J_MATRIX @ self.matrix.T @ J_MATRIX)
-
-    def apply(self, p: HPoint) -> HPoint:
-        return HPoint(self.matrix @ p.coords)
 
     def is_identity(self, tol: float = GEOM_TOL) -> bool:
         return float(np.max(np.abs(self.matrix - np.eye(3)))) <= tol
@@ -317,28 +276,6 @@ def regular_polygon(n: int, interior_angle: float) -> RegularPolygonGeometry:
     circumradius = math.acosh(1.0 / (math.tan(half) * math.tan(central)))
     area = (n - 2) * math.pi - n * interior_angle
     return RegularPolygonGeometry(n, interior_angle, inradius, circumradius, side, area)
-
-
-@dataclass(frozen=True)
-class TriangleGeometry:
-    angles: tuple[float, float, float]
-    sides: tuple[float, float, float]  # sides[i] is opposite angles[i]
-    area: float
-
-
-def triangle_from_angles(a1: float, a2: float, a3: float) -> TriangleGeometry:
-    """Side lengths of the hyperbolic triangle with the given angles."""
-    angles = (a1, a2, a3)
-    if min(angles) <= 0.0:
-        raise DomainError("triangle angles must be positive")
-    if sum(angles) >= math.pi:
-        raise DomainError("triangle angles must sum to less than pi")
-
-    def side(a, b, c):
-        return math.acosh((math.cos(a) + math.cos(b) * math.cos(c)) / (math.sin(b) * math.sin(c)))
-
-    sides = (side(a1, a2, a3), side(a2, a3, a1), side(a3, a1, a2))
-    return TriangleGeometry(angles, sides, math.pi - sum(angles))
 
 
 def hexagon_partner_length(s: float) -> float:

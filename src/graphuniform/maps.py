@@ -36,7 +36,6 @@ from .hyperboloid import (
     _project_tangent_arr,
     _sinhc,
     dist_arr,
-    log_arr,
     minkowski_cross,
     minkowski_dot,
     points_arr,
@@ -126,22 +125,24 @@ class EdgeData:
 
     def geometry(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """One pass over the rows at lifts x of shape (..., V, 3): origin
-        lifts p, far ends q, and sinhc(ell) and cosh(ell) of the lengths ell,
-        shaped (..., E, 1).  `residual` and `hessian` take it."""
+        lifts p, far ends q, and sinhc(ell), cosh(ell) and the lengths ell
+        themselves, shaped (..., E, 1).  `energy`, `residual` and `hessian`
+        take it."""
         p = x[..., self.origins, :]
         q = self.far_ends(x)
         ell = dist_arr(p, q)[..., None]
-        return p, q, _sinhc(ell), np.cosh(ell)
+        return p, q, _sinhc(ell), np.cosh(ell), ell
 
-    def energy(self, x: np.ndarray) -> float:
-        e = self.even
-        q = np.einsum("eij,ej->ei", self.mats[e], x[self.termini[e]])
-        return float(np.sum(self.weights[e] * dist_arr(x[self.origins[e]], q) ** 2))
+    def energy(self, x: np.ndarray, geometry: tuple | None = None) -> float:
+        """Sum of w ell^2 over the even rows, one per unoriented edge, at lifts
+        x (V, 3): the lengths of `geometry` when given, else of x's far ends."""
+        ell = geometry[4][:, 0] if geometry else dist_arr(x[self.origins], self.far_ends(x))
+        return float(np.sum(self.weights[self.even] * ell[self.even] ** 2))
 
     def residual(self, x: np.ndarray, geometry: tuple | None = None) -> np.ndarray:
         """Weighted sum of outgoing edge tangents log_p q at every vertex, shape
         (..., V, 3) for lifts x of shape (..., V, 3)."""
-        p, q, sinhc, cosh = geometry or self.geometry(x)
+        p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         tangents = _project_tangent_arr(p, (q - cosh * p) / sinhc)
         return self.star_sums(self.weights[:, None] * tangents, axis=-2)
 
@@ -167,7 +168,7 @@ class EdgeData:
 
         A product is near v + star_sums(far v[termini]).
         """
-        p, q, sinhc, cosh = geometry or self.geometry(x)
+        p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
         size = np.sqrt(np.maximum(0.0, minkowski_dot(pole, pole)))
         pole /= np.where(size > 0.0, size, 1.0)[:, None]
@@ -271,13 +272,6 @@ class MarkedMap:
         p = self.lifts[self.graph.origins[e]]
         q = self.deck_matrix(e) @ self.lifts[self.graph.terminus(e)]
         return p, points_arr(q)
-
-    def edge_tangent(self, e: int) -> np.ndarray:
-        """Initial tangent T_e(0) of the lifted half-edge (norm = edge length)."""
-        return log_arr(*self.edge_segment(e))
-
-    def edge_length(self, e: int) -> float:
-        return float(dist_arr(*self.edge_segment(e)))
 
     def with_lifts(self, lifts) -> "MarkedMap":
         """Same class and gauge, new vertex positions; the words and edge

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, surfaces
-from .hyperboloid import dist_arr, hexagon_partner_length, polygon_area, triangle_from_angles
+from .hyperboloid import dist_arr, hexagon_partner_length, polygon_area, regular_polygon
 from .maps import balanced_residual, energy
 from .solver import SolverConfig, gauge_fix, solve
 from .variations import VertexVariation, first_variation, first_variation_fd
@@ -117,19 +117,15 @@ def check_first_variation() -> CheckResult:
                   abs(exact - approx) / scale, 1e-6)
 
 
-def check_triangle_energy() -> CheckResult:
-    value = families.triangle_energy(2, 3, 7, 168, 1.0, 1.0, 1.0)
-    angles = (math.pi / 2, math.pi / 3, math.pi / 7)
-    tri = triangle_from_angles(*angles)
-    # dual law of cosines run backwards: recover each angle from the sides
-    worst = 0.0
-    for i in range(3):
-        a1, a2, a3 = angles[i], angles[(i + 1) % 3], angles[(i + 2) % 3]
-        rhs = -math.cos(a1) * math.cos(a2) + math.sin(a1) * math.sin(a2) * math.cosh(tri.sides[(i + 2) % 3])
-        worst = max(worst, abs(math.cos(a3) - rhs))
-    expected = 168.0 * sum(l * l for l in tri.sides)
-    worst = max(worst, abs(value - expected) / expected)
-    return _check("triangle-tiling energy closed form", worst, 1e-10)
+def check_klein_bouquet() -> CheckResult:
+    """The Z7-symmetric bouquet at the Klein 14-gon's centre: seven loops of
+    twice the inradius of the regular 14-gon with angle 2*pi/7."""
+    _surface, _graph, bouquet_map = surfaces._center_bouquet(surfaces.build_klein_quartic())
+    closed = 7.0 * (2.0 * regular_polygon(14, 2.0 * math.pi / 7.0).inradius) ** 2
+    energy_err = abs(energy(bouquet_map) - closed) / closed
+    residual = balanced_residual(bouquet_map).max_norm
+    return _check("klein centre bouquet energy closed form", max(energy_err, residual), 1e-10,
+                  extra=f"energy rel err {energy_err:.1e}, residual {residual:.1e}")
 
 
 def run_all() -> list[CheckResult]:
@@ -143,7 +139,7 @@ def run_all() -> list[CheckResult]:
         check_reference_map(),
         check_solver_roundtrip(),
         check_first_variation(),
-        check_triangle_energy(),
+        check_klein_bouquet(),
     ]
 
 

@@ -3,20 +3,23 @@
 Each step solves the Newton equation H s = 2r (r the balanced-condition
 residual, -2r the energy gradient) inexactly by truncated conjugate
 gradients, then moves every vertex along its share of s by the exponential
-map, with Armijo backtracking so accepted steps strictly decrease energy.
-The Hessian is assembled once per step as 3x3 blocks: `near`, one per
-vertex (its star's own terms), and `far`, one per half-edge (the coupling to
-the far end's lift), so a CG product is two batched 3x3 products and one
-star sum (`maps.EdgeData.hessian`).  The squared distance is jointly
-convex on the hyperbolic plane, so the Hessian is positive semidefinite and
-CG meets non-positive curvature only through rounding or on a degenerate
-map; its first iterate is a gradient step.  Convergence is declared on the
-residual itself, the harmonicity criterion, not on energy stalling.
+map, with Armijo backtracking so accepted steps strictly decrease energy;
+a trial step that leaves the hyperboloid's upper sheet is rejected like
+one that fails the Armijo test.  The Hessian is assembled once per step as
+3x3 blocks: `near`, one per vertex (its star's own terms), and `far`, one
+per half-edge (the coupling to the far end's lift), so a CG product is two
+batched 3x3 products and one star sum (`maps.EdgeData.hessian`).  The
+squared distance is jointly convex on the hyperbolic plane, so the Hessian
+is positive semidefinite and CG meets non-positive curvature only through
+rounding or on a degenerate map; its first iterate is a gradient step.
+Convergence is declared on the residual itself, the harmonicity criterion,
+not on energy stalling.
 
 Energy, residual and Hessian blocks come from the map's `maps.EdgeData`
-kernel, evaluated at trial lift arrays; residual and blocks share one pass
-over the edge geometry per iterate, and the blocks are built only when a
-step is taken.
+kernel, evaluated at trial lift arrays.  Each line-search trial makes one
+pass over the edge geometry, for its energy; the accepted trial's pass also
+gives the next iterate's residual and blocks, and the blocks are built only
+when a step is taken.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GraphValidationError
+from .errors import DomainError, GraphValidationError, NotHyperbolicError
 from .graphs import WeightedGraph
 from .hyperboloid import (
     J_DIAG,
@@ -147,9 +150,9 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
     steps = 0
     stop_reason = "stalled"
 
-    e_cur = edges.energy(x)
+    geometry = edges.geometry(x)
+    e_cur = edges.energy(x, geometry)
     while True:
-        geometry = edges.geometry(x)
         r = edges.residual(x, geometry)
         max_res = float(np.max(_residual_norms(r)))
         energies.append(e_cur)
@@ -170,31 +173,29 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
         tau = 1.0
         accepted = False
         for _ in range(80):
-            x_new = exp_arr(x, tau * delta)
-            e_new = edges.energy(x_new)
+            try:
+                x_new = exp_arr(x, tau * delta)
+            except NotHyperbolicError:  # the trial step left the sheet: reject it
+                tau *= BACKTRACK_FACTOR
+                continue
+            trial = edges.geometry(x_new)
+            e_new = edges.energy(x_new, trial)
             if e_new <= e_cur - SUFFICIENT_DECREASE * tau * slope:
                 accepted = True
                 break
             if SUFFICIENT_DECREASE * tau * slope <= floor:
-                new_max = float(np.max(_residual_norms(edges.residual(x_new))))
+                new_max = float(np.max(_residual_norms(edges.residual(x_new, trial))))
                 if new_max < max_res:
                     accepted = True
                     break
             tau *= BACKTRACK_FACTOR
         if not accepted:
             break  # at the numerical floor of both energy and residual
-        x = x_new
-        e_cur = e_new
+        x, geometry, e_cur = x_new, trial, e_new
         steps += 1
 
     final = m0.with_lifts(x)
     return SolveTrace(tuple(energies), tuple(residual_trace), final, steps, stop_reason)
-
-
-def hessian_product(m: MarkedMap, vectors: np.ndarray) -> np.ndarray:
-    """Riemannian Hessian of the energy at m applied to one tangent vector
-    per vertex (rows of `vectors`, ambient coordinates)."""
-    return m.edges.hessian(m.lift_array())(np.asarray(vectors, dtype=float))
 
 
 def gauge_fix(m: MarkedMap) -> MarkedMap:

@@ -221,6 +221,8 @@ def validate_surface(
     corners onto corners, vertex-cycle angle sums are 2*pi, and the polygon
     area matches Gauss-Bonnet for the genus.
 
+    The area gate is area_tol per 4*pi of expected area, so genus 2 keeps
+    area_tol itself: the angle sum's rounding grows with the corner count.
     Reported relator defects are absolute, but the pass/fail gate scales
     relator_tol by the squared norm of the largest partial product: a float64
     product of long words cannot beat rounding amplified by those norms, and
@@ -260,7 +262,7 @@ def validate_surface(
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
         area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)
-        if abs(area - area_expected) > area_tol:
+        if abs(area - area_expected) > area_tol * area_expected / (4.0 * math.pi):
             issues.append(("AREA", f"polygon area {area!r}, Gauss-Bonnet expects {area_expected!r}"))
 
     return SurfaceReport(tuple(issues), tuple(relator_defects), tuple(angle_sums), area, area_expected)
@@ -436,13 +438,16 @@ class MetricFamily:
         return self._builder(theta)
 
 
-def _center_bouquet(genus: int, weight: float):
-    surface = build_regular_4g_surface(genus)
-    graph = bouquet(2 * genus, weight)
+def _center_bouquet(surface: SurfaceModel, weight: float = 1.0):
+    """One loop (k,) per generator k at one vertex lifted to the origin: harmonic
+    when the surface's side pairings move the origin to its mirror images across
+    the sides of a regular polygon centred there, each loop twice the inradius."""
     from .maps import MarkedMap
 
+    count = len(surface.matrices)
+    graph = bouquet(count, weight)
     lifts = np.array([[1.0, 0.0, 0.0]])
-    words = tuple((k + 1,) for k in range(2 * genus))
+    words = tuple((k + 1,) for k in range(count))
     return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, words)
 
 
@@ -453,10 +458,11 @@ def family(kind: str, **fixed) -> MetricFamily:
         weights = fixed.pop("weights", (1.0, 1.0))
         if fixed:
             raise DomainError(f"unknown hexagon-genus2 options {sorted(fixed)}")
-        # seams the float64 build serves: outside about (0.23, 9.5) it either
-        # fails or returns generators whose relators no longer close
+        # seams the float64 build serves: up to 4.0 the reference energy is
+        # within 1.1e-7 of the closed form and the surface validates; rounding
+        # grows with the deck norms (error 1.3e-6 at 4.51, 0.22 at 7; invalid from 8)
         graph = cycle_with_doubled_edges(6, *weights)  # the same at every seam: built once
-        return MetricFamily(kind, (0.25, 9.0), lambda s: _genus2_hexagon(s, graph))
+        return MetricFamily(kind, (0.25, 4.0), lambda s: _genus2_hexagon(s, graph))
     if kind == "regular-4g":
         genus = fixed.pop("genus", 2)
         weight = fixed.pop("weight", 1.0)
@@ -464,5 +470,5 @@ def family(kind: str, **fixed) -> MetricFamily:
             raise DomainError(f"unknown regular-4g options {sorted(fixed)}")
         if genus < 2:
             raise DomainError(f"regular-4g family needs genus >= 2, got {genus}")
-        return MetricFamily(kind, None, lambda: _center_bouquet(genus, weight))
+        return MetricFamily(kind, None, lambda: _center_bouquet(build_regular_4g_surface(genus), weight))
     raise DomainError(f"unknown family kind {kind!r}")

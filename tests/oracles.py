@@ -19,8 +19,21 @@ def raw_dist(p, q):
 
 
 def rot_z(phi):
+    """Rotation by phi about the origin."""
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def x_translation(length):
+    """Translation by `length` along the x1-axis geodesic."""
+    c, s = math.cosh(length), math.sinh(length)
+    return np.array([[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def point_at(distance, angle):
+    """Point at the given distance from the origin, in the given direction."""
+    return np.array([math.cosh(distance), math.sinh(distance) * math.cos(angle),
+                     math.sinh(distance) * math.sin(angle)])
 
 
 def regular_polygon_inradius_oracle(n: int, interior_angle: float) -> float:
@@ -50,82 +63,6 @@ def regular_polygon_inradius_oracle(n: int, interior_angle: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def geodesic_intersection(pole1, pole2):
-    """Timelike intersection point of two geodesics given by their poles."""
-    c = np.cross(pole1, pole2)
-    v = np.array([-c[0], c[1], c[2]])
-    norm2 = mdot(v, v)
-    if norm2 >= 0:
-        raise ValueError("geodesics do not intersect")
-    v = v / math.sqrt(-norm2)
-    return v if v[0] > 0 else -v
-
-
-def pole_through(p, q):
-    c = np.cross(p, q)
-    v = np.array([-c[0], c[1], c[2]])
-    return v / math.sqrt(mdot(v, v))
-
-
-def triangle_sides_oracle(p: int, q: int, r: int):
-    """Side lengths of the (pi/p, pi/q, pi/r) triangle by shooting.
-
-    Corner A sits at the origin with its angle pi/p spanned by the rays at
-    directions 0 and pi/p; corner B slides along the first ray.  For a trial
-    |AB| = c the side through B making angle pi/q with BA is intersected with
-    the second ray, and the angle at that intersection C is compared with
-    pi/r; the angle at C shrinks as c grows.  Returns (|BC|, |CA|, |AB|),
-    i.e. each side opposite the corner with the matching angle.
-    """
-    alpha, beta, gamma = math.pi / p, math.pi / q, math.pi / r
-    ray_a0 = np.array([0.0, 0.0, -1.0])  # pole of the x-axis geodesic
-    ray_a1 = rot_z(alpha) @ ray_a0
-
-    def corner_b(c):
-        return np.array([math.cosh(c), math.sinh(c), 0.0])
-
-    def side_bc_pole(c):
-        # at B the x-axis arrives with direction u = (sinh c, cosh c, 0);
-        # rotate the outgoing side from the BA direction (-u) by -beta so the
-        # interior angle at B, opening toward positive x2, equals beta
-        b = corner_b(c)
-        u = np.array([math.sinh(c), math.cosh(c), 0.0])
-        n = np.array([0.0, 0.0, 1.0])  # unit normal at B along x3
-        d = math.cos(math.pi - beta) * u + math.sin(math.pi - beta) * n
-        # pole of the geodesic through b with direction d
-        cc = np.cross(b, d)
-        v = np.array([-cc[0], cc[1], cc[2]])
-        return v / math.sqrt(mdot(v, v))
-
-    def angle_at_c(c):
-        inter = geodesic_intersection(ray_a1, side_bc_pole(c))
-        # interior angle between the two sides at C
-        u1 = pole_through(inter, np.array([1.0, 0.0, 0.0]))
-        u2 = pole_through(inter, corner_b(c))
-        cosang = abs(mdot(u1, u2))
-        return math.acos(max(-1.0, min(1.0, cosang)))
-
-    lo, hi = 1e-3, 20.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        try:
-            ang = angle_at_c(mid)
-        except ValueError:
-            hi = mid  # overshot: side BC no longer meets the ray
-            continue
-        if ang > gamma:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    b_pt = corner_b(c)
-    c_pt = geodesic_intersection(ray_a1, side_bc_pole(c))
-    a_pt = np.array([1.0, 0.0, 0.0])
-    return raw_dist(b_pt, c_pt), raw_dist(c_pt, a_pt), raw_dist(a_pt, b_pt)
 
 
 def triangle_area_from_sides(a, b, c):

@@ -15,11 +15,10 @@ from graphuniform.families import (
     hexagon_family_energy,
     lagrange_solve,
     minimize_1d,
-    triangle_energy,
 )
 from graphuniform.graphs import bouquet
 from graphuniform.hyperboloid import hexagon_partner_length, regular_polygon
-from graphuniform.maps import balanced_residual, initial_lifts
+from graphuniform.maps import balanced_residual, energy, initial_lifts
 from graphuniform.serialize import read_json
 from graphuniform.solver import (
     SolverConfig,
@@ -28,6 +27,7 @@ from graphuniform.solver import (
     uniqueness_probe,
 )
 from graphuniform.surfaces import (
+    _center_bouquet,
     family,
     genus2_deck_words,
     validate_surface,
@@ -206,10 +206,14 @@ def test_criterion_09_geometry_suite(klein_surface, octagon_surface):
             f"angle-sum err {klein_angle_err:.2e}, octagon loop err {loop_err:.2e}, all <= 1e-8")
 
 
-def test_criterion_10_triangle_tiling_energy():
-    sides = oracles.triangle_sides_oracle(2, 3, 7)
-    closed = 168.0 * sum(l * l for l in sides)
-    got = triangle_energy(2, 3, 7, 168, 1.0, 1.0, 1.0)
-    err = abs(got - closed) / (1.0 + closed)
-    assert err <= 1e-8
-    _report("triangle tiling energy", f"rel err vs side-length oracle = {err:.2e} <= 1e-8")
+def test_criterion_10_klein_bouquet_energy(klein_surface):
+    # Nielsen realization's explicit minimizer: the Z7-invariant bouquet of
+    # seven loops at the Klein 14-gon's centre, each twice the inradius long
+    _surface, _graph, m = _center_bouquet(klein_surface)
+    closed = 7.0 * (2.0 * oracles.regular_polygon_inradius_oracle(14, 2.0 * math.pi / 7.0)) ** 2
+    err = abs(energy(m) - closed) / closed
+    residual = balanced_residual(m).max_norm
+    assert err <= 1e-10
+    assert residual <= 1e-10
+    _report("klein bouquet energy",
+            f"rel err vs inradius oracle = {err:.2e} <= 1e-10, residual = {residual:.2e} <= 1e-10")

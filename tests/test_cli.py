@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import graphuniform
 from graphuniform import cli, serialize
 from graphuniform.cli import main
 
@@ -17,6 +18,11 @@ def map_file(tmp_path, genus2_bundle):
     path = str(tmp_path / "map.json")
     serialize.write_artifact(path, serialize.map_to_json(ref, embed=True))
     return path
+
+
+def test_every_exported_name_resolves():
+    for name in graphuniform.__all__:
+        assert hasattr(graphuniform, name), name
 
 
 # ------------------------------------------------------------------- solve
@@ -290,8 +296,11 @@ def test_optimize_exit_4_on_bad_bracket():
 
 
 def test_example_subcommands_all_pass(capsys):
+    # at genus 40 the area (490) is off by 5.6e-7: within the area gate,
+    # which is 1e-7 per 4*pi of area
     for argv in (["example", "regular-4g"],
                  ["example", "regular-4g", "--genus", "3"],
+                 ["example", "regular-4g", "--genus", "40"],
                  ["example", "klein"]):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -347,6 +356,9 @@ def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 10 and "FAIL" not in out
+    assert "10/10 checks passed" in out
+    assert "PASS  klein centre bouquet energy closed form" in out
+    assert not [line for line in out.splitlines() if "triangle" in line]
 
 
 def test_render_surface_svg(tmp_path, genus2_bundle):

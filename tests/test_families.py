@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from graphuniform.errors import BracketError, DomainError, NonConvergenceError
 from graphuniform.families import (
     EnergyEvaluator,
@@ -12,9 +11,7 @@ from graphuniform.families import (
     lagrange_solve,
     minimize_1d,
     properness_probe,
-    sample_curve,
     stationarity_ratio,
-    triangle_energy,
 )
 from graphuniform.hyperboloid import Isometry, hexagon_partner_length
 from graphuniform.solver import SolverConfig
@@ -157,18 +154,6 @@ def test_family_evaluation_builds_no_isometry(monkeypatch):
     assert not built
 
 
-def test_sample_curve_matches_closed_form():
-    fam = family("hexagon-genus2")
-    cfg = SolverConfig(residual_tol=1e-9, max_iters=2000)
-    params = (0.8, 1.2, 1.6)
-    curve = sample_curve(fam, params, cfg)
-    assert curve.parameters == params
-    assert len(curve.iterations) == len(params)
-    for s, e in zip(params, curve.energies):
-        want = hexagon_family_energy(s, 1.0, 1.0)
-        assert abs(e - want) < 1e-8 * (1.0 + want)
-
-
 def test_properness_probe_grows_both_ways():
     fam = family("hexagon-genus2")
     # wide factors via the closed form: at theta*/8 the deck matrices have
@@ -203,21 +188,3 @@ def test_nonconvergence_raises():
     with pytest.raises(NonConvergenceError):
         energy_of_parameter(fam, 1.0, cfg)
 
-
-def test_triangle_energy_closed_form():
-    sides = oracles.triangle_sides_oracle(2, 3, 7)
-    want = 168.0 * sum(l * l for l in sides)
-    got = triangle_energy(2, 3, 7, 168, 1.0, 1.0, 1.0)
-    assert abs(got - want) < 1e-8 * (1.0 + want)
-
-
-def test_triangle_energy_weights_scale_per_class():
-    sides = oracles.triangle_sides_oracle(2, 4, 5)
-    w = (2.0, 3.0, 5.0)
-    want = 120.0 * sum(wi * l * l for wi, l in zip(w, sides))
-    got = triangle_energy(2, 4, 5, 120, *w)
-    assert abs(got - want) < 1e-8 * (1.0 + want)
-    with pytest.raises(DomainError):
-        triangle_energy(2, 3, 7, 0, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        triangle_energy(3, 3, 3, 24, 1.0, 1.0, 1.0)

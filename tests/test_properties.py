@@ -12,8 +12,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from graphuniform.hyperboloid import (
-    HPoint,
     Isometry,
     dist_arr,
     exp_arr,
@@ -31,7 +31,7 @@ radius = st.floats(0.0, 3.0)
 angle = st.floats(-math.pi, math.pi)
 component = st.floats(-2.0, 2.0)
 isometries = st.builds(
-    lambda t, phi: Isometry.x_translation(t) @ Isometry.rotation(HPoint.origin(), phi),
+    lambda t, phi: Isometry(oracles.x_translation(t) @ oracles.rot_z(phi)),
     st.floats(-1.5, 1.5), angle)
 
 _SURFACE, _GRAPH, REFERENCE = build_genus2_hexagon_surface(1.0)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from graphuniform.errors import SchemaError
 from graphuniform.graphs import cycle_with_doubled_edges
-from graphuniform.hyperboloid import HPoint, Isometry
+from graphuniform.hyperboloid import Isometry
 from graphuniform.maps import energy, gauge_transform
 from graphuniform.serialize import (
     dumps,
@@ -185,7 +186,7 @@ def test_map_roundtrip_embedded(genus2_bundle):
 
 def test_map_roundtrip_with_gauge(genus2_bundle):
     _surface, _graph, m = genus2_bundle
-    g = Isometry.x_translation(0.7) @ Isometry.rotation(HPoint.origin(), 0.3)
+    g = Isometry(oracles.x_translation(0.7) @ oracles.rot_z(0.3))
     moved = gauge_transform(m, g)
     doc = map_to_json(moved, embed=True)
     assert "gauge" in doc

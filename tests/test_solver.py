@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from graphuniform.errors import DomainError, GraphValidationError
+from graphuniform.errors import DomainError, GraphValidationError, NotHyperbolicError
 from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet
-from graphuniform.hyperboloid import HPoint, Isometry, dist, dist_arr, exp_arr, minkowski_dot, tangent_basis_arr
+from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot, tangent_basis_arr
 from graphuniform.maps import EdgeData, MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
 from graphuniform.solver import (
     SolverConfig,
@@ -16,11 +16,10 @@ from graphuniform.solver import (
     fd_gradient,
     gauge_fix,
     hessian_fd,
-    hessian_product,
     solve,
     uniqueness_probe,
 )
-from graphuniform.surfaces import family, genus2_deck_words
+from graphuniform.surfaces import build_genus2_hexagon_surface, family, genus2_deck_words
 from graphuniform.variations import VertexVariation, second_variation_fd, second_variation_geodesic
 
 SEAM = math.log(2.0 + math.sqrt(3.0))
@@ -95,9 +94,9 @@ def test_gradient_vanishes_at_convergence(genus2_bundle):
 def test_gauge_fix_canonical_position(genus2_solved):
     fixed = gauge_fix(genus2_solved)
     lifts = fixed.lift_array()
-    assert dist(HPoint(lifts[0]), HPoint.origin()) < 1e-12
+    assert dist_arr(lifts[0], oracles.point_at(0.0, 0.0)) < 1e-12
     # first outgoing edge points along the +x1 axis
-    t = fixed.edge_tangent(fixed.graph.origins.index(0))
+    t = log_arr(*fixed.edge_segment(fixed.graph.origins.index(0)))
     direction = t / np.sqrt(minkowski_dot(t, t))
     assert abs(direction[2]) < 1e-9
     assert direction[1] > 0
@@ -152,7 +151,7 @@ def test_hessian_eigenvalues_gauge_invariant(genus2_solved):
     from graphuniform.hyperboloid import Isometry
     from graphuniform.maps import gauge_transform
 
-    g = Isometry.x_translation(0.4) @ Isometry.rotation(HPoint.origin(), 0.7)
+    g = Isometry(oracles.x_translation(0.4) @ oracles.rot_z(0.7))
     # h at the top of the allowed range keeps FD evaluation noise (which
     # scales like eps/h^2) below the 1e-6 relative target
     e0 = np.linalg.eigvalsh(hessian_fd(genus2_solved, h=1e-3))
@@ -169,7 +168,7 @@ def test_solver_rejects_isolated_vertices(genus2_bundle):
         weights=np.array([1.0, 1.0]),
         classes=("loop", "loop"),
     )
-    lifts = (HPoint.origin(), HPoint.at(0.5, 0.0))
+    lifts = (oracles.point_at(0.0, 0.0), oracles.point_at(0.5, 0.0))
     m = MarkedMap(surface, graph, lifts, ((1,), (-1,)))
     assert np.all(balanced_residual(m).residuals[1] == 0.0)
     with pytest.raises(GraphValidationError) as exc:
@@ -222,6 +221,29 @@ def test_unreachable_tolerance_stops_as_stalled(genus2_bundle):
     assert trace.residuals[-1] < 1e-11
 
 
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (4.0, 1.0)])
+def test_line_search_rejects_trial_steps_that_leave_the_sheet(weights, monkeypatch):
+    # at seam 8.5 the deck matrices are so large that some Newton trial
+    # steps carry lifts off the upper sheet; those trials are halved like
+    # failed Armijo tests, and the float64 floor ends the solve as stalled
+    import graphuniform.solver as solver
+
+    left = []
+
+    def exp_counting(p, v):
+        try:
+            return exp_arr(p, v)
+        except NotHyperbolicError:
+            left.append(1)
+            raise
+
+    monkeypatch.setattr(solver, "exp_arr", exp_counting)
+    trace = solve(build_genus2_hexagon_surface(8.5, weights)[2])
+    assert left
+    assert trace.stop_reason == "stalled"
+    assert trace.energies[-1] < trace.energies[0]
+
+
 def test_solver_builds_edge_geometry_once_per_iterate_and_blocks_per_step(genus2_bundle, monkeypatch):
     _, _, ref = genus2_bundle
     calls = {"geometry": 0, "hessian": 0}
@@ -264,7 +286,7 @@ def test_hessian_product_matches_fd_hessian_at_solution(genus2_solved):
     rng = np.random.default_rng(30)
     for _ in range(3):
         coords = rng.standard_normal(2 * m.graph.vertex_count)
-        hv = hessian_product(m, _tangent_field(m, coords))
+        hv = m.edges.hessian(m.lifts)(_tangent_field(m, coords))
         got = minkowski_dot(hv[:, None, :], bases).ravel()
         want = hess @ coords
         assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want)))
@@ -279,7 +301,7 @@ def test_hessian_product_is_second_variation_off_critical_points(genus2_bundle):
     assert balanced_residual(m).max_norm > 0.1
     for seed in (32, 33, 34):
         v = VertexVariation.random(m, seed=seed)
-        quad = float(np.sum(minkowski_dot(v.vectors, hessian_product(m, v.vectors))))
+        quad = float(np.sum(minkowski_dot(v.vectors, m.edges.hessian(m.lifts)(v.vectors))))
         assert abs(quad - second_variation_geodesic(m, v)) < 1e-10 * (1.0 + abs(quad))
         fd = second_variation_fd(m, v, h=1e-3)
         assert abs(quad - fd) < 1e-6 * (1.0 + abs(quad))
@@ -289,7 +311,7 @@ def _map_with_empty_stars(surface):
     # vertices 1 and 3 carry no edge: one empty star between busy ones, one
     # at the end of the half-edge rows
     graph = WeightedGraph.from_edges(4, [(0, 2, 1.0, "e"), (2, 0, 2.0, "e")])
-    lifts = (HPoint.origin(), HPoint.at(0.3, 1.0), HPoint.at(0.5, 0.0), HPoint.at(0.2, 2.0))
+    lifts = [oracles.point_at(d, a) for d, a in ((0.0, 0.0), (0.3, 1.0), (0.5, 0.0), (0.2, 2.0))]
     return MarkedMap(surface, graph, lifts, ((1,), (-1,), (), ()))
 
 
@@ -300,7 +322,7 @@ def _hessian_test_maps(bundle, case):
     if case == "random":
         return ref.with_lifts(initial_lifts(surface, graph, "random", seed=41))
     if case == "gauged":
-        g = Isometry.x_translation(0.8) @ Isometry.rotation(HPoint.origin(), 1.1)
+        g = Isometry(oracles.x_translation(0.8) @ oracles.rot_z(1.1))
         return gauge_transform(perturbed(ref, 0.2, seed=43), g)
     return _map_with_empty_stars(surface)
 
@@ -314,7 +336,7 @@ def test_assembled_hessian_matches_per_edge_reference(genus2_bundle, case):
     rng = np.random.default_rng(44)
     for _ in range(3):
         v = _tangent_field(m, rng.standard_normal(2 * m.graph.vertex_count))
-        got = hessian_product(m, v)
+        got = m.edges.hessian(m.lifts)(v)
         want = oracles.polarized_hvp(m, x, v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     if case == "empty-star":
@@ -360,8 +382,7 @@ def test_gauge_fix_is_canonical_and_idempotent(genus2_solved):
     rng = np.random.default_rng(17)
     for _ in range(6):
         a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
-        g = (Isometry.rotation(HPoint.origin(), a) @ Isometry.x_translation(rng.uniform(0.0, 1.5))
-             @ Isometry.rotation(HPoint.origin(), b))
+        g = Isometry(oracles.rot_z(a) @ oracles.x_translation(rng.uniform(0.0, 1.5)) @ oracles.rot_z(b))
         again = gauge_fix(gauge_transform(genus2_solved, g))
         assert np.max(np.abs(again.lift_array() - fixed.lift_array())) < 1e-10
         assert np.max(np.abs(again.edges.mats - fixed.edges.mats)) < 1e-10 * scale
@@ -371,7 +392,7 @@ def test_gauge_fix_is_canonical_and_idempotent(genus2_solved):
 
 
 def test_gauge_moves_build_only_the_stored_gauge(genus2_solved, monkeypatch):
-    g = Isometry.x_translation(0.7) @ Isometry.rotation(HPoint.origin(), 0.3)
+    g = Isometry(oracles.x_translation(0.7) @ oracles.rot_z(0.3))
     built = []
     post_init = Isometry.__post_init__
     monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(1) or post_init(self))

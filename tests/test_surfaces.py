@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from graphuniform.errors import DomainError, GeometryError
-from graphuniform.hyperboloid import J_MATRIX, Isometry, polygon_area, polygon_interior_angles
+from graphuniform.families import hexagon_family_energy
+from graphuniform.hyperboloid import J_MATRIX, Isometry, dist_arr, polygon_area, polygon_interior_angles
+from graphuniform.maps import energy
 from graphuniform.surfaces import (
     SurfaceModel,
     build_genus2_hexagon_surface,
@@ -53,7 +55,7 @@ def test_genus2_polygon_closes_with_right_angles():
 def test_genus2_seam_lengths_alternate():
     s = 0.9
     surface, graph, ref = build_genus2_hexagon_surface(s)
-    lengths = [ref.edge_length(e) for e, *_ in ref.graph.unoriented_edges()]
+    lengths = [dist_arr(*ref.edge_segment(e)) for e, *_ in ref.graph.unoriented_edges()]
     classes = [cls for *_, cls in ref.graph.unoriented_edges()]
     # class-d edges realize the seam s itself, class-c edges its partner t(s)
     for ln, cls in zip(lengths, classes):
@@ -158,7 +160,7 @@ def test_generator_table_matches_the_isometries(genus2_bundle, klein_surface, oc
             assert surface.generator_matrix(k).tobytes() == m.tobytes()
             assert np.array_equal(surface.generator_matrix(-k), J_MATRIX @ m.T @ J_MATRIX)
     # Isometry values given to the constructor are handed back unchanged
-    gens = (Isometry.x_translation(0.4), Isometry.identity())
+    gens = (Isometry(oracles.x_translation(0.4)), Isometry.identity())
     assert SurfaceModel(2, gens).generators is gens
     with pytest.raises(GeometryError, match="in row 1"):
         SurfaceModel(2, np.stack([np.eye(3), np.diag([2.0, 1.0, 1.0])]))
@@ -213,10 +215,13 @@ def test_genus2_builder_rejects_bad_seam():
 
 def test_hexagon_family_builds_across_its_domain():
     # 60 seams on a geometric grid strictly inside the declared domain: every
-    # one builds and its relators close
+    # one builds, validates, and its reference map has the closed-form energy
     fam = family("hexagon-genus2")
     lo, hi = fam.domain
     for s in np.geomspace(lo, hi, 62)[1:-1]:
-        surface, _graph, _ref = fam.build(float(s))
+        surface, _graph, ref = fam.build(float(s))
         report = validate_surface(surface)
         assert not [issue for issue in report.issues if issue[0] == "RELATOR"], (s, report.issues)
+        assert report.ok, (s, report.issues)
+        closed = hexagon_family_energy(float(s), 1.0, 1.0)
+        assert abs(energy(ref) - closed) <= 1e-6 * closed, s

@@ -9,7 +9,8 @@ on top without touching the words, so gauge moves keep the class exact.
 
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per map from the words, and is the
-one kernel for energy, balanced residual and the Hessian blocks;
+one kernel for energy, balanced residual and the Hessian blocks, which
+`Hessian` applies to tangent fields or assembles into a dense matrix;
 `variations` and `solver` evaluate through it too.  The lifts are one
 validated (V, 3) array, deck matrices one (E, 3, 3) array from the surface's
 generator array, edge endpoints and tangents plain 3-vectors; `HPoint`s
@@ -146,9 +147,9 @@ class EdgeData:
         tangents = _project_tangent_arr(p, (q - cosh * p) / sinhc)
         return self.star_sums(self.weights[:, None] * tangents, axis=-2)
 
-    def hessian(self, x: np.ndarray, geometry: tuple | None = None):
-        """Riemannian Hessian of the energy at lifts x (V, 3), as a map on
-        tangent fields.
+    def hessian(self, x: np.ndarray, geometry: tuple | None = None) -> "Hessian":
+        """Riemannian Hessian of the energy at lifts x (V, 3), as a `Hessian`
+        that applies it to tangent fields.
 
         Per half-edge from p to q (length ell, geodesic pole n, variation
         values v0 at p and v1 = deck v[terminus] at q) this is the polarized
@@ -166,7 +167,8 @@ class EdgeData:
           (<T,p> = -1, <n,p> = 0); a projection multiplied in would only
           amplify rounding, by |p|^2.
 
-        A product is near v + star_sums(far v[termini]).
+        A product is near v + star_sums(far v[termini]); `Hessian.matrix`
+        assembles the same blocks into a dense matrix.
         """
         p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
@@ -181,13 +183,46 @@ class EdgeData:
         near = self.star_sums(w2 * (eye + a * pole_pole))
         near = (eye + x[:, :, None] * (x * J_DIAG)[:, None, :]) @ near
         far = (w2 * (-eye - transport[:, :, None] * (p * J_DIAG)[:, None, :] - b * pole_pole)) @ self.mats
-        termini = self.termini
+        return Hessian(self, near, far)
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            return (np.einsum("vij,vj->vi", near, v)
-                    + self.star_sums(np.einsum("eij,ej->ei", far, v[termini])))
+    @cached_property
+    def block_scatter(self) -> np.ndarray:
+        """Flat index into a (2V, 2V) matrix of every entry of the V near
+        2x2 blocks, placed at (v, v), then of the E far blocks, placed at
+        (origin, terminus); `np.bincount` through it adds up the blocks that
+        share a place (doubled edges, loops)."""
+        rows = np.concatenate([np.arange(self.vertex_count), self.origins])
+        cols = np.concatenate([np.arange(self.vertex_count), self.termini])
+        pair = np.arange(2)
+        return ((2 * rows[:, None, None] + pair[:, None]) * (2 * self.vertex_count)
+                + 2 * cols[:, None, None] + pair).ravel()
 
-        return apply
+
+@dataclass(frozen=True, eq=False)
+class Hessian:
+    """The energy Hessian at one set of lifts, as the 3x3 blocks built by
+    `EdgeData.hessian`: near (V, 3, 3) acts on v[vertex], far (E, 3, 3) on
+    v[terminus] of each row.  Calling it applies it to a tangent field."""
+
+    edges: EdgeData
+    near: np.ndarray
+    far: np.ndarray
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return (np.einsum("vij,vj->vi", self.near, v)
+                + self.edges.star_sums(np.einsum("eij,ej->ei", self.far, v[self.edges.termini])))
+
+    def matrix(self, bases: np.ndarray) -> np.ndarray:
+        """(2V, 2V) matrix in the coordinates of the orthonormal tangent bases
+        (V, 2, 3) at the lifts: entry (2v + i, 2u + j) is <bases[v, i], H
+        bases[u, j]>."""
+        edges = self.edges
+        left = bases * J_DIAG
+        right = bases.transpose(0, 2, 1)
+        blocks = np.concatenate([left @ self.near @ right,
+                                 left[edges.origins] @ self.far @ right[edges.termini]])
+        n = 2 * edges.vertex_count
+        return np.bincount(edges.block_scatter, weights=blocks.ravel(), minlength=n * n).reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,14 +1,30 @@
-"""Harmonic-map solver: Riemannian Newton-CG over vertex lifts with fixed deck words.
+"""Harmonic-map solver: Riemannian Newton over vertex lifts with fixed deck words.
 
 Each step solves the Newton equation H s = 2r (r the balanced-condition
-residual, -2r the energy gradient) inexactly by truncated conjugate
-gradients, then moves every vertex along its share of s by the exponential
-map, with Armijo backtracking so accepted steps strictly decrease energy;
-a trial step that leaves the hyperboloid's upper sheet is rejected like
-one that fails the Armijo test.  The Hessian is assembled once per step as
-3x3 blocks: `near`, one per vertex (its star's own terms), and `far`, one
-per half-edge (the coupling to the far end's lift), so a CG product is two
-batched 3x3 products and one star sum (`maps.EdgeData.hessian`).  The
+residual, -2r the energy gradient), then moves every vertex along its share
+of s by the exponential map, with Armijo backtracking so accepted steps
+strictly decrease energy; a trial step that leaves the hyperboloid's upper
+sheet is rejected like one that fails the Armijo test.  The Hessian is
+assembled once per step as 3x3 blocks: `near`, one per vertex (its star's
+own terms), and `far`, one per half-edge (the coupling to the far end's
+lift) (`maps.EdgeData.hessian`).  How the equation is solved depends on the
+map's size V:
+
+- up to DENSE_MAX_VERTICES (49) vertices, exactly: the blocks are scattered
+  into the dense (2V, 2V) matrix in tangent_basis_arr coordinates, which one
+  LU solve factors.  Steps this small cost numpy call overhead more than
+  arithmetic, and exact steps converge quadratically: from the perturbed
+  subdivided genus-2 starts of V = 6, 18 and 42 a solve takes 2-4 steps and
+  1.5-4.1 ms, against 6-10 CG steps and 3.0-8.4 ms (2-core x86-64 host).
+- above that, inexactly by truncated conjugate gradients with forcing term
+  min(0.5, sqrt|2r|), each product being two batched 3x3 products and one
+  star sum.  There the LU solve would cost 1.6-6 ms a step at V = 90-186
+  and 20-31 ms at V = 378, and OpenBLAS would run it on worker threads (see
+  DENSE_MAX_VERTICES).
+
+If the LU solve fails, or its step is not finite, meets the gradient at an
+angle whose cosine is under DESCENT_COSINE, or passes no line-search trial,
+the iteration takes the CG step instead.  The
 squared distance is jointly convex on the hyperbolic plane, so the Hessian
 is positive semidefinite and CG meets non-positive curvature only through
 rounding or on a degenerate map; its first iterate is a gradient step.
@@ -53,6 +69,20 @@ GAUGE_TOL = 1e-7
 # when the energy falls by at least SUFFICIENT_DECREASE * t * slope.
 SUFFICIENT_DECREASE = 1e-4
 BACKTRACK_FACTOR = 0.5
+# Largest vertex count whose Newton steps are exact LU solves of the dense
+# (2V, 2V) Hessian; larger maps take truncated CG steps.  Up to here the
+# matrix has under 10,000 entries, which OpenBLAS's dgesv factors on one
+# thread; from 10,000 on it starts worker threads, and on a shared 2-core
+# x86-64 host those stalled solves of n = 120 by 0.06-0.12 s each, against
+# 0.2 ms on one thread.
+DENSE_MAX_VERTICES = 49
+# Smallest cosine between an exact step and the gradient (the angle condition
+# of line-search Newton methods).  A Newton step on a Hessian of condition
+# number k has cosine at least 2/sqrt(k), 0.38 or more on the genus-2 maps;
+# on maps whose image lies in a geodesic, the Hessian is singular along it,
+# and the LU solve turns rounding in the gradient into steps with cosines of
+# 3e-7 to 2e-4 that carry the lifts far along the geodesic, out of float range.
+DESCENT_COSINE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -77,16 +107,20 @@ class SolveTrace:
     # "converged" (residual tolerance met), "budget" (max_iters used up) or
     # "stalled" (no step passes the line search: the float floor)
     stop_reason: str
+    # kind of each accepted step: "lu" (exact) or "cg" (truncated CG)
+    steps: tuple[str, ...]
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
     def jsonl(self) -> str:
-        """One JSON object per iteration: iteration, energy, residual."""
+        """One JSON object per iterate: iteration, energy, residual, and from
+        iterate 1 on the kind of step that reached it."""
         lines = []
         for i, (e, r) in enumerate(zip(self.energies, self.residuals)):
-            lines.append('{"iteration": %d, "energy": %.17g, "residual": %.17g}' % (i, e, r))
+            step = ', "step": "%s"' % self.steps[i - 1] if i else ""
+            lines.append('{"iteration": %d, "energy": %.17g, "residual": %.17g%s}' % (i, e, r, step))
         return "\n".join(lines) + "\n"
 
 
@@ -139,15 +173,64 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
         raise DomainError(f"float64 overflowed ({exc}): edge weights or lift coordinates too large") from None
 
 
+def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """Exact solution s of H s = 2r by one LU solve of the (2V, 2V) Hessian
+    in tangent_basis_arr coordinates, mapped back along the bases; None when
+    the matrix is singular, or s is not finite or not a descent direction at
+    an angle to the gradient of cosine DESCENT_COSINE or more.  The Hessian
+    is self-adjoint, so the assembled matrix's antisymmetric part is
+    rounding and is dropped: (H + H^T) s = 4r."""
+    bases = tangent_basis_arr(x)
+    rhs = 2.0 * minkowski_dot(r[:, None, :], bases).ravel()
+    matrix = hessian.matrix(bases)
+    try:
+        coords = np.linalg.solve(matrix + matrix.T, 2.0 * rhs)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        cosine = rhs @ coords / (np.linalg.norm(rhs) * np.linalg.norm(coords))
+    if not cosine >= DESCENT_COSINE:  # also when coords are not finite: nan
+        return None
+    return np.einsum("vi,vij->vj", coords.reshape(-1, 2), bases)
+
+
+def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: float, max_res: float):
+    """Armijo backtracking along exp_x(tau delta), tau = 1, 1/2, ...: the
+    accepted trial's (lifts, geometry, energy), or None when no trial passes.
+    A trial that leaves the sheet is rejected like one that fails the test."""
+    slope = 2.0 * _inner(r, delta)
+    # once the predicted decrease drops under the float resolution of the
+    # energy, the Armijo comparison is rounding noise; switch the
+    # acceptance test to strict residual decrease, which stays measurable
+    floor = 16.0 * np.finfo(float).eps * max(1.0, abs(e_cur))
+    tau = 1.0
+    for _ in range(80):
+        try:
+            x_new = exp_arr(x, tau * delta)
+        except NotHyperbolicError:
+            tau *= BACKTRACK_FACTOR
+            continue
+        trial = edges.geometry(x_new)
+        e_new = edges.energy(x_new, trial)
+        if e_new <= e_cur - SUFFICIENT_DECREASE * tau * slope:
+            return x_new, trial, e_new
+        if SUFFICIENT_DECREASE * tau * slope <= floor:
+            if float(np.max(_residual_norms(edges.residual(x_new, trial)))) < max_res:
+                return x_new, trial, e_new
+        tau *= BACKTRACK_FACTOR
+    return None
+
+
 @np.errstate(over="raise", invalid="raise")
 def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
     edges = m0.edges
     if len(edges.busy) < m0.graph.vertex_count:
         raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")
     x = m0.lift_array()
+    dense = len(x) <= DENSE_MAX_VERTICES
     energies: list[float] = []
     residual_trace: list[float] = []
-    steps = 0
+    kinds: list[str] = []
     stop_reason = "stalled"
 
     geometry = edges.geometry(x)
@@ -160,42 +243,25 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
         if max_res <= cfg.residual_tol:
             stop_reason = "converged"
             break
-        if steps >= cfg.max_iters:
+        if len(kinds) >= cfg.max_iters:
             stop_reason = "budget"
             break
 
-        delta = _newton_step(edges.hessian(x, geometry), r)
-        slope = 2.0 * _inner(r, delta)
-        # once the predicted decrease drops under the float resolution of the
-        # energy, the Armijo comparison is rounding noise; switch the
-        # acceptance test to strict residual decrease, which stays measurable
-        floor = 16.0 * np.finfo(float).eps * max(1.0, abs(e_cur))
-        tau = 1.0
-        accepted = False
-        for _ in range(80):
-            try:
-                x_new = exp_arr(x, tau * delta)
-            except NotHyperbolicError:  # the trial step left the sheet: reject it
-                tau *= BACKTRACK_FACTOR
-                continue
-            trial = edges.geometry(x_new)
-            e_new = edges.energy(x_new, trial)
-            if e_new <= e_cur - SUFFICIENT_DECREASE * tau * slope:
-                accepted = True
-                break
-            if SUFFICIENT_DECREASE * tau * slope <= floor:
-                new_max = float(np.max(_residual_norms(edges.residual(x_new, trial))))
-                if new_max < max_res:
-                    accepted = True
-                    break
-            tau *= BACKTRACK_FACTOR
-        if not accepted:
+        hessian = edges.hessian(x, geometry)
+        found = None
+        if dense:
+            delta = _exact_step(hessian, x, r)
+            if delta is not None:
+                found, kind = _line_search(edges, x, delta, r, e_cur, max_res), "lu"
+        if found is None:
+            found, kind = _line_search(edges, x, _newton_step(hessian, r), r, e_cur, max_res), "cg"
+        if found is None:
             break  # at the numerical floor of both energy and residual
-        x, geometry, e_cur = x_new, trial, e_new
-        steps += 1
+        x, geometry, e_cur = found
+        kinds.append(kind)
 
     final = m0.with_lifts(x)
-    return SolveTrace(tuple(energies), tuple(residual_trace), final, steps, stop_reason)
+    return SolveTrace(tuple(energies), tuple(residual_trace), final, len(kinds), stop_reason, tuple(kinds))
 
 
 def gauge_fix(m: MarkedMap) -> MarkedMap:

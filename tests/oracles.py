@@ -170,3 +170,36 @@ def hessian_fd_columns(m, h):
             grads.append(minkowski_dot(grad[:, None, :], tangent_basis_arr(moved)).ravel())
         hess[:, i] = (grads[0] - grads[1]) / (2.0 * h)
     return 0.5 * (hess + hess.T)
+
+
+
+
+def cg_solve(apply, rhs, bases, rtol):
+    """Plain conjugate gradients for apply(s) = rhs on tangent fields (V, 3),
+    run on their coordinates in the orthonormal tangent bases (V, 2, 3) until
+    the residual is under rtol times the right-hand side.  Every product is
+    taken on a field rebuilt from coordinates, so no rounding off the tangent
+    planes reaches `apply`.  Returns the solution field and its relative
+    residual."""
+    def coords(u):
+        return np.einsum("vi,vai->va", u * np.array([-1.0, 1.0, 1.0]), bases).ravel()
+
+    def field(c):
+        return np.einsum("va,vai->vi", c.reshape(-1, 2), bases)
+
+    b = coords(rhs)
+    c = np.zeros_like(b)
+    res = b.copy()
+    d = res.copy()
+    rr = res @ res
+    for _ in range(20 * b.size):
+        hd = coords(apply(field(d)))
+        alpha = rr / (d @ hd)
+        c = c + alpha * d
+        res = res - alpha * hd
+        rr, rr_old = res @ res, rr
+        if math.sqrt(rr) <= rtol * math.sqrt(b @ b):
+            break
+        d = res + (rr / rr_old) * d
+    true_res = b - coords(apply(field(c)))
+    return field(c), math.sqrt((true_res @ true_res) / (b @ b))

@@ -57,10 +57,13 @@ def test_solve_writes_parseable_trace(map_file, tmp_path):
                "--init", "random", "--seed", "1", "--trace", trace])
     assert rc == 0
     lines = open(trace).read().splitlines()
-    assert lines
-    for line in lines:
+    assert len(lines) == serialize.read_json(out)["iterations"] + 1 > 1
+    for i, line in enumerate(lines):
         row = json.loads(line)
         assert {"iteration", "energy", "residual"} <= set(row)
+        # from the first step on, each line names the kind of step taken
+        assert ("step" in row) == (i > 0)
+        assert row.get("step", "lu") in ("lu", "cg")
     energies = [json.loads(l)["energy"] for l in lines]
     slack = 1e3 * 2.2e-16 * (1.0 + energies[0])  # rounding wobble at the floor
     assert all(b <= a + slack for a, b in zip(energies, energies[1:]))

@@ -9,8 +9,9 @@ from graphuniform.errors import DomainError, GraphValidationError, NotHyperbolic
 from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot, tangent_basis_arr
-from graphuniform.maps import EdgeData, MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
+from graphuniform.maps import EdgeData, Hessian, MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
 from graphuniform.solver import (
+    DENSE_MAX_VERTICES,
     SolverConfig,
     UniquenessReport,
     fd_gradient,
@@ -19,7 +20,7 @@ from graphuniform.solver import (
     solve,
     uniqueness_probe,
 )
-from graphuniform.surfaces import build_genus2_hexagon_surface, family, genus2_deck_words
+from graphuniform.surfaces import _center_bouquet, build_genus2_hexagon_surface, family, genus2_deck_words
 from graphuniform.variations import VertexVariation, second_variation_fd, second_variation_geodesic
 
 SEAM = math.log(2.0 + math.sqrt(3.0))
@@ -71,12 +72,16 @@ def test_trace_jsonl_parses(genus2_bundle):
     lifts = initial_lifts(surface, graph, mode="random", seed=3)
     trace = solve(ref.with_lifts(lifts), SolverConfig(residual_tol=1e-6, max_iters=500))
     lines = trace.jsonl().strip().splitlines()
-    assert len(lines) == len(trace.energies)
+    assert len(lines) == len(trace.energies) == trace.iterations + 1
+    assert len(trace.steps) == trace.iterations > 0
     for i, line in enumerate(lines):
         doc = json.loads(line)
         assert doc["iteration"] == i
         assert doc["energy"] == trace.energies[i]
         assert doc["residual"] == trace.residuals[i]
+        # the kind of step that reached the iterate; the start has none
+        assert doc.get("step") == (trace.steps[i - 1] if i else None)
+        assert doc.get("step", "lu") in ("lu", "cg")
 
 
 def test_gradient_vanishes_at_convergence(genus2_bundle):
@@ -198,6 +203,11 @@ def test_uniqueness_probe_flags_single_loop(octagon_surface):
     assert report.degenerate
     assert not report.ok
     assert "uniqueness hypothesis" in report.message
+    # the loop's Hessian is singular along the generator's axis at the limit;
+    # the exact steps that reach it still converge from every start
+    for seed in range(8):
+        report = uniqueness_probe(octagon_surface, bouquet(1), ((1,),), 4, SolverConfig(seed=seed))
+        assert all(report.converged) and report.degenerate and not report.ok
 
 
 def test_zero_iteration_budget_reports_nonconvergence(genus2_bundle):
@@ -360,7 +370,13 @@ def test_subdivided_genus2_solves_in_few_newton_steps(k):
     start = perturbed(oracles.subdivide(ref, k), 0.05, seed=k)
     trace = solve(start)
     assert trace.converged
-    assert trace.iterations <= 20
+    # the step is chosen by size alone: exact steps (V = 6, 18, 42) converge
+    # quadratically, in 2 steps at k = 1 and 4 at k = 2 and 4; truncated CG
+    # on the larger maps (V = 90, 378) takes 11 to 15
+    dense = start.graph.vertex_count <= DENSE_MAX_VERTICES
+    assert dense == (k <= 4)
+    assert trace.steps == ("lu" if dense else "cg",) * trace.iterations
+    assert trace.iterations <= (4 if dense else 20)
     exact = hexagon_family_energy(SEAM, 1.0, 1.0)
     assert abs(energy(trace.final_map) - exact) <= 1e-9 * exact
 
@@ -425,3 +441,131 @@ def test_uniqueness_probe_builds_no_points_per_vertex(genus2_bundle, monkeypatch
         assert report.ok, report.message
         counts.append(len(calls) - before)
     assert counts[0] == counts[1], counts
+
+
+def _dense_test_maps(genus2_solved, klein_surface, case):
+    if case == "k1-solved":
+        return genus2_solved
+    if case == "k1-perturbed":
+        return perturbed(genus2_solved, 0.3, seed=40)
+    if case == "k2-solved":
+        return oracles.subdivide(genus2_solved, 2)
+    if case == "k2-perturbed":
+        return perturbed(oracles.subdivide(genus2_solved, 2), 0.05, seed=2)
+    if case == "octagon-bouquet":
+        return perturbed(family("regular-4g", genus=2).build()[2], 0.3, seed=47)
+    if case == "klein-bouquet":
+        return perturbed(_center_bouquet(klein_surface)[2], 0.3, seed=48)
+    surface = family("regular-4g", genus=2).build()[0]
+    return MarkedMap(surface, bouquet(1), initial_lifts(surface, bouquet(1), "random", seed=2), ((1,), (-1,)))
+
+
+@pytest.mark.parametrize("case", ["k1-solved", "k1-perturbed", "k2-solved", "k2-perturbed",
+                                  "octagon-bouquet", "klein-bouquet", "one-loop"])
+def test_dense_hessian_reproduces_the_product_on_every_basis_vector(genus2_solved, klein_surface, case):
+    # the genus-2 maps have doubled edges and the bouquets put every far
+    # block on the diagonal: blocks sharing a place must add up
+    m = _dense_test_maps(genus2_solved, klein_surface, case)
+    x = m.lift_array()
+    bases = tangent_basis_arr(x)
+    hessian = m.edges.hessian(x)
+    dense = hessian.matrix(bases)
+    dim = 2 * len(x)
+    assert dense.shape == (dim, dim)
+    columns = np.empty((dim, dim))
+    scale = 0.0
+    for j in range(dim):
+        v = np.zeros_like(x)
+        v[j // 2] = bases[j // 2, j % 2]
+        hv = hessian(v)
+        columns[:, j] = minkowski_dot(hv[:, None, :], bases).ravel()
+        scale = max(scale, np.max(np.abs(hv)))
+    # an entry is a pairing of two vectors with ambient coordinates up to
+    # |H b| and |b|, which sets the size of its rounding
+    assert np.max(np.abs(dense - columns)) <= 1e-12 * scale * np.max(np.abs(bases))
+
+
+@pytest.mark.parametrize("case", ["k1-solved", "k2-solved"])
+def test_dense_hessian_matches_fd_hessian_at_a_harmonic_map(genus2_solved, klein_surface, case):
+    m = _dense_test_maps(genus2_solved, klein_surface, case)
+    assert balanced_residual(m).max_norm < 1e-9
+    x = m.lift_array()
+    dense = m.edges.hessian(x).matrix(tangent_basis_arr(x))
+    fd = hessian_fd(m, h=1e-4)
+    assert np.max(np.abs(dense - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("case", ["k1-perturbed", "k2-perturbed", "octagon-bouquet", "klein-bouquet", "one-loop"])
+def test_exact_step_equals_a_converged_cg_step(genus2_solved, klein_surface, case):
+    import graphuniform.solver as solver
+
+    m = _dense_test_maps(genus2_solved, klein_surface, case)
+    x = m.lift_array()
+    r = m.edges.residual(x)
+    assert np.max(np.abs(r)) > 1e-3
+    hessian = m.edges.hessian(x)
+    lu = solver._exact_step(hessian, x, r)
+    cg, relative_residual = oracles.cg_solve(hessian, 2.0 * r, tangent_basis_arr(x), rtol=1e-13)
+    # CG is driven to 1e-13 or to its rounding floor (1e-12 on the k = 2
+    # map), far under the 1e-8 that the steps are compared at
+    assert relative_residual <= 1e-10
+    assert np.max(np.abs(lu - cg)) <= 1e-8 * np.max(np.abs(cg))
+
+
+@pytest.mark.parametrize("case", ["singular", "not-finite", "uphill", "line-search"])
+def test_failed_exact_step_falls_back_to_cg(genus2_bundle, monkeypatch, case):
+    # a matrix that LU cannot factor, a step that is not finite or climbs,
+    # or a step no line-search trial accepts: the iteration takes the CG
+    # step, so the solve is the CG-only solve, step for step
+    import graphuniform.solver as solver
+
+    start = perturbed(genus2_bundle[2], 0.1, seed=46)
+    monkeypatch.setattr(solver, "DENSE_MAX_VERTICES", 0)
+    cg_only = solve(start)
+    monkeypatch.setattr(solver, "DENSE_MAX_VERTICES", DENSE_MAX_VERTICES)
+    matrix = Hessian.matrix
+    if case == "singular":
+        monkeypatch.setattr(Hessian, "matrix", lambda self, bases: 0.0 * matrix(self, bases))
+    elif case == "not-finite":
+        # factors without a zero pivot, but the solution overflows
+        monkeypatch.setattr(Hessian, "matrix", lambda self, bases: 1e-320 * np.eye(2 * len(bases)))
+    elif case == "uphill":
+        monkeypatch.setattr(Hessian, "matrix", lambda self, bases: -matrix(self, bases))
+    else:
+        exact_step, line_search = solver._exact_step, solver._line_search
+        proposed = []
+
+        def proposing(hessian, x, r):
+            proposed.append(exact_step(hessian, x, r))
+            return proposed[-1]
+
+        def rejecting(edges, x, delta, *args):
+            return None if delta is proposed[-1] else line_search(edges, x, delta, *args)
+
+        monkeypatch.setattr(solver, "_exact_step", proposing)
+        monkeypatch.setattr(solver, "_line_search", rejecting)
+    trace = solve(start)
+    if case == "line-search":
+        assert len(proposed) == trace.iterations
+    assert trace.converged and trace.iterations == cg_only.iterations > 2
+    assert trace.steps == ("cg",) * trace.iterations
+    assert trace.energies == cg_only.energies and trace.residuals == cg_only.residuals
+
+
+@pytest.mark.parametrize("genus_or_klein,words", [(2, ((1,), (-1,))), (3, ((1, 2),)), ("klein", ((1,), (1,)))])
+def test_exact_steps_do_not_run_along_the_geodesic_of_a_degenerate_map(genus_or_klein, words):
+    # every loop maps into one geodesic, along which the Hessian is singular:
+    # an LU step there is rounding amplified along the geodesic, nearly
+    # orthogonal to the gradient, and without the angle condition it carried
+    # the lifts out of float range on some of these starts
+    from graphuniform.surfaces import build_klein_quartic, build_regular_4g_surface
+
+    surface = build_klein_quartic() if genus_or_klein == "klein" else build_regular_4g_surface(genus_or_klein)
+    graph = bouquet(len(words))
+    for seed in range(6):
+        start = initial_lifts(surface, graph, "random", seed)
+        trace = solve(MarkedMap.from_unoriented_words(surface, graph, start, words))
+        assert trace.converged
+        assert np.max(np.abs(trace.final_map.lifts)) < 10.0
+        report = uniqueness_probe(surface, graph, words, 3, SolverConfig(seed=seed))
+        assert report.degenerate and not report.ok

@@ -10,11 +10,12 @@ on top without touching the words, so gauge moves keep the class exact.
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per map from the words, and is the
 one kernel for energy, balanced residual and the Hessian blocks, which
-`Hessian` applies to tangent fields or assembles into a dense matrix;
-`variations` and `solver` evaluate through it too.  The lifts are one
-validated (V, 3) array, deck matrices one (E, 3, 3) array from the surface's
-generator array, edge endpoints and tangents plain 3-vectors; `HPoint`s
-appear only at the API edges, built on demand.
+`Hessian` applies to tangent fields or assembles into the blocks of a
+block-tridiagonal matrix, in the breadth-first vertex order of the map's
+`BlockPlan`; `variations` and `solver` evaluate through it too.  The lifts
+are one validated (V, 3) array, deck matrices one (E, 3, 3) array from the
+surface's generator array, edge endpoints and tangents plain 3-vectors;
+`HPoint`s appear only at the API edges, built on demand.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ from .hyperboloid import (
 from .surfaces import SurfaceModel
 
 _REVERSAL_TOL = 1e-10
+# Most vertices in one block of the Hessian's `BlockPlan`, so the largest
+# matrix an exact Newton step factors is (2 * 49, 2 * 49).  Under 10,000
+# entries OpenBLAS's dgesv factors on one thread; from 10,000 on it starts
+# worker threads, and on a shared 2-core x86-64 host those stalled solves
+# of n = 120 by 0.06-0.12 s each, against 0.2 ms on one thread.
+DENSE_MAX_VERTICES = 49
 _IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never changes
 
 
@@ -168,7 +175,9 @@ class EdgeData:
           amplify rounding, by |p|^2.
 
         A product is near v + star_sums(far v[termini]); `Hessian.matrix`
-        assembles the same blocks into a dense matrix.
+        assembles the same blocks into the block-tridiagonal matrix of the
+        `block_plan`: one dense (2V, 2V) matrix when V <= DENSE_MAX_VERTICES,
+        else blocks of at most 2 * DENSE_MAX_VERTICES rows.
         """
         p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
@@ -186,16 +195,134 @@ class EdgeData:
         return Hessian(self, near, far)
 
     @cached_property
-    def block_scatter(self) -> np.ndarray:
-        """Flat index into a (2V, 2V) matrix of every entry of the V near
-        2x2 blocks, placed at (v, v), then of the E far blocks, placed at
-        (origin, terminus); `np.bincount` through it adds up the blocks that
-        share a place (doubled edges, loops)."""
-        rows = np.concatenate([np.arange(self.vertex_count), self.origins])
-        cols = np.concatenate([np.arange(self.vertex_count), self.termini])
-        pair = np.arange(2)
-        return ((2 * rows[:, None, None] + pair[:, None]) * (2 * self.vertex_count)
-                + 2 * cols[:, None, None] + pair).ravel()
+    def block_plan(self) -> "BlockPlan":
+        """The order and blocks in which `Hessian.matrix` assembles the
+        Hessian, built on first use and shared by every map that shares
+        these arrays."""
+        return BlockPlan.build(self)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPlan:
+    """A vertex order in which the Hessian of a map is block-tridiagonal.
+
+    A graph of at most DENSE_MAX_VERTICES vertices is one block in vertex
+    order, and its plan has no levels.  A larger graph's levels are its
+    breadth-first levels (Cuthill-McKee order): each component from its
+    lowest-numbered vertex, neighbours by edges other than loops, each level
+    in vertex order, the components' levels one after another.  An edge
+    joins a level to itself or to the next, so grouping consecutive levels
+    greedily into blocks of at most DENSE_MAX_VERTICES vertices leaves every
+    edge inside a block or between neighbouring blocks, and between
+    neighbouring blocks it ends in the leading level of the later one.  A
+    graph with a level wider than that has no blocks.
+
+    The blocks of the matrix lie end to end along `scatter`: diagonal block
+    0, superdiagonal block 0, diagonal block 1, ..., in 2 tangent
+    coordinates per vertex, of the `shapes` given.  Superdiagonal block b
+    spans the rows of block b and the columns of block b + 1 up to its last
+    vertex with a neighbour in block b.  The index places every entry of the
+    V near 2x2 blocks at (v, v), then of the E far blocks at (origin,
+    terminus), or transposed at (terminus, origin) when the terminus lies in
+    the block before the origin's: the superdiagonal blocks are those of
+    M + M^T for the assembled M, all that a symmetric solve needs.
+    `np.bincount` through it adds up the blocks that share a place (doubled
+    edges, loops).
+    """
+
+    levels: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]  # vertices of each block, in order
+    shapes: tuple[tuple[int, int], ...]
+    scatter: np.ndarray
+
+    @staticmethod
+    def build(edges: EdgeData) -> "BlockPlan":
+        count = edges.vertex_count
+        if count <= DENSE_MAX_VERTICES:
+            blocks = [np.arange(count)]
+            return BlockPlan((), tuple(blocks), *_block_layout(edges, blocks))
+        levels = _breadth_first_levels(count, edges.origins, edges.termini)
+        if max(len(level) for level in levels) > DENSE_MAX_VERTICES:
+            return BlockPlan(levels, (), (), np.empty(0, dtype=int))
+        blocks = [levels[0]]
+        for level in levels[1:]:
+            if len(blocks[-1]) + len(level) <= DENSE_MAX_VERTICES:
+                blocks[-1] = np.concatenate([blocks[-1], level])
+            else:
+                blocks.append(level)
+        return BlockPlan(levels, tuple(blocks), *_block_layout(edges, blocks))
+
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        """Index of each of the 2V tangent coordinates, block by block, into
+        the coordinates in vertex order (2v and 2v + 1 for vertex v)."""
+        order = 2 * np.concatenate(self.blocks)
+        return np.stack([order, order + 1], axis=1).ravel()
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Where each block of the matrix starts along `scatter`, and where the last ends."""
+        return tuple(np.cumsum([0] + [rows * cols for rows, cols in self.shapes]).tolist())
+
+
+def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Breadth-first levels of the graph with half-edges origins -> termini,
+    as described for `BlockPlan`."""
+    neighbours: list[list[int]] = [[] for _ in range(count)]
+    for o, t in zip(origins.tolist(), termini.tolist()):
+        if o != t:
+            neighbours[o].append(t)
+    seen = [False] * count
+    levels = []
+    for root in range(count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        frontier = [root]
+        while frontier:
+            levels.append(np.array(sorted(frontier)))
+            following = []
+            for v in frontier:
+                for u in neighbours[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        following.append(u)
+            frontier = following
+    return tuple(levels)
+
+
+def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, np.ndarray]:
+    """`BlockPlan.shapes` and `BlockPlan.scatter` for the given blocks."""
+    rows = np.concatenate([np.arange(edges.vertex_count), edges.origins])
+    cols = np.concatenate([np.arange(edges.vertex_count), edges.termini])
+    pair = np.arange(2)
+    if len(blocks) == 1:  # in vertex order, the whole (2V, 2V) matrix: the same index, 4x faster
+        size = 2 * edges.vertex_count
+        index = (2 * rows[:, None, None] + pair[:, None]) * size + 2 * cols[:, None, None] + pair
+        return ((size, size),), index.ravel()
+    sizes = np.array([2 * len(block) for block in blocks])
+    block_of = np.empty(edges.vertex_count, dtype=int)
+    local = np.empty(edges.vertex_count, dtype=int)
+    for b, block in enumerate(blocks):
+        block_of[block] = b
+        local[block] = np.arange(len(block))
+    b_row, b_col = block_of[rows], block_of[cols]
+    # every pair of blocks is joined both ways, so the half-edges into the
+    # next block find the columns that each superdiagonal block needs
+    ahead = b_col == b_row + 1
+    widths = np.zeros(len(blocks), dtype=int)
+    np.maximum.at(widths, b_row[ahead], 2 * local[cols][ahead] + 2)
+    shapes = [(sizes[0], sizes[0])]
+    for b in range(1, len(blocks)):
+        shapes += [(sizes[b - 1], widths[b - 1]), (sizes[b], sizes[b])]
+    offsets = np.concatenate([[0], np.cumsum([r * c for r, c in shapes])])
+    b_row, b_col = b_row[:, None, None], b_col[:, None, None]
+    i = 2 * local[rows][:, None, None] + pair[:, None]  # the entry's row in its block
+    j = 2 * local[cols][:, None, None] + pair  # and its column
+    index = np.where(b_col == b_row, offsets[2 * b_row] + i * sizes[b_row] + j,
+                     np.where(b_col > b_row, offsets[2 * b_row + 1] + i * widths[b_row] + j,
+                              offsets[2 * b_col + 1] + j * widths[b_col] + i))
+    return tuple((int(r), int(c)) for r, c in shapes), index.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,17 +339,29 @@ class Hessian:
         return (np.einsum("vij,vj->vi", self.near, v)
                 + self.edges.star_sums(np.einsum("eij,ej->ei", self.far, v[self.edges.termini])))
 
-    def matrix(self, bases: np.ndarray) -> np.ndarray:
-        """(2V, 2V) matrix in the coordinates of the orthonormal tangent bases
-        (V, 2, 3) at the lifts: entry (2v + i, 2u + j) is <bases[v, i], H
-        bases[u, j]>."""
+    def matrix(self, bases: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The matrix in the coordinates of the orthonormal tangent bases
+        (V, 2, 3) at the lifts, in the blocks of the `BlockPlan` (which must
+        have blocks): (diagonal, superdiagonal).  Entry (2i + a, 2j + b) of
+        diagonal block d is <bases[v, a], H bases[u, b]> for the i-th and
+        j-th vertices v and u of block d; superdiagonal block d holds the
+        same pairings between block d and block d + 1, plus the transposed
+        pairings between block d + 1 and block d.  With one block, the
+        diagonal block is the whole (2V, 2V) matrix.  Superdiagonal block d
+        spans only the leading columns of block d + 1 that it can reach
+        (`BlockPlan.shapes`)."""
         edges = self.edges
+        plan = edges.block_plan
         left = bases * J_DIAG
         right = bases.transpose(0, 2, 1)
         blocks = np.concatenate([left @ self.near @ right,
                                  left[edges.origins] @ self.far @ right[edges.termini]])
-        n = 2 * edges.vertex_count
-        return np.bincount(edges.block_scatter, weights=blocks.ravel(), minlength=n * n).reshape(n, n)
+        offsets = plan.offsets
+        flat = np.bincount(plan.scatter, weights=blocks.ravel(), minlength=offsets[-1])
+        if len(plan.shapes) == 1:  # the whole matrix, without slicing it (a step's cost on small maps)
+            return (flat.reshape(plan.shapes[0]),), ()
+        pieces = [flat[start:end].reshape(shape) for start, end, shape in zip(offsets, offsets[1:], plan.shapes)]
+        return tuple(pieces[0::2]), tuple(pieces[1::2])
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,27 +7,27 @@ strictly decrease energy; a trial step that leaves the hyperboloid's upper
 sheet is rejected like one that fails the Armijo test.  The Hessian is
 assembled once per step as 3x3 blocks: `near`, one per vertex (its star's
 own terms), and `far`, one per half-edge (the coupling to the far end's
-lift) (`maps.EdgeData.hessian`).  How the equation is solved depends on the
-map's size V:
+lift) (`maps.EdgeData.hessian`).
 
-- up to DENSE_MAX_VERTICES (49) vertices, exactly: the blocks are scattered
-  into the dense (2V, 2V) matrix in tangent_basis_arr coordinates, which one
-  LU solve factors.  Steps this small cost numpy call overhead more than
-  arithmetic, and exact steps converge quadratically: from the perturbed
-  subdivided genus-2 starts of V = 6, 18 and 42 a solve takes 2-4 steps and
-  1.5-4.1 ms, against 6-10 CG steps and 3.0-8.4 ms (2-core x86-64 host).
-- above that, inexactly by truncated conjugate gradients with forcing term
-  min(0.5, sqrt|2r|), each product being two batched 3x3 products and one
-  star sum.  There the LU solve would cost 1.6-6 ms a step at V = 90-186
-  and 20-31 ms at V = 378, and OpenBLAS would run it on worker threads (see
-  DENSE_MAX_VERTICES).
+The equation is solved exactly.  In the breadth-first vertex order of the
+map's `maps.BlockPlan` the Hessian is block-tridiagonal, with blocks of at
+most DENSE_MAX_VERTICES (49) vertices, so one block elimination solves it
+(`_exact_step`) and no matrix wider than 98 is ever built or factored; a
+map of at most 49 vertices is one block, one LU solve.  Exact steps
+converge quadratically: from the perturbed subdivided genus-2 starts of
+V = 90, 186 and 378 a solve takes 3 steps and 4.1, 5.8 and 10.5 ms, where
+truncated conjugate gradients took 11-12 steps and 12.4, 23.7 and 60.2 ms
+(single-threaded BLAS, 2-core x86-64 host).
 
-If the LU solve fails, or its step is not finite, meets the gradient at an
-angle whose cosine is under DESCENT_COSINE, or passes no line-search trial,
-the iteration takes the CG step instead.  The
-squared distance is jointly convex on the hyperbolic plane, so the Hessian
-is positive semidefinite and CG meets non-positive curvature only through
-rounding or on a degenerate map; its first iterate is a gradient step.
+Truncated CG, with forcing term min(0.5, sqrt|2r|) and each product two
+batched 3x3 products and one star sum, is the fallback: it takes the step
+when the map has a breadth-first level wider than DENSE_MAX_VERTICES, or
+when the elimination meets a singular block, or its step is not finite,
+meets the gradient at an angle whose cosine is under DESCENT_COSINE, or
+passes no line-search trial.  The squared distance is jointly convex on
+the hyperbolic plane, so the Hessian is positive semidefinite and CG meets
+non-positive curvature only through rounding or on a degenerate map; its
+first iterate is a gradient step.
 Convergence is declared on the residual itself, the harmonicity criterion,
 not on energy stalling.
 
@@ -59,6 +59,7 @@ from .hyperboloid import (
     minkowski_dot,
     tangent_basis_arr,
 )
+from .maps import DENSE_MAX_VERTICES  # noqa: F401 -- the largest block of an exact step, kept with the plan
 from .maps import MarkedMap, energy, gauge_transform, initial_lifts
 from .surfaces import SurfaceModel
 
@@ -69,13 +70,6 @@ GAUGE_TOL = 1e-7
 # when the energy falls by at least SUFFICIENT_DECREASE * t * slope.
 SUFFICIENT_DECREASE = 1e-4
 BACKTRACK_FACTOR = 0.5
-# Largest vertex count whose Newton steps are exact LU solves of the dense
-# (2V, 2V) Hessian; larger maps take truncated CG steps.  Up to here the
-# matrix has under 10,000 entries, which OpenBLAS's dgesv factors on one
-# thread; from 10,000 on it starts worker threads, and on a shared 2-core
-# x86-64 host those stalled solves of n = 120 by 0.06-0.12 s each, against
-# 0.2 ms on one thread.
-DENSE_MAX_VERTICES = 49
 # Smallest cosine between an exact step and the gradient (the angle condition
 # of line-search Newton methods).  A Newton step on a Hessian of condition
 # number k has cosine at least 2/sqrt(k), 0.38 or more on the genus-2 maps;
@@ -174,24 +168,57 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
 
 
 def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-    """Exact solution s of H s = 2r by one LU solve of the (2V, 2V) Hessian
-    in tangent_basis_arr coordinates, mapped back along the bases; None when
-    the matrix is singular, or s is not finite or not a descent direction at
-    an angle to the gradient of cosine DESCENT_COSINE or more.  The Hessian
-    is self-adjoint, so the assembled matrix's antisymmetric part is
-    rounding and is dropped: (H + H^T) s = 4r."""
+    """Exact solution s of H s = 2r in tangent_basis_arr coordinates, mapped
+    back along the bases; None when a block is singular, or s is not finite
+    or not a descent direction at an angle to the gradient of cosine
+    DESCENT_COSINE or more.  The Hessian is self-adjoint, so the assembled
+    matrix's antisymmetric part is rounding and is dropped: (H + H^T) s = 4r.
+    `Hessian.matrix` gives it in the blocks of the map's `BlockPlan`: one
+    block in vertex order takes one LU solve, several blocks in breadth-first
+    order are eliminated in that order (`_eliminate`)."""
+    plan = hessian.edges.block_plan
     bases = tangent_basis_arr(x)
     rhs = 2.0 * minkowski_dot(r[:, None, :], bases).ravel()
-    matrix = hessian.matrix(bases)
+    diagonal, upper = hessian.matrix(bases)
     try:
-        coords = np.linalg.solve(matrix + matrix.T, 2.0 * rhs)
-    except np.linalg.LinAlgError:
+        if upper:
+            coords = np.empty_like(rhs)
+            coords[plan.coordinates] = _eliminate(diagonal, upper, 2.0 * rhs[plan.coordinates])
+        else:
+            coords = np.linalg.solve(diagonal[0] + diagonal[0].T, 2.0 * rhs)
+    except (np.linalg.LinAlgError, FloatingPointError):  # a singular block, or a step that overflows
         return None
     with np.errstate(all="ignore"):
         cosine = rhs @ coords / (np.linalg.norm(rhs) * np.linalg.norm(coords))
     if not cosine >= DESCENT_COSINE:  # also when coords are not finite: nan
         return None
     return np.einsum("vi,vij->vj", coords.reshape(-1, 2), bases)
+
+
+def _eliminate(diagonal, upper, y: np.ndarray) -> np.ndarray:
+    """Solution s of the symmetric block-tridiagonal system with diagonal
+    blocks D_b + D_b^T and superdiagonal blocks U_b, right-hand side y, by
+    block elimination: [X_b | z_b] = solve(S_b, [U_b | y_b]) with
+    S_0 = D_0 + D_0^T and S_{b+1} = D_{b+1} + D_{b+1}^T - U_b^T X_b,
+    y_{b+1} less U_b^T z_b, then s_b = z_b - X_b s_{b+1} back from the last
+    block.  U_b spans only the leading columns of block b + 1, which are all
+    that those products change or read."""
+    factors = []
+    start = len(diagonal[0])
+    schur, carry = diagonal[0] + diagonal[0].T, y[:start]
+    for u, block in zip(upper, diagonal[1:]):
+        solved = np.linalg.solve(schur, np.column_stack([u, carry]))
+        factors.append(solved)
+        lead = u.shape[1]
+        schur = block + block.T
+        schur[:lead, :lead] -= u.T @ solved[:, :-1]
+        carry = y[start:start + len(block)].copy()
+        carry[:lead] -= u.T @ solved[:, -1]
+        start += len(block)
+    parts = [np.linalg.solve(schur, carry)]
+    for solved in reversed(factors):
+        parts.append(solved[:, -1] - solved[:, :-1] @ parts[-1][:solved.shape[1] - 1])
+    return np.concatenate(parts[::-1])
 
 
 def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: float, max_res: float):
@@ -227,7 +254,6 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
     if len(edges.busy) < m0.graph.vertex_count:
         raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")
     x = m0.lift_array()
-    dense = len(x) <= DENSE_MAX_VERTICES
     energies: list[float] = []
     residual_trace: list[float] = []
     kinds: list[str] = []
@@ -249,7 +275,7 @@ def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
 
         hessian = edges.hessian(x, geometry)
         found = None
-        if dense:
+        if edges.block_plan.blocks:  # built at the first step, for this map and its copies
             delta = _exact_step(hessian, x, r)
             if delta is not None:
                 found, kind = _line_search(edges, x, delta, r, e_cur, max_res), "lu"

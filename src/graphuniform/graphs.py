@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, GraphValidationError
 
@@ -61,13 +62,15 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return sum(1 for o in self.origins if o == v)
 
-    def unoriented_edges(self) -> list[tuple[int, int, int, float, str]]:
+    def unoriented_edges(self) -> tuple[tuple[int, int, int, float, str], ...]:
         """(half_edge, origin, terminus, weight, class) for one half per reversal pair."""
-        out = []
-        for e in range(self.half_edge_count):
-            if e < self.reversals[e]:
-                out.append((e, self.origins[e], self.terminus(e), self.weights[e], self.classes[e]))
-        return out
+        return self._unoriented_edges
+
+    @cached_property
+    def _unoriented_edges(self) -> tuple[tuple[int, int, int, float, str], ...]:
+        # built once per graph: one solve reads it to build the map and to write its graph and deck words
+        return tuple((e, self.origins[e], self.terminus(e), self.weights[e], self.classes[e])
+                     for e in range(self.half_edge_count) if e < self.reversals[e])
 
     def is_connected(self) -> bool:
         if self.vertex_count == 1:

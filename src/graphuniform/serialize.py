@@ -3,11 +3,17 @@
 All artifacts are JSON with floats printed at 17 significant digits (enough
 to round-trip IEEE doubles).  Emission is deterministic -- fixed key order,
 fixed float formatting -- so identical run manifests produce bit-identical
-files.  Parsers raise SchemaError carrying the path of the offending field.
+files.  The emitter works a row at a time: a list of numbers is one %-format
+call and one finiteness check.  Parsers check each array whole (lengths,
+types, finiteness) and read it value by value only to locate an offender,
+raising SchemaError with the path of the offending field.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import math
 import os
@@ -17,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .errors import SchemaError
+from .errors import GeometryError, SchemaError
 from .graphs import WeightedGraph
 from .hyperboloid import Isometry
 from .maps import MarkedMap
@@ -28,51 +34,67 @@ from .surfaces import SurfaceModel
 # deterministic emitter
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return format(float(x), ".17g")
+_FORMATS = {float: "%.17g", int: "%d"}  # by exact type: "%d" would print a bool as 1
+_NUMBERS = (bool, int, float, np.integer, np.floating)  # what a flat row may hold
+_quote = functools.lru_cache(maxsize=1024)(json.dumps)  # keys and short strings recur
 
 
-def _format_number(x) -> str:
-    """A bool, integer or float, Python or numpy."""
-    if isinstance(x, float):  # np.float64 included
-        return _format_float(x)
+def _scalar(x) -> str:
+    """A bool, number, string or None, Python or numpy."""
+    if isinstance(x, str):
+        return _quote(x) if len(x) <= 64 else json.dumps(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return _format_float(float(x))  # the other numpy floats
+    if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite number {x!r}")
+        return format(float(x), ".17g")
+    if x is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _row(seq) -> str:
+    """A flat row of Python ints and floats, comma-separated, by one %-format
+    call (KeyError for any other value).  Finiteness is checked once per row:
+    a finite %.17g never holds an "n", and nan, inf and -inf all do."""
+    text = ", ".join([_FORMATS[type(v)] for v in seq]) % tuple(seq)
+    if "n" in text:
+        for x in seq:
+            _scalar(x)  # raises at the first non-finite value
+    return text
 
 
 def dumps(obj: Any, indent: int = 0) -> str:
-    """JSON text with .17g floats and insertion-order keys."""
-    pad = " " * indent
+    """JSON text with .17g floats and insertion-order keys, a row at a time:
+    a list of numbers is one formatted row, and a number or string in a
+    dict is written in place."""
+    pad, inner = " " * indent, " " * (indent + 2)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        items = []
+        for k, v in obj.items():
+            fmt = _FORMATS.get(type(v))
+            if fmt is None:
+                text = dumps(v, indent + 2) if isinstance(v, (dict, list, tuple, np.ndarray)) else _scalar(v)
+            elif "n" in (text := fmt % v):
+                _scalar(v)  # raises: v is not finite
+            items.append(f"{inner}{_quote(str(k))}: {text}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
-        if flat:
-            return "[" + ", ".join(map(_format_number, seq)) + "]"
-        items = ",\n".join(f"{pad}  {dumps(v, indent + 2)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
+        with contextlib.suppress(KeyError):  # nested, or bools and numpy scalars
+            return "[" + _row(obj) + "]"
+        if all(isinstance(v, _NUMBERS) for v in obj):
+            return "[" + ", ".join(map(_scalar, obj)) + "]"
+        return "[\n" + ",\n".join([inner + dumps(v, indent + 2) for v in obj]) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent)
-    if isinstance(obj, (bool, np.bool_, int, float, np.integer, np.floating)):
-        return _format_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _scalar(obj)
 
 
 def write_artifact(path: str, payload: dict) -> None:
@@ -141,12 +163,6 @@ def _as_float(x: Any, path: str) -> float:
     return float(x)
 
 
-def _as_str(x: Any, path: str) -> str:
-    if not isinstance(x, str):
-        raise SchemaError(path, f"expected a string, got {x!r}")
-    return x
-
-
 def _as_list(x: Any, path: str, length: int | None = None) -> list:
     if not isinstance(x, list):
         raise SchemaError(path, f"expected an array, got {type(x).__name__}")
@@ -155,18 +171,36 @@ def _as_list(x: Any, path: str, length: int | None = None) -> list:
     return x
 
 
-def _as_triple(x: Any, path: str) -> np.ndarray:
-    row = _as_list(x, path, 3)
-    return np.array([_as_float(v, f"{path}[{i}]") for i, v in enumerate(row)])
+def _as_array(x: Any, path: str, shape: tuple) -> np.ndarray | float:
+    """Float array of the shape (None: any length), checked whole: row lengths,
+    then one type check that bools, strings and None fail, then one
+    finiteness check.  Only when one fails (or the array is empty, or holds
+    number types other than int and float) are the rows read one by one, so
+    the first offender in reading order raises its SchemaError."""
+    if not shape:
+        return _as_float(x, path)
+    rows = flat = _as_list(x, path, shape[0])
+    for n in shape[1:]:
+        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {n}):
+            break
+        flat = list(itertools.chain.from_iterable(flat))
+    else:
+        if flat and set(map(type, flat)) <= {int, float}:
+            out = np.array(flat, dtype=float)
+            if np.isfinite(out).all():
+                return out.reshape(-1, *shape[1:])
+    return np.array([_as_array(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(rows)])
 
 
-def _as_matrix(x: Any, path: str) -> np.ndarray:
-    rows = _as_list(x, path, 3)
-    return np.array([_as_triple(r, f"{path}[{i}]") for i, r in enumerate(rows)])
-
-
-def _as_word(x: Any, path: str) -> tuple[int, ...]:
-    return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(_as_list(x, path)))
+def _as_words(x: Any, path: str, length: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Integer tuples (of `length` entries each, if given), checked whole; the
+    offender is looked for entry by entry only when the check fails."""
+    words = _as_list(x, path)
+    if (set(map(type, words)) <= {list} and (length is None or set(map(len, words)) <= {length})
+            and set(map(type, itertools.chain.from_iterable(words))) <= {int}):
+        return tuple(map(tuple, words))
+    return tuple(tuple(_as_int(v, f"{path}[{i}][{j}]") for j, v in enumerate(_as_list(w, f"{path}[{i}]", length)))
+                 for i, w in enumerate(words))
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +220,14 @@ def graph_to_json(g: WeightedGraph) -> dict:
 def graph_from_json(obj: Any, path: str = "graph") -> WeightedGraph:
     n = _as_int(_need(obj, "vertices", path), f"{path}.vertices")
     raw_edges = _as_list(_need(obj, "edges", path), f"{path}.edges")
-    edges = []
+    if set(map(type, raw_edges)) <= {dict} and all(e.keys() >= {"from", "to", "weight"} for e in raw_edges):
+        us, vs, weights = ([e[key] for e in raw_edges] for key in ("from", "to", "weight"))
+        classes = [e.get("class", "edge") for e in raw_edges]
+        if (set(map(type, us + vs)) <= {int} and set(map(type, weights)) <= {int, float}
+                and set(map(type, classes)) <= {str} and all(0 <= u < n for u in us + vs)
+                and all(0.0 < w < math.inf for w in weights)):
+            return WeightedGraph.from_edges(n, list(zip(us, vs, weights, classes)))
+    edges = []  # a check failed: find the first offending edge
     for i, entry in enumerate(raw_edges):
         here = f"{path}.edges[{i}]"
         u = _as_int(_need(entry, "from", here), f"{here}.from")
@@ -194,7 +235,9 @@ def graph_from_json(obj: Any, path: str = "graph") -> WeightedGraph:
         w = _as_float(_need(entry, "weight", here), f"{here}.weight")
         if not w > 0:
             raise SchemaError(f"{here}.weight", f"weight must be positive, got {w!r}")
-        cls = _as_str(entry.get("class", "edge"), f"{here}.class")
+        cls = entry.get("class", "edge")
+        if not isinstance(cls, str):
+            raise SchemaError(f"{here}.class", f"expected a string, got {cls!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise SchemaError(here, f"edge endpoints ({u},{v}) outside 0..{n - 1}")
         edges.append((u, v, w, cls))
@@ -208,7 +251,7 @@ def graph_from_json(obj: Any, path: str = "graph") -> WeightedGraph:
 def surface_to_json(s: SurfaceModel) -> dict:
     out: dict[str, Any] = {
         "genus": s.genus,
-        "generators": [g.matrix.tolist() for g in s.generators],
+        "generators": s.matrices.tolist(),
     }
     if s.polygon is not None:
         out["polygon"] = s.polygon.tolist()
@@ -221,30 +264,20 @@ def surface_to_json(s: SurfaceModel) -> dict:
 
 def surface_from_json(obj: Any, path: str = "surface") -> SurfaceModel:
     genus = _as_int(_need(obj, "genus", path), f"{path}.genus")
-    gens = tuple(
-        Isometry(_as_matrix(m, f"{path}.generators[{i}]"))
-        for i, m in enumerate(_as_list(_need(obj, "generators", path), f"{path}.generators"))
-    )
-    polygon = None
+    gens = _as_array(_need(obj, "generators", path), f"{path}.generators", (None, 3, 3)).reshape(-1, 3, 3)
+    polygon = side_pairs = relators = None
     if obj.get("polygon") is not None:
-        polygon = np.array([
-            _as_triple(p, f"{path}.polygon[{i}]")
-            for i, p in enumerate(_as_list(obj["polygon"], f"{path}.polygon"))
-        ])
-    side_pairs = None
+        polygon = _as_array(obj["polygon"], f"{path}.polygon", (None, 3))
     if obj.get("side_pairs") is not None:
-        side_pairs = tuple(
-            tuple(_as_int(v, f"{path}.side_pairs[{i}][{j}]") for j, v in
-                  enumerate(_as_list(sp, f"{path}.side_pairs[{i}]", 3)))
-            for i, sp in enumerate(_as_list(obj["side_pairs"], f"{path}.side_pairs"))
-        )
-    relators = None
+        side_pairs = _as_words(obj["side_pairs"], f"{path}.side_pairs", 3)
     if obj.get("relator_words") is not None:
-        relators = tuple(
-            _as_word(w, f"{path}.relator_words[{i}]")
-            for i, w in enumerate(_as_list(obj["relator_words"], f"{path}.relator_words"))
-        )
-    return SurfaceModel(genus, gens, polygon, side_pairs, relators)
+        relators = _as_words(obj["relator_words"], f"{path}.relator_words")
+    try:
+        return SurfaceModel(genus, gens, polygon, side_pairs, relators)
+    except GeometryError:
+        for m in gens:
+            Isometry(m)  # a bad generator's error, worded as for one matrix
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -281,16 +314,10 @@ def map_from_json(
         if obj.get("graph") is None:
             raise SchemaError(f"{path}.graph", "no graph embedded and none provided")
         graph = graph_from_json(obj["graph"], f"{path}.graph")
-    # schema checks per row; the geometric checks run on the whole array in MarkedMap
-    lifts = np.array([
-        _as_triple(p, f"{path}.vertex_lifts[{i}]")
-        for i, p in enumerate(_as_list(_need(obj, "vertex_lifts", path), f"{path}.vertex_lifts"))
-    ])
-    words = tuple(
-        _as_word(w, f"{path}.edge_decks[{i}]")
-        for i, w in enumerate(_as_list(_need(obj, "edge_decks", path), f"{path}.edge_decks"))
-    )
+    # schema checks on the whole array; the geometric checks run in MarkedMap
+    lifts = _as_array(_need(obj, "vertex_lifts", path), f"{path}.vertex_lifts", (None, 3))
+    words = _as_words(_need(obj, "edge_decks", path), f"{path}.edge_decks")
     gauge = Isometry.identity()
     if obj.get("gauge") is not None:
-        gauge = Isometry(_as_matrix(obj["gauge"], f"{path}.gauge"))
+        gauge = Isometry(_as_array(obj["gauge"], f"{path}.gauge", (3, 3)))
     return MarkedMap.from_unoriented_words(surface, graph, lifts, words, gauge)

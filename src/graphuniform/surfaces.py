@@ -221,8 +221,6 @@ def validate_surface(
     corners onto corners, vertex-cycle angle sums are 2*pi, and the polygon
     area matches Gauss-Bonnet for the genus.
 
-    The area gate is area_tol per 4*pi of expected area, so genus 2 keeps
-    area_tol itself: the angle sum's rounding grows with the corner count.
     A vertex cycle's angle sum is gated at angle_tol, or at its float64
     rounding where that is larger: 32 eps per corner of the cycle times
     (1 + c)^2 for the largest corner coordinate c.  Each angle pairs corner
@@ -230,6 +228,14 @@ def validate_surface(
     4g-gons' cycle sums are off by up to 6 of those units at genus 2-80
     (2.3e-8 at genus 25, 5.6e-7 at 40), and the rounding gate passes
     angle_tol first at genus 11, so genus 2 and 3 keep angle_tol itself.
+    The area is (n - 2) pi minus the n angles, so its gate is area_tol per
+    4*pi of expected area, or the n angles' rounding gates summed where that
+    is larger (from genus 34; the regular 4g-gons use up to 0.27 of it at
+    genus 2-150).  A side pairing is gated at pairing_tol (1 + c), or at
+    8 eps (1 + c)^3 where that is larger (from genus 39): renormalizing a
+    corner of size c rescales it by 1 + O(eps c^2), moving it by eps c^3,
+    and the regular 4g-gons' pairings are off by up to 1.4 eps (1 + c)^3 at
+    genus 2-150 (8.9e-5 at genus 70).
     Reported relator defects are absolute, but the pass/fail gate scales
     relator_tol by the squared norm of the largest partial product: a float64
     product of long words cannot beat rounding amplified by those norms, and
@@ -256,11 +262,12 @@ def validate_surface(
         n = len(corners)
         scale = 1.0 + float(np.max(np.abs(corners)))
         angle_rounding = 32.0 * np.finfo(float).eps * scale * scale
+        pairing_gate = max(pairing_tol * scale, 8.0 * np.finfo(float).eps * scale ** 3)
         for a, b, g in surface.side_pairs:
             m = surface.generator_matrix(g)
             d1 = float(np.max(np.abs(m @ corners[a] - corners[(b + 1) % n])))
             d2 = float(np.max(np.abs(m @ corners[(a + 1) % n] - corners[b])))
-            if max(d1, d2) > pairing_tol * scale:
+            if max(d1, d2) > pairing_gate:
                 issues.append(("PAIRING", f"generator {g} moves side {a} off side {b} by {max(d1, d2):.3e}"))
         angles = polygon_interior_angles(corners).tolist()
         for cyc in vertex_cycles(n, surface.side_pairs):
@@ -270,7 +277,7 @@ def validate_surface(
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
         area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)
-        if abs(area - area_expected) > area_tol * area_expected / (4.0 * math.pi):
+        if abs(area - area_expected) > max(area_tol * area_expected / (4.0 * math.pi), angle_rounding * n):
             issues.append(("AREA", f"polygon area {area!r}, Gauss-Bonnet expects {area_expected!r}"))
 
     return SurfaceReport(tuple(issues), tuple(relator_defects), tuple(angle_sums), area, area_expected)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
+from graphuniform import serialize
+from graphuniform.cli import main
 from graphuniform.errors import SchemaError
 from graphuniform.graphs import cycle_with_doubled_edges
 from graphuniform.hyperboloid import Isometry
@@ -33,7 +35,8 @@ def test_dumps_floats_roundtrip_ieee_exactly():
 
 def test_dumps_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf"),
-                [1.0, float("nan")], [np.float64("inf")], [2, np.float32("-inf")]):
+                [1.0, float("nan")], [np.float64("inf")], [2, np.float32("-inf")],
+                [[0.5, 2], [float("-inf")]], {"x": float("inf")}, {"a": {"b": [1, np.float64("nan")]}}):
         with pytest.raises(ValueError):
             dumps(bad)
 
@@ -57,21 +60,72 @@ def test_dumps_handles_numpy_scalars_and_arrays():
     assert '"x": 0.5' in text
 
 
+_NESTED = {
+    "rows": [[1.0, np.float64(0.1), -2.5e-300], [3, True, np.float64(1e17)], [np.int64(-4), False, 2]],
+    "flags": [True, False],
+    "count": np.int64(7),
+    "empty": [],
+    "nested": {"deep": [[0.5], [np.float32(0.25), 1]], "none": None},
+    "text": 'a"b',
+    "array": np.array([[0.5, 1.5], [-0.0, 2.0]]),
+}
+
+
 def test_dumps_bytes_of_nested_rows_ints_bools_and_numpy_scalars():
-    payload = {
-        "rows": [[1.0, np.float64(0.1), -2.5e-300], [3, True, np.float64(1e17)], [np.int64(-4), False, 2]],
-        "flags": [True, False],
-        "count": np.int64(7),
-        "empty": [],
-        "nested": {"deep": [[0.5], [np.float32(0.25), 1]], "none": None},
-        "text": 'a"b',
-        "array": np.array([[0.5, 1.5], [-0.0, 2.0]]),
-    }
-    assert dumps(payload) == (
+    assert dumps(_NESTED) == (
         '{\n  "rows": [\n    [1, 0.10000000000000001, -2.5e-300],\n    [3, true, 1e+17],\n'
         '    [-4, false, 2]\n  ],\n  "flags": [true, false],\n  "count": 7,\n  "empty": [],\n'
         '  "nested": {\n    "deep": [\n      [0.5],\n      [0.25, 1]\n    ],\n    "none": null\n  },\n'
         '  "text": "a\\"b",\n  "array": [\n    [0.5, 1.5],\n    [-0, 2]\n  ]\n}')
+
+
+def _random_payload(rng, depth=0):
+    """A nested payload of the values artifacts hold, and the odd ones."""
+    leaves = [
+        lambda: float(rng.standard_normal()) * 10.0 ** int(rng.integers(-300, 301)),
+        lambda: -0.0,
+        lambda: float(rng.choice([5e-324, 2.2e-310, -1e-310, 1e300, -1e-300, 0.1, 1e17])),
+        lambda: int(rng.integers(-10**6, 10**6)),
+        lambda: bool(rng.integers(2)),
+        lambda: np.float64(rng.standard_normal()),
+        lambda: np.float32(rng.standard_normal()),
+        lambda: np.int64(rng.integers(-100, 100)),
+        lambda: np.bool_(rng.integers(2)),
+        lambda: None,
+        lambda: str(rng.choice(["", "c", "edge", 'a"b', "\u00e9\n", "x" * 100])),
+    ]
+    if depth < 3 and rng.random() < 0.6:
+        size = int(rng.integers(0, 5))
+        kind = rng.integers(4)
+        if kind == 0:
+            return {f"k{i}": _random_payload(rng, depth + 1) for i in range(size)}
+        if kind == 1:  # a flat row, as lifts and matrices are written
+            row = [leaves[int(rng.integers(0, 8))]() for _ in range(size)]
+            return tuple(row) if rng.random() < 0.3 else row
+        if kind == 2:
+            return rng.standard_normal((size, 3)) if rng.random() < 0.5 else np.arange(size)
+        return [_random_payload(rng, depth + 1) for _ in range(size)]
+    return leaves[int(rng.integers(len(leaves)))]()
+
+
+def test_dumps_bytes_match_the_value_at_a_time_reference():
+    assert dumps(_NESTED) == oracles.reference_dumps(_NESTED)
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        payload = _random_payload(rng)
+        assert dumps(payload) == oracles.reference_dumps(payload)
+
+
+def test_solve_artifact_bytes_match_the_reference(genus2_bundle, tmp_path, monkeypatch):
+    _surface, _graph, ref = genus2_bundle
+    source, out = str(tmp_path / "map.json"), str(tmp_path / "solved.json")
+    write_artifact(source, map_to_json(oracles.subdivide(ref, 8)))
+    payloads = []
+    write = serialize.write_artifact
+    monkeypatch.setattr(serialize, "write_artifact", lambda path, doc: (payloads.append(doc), write(path, doc)))
+    assert main(["solve", "--map", source, "--out", out, "--init", "random", "--seed", "2"]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert fh.read() == oracles.reference_dumps(payloads[0]) + "\n"
 
 
 def test_write_and_read_roundtrip(tmp_path):
@@ -220,3 +274,18 @@ def test_map_schema_error_when_document_is_not_an_object(doc):
     with pytest.raises(SchemaError) as exc:
         map_from_json(doc)
     assert exc.value.path == "map"
+
+
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_parsed_map_matches_a_value_at_a_time_build_bit_for_bit(k, genus2_bundle, tmp_path):
+    _surface, _graph, ref = genus2_bundle
+    path = str(tmp_path / "map.json")
+    write_artifact(path, map_to_json(gauge_transform(oracles.subdivide(ref, k), Isometry(oracles.rot_z(0.3)))))
+    doc = read_json(path)
+    got, want = map_from_json(doc), oracles.reference_map(doc)
+    for a, b in ((got.lifts, want.lifts), (got.surface.matrices, want.surface.matrices),
+                 (got.surface.polygon, want.surface.polygon), (got.edges.mats, want.edges.mats),
+                 (got.gauge.matrix, want.gauge.matrix)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.deck_words == want.deck_words
+    assert got.graph.unoriented_edges() == want.graph.unoriented_edges()

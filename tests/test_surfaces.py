@@ -107,12 +107,28 @@ def test_regular_4g_surfaces_validate_for_small_genus():
         assert abs(report.angle_sums[0] - 2.0 * math.pi) < 1e-7
 
 
-@pytest.mark.parametrize("genus", [25, 30, 40])
+@pytest.mark.parametrize("genus", [25, 30, 40, 56, 70, 80])
 def test_regular_4g_surfaces_validate_at_large_genus(genus):
-    # the angle sum's rounding grows with the corner count and the squared
-    # corner coordinates: 2.3e-8 at genus 25 and 5.6e-7 at 40, over 1e-8
+    # rounding grows with the corner coordinates: the angle sum is off by
+    # 2.3e-8 at genus 25 and 5.6e-7 at 40, over 1e-8; the area by 5.8e-6 at
+    # genus 56, over 1e-7 per 4*pi of area; and a paired corner lands 8.9e-5
+    # and 1.6e-4 away at genus 70 and 80, over 1e-8 (1 + c)
     report = validate_surface(build_regular_4g_surface(genus))
     assert report.ok, report.issues
+
+
+def test_area_or_pairing_gate_catches_a_moved_corner_at_genus_2():
+    surface = build_regular_4g_surface(2)
+    corners = surface.polygon.copy()
+    # 1e-6 along the hyperboloid toward corner 1: the sides meeting at
+    # corner 0 no longer pair, and the area moves
+    tangent = corners[1] - corners[0]
+    tangent = tangent + oracles.mdot(tangent, corners[0]) * corners[0]
+    tangent = tangent / math.sqrt(oracles.mdot(tangent, tangent))
+    corners[0] = math.cosh(1e-6) * corners[0] + math.sinh(1e-6) * tangent
+    moved = SurfaceModel(surface.genus, surface.matrices, corners, surface.side_pairs, surface.relator_words)
+    codes = {code for code, _ in validate_surface(moved).issues}
+    assert codes & {"AREA", "PAIRING"}, codes
 
 
 def test_angle_cycle_gate_catches_a_moved_corner_at_genus_2():

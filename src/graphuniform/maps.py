@@ -8,7 +8,8 @@ class and are never recomputed from floats.  A gauge isometry can be applied
 on top without touching the words, so gauge moves keep the class exact.
 
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
-holds the half-edge arrays, built once per map from the words, and is the
+holds the half-edge arrays, built once per graph and deck words (a map moved
+to another surface keeps them, with new deck matrices), and is the
 one kernel for energy, balanced residual and the Hessian blocks, which
 `Hessian` applies to tangent fields or assembles into the blocks of a
 block-tridiagonal matrix, in the breadth-first vertex order of the map's
@@ -356,13 +357,60 @@ class Hessian:
 
 
 @dataclass(frozen=True, eq=False)
+class _WordIndex:
+    """A map's deck words as arrays: each distinct word once, the longest
+    first, with its letters left-aligned in the rows of `letters` (padded
+    with 0); `ahead[k]` words have a letter k, `index` names the distinct
+    word of each half-edge and `reversals` its reversed half-edge."""
+
+    letters: np.ndarray
+    ahead: tuple[int, ...]
+    index: np.ndarray
+    reach: float  # the fewest generators that serve every letter (inf for a letter 0)
+    reversals: np.ndarray
+
+    @staticmethod
+    def build(deck_words: tuple[tuple[int, ...], ...], reversals: tuple[int, ...]) -> "_WordIndex":
+        first_use: dict[tuple[int, ...], int] = {}
+        uses = [first_use.setdefault(word, len(first_use)) for word in deck_words]
+        words = sorted(first_use, key=len, reverse=True)
+        position = {word: i for i, word in enumerate(words)}
+        longest = len(words[0]) if words else 0
+        letters = np.zeros((len(words), longest), dtype=int)
+        for i, word in enumerate(words):
+            letters[i, :len(word)] = word
+        used = [w for word in words for w in word]
+        return _WordIndex(
+            letters=letters,
+            ahead=tuple(sum(len(word) > k for word in words) for k in range(longest)),
+            index=np.array([position[word] for word in first_use], dtype=int)[uses],
+            reach=math.inf if 0 in used else max(map(abs, used), default=0),
+            reversals=np.asarray(reversals, dtype=int))
+
+    def products(self, table: np.ndarray) -> np.ndarray:
+        """(D, 3, 3): the product of each distinct word's rows of `table`,
+        a surface's identity, generators and inverses, multiplied left to
+        right from the identity, one letter position at a time."""
+        out = np.repeat(table[:1], len(self.letters), axis=0)
+        for k, count in enumerate(self.ahead):
+            out[:count] = out[:count] @ table[self.letters[:count, k]]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class MarkedMap:
     """Vertex lifts + per-half-edge deck words (+ an overall gauge isometry).
 
     The effective deck matrix of half-edge e is gauge * word(e) * gauge^-1;
     matrices are cached at construction in `edges`, words are the source of
-    truth.  Maps derived by `with_lifts` and `gauge_transform` share or
-    conjugate the cached arrays instead of rebuilding them.
+    truth.  They come from one routine: an index of the distinct words,
+    built once per map and handed on to derived maps, multiplies the
+    letters in batches through the surface's generator table, then the
+    gauge conjugates them and the reversal check runs.  Maps derived by
+    `with_lifts` and `gauge_transform` share or conjugate the cached arrays
+    instead of rebuilding them; `with_surface` moves a map to another
+    surface whose generators its words still name, such as the same gluing
+    at another metric: only the deck matrices are multiplied again.
     """
 
     surface: SurfaceModel
@@ -378,13 +426,28 @@ class MarkedMap:
             raise GraphValidationError(
                 "DECK_COUNT", f"{len(self.deck_words)} deck words for {g.half_edge_count} half-edges")
         object.__setattr__(self, "deck_words", tuple(tuple(w) for w in self.deck_words))
+        object.__setattr__(self, "edges", EdgeData.build(g, self._deck_matrices(self.surface)))
 
-        rows = {}  # one product per distinct word
-        index = [rows.setdefault(word, len(rows)) for word in self.deck_words]
-        mats = np.array([self.surface.word_matrix(word) for word in rows]).reshape(-1, 3, 3)[index]
+    @cached_property
+    def _word_index(self) -> "_WordIndex":
+        """The deck words as arrays, built on first use and shared by every
+        map derived from this one."""
+        return _WordIndex.build(self.deck_words, self.graph.reversals)
+
+    def _deck_matrices(self, surface: SurfaceModel) -> np.ndarray:
+        """The (E, 3, 3) deck matrices on `surface` in half-edge order, gauge
+        included, each distinct word multiplied once; GeometryError when a
+        reversed half-edge's matrix is not the inverse of its partner's."""
+        words = self._word_index
+        if words.reach > len(surface.matrices):
+            for word in self.deck_words:
+                for w in word:
+                    surface.generator_matrix(w)  # raises at the first letter it has no generator for
+        mats = words.products(surface._table)
         if not self.gauge.is_identity(tol=0.0):
             mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
-        reversals = np.asarray(g.reversals, dtype=int)
+        mats = mats[words.index]
+        reversals = words.reversals
         back = mats.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)  # J m^T J, the inverses
         # product round-off grows with the square of the matrix norm
         scale = (1.0 + np.max(np.abs(back), axis=(1, 2))) ** 2
@@ -395,7 +458,7 @@ class MarkedMap:
             raise GeometryError(
                 f"deck word of half-edge {reversals[e]} is not inverse to half-edge {e} "
                 f"(defect {defect[e]:.3e})")
-        object.__setattr__(self, "edges", EdgeData.build(g, mats))
+        return mats
 
     @staticmethod
     def from_unoriented_words(
@@ -437,6 +500,21 @@ class MarkedMap:
         p = self.lifts[self.graph.origins[e]]
         q = self.deck_matrix(e) @ self.lifts[self.graph.terminus(e)]
         return p, points_arr(q)
+
+    def with_surface(self, surface: SurfaceModel, lifts) -> "MarkedMap":
+        """The same graph, words and gauge on another surface that has every
+        generator the words name, at new vertex positions: only the deck
+        matrices are multiplied again, and the edge index arrays are shared."""
+        x = _lift_array(lifts, self.graph.vertex_count)
+        mats = self._deck_matrices(surface)
+        m = copy.copy(self)
+        m.__dict__.pop("vertex_lifts", None)
+        object.__setattr__(m, "surface", surface)
+        object.__setattr__(m, "lifts", x)
+        rows = np.empty_like(mats)
+        rows[self.edges.row] = mats  # half-edge e sits in row[e]
+        object.__setattr__(m, "edges", replace(self.edges, mats=rows))
+        return m
 
     def with_lifts(self, lifts) -> "MarkedMap":
         """Same class and gauge, new vertex positions; the words and edge

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 from typing import Any
 
@@ -108,6 +109,11 @@ def read_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except ValueError:  # int() refuses a literal of more than sys.get_int_max_str_digits() digits
+        raise SchemaError(
+            path, f"holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def make_manifest(command: str, inputs: list[str], seeds: dict, tolerances: dict) -> dict:
@@ -137,6 +143,9 @@ def make_manifest(command: str, inputs: list[str], seeds: dict, tolerances: dict
 # schema helpers
 
 
+_FLOAT_MAX = sys.float_info.max  # a larger integer raises OverflowError in float()
+
+
 def _as_object(x: Any, path: str) -> dict:
     if not isinstance(x, dict):
         raise SchemaError(path, f"expected an object, got {type(x).__name__}")
@@ -158,9 +167,13 @@ def _as_int(x: Any, path: str) -> int:
 def _as_float(x: Any, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(path, f"expected a number, got {x!r}")
-    if not math.isfinite(x):
+    try:
+        value = float(x)
+    except OverflowError:
+        raise SchemaError(path, "expected a finite number, got an integer too large for a float") from None
+    if not math.isfinite(value):
         raise SchemaError(path, f"expected a finite number, got {x!r}")
-    return float(x)
+    return value
 
 
 def _as_list(x: Any, path: str, length: int | None = None) -> list:
@@ -186,9 +199,10 @@ def _as_array(x: Any, path: str, shape: tuple) -> np.ndarray | float:
         flat = list(itertools.chain.from_iterable(flat))
     else:
         if flat and set(map(type, flat)) <= {int, float}:
-            out = np.array(flat, dtype=float)
-            if np.isfinite(out).all():
-                return out.reshape(-1, *shape[1:])
+            with contextlib.suppress(OverflowError):  # an integer too large for a float
+                out = np.array(flat, dtype=float)
+                if np.isfinite(out).all():
+                    return out.reshape(-1, *shape[1:])
     return np.array([_as_array(v, f"{path}[{i}]", shape[1:]) for i, v in enumerate(rows)])
 
 
@@ -225,7 +239,7 @@ def graph_from_json(obj: Any, path: str = "graph") -> WeightedGraph:
         classes = [e.get("class", "edge") for e in raw_edges]
         if (set(map(type, us + vs)) <= {int} and set(map(type, weights)) <= {int, float}
                 and set(map(type, classes)) <= {str} and all(0 <= u < n for u in us + vs)
-                and all(0.0 < w < math.inf for w in weights)):
+                and all(0.0 < w <= _FLOAT_MAX for w in weights)):
             return WeightedGraph.from_edges(n, list(zip(us, vs, weights, classes)))
     edges = []  # a check failed: find the first offending edge
     for i, entry in enumerate(raw_edges):

@@ -11,14 +11,19 @@ four right-angled hexagons, and the Klein 14-gon.
 Generator matrices are built in extended precision (longdouble) and rounded
 to float64 once, after conjugating the development to be centered at a
 polygon corner; this keeps relator products near the identity instead of
-letting round-off get amplified by the matrix norms.
+letting round-off get amplified by the matrix norms.  The genus-2 hexagon
+build is one batched long-double pass: the six side reflections as one
+array, then the eight reflection words one letter position at a time, each
+entry by the arithmetic of a matrix-at-a-time build, so the bits are the
+same.  The `hexagon-genus2` family builds its reference map once and moves
+it to every later seam with `MarkedMap.with_surface`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,7 +64,8 @@ def _ld_unit_space(v):
 
 
 def _ld_reflection(pole):
-    return _EYE_LD - 2.0 * (pole[:, None] * pole * _J_LD)
+    """Reflection in the geodesic of a unit spacelike pole, or one per row of poles."""
+    return _EYE_LD - 2.0 * (pole[..., :, None] * pole[..., None, :] * _J_LD)
 
 
 def _ld_pole_through(p, q):
@@ -371,6 +377,8 @@ _GENUS2_SIDE_PAIRS = (
 )
 _GENUS2_REFLECTION_WORDS = ((0, 2), (1, 3), (0, 4), (1, 5),
                             (1, 0, 2, 1), (1, 0, 4, 1), (1, 0, 3, 0), (1, 0, 5, 0))
+# the same words as one array; the padding of the two-letter words is never read
+_GENUS2_REFLECTION_LETTERS = np.array([word + (0,) * (4 - len(word)) for word in _GENUS2_REFLECTION_WORDS])
 
 # Deck words (in g1..g8) for the twelve graph edges i -> i+1 of the doubled
 # 6-cycle: the primary copy of each edge stays inside the base hexagon, the
@@ -395,25 +403,31 @@ def build_genus2_hexagon_surface(
     (m_c, m_d), and the reference map sending graph vertices to the hexagon
     corners (the tiling 1-skeleton, which is balanced by symmetry).
     """
-    return _genus2_hexagon(s, cycle_with_doubled_edges(6, *weights))
+    from .maps import MarkedMap  # deferred: maps depends on this module
+
+    graph = cycle_with_doubled_edges(6, *weights)
+    surface, lifts = _genus2_hexagon(s)
+    return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, genus2_deck_words())
 
 
-def _genus2_hexagon(s: float, graph: WeightedGraph):
+def _genus2_hexagon(s: float) -> tuple[SurfaceModel, np.ndarray]:
+    """The surface at seam s and the lifts of its reference map, from one
+    long-double pass: the six side reflections at once, then the eight
+    reflection words one letter position at a time."""
     v = np.array(_ld_hexagon(s))
-    refl = [_ld_reflection(_ld_pole_through(v[i], v[(i + 1) % 6])) for i in range(6)]
+    refl = _ld_reflection(_ld_pole_through(v.T, v[[1, 2, 3, 4, 5, 0]].T).T)  # side i: corners i, i + 1
     frame = _ld_frame(v[1])
     u = frame.T * _J_LD[:, None] * _J_LD  # J frame^T J: takes v[1] to the origin
-    raw = np.array([reduce(np.matmul, [refl[i] for i in word]) for word in _GENUS2_REFLECTION_WORDS])
+    letters = _GENUS2_REFLECTION_LETTERS
+    raw = refl[letters[:, 0]] @ refl[letters[:, 1]]
+    raw[4:] = raw[4:] @ refl[letters[4:, 2]] @ refl[letters[4:, 3]]  # the words of four letters
     gens = np.asarray(u @ raw @ frame, dtype=float)
     # the 16-gon's corners: hexagon corners mapped by 1 and mirrors C, D, B
     tiles = zip((_EYE_LD, refl[0], refl[1] @ refl[0], refl[1]),
                 ((2, 3, 4, 5, 0), (5, 4, 3, 2), (3, 4, 5, 0), (5, 4, 3)))
     polygon = np.asarray(np.concatenate([v[list(k)] @ m.T for m, k in tiles]) @ u.T, dtype=float)
     surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, _GENUS2_RELATORS)
-
-    from .maps import MarkedMap  # deferred: maps depends on this module
-    lifts = np.asarray(v @ u.T, dtype=float)
-    return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, genus2_deck_words())
+    return surface, np.asarray(v @ u.T, dtype=float)
 
 
 def hexagon_corners(s: float) -> np.ndarray:
@@ -433,7 +447,8 @@ class MetricFamily:
     singletons (evaluate with theta=None).  `build` returns the surface, the
     weighted graph, and the family's reference map; the deck words of that
     map are the same at every parameter, which is what makes energies at
-    different parameters comparable.
+    different parameters comparable, and lets a family re-target one map to
+    each new surface.
     """
 
     family_id: str
@@ -476,8 +491,17 @@ def family(kind: str, **fixed) -> MetricFamily:
         # seams the float64 build serves: up to 4.0 the reference energy is
         # within 1.1e-7 of the closed form and the surface validates; rounding
         # grows with the deck norms (error 1.3e-6 at 4.51, 0.22 at 7; invalid from 8)
-        graph = cycle_with_doubled_edges(6, *weights)  # the same at every seam: built once
-        return MetricFamily(kind, (0.25, 4.0), lambda s: _genus2_hexagon(s, graph))
+        first = []  # the first seam's reference map, re-targeted to every later seam
+
+        def build(s):
+            if not first:
+                surface, graph, reference = build_genus2_hexagon_surface(s, weights)
+                first.append(reference)
+                return surface, graph, reference
+            surface, lifts = _genus2_hexagon(s)
+            return surface, first[0].graph, first[0].with_surface(surface, lifts)
+
+        return MetricFamily(kind, (0.25, 4.0), build)
     if kind == "regular-4g":
         genus = fixed.pop("genus", 2)
         weight = fixed.pop("weight", 1.0)

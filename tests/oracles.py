@@ -308,3 +308,40 @@ def reference_map(doc):
     gauge = Isometry(rows(doc["gauge"])) if "gauge" in doc else None
     return MarkedMap.from_unoriented_words(surface, graph, rows(doc["vertex_lifts"]),
                                            words(doc["edge_decks"]), gauge)
+
+
+def reference_hexagon(s, weights=(1.0, 1.0)):
+    """The `hexagon-genus2` build at seam s the way it was first written: one
+    long-double reflection per hexagon side, each reflection word folded
+    over them by `reduce`, then one `SurfaceModel.word_matrix` product per
+    half-edge.  Returns the generators, the polygon, the reference lifts,
+    the deck matrices in `EdgeData` row order and the reference energy; the
+    family must build all of them bit for bit."""
+    from functools import reduce
+
+    from graphuniform.graphs import cycle_with_doubled_edges
+    from graphuniform.hyperboloid import points_arr
+    from graphuniform.maps import EdgeData
+    from graphuniform.surfaces import (
+        _EYE_LD, _GENUS2_REFLECTION_WORDS, _GENUS2_RELATORS, _GENUS2_SIDE_PAIRS, _J_LD, SurfaceModel,
+        _ld_frame, _ld_hexagon, _ld_pole_through, _ld_reflection, genus2_deck_words)
+
+    v = np.array(_ld_hexagon(s))
+    refl = [_ld_reflection(_ld_pole_through(v[i], v[(i + 1) % 6])) for i in range(6)]
+    frame = _ld_frame(v[1])
+    u = frame.T * _J_LD[:, None] * _J_LD
+    raw = np.array([reduce(np.matmul, [refl[i] for i in word]) for word in _GENUS2_REFLECTION_WORDS])
+    gens = np.asarray(u @ raw @ frame, dtype=float)
+    tiles = zip((_EYE_LD, refl[0], refl[1] @ refl[0], refl[1]),
+                ((2, 3, 4, 5, 0), (5, 4, 3, 2), (3, 4, 5, 0), (5, 4, 3)))
+    polygon = np.asarray(np.concatenate([v[list(k)] @ m.T for m, k in tiles]) @ u.T, dtype=float)
+    surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, _GENUS2_RELATORS)
+    lifts = points_arr(np.asarray(v @ u.T, dtype=float))
+
+    graph = cycle_with_doubled_edges(6, *weights)
+    words = [()] * graph.half_edge_count
+    for (e, *_rest), word in zip(graph.unoriented_edges(), genus2_deck_words()):
+        words[e] = word
+        words[graph.reversals[e]] = tuple(-w for w in reversed(word))
+    edges = EdgeData.build(graph, np.array([surface.word_matrix(word) for word in words]))
+    return surface.matrices, surface.polygon, lifts, edges.mats, edges.energy(lifts)

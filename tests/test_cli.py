@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,10 @@ _FUZZ = {
     "surface-generator-bool": ("surface", _set(["generators", 0, 0, 0], True)),
     "graph-weight-bool": ("graph", _set(["edges", 0, "weight"], True)),
     "map-deck-null": ("map", _set(["edge_decks", 6], [None])),
+    # an integer literal too large for a float: refused by value, not by a traceback
+    "map-lift-huge-integer": ("map", _set(["vertex_lifts", 0, 0], 10 ** 400)),
+    "surface-generator-huge-integer": ("surface", _set(["generators", 0, 0, 0], 10 ** 400)),
+    "graph-weight-huge-integer": ("graph", _set(["edges", 0, "weight"], 10 ** 400)),
 }
 
 # The exit code and error line of each case, as a reader that checks one
@@ -259,6 +265,8 @@ _FUZZ_ERROR = {
     "graph-not-object": (2, "graph: expected an object, got list"),
     "graph-vertex-count": (4, "LIFT_COUNT: 6 lifts for 7 vertices"),
     "graph-weight-bool": (2, "graph.edges[0].weight: expected a number, got True"),
+    "graph-weight-huge-integer": (
+        2, "graph.edges[0].weight: expected a finite number, got an integer too large for a float"),
     "graph-weight-inf": (2, "graph.edges[0].weight: expected a finite number, got inf"),
     "graph-weight-string": (2, "graph.edges[0].weight: expected a number, got '1'"),
     "graph-weight-zero": (2, "graph.edges[0].weight: weight must be positive, got 0.0"),
@@ -271,6 +279,8 @@ _FUZZ_ERROR = {
     "map-gauge-short": (2, "map.gauge: expected 3 entries, got 1"),
     "map-lift-bool": (2, "map.vertex_lifts[0][0]: expected a number, got True"),
     "map-lift-count": (4, "LIFT_COUNT: 5 lifts for 6 vertices"),
+    "map-lift-huge-integer": (
+        2, "map.vertex_lifts[0][0]: expected a finite number, got an integer too large for a float"),
     "map-lift-inf": (2, "map.vertex_lifts[0][2]: expected a finite number, got inf"),
     "map-lift-nan": (2, "map.vertex_lifts[0][0]: expected a finite number, got nan"),
     "map-lift-short": (2, "map.vertex_lifts[0]: expected 3 entries, got 2"),
@@ -280,6 +290,8 @@ _FUZZ_ERROR = {
     "map-missing-lifts": (2, "map: missing required field 'vertex_lifts'"),
     "map-not-object": (2, "map: expected an object, got list"),
     "surface-generator-bool": (2, "surface.generators[0][0][0]: expected a number, got True"),
+    "surface-generator-huge-integer": (
+        2, "surface.generators[0][0][0]: expected a finite number, got an integer too large for a float"),
     "surface-generator-nan": (2, "surface.generators[0][1][1]: expected a finite number, got nan"),
     "surface-generator-not-isometry": (4, "matrix does not preserve the Minkowski form (defect 3.000e+00)"),
     "surface-genus-string": (2, "surface.genus: expected an integer, got '2'"),
@@ -306,6 +318,22 @@ def test_malformed_documents_exit_2_or_4(case, map_file, tmp_path, capsys):
         argv += [f"--{name}", str(path)]
     code, message = _FUZZ_ERROR[case]
     assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["integer-past-digit-limit", "not-utf8"])
+def test_unreadable_documents_exit_2(case, map_file, tmp_path, capsys):
+    # json.dumps cannot write either document, so each is edited as text
+    text = Path(map_file).read_text(encoding="utf-8")
+    path = tmp_path / "edited.json"
+    if case == "not-utf8":
+        path.write_bytes(b"\xff" + text.encode())
+        message = f"{path}: not UTF-8 text (byte 0: invalid start byte)"
+    else:
+        digits = sys.get_int_max_str_digits() + 1
+        path.write_text(text.replace('"vertex_lifts": [', '"vertex_lifts": [' + "1" * digits + ", ", 1))
+        message = f"{path}: holds an integer of more than {digits - 1} digits"
+    assert main(["solve", "--map", str(path), "--out", str(tmp_path / "o.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -14,6 +14,7 @@ from graphuniform.families import (
     stationarity_ratio,
 )
 from graphuniform.hyperboloid import Isometry, hexagon_partner_length
+from graphuniform.maps import MarkedMap
 from graphuniform.solver import SolverConfig
 from graphuniform.surfaces import MetricFamily, family
 
@@ -152,6 +153,18 @@ def test_family_evaluation_builds_no_isometry(monkeypatch):
     monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(1) or post_init(self))
     evaluator.energy(1.3)
     assert not built
+
+
+def test_evaluations_reuse_the_first_reference_map(monkeypatch):
+    # the family builds one reference map and moves it to every later seam
+    evaluator = EnergyEvaluator(family("hexagon-genus2"))
+    built = []
+    post_init = MarkedMap.__post_init__
+    monkeypatch.setattr(MarkedMap, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for s in (0.8, 1.0, THETA_STAR, 1.5, 2.0):
+        value = evaluator.energy(s)
+        assert abs(value - hexagon_family_energy(s, 1.0, 1.0)) < 1e-9 * value
+    assert len(built) == 1
 
 
 def test_properness_probe_grows_both_ways():

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from graphuniform.errors import DomainError, GeometryError, SchemaError
-from graphuniform.graphs import WeightedGraph
+from graphuniform.graphs import WeightedGraph, bouquet
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot
 from graphuniform.maps import (
     _REVERSAL_TOL,
@@ -19,7 +19,13 @@ from graphuniform.maps import (
 )
 from graphuniform.serialize import map_from_json, map_to_json
 from graphuniform.solver import solve
-from graphuniform.surfaces import build_genus2_hexagon_surface
+from graphuniform.surfaces import (
+    SurfaceModel,
+    _center_bouquet,
+    build_genus2_hexagon_surface,
+    build_klein_quartic,
+    build_regular_4g_surface,
+)
 
 
 def perturbed(m, scale, seed):
@@ -272,3 +278,63 @@ def test_points_and_isometries_handed_out_are_the_array_rows(s, genus2_solved):
     with pytest.raises(GeometryError):
         HPoint(np.array([0.1, 1.0, 0.0]))  # outside callers are still checked
     assert dist_arr(HPoint(2.0 * ref.lifts[3]).coords, ref.vertex_lifts[3].coords) <= 1e-10
+
+
+_INDEX_ARRAYS = ("row", "origins", "termini", "weights", "even", "busy", "starts")
+
+
+def _assert_retargets_like_fresh(m, surface, lifts):
+    """m moved onto `surface` at `lifts` keeps its words, gauge and edge
+    index arrays, and has the deck matrices of a map built there afresh."""
+    m.vertex_lifts  # cached on m, and not handed on
+    moved = m.with_surface(surface, lifts)
+    fresh = MarkedMap(surface, m.graph, lifts, m.deck_words, m.gauge)
+    assert moved.surface is surface and moved.graph is m.graph
+    assert moved.deck_words is m.deck_words and moved.gauge is m.gauge
+    assert all(getattr(moved.edges, name) is getattr(m.edges, name) for name in _INDEX_ARRAYS)
+    assert np.array_equal(moved.lifts, fresh.lifts)
+    assert np.array_equal([p.coords for p in moved.vertex_lifts], fresh.lifts)
+    assert np.array_equal(moved.edges.mats, fresh.edges.mats)
+    assert energy(moved) == energy(fresh)
+    return moved
+
+
+def _conjugated(surface, g):
+    return SurfaceModel(surface.genus, g @ surface.matrices @ np.linalg.inv(g))
+
+
+def test_with_surface_matches_fresh_construction(genus2_bundle):
+    _, _, ref = genus2_bundle
+    other, _, target = build_genus2_hexagon_surface(1.7)
+    moved = _assert_retargets_like_fresh(ref, other, target.lifts)
+    assert moved.edges.mats.tobytes() == target.edges.mats.tobytes()
+    ladder = oracles.subdivide(ref, 8)
+    _assert_retargets_like_fresh(ladder, other, ladder.lifts)
+    rebased = rebase_vertex(rebase_vertex(ref, 2, (1, -3, 2)), 3, (-4, 1))  # words of up to six letters
+    assert max(map(len, rebased.deck_words)) == 6
+    _assert_retargets_like_fresh(rebased, other, rebased.lifts)
+    g = oracles.x_translation(0.3) @ oracles.rot_z(0.7)
+    for surface in (build_regular_4g_surface(2), build_klein_quartic()):
+        _, _, bouquet = _center_bouquet(surface)
+        _assert_retargets_like_fresh(bouquet, _conjugated(surface, g), bouquet.lifts @ g.T)
+
+
+def test_with_surface_keeps_the_gauge(genus2_bundle):
+    _, _, ref = genus2_bundle
+    gauged = gauge_transform(ref, Isometry(oracles.x_translation(0.8) @ oracles.rot_z(1.1)))
+    other, _, target = build_genus2_hexagon_surface(0.9)
+    _assert_retargets_like_fresh(gauged, other, target.lifts @ gauged.gauge.matrix.T)
+
+
+def test_with_surface_refuses_what_fresh_construction_refuses():
+    # the loop's words (1,) and (-2,) are inverse only while g1 = g2
+    t = oracles.x_translation(0.5)
+    m = MarkedMap(SurfaceModel(2, np.stack([t, t])), bouquet(1), [[1.0, 0.0, 0.0]], ((1,), (-2,)))
+    lifts = m.lifts
+    for surface, error in ((SurfaceModel(2, np.stack([t, oracles.x_translation(0.7)])), GeometryError),
+                           (SurfaceModel(2, t[None]), DomainError)):
+        with pytest.raises(error) as fresh:
+            MarkedMap(surface, m.graph, lifts, m.deck_words)
+        with pytest.raises(error) as moved:
+            m.with_surface(surface, lifts)
+        assert str(moved.value) == str(fresh.value)

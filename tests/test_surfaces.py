@@ -205,11 +205,34 @@ def test_generator_table_matches_the_isometries(genus2_bundle, klein_surface, oc
 
 
 def test_reference_map_multiplies_each_distinct_word_once(monkeypatch):
+    # the 24 half-edges carry 13 distinct words: the empty word, 8 of one
+    # letter and 4 of two; they are multiplied as one batch per letter
+    # position, never one word at a time
     calls = []
     word_matrix = SurfaceModel.word_matrix
     monkeypatch.setattr(SurfaceModel, "word_matrix", lambda self, w: calls.append(w) or word_matrix(self, w))
-    build_genus2_hexagon_surface(1.3)
-    assert len(calls) == len(set(calls)) == 13
+    _, _, ref = build_genus2_hexagon_surface(1.3)
+    assert not calls
+    words = ref._word_index
+    assert len(words.letters) == len(set(ref.deck_words)) == 13
+    assert words.ahead == (12, 4)
+
+
+def test_family_builds_bit_for_bit_as_one_word_at_a_time():
+    # the batched long-double build and the re-targeted reference maps give
+    # the bits of one reflection and one word_matrix product at a time, at
+    # seams across the domain and at 8.5 outside it, fresh and through one
+    # family object (its builder, past the domain check, for 8.5)
+    seams = [float(s) for s in np.geomspace(0.25, 4.0, 42)[1:-1]] + [8.5]
+    for weights in ((1.0, 1.0), (4.0, 1.0)):
+        fam = family("hexagon-genus2", weights=weights)
+        for s in seams:
+            want = oracles.reference_hexagon(s, weights)
+            built = fam.build(s) if s < fam.domain[1] else fam._builder(s)
+            for surface, _graph, ref in (build_genus2_hexagon_surface(s, weights), built):
+                got = (surface.matrices, surface.polygon, ref.lifts, ref.edges.mats, energy(ref))
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (s, weights)
 
 
 def test_family_domain_checks():

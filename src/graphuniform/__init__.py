@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 from .hyperboloid import HPoint, Isometry
-from .maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts, rebase_vertex
+from .maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
 from .solver import SolverConfig, SolveTrace, gauge_fix, hessian_fd, solve, uniqueness_probe
 from .surfaces import (
     MetricFamily,
@@ -36,17 +36,14 @@ from .surfaces import (
 from .families import (
     EnergyEvaluator,
     LagrangeSolution,
-    energy_of_parameter,
     hexagon_family_energy,
     lagrange_solve,
     minimize_1d,
-    properness_probe,
 )
 from .variations import (
     VertexVariation,
     first_variation,
     hessian_consistency,
-    jacobi_solve,
     second_variation_geodesic,
 )
 
@@ -57,12 +54,10 @@ __all__ = [
     "SchemaError", "TangencyError",
     "WeightedGraph", "bouquet", "cycle_with_doubled_edges",
     "HPoint", "Isometry",
-    "MarkedMap", "balanced_residual", "energy", "gauge_transform", "initial_lifts", "rebase_vertex",
+    "MarkedMap", "balanced_residual", "energy", "gauge_transform", "initial_lifts",
     "SolverConfig", "SolveTrace", "gauge_fix", "hessian_fd", "solve", "uniqueness_probe",
     "MetricFamily", "SurfaceModel", "build_genus2_hexagon_surface", "build_klein_quartic",
     "build_regular_4g_surface", "family", "validate_surface",
-    "EnergyEvaluator", "LagrangeSolution", "energy_of_parameter", "hexagon_family_energy",
-    "lagrange_solve", "minimize_1d", "properness_probe",
-    "VertexVariation", "first_variation", "hessian_consistency", "jacobi_solve",
-    "second_variation_geodesic",
+    "EnergyEvaluator", "LagrangeSolution", "hexagon_family_energy", "lagrange_solve", "minimize_1d",
+    "VertexVariation", "first_variation", "hessian_consistency", "second_variation_geodesic",
 ]

@@ -29,7 +29,7 @@ from .hyperboloid import regular_polygon
 from .maps import balanced_residual, energy, initial_lifts
 from .selfcheck import CheckResult, _check, run_all, summary_table
 from .solver import SolverConfig, solve
-from .surfaces import build_regular_4g_surface, family, validate_surface
+from .surfaces import build_regular_4g_surface, center_bouquet, family, validate_surface
 from . import serialize
 
 
@@ -171,7 +171,7 @@ def _example_regular_4g(genus: int) -> list[CheckResult]:
         expected = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
         checks.append(_check("octagon generator translation length",
                              abs(surface.generators[0].translation_length() - expected), 1e-8))
-    _s, _g, ref = family("regular-4g", genus=genus).build()
+    ref = center_bouquet(surface)
     rep = balanced_residual(ref)
     checks.append(_check("center bouquet map is balanced", rep.max_norm, 1e-10))
     geo = regular_polygon(4 * genus, math.pi / (2 * genus))

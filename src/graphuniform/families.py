@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .hyperboloid import hexagon_partner_length
@@ -98,24 +97,17 @@ class EnergyEvaluator:
     def __init__(self, fam: MetricFamily, cfg: SolverConfig | None = None):
         self.family = fam
         self.cfg = cfg or SolverConfig()
-        self.solve_count = 0
         self.last_trace: SolveTrace | None = None
 
-    def energy(self, theta: float | None = None) -> float:
+    def energy(self, theta: float) -> float:
         _surface, _graph, reference = self.family.build(theta)
         trace = solve(reference, self.cfg)
-        self.solve_count += 1
         self.last_trace = trace
         if not trace.converged:
             raise NonConvergenceError(
                 f"harmonic solve did not reach residual {self.cfg.residual_tol} "
                 f"at parameter {theta!r} ({trace.stop_reason} after {trace.iterations} iterations)")
         return energy(trace.final_map)
-
-
-def energy_of_parameter(fam: MetricFamily, theta: float | None, cfg: SolverConfig | None = None) -> float:
-    """One-shot E(theta) from the family's reference start."""
-    return EnergyEvaluator(fam, cfg).energy(theta)
 
 
 def minimize_1d(
@@ -195,47 +187,3 @@ def minimize_1d(
         raise BracketError(
             f"minimum of {fam.family_id} sits at the bracket boundary near {x!r}; widen {bracket!r}")
     return x, fx
-
-
-@dataclass(frozen=True)
-class PropernessReport:
-    theta_star: float
-    energy_star: float
-    factors: tuple[float, ...]
-    energies_below: tuple[float, ...]  # at theta*/f
-    energies_above: tuple[float, ...]  # at theta**f
-    monotone: bool
-    exceeds_minimum: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.monotone and self.exceeds_minimum
-
-
-def properness_probe(
-    fam: MetricFamily,
-    theta_star: float,
-    factors: tuple[float, ...],
-    cfg: SolverConfig | None = None,
-    energy_fn: Callable[[float], float] | None = None,
-) -> PropernessReport:
-    """Checks E grows monotonically when the parameter is scaled away from
-    the minimizer by each factor, in both directions.
-
-    By default each point is solved numerically.  Far from the minimizer the
-    deck transformations carry huge matrix norms and the f64 solver cannot
-    resolve residuals there, so callers probing wide factors should pass a
-    closed-form energy_fn when the family has one.
-    """
-    factors = tuple(sorted(factors))
-    if not factors or factors[0] <= 1.0:
-        raise DomainError(f"scale factors must exceed 1, got {factors!r}")
-    if energy_fn is None:
-        energy_fn = lambda theta: energy_of_parameter(fam, theta, cfg)
-    e_star = energy_fn(theta_star)
-    below = tuple(energy_fn(theta_star / f) for f in factors)
-    above = tuple(energy_fn(theta_star * f) for f in factors)
-    monotone = all(x < y for x, y in zip(below, below[1:])) and all(
-        x < y for x, y in zip(above, above[1:]))
-    exceeds = all(v > e_star for v in below + above)
-    return PropernessReport(theta_star, e_star, factors, below, above, monotone, exceeds)

@@ -221,14 +221,12 @@ class Isometry:
     def identity() -> "Isometry":
         return Isometry(np.eye(3))
 
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.matrix @ other.matrix)
-
     def inverse(self) -> "Isometry":
         return Isometry(J_MATRIX @ self.matrix.T @ J_MATRIX)
 
-    def is_identity(self, tol: float = GEOM_TOL) -> bool:
-        return float(np.max(np.abs(self.matrix - np.eye(3)))) <= tol
+    def is_identity(self) -> bool:
+        """True only for the exact identity matrix."""
+        return bool(np.array_equal(self.matrix, np.eye(3)))
 
     def translation_length(self) -> float:
         """Length of a hyperbolic translation; raises for elliptic or parabolic maps."""
@@ -290,7 +288,10 @@ def hexagon_partner_length(s: float) -> float:
 
 
 def polygon_interior_angles(corners: np.ndarray) -> np.ndarray:
-    """Interior angle at every corner of a geodesic polygon, corners (n, 3) in cyclic order."""
+    """Interior angle at every corner of a geodesic polygon, corners (n, 3) in
+    cyclic order, as 2 atan2(|u - w|, |u + w|) for the unit tangents u and w
+    towards the two neighbours (Kahan): unlike the arccos of their cosine it
+    keeps full precision at angles near 0 and pi."""
     corners = np.asarray(corners, dtype=float)
     back = log_arr(corners, np.roll(corners, 1, axis=0))
     ahead = log_arr(corners, np.roll(corners, -1, axis=0))
@@ -298,7 +299,10 @@ def polygon_interior_angles(corners: np.ndarray) -> np.ndarray:
     b = np.sqrt(np.maximum(0.0, minkowski_dot(ahead, ahead)))
     if min(np.min(a), np.min(b)) < 1e-14:
         raise DegenerateEdgeError("angle with a zero tangent is undefined")
-    return np.arccos(np.clip(minkowski_dot(back, ahead) / (a * b), -1.0, 1.0))
+    u, w = back / a[:, None], ahead / b[:, None]
+    diff, total = u - w, u + w
+    return 2.0 * np.arctan2(np.sqrt(np.maximum(0.0, minkowski_dot(diff, diff))),
+                            np.sqrt(np.maximum(0.0, minkowski_dot(total, total))))
 
 
 def polygon_area(corners: np.ndarray) -> float:

@@ -444,7 +444,7 @@ class MarkedMap:
                 for w in word:
                     surface.generator_matrix(w)  # raises at the first letter it has no generator for
         mats = words.products(surface._table)
-        if not self.gauge.is_identity(tol=0.0):
+        if not self.gauge.is_identity():
             mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
         mats = mats[words.index]
         reversals = words.reversals
@@ -494,13 +494,6 @@ class MarkedMap:
     def deck_matrix(self, e: int) -> np.ndarray:
         return self.edges.mats[self.edges.row[e]]
 
-    def edge_segment(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints of the lifted half-edge e; the far end is put back on the
-        sheet after the deck matrix moves it."""
-        p = self.lifts[self.graph.origins[e]]
-        q = self.deck_matrix(e) @ self.lifts[self.graph.terminus(e)]
-        return p, points_arr(q)
-
     def with_surface(self, surface: SurfaceModel, lifts) -> "MarkedMap":
         """The same graph, words and gauge on another surface that has every
         generator the words name, at new vertex positions: only the deck
@@ -535,10 +528,6 @@ def energy(m: MarkedMap) -> float:
 class BalancedReport:
     residuals: np.ndarray  # (V, 3): the residual tangent vector at each vertex lift
     max_norm: float
-    rms_norm: float
-
-    def is_harmonic(self, tol: float = 1e-9) -> bool:
-        return self.max_norm <= tol
 
 
 def balanced_residual(m: MarkedMap) -> BalancedReport:
@@ -549,7 +538,7 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
     """
     residuals = m.edges.residual(m.lifts)
     norms = np.sqrt(np.maximum(0.0, minkowski_dot(residuals, residuals)))
-    return BalancedReport(residuals, float(np.max(norms)), math.sqrt(float(np.mean(norms * norms))))
+    return BalancedReport(residuals, float(np.max(norms)))
 
 
 def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
@@ -559,27 +548,6 @@ def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
     conjugated = g.matrix @ m.edges.mats @ (J_MATRIX @ g.matrix.T @ J_MATRIX)  # g^-1 = J g^T J
     object.__setattr__(moved, "edges", replace(m.edges, mats=conjugated))
     return moved
-
-
-def rebase_vertex(m: MarkedMap, v: int, word: tuple[int, ...]) -> MarkedMap:
-    """Replace the lift of v by its translate under `word`, fixing up the deck
-    words of incident edges so the map is unchanged.  Energy is invariant."""
-    if not 0 <= v < m.graph.vertex_count:
-        raise DomainError(f"no vertex {v}")
-    word = tuple(word)
-    gamma = m.gauge.matrix @ m.surface.word_matrix(word) @ m.gauge.inverse().matrix
-    lifts = m.lift_array()
-    lifts[v] = gamma @ lifts[v]
-    inv = _inverse_word(word)
-    new_words = []
-    for e in range(m.graph.half_edge_count):
-        w = m.deck_words[e]
-        if m.graph.origins[e] == v:
-            w = word + w
-        if m.graph.terminus(e) == v:
-            w = w + inv
-        new_words.append(w)
-    return MarkedMap(m.surface, m.graph, lifts, tuple(new_words), m.gauge)
 
 
 def initial_lifts(

@@ -21,9 +21,10 @@ def disk_projection(coords: np.ndarray) -> np.ndarray:
     return coords[..., 1:] / (1.0 + coords[..., :1])
 
 
-def _geodesic_points(p: np.ndarray, q: np.ndarray, segments: int = 24) -> np.ndarray:
+def _geodesic_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """25 points along the geodesic from p to q, ends included."""
     v = log_arr(p, q)
-    ts = np.linspace(0.0, 1.0, segments + 1)
+    ts = np.linspace(0.0, 1.0, 25)
     return exp_arr(p[None, :], ts[:, None] * v[None, :])
 
 
@@ -58,11 +59,11 @@ class _Svg:
         return header + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _polygon_outline(corners: np.ndarray, segments: int = 24) -> np.ndarray:
+def _polygon_outline(corners: np.ndarray) -> np.ndarray:
     pieces = []
     n = len(corners)
     for k in range(n):
-        pieces.append(_geodesic_points(corners[k], corners[(k + 1) % n], segments)[:-1])
+        pieces.append(_geodesic_points(corners[k], corners[(k + 1) % n])[:-1])
     return disk_projection(np.concatenate(pieces))
 
 

@@ -38,7 +38,8 @@ def check_hexagon_area() -> CheckResult:
     return _check("right-angled hexagon area = pi", abs(polygon_area(corners) - math.pi), 1e-8)
 
 
-def check_genus2_relators(s: float = 1.3) -> CheckResult:
+def check_genus2_relators() -> CheckResult:
+    s = 1.3
     surface, _, _ = surfaces.build_genus2_hexagon_surface(s)
     report = surfaces.validate_surface(surface)
     worst = max(report.relator_defects) if report.relator_defects else math.inf
@@ -120,7 +121,7 @@ def check_first_variation() -> CheckResult:
 def check_klein_bouquet() -> CheckResult:
     """The Z7-symmetric bouquet at the Klein 14-gon's centre: seven loops of
     twice the inradius of the regular 14-gon with angle 2*pi/7."""
-    _surface, _graph, bouquet_map = surfaces._center_bouquet(surfaces.build_klein_quartic())
+    bouquet_map = surfaces.center_bouquet(surfaces.build_klein_quartic())
     closed = 7.0 * (2.0 * regular_polygon(14, 2.0 * math.pi / 7.0).inradius) ** 2
     energy_err = abs(energy(bouquet_map) - closed) / closed
     residual = balanced_residual(bouquet_map).max_norm

@@ -298,27 +298,23 @@ def surface_from_json(obj: Any, path: str = "surface") -> SurfaceModel:
 # map schema
 
 
-def map_to_json(m: MarkedMap, embed: bool = True) -> dict:
-    g = m.graph
-    out: dict[str, Any] = {}
-    if embed:
-        out["surface"] = surface_to_json(m.surface)
-        out["graph"] = graph_to_json(g)
-    out["vertex_lifts"] = m.lifts.tolist()
-    out["edge_decks"] = [list(m.deck_words[e]) for (e, *_rest) in g.unoriented_edges()]
-    if not m.gauge.is_identity(tol=0.0):
+def map_to_json(m: MarkedMap) -> dict:
+    """The map with its surface and graph embedded."""
+    out: dict[str, Any] = {
+        "surface": surface_to_json(m.surface),
+        "graph": graph_to_json(m.graph),
+        "vertex_lifts": m.lifts.tolist(),
+        "edge_decks": [list(m.deck_words[e]) for (e, *_rest) in m.graph.unoriented_edges()],
+    }
+    if not m.gauge.is_identity():
         out["gauge"] = m.gauge.matrix.tolist()
     return out
 
 
-def map_from_json(
-    obj: Any,
-    surface: SurfaceModel | None = None,
-    graph: WeightedGraph | None = None,
-    path: str = "map",
-) -> MarkedMap:
+def map_from_json(obj: Any, surface: SurfaceModel | None = None, graph: WeightedGraph | None = None) -> MarkedMap:
     """Rebuild a map; surface/graph may be embedded in the document or passed
     in (explicit arguments win)."""
+    path = "map"
     obj = _as_object(obj, path)
     if surface is None:
         if obj.get("surface") is None:

@@ -309,29 +309,17 @@ def gauge_fix(m: MarkedMap) -> MarkedMap:
     return gauge_transform(m, _prevalidated(Isometry, turn @ to_origin))
 
 
-def fd_gradient(m: MarkedMap, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference energy gradient in the canonical orthonormal
-    tangent coordinates (2 per vertex)."""
-    edges = m.edges
-    x = m.lift_array()
-    bases = tangent_basis_arr(x)
-    grad = np.zeros(2 * len(x))
-    for i in range(len(grad)):
-        step = np.zeros_like(x)
-        step[i // 2] = h * bases[i // 2, i % 2]
-        grad[i] = (edges.energy(exp_arr(x, step)) - edges.energy(exp_arr(x, -step))) / (2.0 * h)
-    return grad
-
-
 def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
-    """Central finite-difference Hessian of energy in the same coordinates as
-    fd_gradient: differences of the closed-form gradient -2 * residual, read
-    in the tangent basis of each moved point; symmetrized.  Meaningful as a
-    second-order object at a harmonic map, where the coordinate choice drops
-    out.  The moved lifts of all 2V columns form one (2, 2V, V, 3) stack,
-    +h and -h along each coordinate direction, which goes through the
-    batched residual in chunks of columns whose per-half-edge arrays are no
-    larger than the stack (about E / V chunks)."""
+    """Central finite-difference Hessian of energy in the coordinates of the
+    orthonormal `tangent_basis_arr` bases at the lifts, 2 per vertex:
+    differences of the closed-form gradient -2 * residual along each basis
+    vector, read in the tangent basis of each moved point; symmetrized.
+    Meaningful as a second-order object at a harmonic map, where the
+    coordinate choice drops out.  The moved lifts of all 2V columns form
+    one (2, 2V, V, 3) stack, +h and -h along each coordinate direction,
+    which goes through the batched residual in chunks of columns whose
+    per-half-edge arrays are no larger than the stack (about E / V
+    chunks)."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
     x = m.lift_array()
@@ -356,7 +344,6 @@ class UniquenessReport:
     converged: tuple[bool, ...]
     energies: tuple[float, ...]
     max_gauge_deviation: float
-    max_raw_deviation: float
     degenerate: bool
 
     @property
@@ -408,22 +395,16 @@ def uniqueness_probe(
     starts = [initial_lifts(surface, graph, "random", seed=cfg.seed + i) for i in range(n_starts)]
     base = MarkedMap.from_unoriented_words(surface, graph, starts[0], deck_words)
     traces = [solve(base.with_lifts(x), cfg) for x in starts]
-    fixed = [gauge_fix(t.final_map) for t in traces]
-
-    def max_pair_dev(maps) -> float:
-        worst = 0.0
-        for i in range(len(maps)):
-            xi = maps[i].lifts
-            for j in range(i + 1, len(maps)):
-                worst = max(worst, float(np.max(dist_arr(xi, maps[j].lifts))))
-        return worst
-
+    fixed = [gauge_fix(t.final_map).lifts for t in traces]
+    worst = 0.0
+    for i, x in enumerate(fixed):
+        for y in fixed[i + 1:]:
+            worst = max(worst, float(np.max(dist_arr(x, y))))
     degenerate = any(t.converged and _image_is_one_dimensional(t.final_map) for t in traces)
     return UniquenessReport(
         n_starts,
         tuple(t.converged for t in traces),
         tuple(energy(t.final_map) for t in traces),
-        max_pair_dev(fixed),
-        max_pair_dev([t.final_map for t in traces]),
+        worst,
         degenerate,
     )

@@ -216,34 +216,28 @@ class SurfaceReport:
         return not self.issues
 
 
-def validate_surface(
-    surface: SurfaceModel,
-    relator_tol: float = 1e-8,
-    angle_tol: float = 1e-8,
-    area_tol: float = 1e-7,
-    pairing_tol: float = 1e-8,
-) -> SurfaceReport:
+def validate_surface(surface: SurfaceModel) -> SurfaceReport:
     """Numeric checks: relators compose to identity, side pairings carry
     corners onto corners, vertex-cycle angle sums are 2*pi, and the polygon
     area matches Gauss-Bonnet for the genus.
 
-    A vertex cycle's angle sum is gated at angle_tol, or at its float64
-    rounding where that is larger: 32 eps per corner of the cycle times
-    (1 + c)^2 for the largest corner coordinate c.  Each angle pairs corner
-    vectors of size c, so its rounding grows like eps c^2; the regular
-    4g-gons' cycle sums are off by up to 6 of those units at genus 2-80
-    (2.3e-8 at genus 25, 5.6e-7 at 40), and the rounding gate passes
-    angle_tol first at genus 11, so genus 2 and 3 keep angle_tol itself.
-    The area is (n - 2) pi minus the n angles, so its gate is area_tol per
-    4*pi of expected area, or the n angles' rounding gates summed where that
-    is larger (from genus 34; the regular 4g-gons use up to 0.27 of it at
-    genus 2-150).  A side pairing is gated at pairing_tol (1 + c), or at
+    A vertex cycle's angle sum is gated at 1e-8, or at its float64 rounding
+    where that is larger: 32 eps per corner of the cycle times (1 + c)^2 for
+    the largest corner coordinate c.  Each angle pairs corner vectors of size
+    c, so its rounding grows like eps c^2; the regular 4g-gons' cycle sums
+    are off by up to 5.4 eps c^2 at genus 2-150 (3.4e-9 at genus 40, 5.4e-8
+    at 80), so from genus 53 some need the rounding gate, which passes 1e-8
+    first at genus 11; genus 2 and 3 keep 1e-8 itself.
+    The area is (n - 2) pi minus the n angles, so its gate is 1e-7 per 4*pi
+    of expected area, or the n angles' rounding gates summed where that is
+    larger (from genus 34; the regular 4g-gons use up to 0.0011 of it at
+    genus 2-150).  A side pairing is gated at 1e-8 (1 + c), or at
     8 eps (1 + c)^3 where that is larger (from genus 39): renormalizing a
     corner of size c rescales it by 1 + O(eps c^2), moving it by eps c^3,
     and the regular 4g-gons' pairings are off by up to 1.4 eps (1 + c)^3 at
     genus 2-150 (8.9e-5 at genus 70).
     Reported relator defects are absolute, but the pass/fail gate scales
-    relator_tol by the squared norm of the largest partial product: a float64
+    1e-8 by the squared norm of the largest partial product: a float64
     product of long words cannot beat rounding amplified by those norms, and
     the square is the right power because a generator's inverse has entries
     as large as the generator itself."""
@@ -258,7 +252,7 @@ def validate_surface(
             biggest = max(biggest, float(np.max(np.abs(out))))
         defect = float(np.max(np.abs(out - np.eye(3))))
         relator_defects.append(defect)
-        if defect > relator_tol * (1.0 + biggest) ** 2:
+        if defect > 1e-8 * (1.0 + biggest) ** 2:
             issues.append(("RELATOR", f"relator {i} has identity defect {defect:.3e}"))
 
     angle_sums: list[float] = []
@@ -268,7 +262,7 @@ def validate_surface(
         n = len(corners)
         scale = 1.0 + float(np.max(np.abs(corners)))
         angle_rounding = 32.0 * np.finfo(float).eps * scale * scale
-        pairing_gate = max(pairing_tol * scale, 8.0 * np.finfo(float).eps * scale ** 3)
+        pairing_gate = max(1e-8 * scale, 8.0 * np.finfo(float).eps * scale ** 3)
         for a, b, g in surface.side_pairs:
             m = surface.generator_matrix(g)
             d1 = float(np.max(np.abs(m @ corners[a] - corners[(b + 1) % n])))
@@ -279,11 +273,11 @@ def validate_surface(
         for cyc in vertex_cycles(n, surface.side_pairs):
             total = sum(angles[k] for k in cyc.corners)
             angle_sums.append(total)
-            if abs(total - 2.0 * math.pi) > max(angle_tol, angle_rounding * len(cyc.corners)):
+            if abs(total - 2.0 * math.pi) > max(1e-8, angle_rounding * len(cyc.corners)):
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
         area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)
-        if abs(area - area_expected) > max(area_tol * area_expected / (4.0 * math.pi), angle_rounding * n):
+        if abs(area - area_expected) > max(1e-7 * area_expected / (4.0 * math.pi), angle_rounding * n):
             issues.append(("AREA", f"polygon area {area!r}, Gauss-Bonnet expects {area_expected!r}"))
 
     return SurfaceReport(tuple(issues), tuple(relator_defects), tuple(angle_sums), area, area_expected)
@@ -443,47 +437,41 @@ def hexagon_corners(s: float) -> np.ndarray:
 class MetricFamily:
     """One combinatorial gluing scheme swept over a metric parameter.
 
-    `domain` is an open interval for one-parameter families and None for
-    singletons (evaluate with theta=None).  `build` returns the surface, the
-    weighted graph, and the family's reference map; the deck words of that
-    map are the same at every parameter, which is what makes energies at
-    different parameters comparable, and lets a family re-target one map to
-    each new surface.
+    `domain` is the open interval of parameters.  `build` returns the
+    surface, the weighted graph, and the family's reference map; the deck
+    words of that map are the same at every parameter, which is what makes
+    energies at different parameters comparable, and lets a family re-target
+    one map to each new surface.
     """
 
     family_id: str
-    domain: tuple[float, float] | None
+    domain: tuple[float, float]
     _builder: Callable = field(repr=False)
 
-    def build(self, theta: float | None = None):
-        if self.domain is None:
-            if theta is not None:
-                raise DomainError(f"family {self.family_id!r} has no metric parameter")
-            return self._builder()
-        if theta is None:
-            raise DomainError(f"family {self.family_id!r} needs a parameter in {self.domain}")
+    def build(self, theta: float):
         lo, hi = self.domain
         if not lo < theta < hi:
             raise DomainError(f"parameter {theta!r} outside family domain ({lo}, {hi})")
         return self._builder(theta)
 
 
-def _center_bouquet(surface: SurfaceModel, weight: float = 1.0):
-    """One loop (k,) per generator k at one vertex lifted to the origin: harmonic
-    when the surface's side pairings move the origin to its mirror images across
-    the sides of a regular polygon centred there, each loop twice the inradius."""
+def center_bouquet(surface: SurfaceModel):
+    """The map of one unit-weight loop (k,) per generator k at one vertex
+    lifted to the origin.  Harmonic when the surface's side pairings
+    move the origin to its mirror images across the sides of a regular
+    polygon centred there, each loop twice the inradius."""
     from .maps import MarkedMap
 
     count = len(surface.matrices)
-    graph = bouquet(count, weight)
+    graph = bouquet(count)
     lifts = np.array([[1.0, 0.0, 0.0]])
     words = tuple((k + 1,) for k in range(count))
-    return surface, graph, MarkedMap.from_unoriented_words(surface, graph, lifts, words)
+    return MarkedMap.from_unoriented_words(surface, graph, lifts, words)
 
 
 def family(kind: str, **fixed) -> MetricFamily:
-    """Families: 'hexagon-genus2' (parameter = seam length s) and the
-    singleton 'regular-4g'."""
+    """The family 'hexagon-genus2' (parameter = seam length s), with class
+    weights fixed by `weights=(m_c, m_d)`."""
     if kind == "hexagon-genus2":
         weights = fixed.pop("weights", (1.0, 1.0))
         if fixed:
@@ -502,12 +490,4 @@ def family(kind: str, **fixed) -> MetricFamily:
             return surface, first[0].graph, first[0].with_surface(surface, lifts)
 
         return MetricFamily(kind, (0.25, 4.0), build)
-    if kind == "regular-4g":
-        genus = fixed.pop("genus", 2)
-        weight = fixed.pop("weight", 1.0)
-        if fixed:
-            raise DomainError(f"unknown regular-4g options {sorted(fixed)}")
-        if genus < 2:
-            raise DomainError(f"regular-4g family needs genus >= 2, got {genus}")
-        return MetricFamily(kind, None, lambda: _center_bouquet(build_regular_4g_surface(genus), weight))
     raise DomainError(f"unknown family kind {kind!r}")

@@ -7,6 +7,7 @@ is evidence rather than tautology.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -345,3 +346,155 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
         words[graph.reversals[e]] = tuple(-w for w in reversed(word))
     edges = EdgeData.build(graph, np.array([surface.word_matrix(word) for word in words]))
     return surface.matrices, surface.polygon, lifts, edges.mats, edges.energy(lifts)
+
+
+# --------------------------------------------------------------------------
+# one-edge and one-coordinate references for the library's batched code
+
+
+def edge_segment(m, e):
+    """Endpoints of the lifted half-edge e of map m; the far end is put back
+    on the sheet after the deck matrix moves it."""
+    from graphuniform.hyperboloid import points_arr
+
+    p = m.lifts[m.graph.origins[e]]
+    q = m.deck_matrix(e) @ m.lifts[m.graph.terminus(e)]
+    return p, points_arr(q)
+
+
+def _unit(w):
+    from graphuniform.hyperboloid import minkowski_dot
+
+    return w / np.sqrt(minkowski_dot(w, w))[..., None]
+
+
+@dataclass(frozen=True)
+class JacobiField:
+    """Variation field along one lifted edge, t in [0, 1], edge speed ell.
+
+    Tangential component (c + d*t) * u(t); normal component
+    (a*cosh(ell*t) + b*sinh(ell*t)) * n(t), with (u, n) the transported
+    frame of the edge geodesic, starting from the unit tangent `unit` at
+    the point `start`.
+    """
+
+    length: float
+    c: float
+    d: float
+    a: float
+    b: float
+    start: np.ndarray
+    unit: np.ndarray
+    boundary_error: float
+
+    def value_at(self, t):
+        """(point, field vector there) at edge parameter t in [0, 1]."""
+        from graphuniform.hyperboloid import _project_tangent_arr, minkowski_cross, points_arr
+
+        tau = self.length * t
+        p, u = self.start, self.unit
+        point = points_arr(math.cosh(tau) * p + math.sinh(tau) * u)
+        u_t = _project_tangent_arr(point, math.sinh(tau) * p + math.cosh(tau) * u)
+        n_t = _unit(minkowski_cross(point, u_t))
+        tangential = (self.c + self.d * t) * u_t
+        normal = (self.a * math.cosh(tau) + self.b * math.sinh(tau)) * n_t
+        return point, _project_tangent_arr(point, tangential + normal)
+
+
+def jacobi_solve_segment(p, q, v0, v1):
+    """Jacobi field along the geodesic p -> q with endpoint values v0, v1."""
+    from graphuniform.errors import DegenerateEdgeError
+    from graphuniform.hyperboloid import _project_tangent_arr, dist_arr, log_arr, minkowski_cross, minkowski_dot
+
+    ell = float(dist_arr(p, q))
+    if ell < 1e-12:
+        raise DegenerateEdgeError("jacobi field needs an edge of positive length")
+    u0 = log_arr(p, q) / ell
+    n0 = _unit(minkowski_cross(p, u0))
+    u1 = _project_tangent_arr(q, math.sinh(ell) * p + math.cosh(ell) * u0)
+    n1 = _unit(minkowski_cross(q, u1))
+
+    vt0 = float(minkowski_dot(v0, u0))
+    vn0 = float(minkowski_dot(v0, n0))
+    vt1 = float(minkowski_dot(v1, u1))
+    vn1 = float(minkowski_dot(v1, n1))
+
+    c, d = vt0, vt1 - vt0
+    a = vn0
+    b = (vn1 - a * math.cosh(ell)) / math.sinh(ell)
+
+    err0 = np.max(np.abs((c * u0 + a * n0) - v0))
+    rec1 = (c + d) * u1 + (a * math.cosh(ell) + b * math.sinh(ell)) * n1
+    err1 = np.max(np.abs(rec1 - v1))
+    return JacobiField(ell, c, d, a, b, p, u0, float(max(err0, err1)))
+
+
+def jacobi_solve(m, e, variation):
+    """The Jacobi field of a VertexVariation along the lifted half-edge e:
+    the origin vertex's vector at one end, the terminus vector pushed
+    through the deck matrix, projected at edge_segment's far end, at the
+    other."""
+    from graphuniform.hyperboloid import _project_tangent_arr
+
+    p, q = edge_segment(m, e)
+    v1 = _project_tangent_arr(q, m.deck_matrix(e) @ variation.vectors[m.graph.terminus(e)])
+    return jacobi_solve_segment(p, q, variation.vectors[m.graph.origins[e]], v1)
+
+
+def second_variation_fd(m, variation, h=1e-4):
+    """Central second difference of the energy along the variation."""
+    from graphuniform.maps import energy
+    from graphuniform.variations import energy_along
+
+    return (energy_along(m, variation, h) - 2.0 * energy(m) + energy_along(m, variation, -h)) / (h * h)
+
+
+def fd_gradient(m, h=1e-5):
+    """Central finite-difference energy gradient in the orthonormal
+    tangent_basis_arr coordinates (2 per vertex), one coordinate at a time."""
+    from graphuniform.hyperboloid import exp_arr, tangent_basis_arr
+
+    x = m.lift_array()
+    bases = tangent_basis_arr(x)
+    grad = np.zeros(2 * len(x))
+    for i in range(len(grad)):
+        step = np.zeros_like(x)
+        step[i // 2] = h * bases[i // 2, i % 2]
+        grad[i] = (m.edges.energy(exp_arr(x, step)) - m.edges.energy(exp_arr(x, -step))) / (2.0 * h)
+    return grad
+
+
+def rebase_vertex(m, v, word):
+    """Map m with the lift of v replaced by its translate under `word` and
+    the deck words of the incident edges fixed up, so that the map, and its
+    energy, are unchanged."""
+    from graphuniform.maps import MarkedMap
+
+    word = tuple(word)
+    gamma = m.gauge.matrix @ m.surface.word_matrix(word) @ m.gauge.inverse().matrix
+    lifts = m.lift_array()
+    lifts[v] = gamma @ lifts[v]
+    inv = tuple(-w for w in reversed(word))
+    new_words = []
+    for e in range(m.graph.half_edge_count):
+        w = m.deck_words[e]
+        if m.graph.origins[e] == v:
+            w = word + w
+        if m.graph.terminus(e) == v:
+            w = w + inv
+        new_words.append(w)
+    return MarkedMap(m.surface, m.graph, lifts, tuple(new_words), m.gauge)
+
+
+def component_count(graph):
+    """Connected components of a WeightedGraph, by union-find over its edges."""
+    parent = list(range(graph.vertex_count))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for _e, u, v, _w, _cls in graph.unoriented_edges():
+        parent[root(u)] = root(v)
+    return len({root(v) for v in range(graph.vertex_count)})

@@ -27,7 +27,7 @@ from graphuniform.solver import (
     uniqueness_probe,
 )
 from graphuniform.surfaces import (
-    _center_bouquet,
+    center_bouquet,
     family,
     genus2_deck_words,
     validate_surface,
@@ -36,7 +36,6 @@ from graphuniform.variations import (
     VertexVariation,
     first_variation,
     first_variation_fd,
-    second_variation_fd,
     second_variation_geodesic,
 )
 
@@ -99,8 +98,8 @@ def test_criterion_04_solved_energy_matches_quadratic_form():
     _report("energy quadratic form", f"max rel gap over 10 seams = {worst:.2e} <= 1e-7")
 
 
-def test_criterion_05_reference_maps_are_balanced(genus2_bundle):
-    _s, _g, bouquet_map = family("regular-4g", genus=2).build()
+def test_criterion_05_reference_maps_are_balanced(genus2_bundle, octagon_surface):
+    bouquet_map = center_bouquet(octagon_surface)
     b = balanced_residual(bouquet_map).max_norm
     assert b <= 1e-10
     _surface, _graph, ref = genus2_bundle
@@ -109,7 +108,7 @@ def test_criterion_05_reference_maps_are_balanced(genus2_bundle):
     _report("balanced references", f"bouquet {b:.2e} <= 1e-10, genus-2 {r:.2e} <= 1e-9")
 
 
-def test_criterion_06_uniqueness_up_to_gauge(genus2_bundle):
+def test_criterion_06_uniqueness_up_to_gauge(genus2_bundle, octagon_surface):
     surface, graph, _ref = genus2_bundle
     rep = uniqueness_probe(surface, graph, genus2_deck_words(), n_starts=10,
                            cfg=SolverConfig(residual_tol=1e-9, max_iters=2000))
@@ -117,8 +116,7 @@ def test_criterion_06_uniqueness_up_to_gauge(genus2_bundle):
     assert not rep.degenerate
     assert rep.max_gauge_deviation <= 1e-7
 
-    octagon = family("regular-4g", genus=2).build()[0]
-    loop = uniqueness_probe(octagon, bouquet(1), ((1,),), n_starts=3,
+    loop = uniqueness_probe(octagon_surface, bouquet(1), ((1,),), n_starts=3,
                             cfg=SolverConfig(residual_tol=1e-9, max_iters=2000))
     assert loop.degenerate
     assert "uniqueness hypothesis" in loop.message
@@ -140,7 +138,7 @@ def test_criterion_07_variation_formulas(genus2_bundle, genus2_solved):
     for seed in (1, 2, 3):
         v = VertexVariation.random(generic, seed=seed)
         exact = first_variation(generic, v)
-        fd = first_variation_fd(generic, v, h=1e-5)
+        fd = first_variation_fd(generic, v)
         worst_first = max(worst_first, abs(exact - fd) / (1.0 + abs(exact)))
     assert worst_first <= 1e-6
 
@@ -148,7 +146,7 @@ def test_criterion_07_variation_formulas(genus2_bundle, genus2_solved):
     for seed in (4, 5, 6, 7, 8):
         v = VertexVariation.random(genus2_solved, seed=seed)
         exact = second_variation_geodesic(genus2_solved, v)
-        fd = second_variation_fd(genus2_solved, v, h=1e-3)
+        fd = oracles.second_variation_fd(genus2_solved, v, h=1e-3)
         worst_second = max(worst_second, abs(exact - fd) / (1.0 + abs(exact)))
         most_negative = min(most_negative, exact)
     assert worst_second <= 1e-6
@@ -158,12 +156,12 @@ def test_criterion_07_variation_formulas(genus2_bundle, genus2_solved):
             f"min second variation {most_negative:.2e} >= -1e-12")
 
 
-def test_criterion_08_convexity_probe(genus2_solved):
+def test_criterion_08_convexity_probe(genus2_solved, octagon_surface):
     eigs = np.linalg.eigvalsh(hessian_fd(genus2_solved, h=1e-4))
     assert eigs.min() > 0.0
 
-    surface, graph, center = family("regular-4g", genus=2).build()
-    start = center.with_lifts(initial_lifts(surface, graph, "random", seed=9))
+    center = center_bouquet(octagon_surface)
+    start = center.with_lifts(initial_lifts(octagon_surface, center.graph, "random", seed=9))
     trace = solve(start, SolverConfig(residual_tol=1e-10, max_iters=2000))
     assert trace.converged
     beigs = np.linalg.eigvalsh(hessian_fd(trace.final_map, h=1e-4))
@@ -209,7 +207,7 @@ def test_criterion_09_geometry_suite(klein_surface, octagon_surface):
 def test_criterion_10_klein_bouquet_energy(klein_surface):
     # Nielsen realization's explicit minimizer: the Z7-invariant bouquet of
     # seven loops at the Klein 14-gon's centre, each twice the inradius long
-    _surface, _graph, m = _center_bouquet(klein_surface)
+    m = center_bouquet(klein_surface)
     closed = 7.0 * (2.0 * oracles.regular_polygon_inradius_oracle(14, 2.0 * math.pi / 7.0)) ** 2
     err = abs(energy(m) - closed) / closed
     residual = balanced_residual(m).max_norm

@@ -18,7 +18,7 @@ THETA_STAR = math.log(2.0 + math.sqrt(3.0))
 def map_file(tmp_path, genus2_bundle):
     _surface, _graph, ref = genus2_bundle
     path = str(tmp_path / "map.json")
-    serialize.write_artifact(path, serialize.map_to_json(ref, embed=True))
+    serialize.write_artifact(path, serialize.map_to_json(ref))
     return path
 
 
@@ -378,9 +378,8 @@ def test_optimize_exit_4_on_bad_bracket():
 
 
 def test_example_subcommands_all_pass(capsys):
-    # at genus 40 the area (490) is off by 5.6e-7, and at genus 80 (1985)
-    # by 2.3e-5: within the area gate, which at large genus is the rounding
-    # of the 4g corner angles
+    # at genus 80 the cycle's angle sum is off by 5.4e-8: within the angle
+    # gate, which at large genus is the rounding of the 4g corner angles
     for argv in (["example", "regular-4g"],
                  ["example", "regular-4g", "--genus", "3"],
                  ["example", "regular-4g", "--genus", "40"],

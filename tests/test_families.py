@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from graphuniform.errors import BracketError, DomainError, NonConvergenceError
+from graphuniform import families
 from graphuniform.families import (
     EnergyEvaluator,
-    energy_of_parameter,
     hexagon_family_energy,
     lagrange_solve,
     minimize_1d,
-    properness_probe,
     stationarity_ratio,
 )
 from graphuniform.hyperboloid import Isometry, hexagon_partner_length
@@ -25,7 +24,7 @@ def test_closed_form_energy_matches_solver():
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-10, max_iters=2000)
     for s in (0.6, 1.0, 1.7, 2.5):
-        solved = energy_of_parameter(fam, s, cfg)
+        solved = EnergyEvaluator(fam, cfg).energy(s)
         closed = hexagon_family_energy(s, 1.0, 1.0)
         assert abs(solved - closed) < 1e-7 * (1.0 + closed)
 
@@ -35,7 +34,7 @@ def test_closed_form_energy_with_asymmetric_weights():
     fam = family("hexagon-genus2", weights=(m_c, m_d))
     cfg = SolverConfig(residual_tol=1e-10, max_iters=2000)
     for s in (0.8, 1.4):
-        solved = energy_of_parameter(fam, s, cfg)
+        solved = EnergyEvaluator(fam, cfg).energy(s)
         t = hexagon_partner_length(s)
         closed = 6.0 * (m_d * s * s + m_c * t * t)
         assert abs(hexagon_family_energy(s, m_c, m_d) - closed) < 1e-12 * closed
@@ -132,18 +131,21 @@ def test_minimize_evaluation_budget(ratio):
     assert abs(theta - lagrange_solve(ratio).s) < 1e-6
 
 
-def test_evaluator_repeats_match_one_shot_energy():
+def test_evaluator_repeats_match_one_shot_energy(monkeypatch):
     # one evaluator serves many parameters, each solved from its own
     # reference map, so its values equal the one-shot evaluations
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-10, max_iters=2000)
     ev = EnergyEvaluator(fam, cfg)
     params = (0.9, 1.1, 1.3)
+    solves = []
+    solve = families.solve
+    monkeypatch.setattr(families, "solve", lambda m, c: solves.append(1) or solve(m, c))
     repeated = [ev.energy(s) for s in params]
-    one_shot = [energy_of_parameter(fam, s, cfg) for s in params]
+    assert len(solves) == len(params)
+    one_shot = [EnergyEvaluator(fam, cfg).energy(s) for s in params]
     for a, b in zip(repeated, one_shot):
         assert abs(a - b) < 1e-8 * (1.0 + abs(a))
-    assert ev.solve_count == len(params)
 
 
 def test_family_evaluation_builds_no_isometry(monkeypatch):
@@ -168,36 +170,32 @@ def test_evaluations_reuse_the_first_reference_map(monkeypatch):
 
 
 def test_properness_probe_grows_both_ways():
-    fam = family("hexagon-genus2")
-    # wide factors via the closed form: at theta*/8 the deck matrices have
-    # norms ~1e4 and f64 residuals cannot be evaluated, let alone solved
-    report = properness_probe(
-        fam, THETA_STAR, (2.0, 4.0, 8.0),
-        energy_fn=lambda s: hexagon_family_energy(s, 1.0, 1.0))
-    assert report.ok
-    assert report.energies_below[-1] > 2.0 * report.energy_star
+    # E grows monotonically as the seam is scaled away from the minimizer by
+    # each factor, both ways.  Wide factors via the closed form: at theta*/8
+    # the deck matrices have norms ~1e4 and f64 residuals cannot be
+    # evaluated, let alone solved
+    factors = (2.0, 4.0, 8.0)
+    e_star = hexagon_family_energy(THETA_STAR, 1.0, 1.0)
+    below = [hexagon_family_energy(THETA_STAR / f, 1.0, 1.0) for f in factors]
+    above = [hexagon_family_energy(THETA_STAR * f, 1.0, 1.0) for f in factors]
+    for side in (below, above):
+        assert all(a < b for a, b in zip(side, side[1:]))
+        assert min(side) > e_star
+    assert below[-1] > 2.0 * e_star
 
 
 def test_properness_probe_solver_backed_near_minimum():
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-9, max_iters=2000)
-    report = properness_probe(fam, THETA_STAR, (2.0,), cfg)
-    assert report.ok
+    low, star, high = (EnergyEvaluator(fam, cfg).energy(s) for s in (THETA_STAR / 2.0, THETA_STAR, 2.0 * THETA_STAR))
+    assert low > star and high > star
     closed = hexagon_family_energy(THETA_STAR, 1.0, 1.0)
-    assert abs(report.energy_star - closed) < 1e-7 * closed
-
-
-def test_properness_probe_rejects_bad_factors():
-    fam = family("hexagon-genus2")
-    with pytest.raises(DomainError):
-        properness_probe(fam, THETA_STAR, (), energy_fn=lambda s: s)
-    with pytest.raises(DomainError):
-        properness_probe(fam, THETA_STAR, (0.5, 2.0), energy_fn=lambda s: s)
+    assert abs(star - closed) < 1e-7 * closed
 
 
 def test_nonconvergence_raises():
     fam = family("hexagon-genus2")
     cfg = SolverConfig(residual_tol=1e-15, max_iters=3)
     with pytest.raises(NonConvergenceError):
-        energy_of_parameter(fam, 1.0, cfg)
+        EnergyEvaluator(fam, cfg).energy(1.0)
 

@@ -1,31 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracles
+
 from graphuniform.errors import DomainError, GraphValidationError
-from graphuniform.graphs import (
-    WeightedGraph,
-    bouquet,
-    cycle_with_doubled_edges,
-    validate,
-)
+from graphuniform.graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 
 
 def test_bouquet_shape():
-    g = bouquet(4, weight=2.0)
+    g = bouquet(4)
     assert g.vertex_count == 1
     assert g.half_edge_count == 8
-    assert g.edge_count == 4
+    assert len(g.unoriented_edges()) == 4
     assert all(cls == "loop" for _, _, _, _, cls in g.unoriented_edges())
-    assert validate(g).ok
-    assert g.degree(0) == 8
+    assert g.origins == (0,) * 8
+    assert g.weights == (1.0,) * 8
 
 
 def test_cycle_with_doubled_edges_structure():
     g = cycle_with_doubled_edges(6, m_c=2.0, m_d=3.0)
     assert g.vertex_count == 6
-    assert g.edge_count == 12
-    assert validate(g).ok
-    assert all(d == 4 for d in validate(g).degree_sequence)
+    assert len(g.unoriented_edges()) == 12
+    assert all(g.origins.count(v) == 4 for v in range(6))
     classes = sorted(cls for _, _, _, _, cls in g.unoriented_edges())
     assert classes == ["c"] * 6 + ["d"] * 6
     for e, u, v, w, cls in g.unoriented_edges():
@@ -44,8 +42,7 @@ def test_cycle_with_doubled_edges_structure():
 def test_from_edges_roundtrip():
     g = WeightedGraph.from_edges(3, [(0, 1, 1.5, "a"), (1, 2, 2.5, "b"), (2, 0, 3.5, "c")])
     assert g.vertex_count == 3
-    assert g.edge_count == 3
-    assert validate(g).ok
+    assert len(g.unoriented_edges()) == 3
     seen = {(u, v, w, cls) for _, u, v, w, cls in g.unoriented_edges()}
     assert seen == {(0, 1, 1.5, "a"), (1, 2, 2.5, "b"), (2, 0, 3.5, "c")}
 
@@ -60,62 +57,45 @@ def test_reversal_pairs_are_consistent():
         assert g.classes[e] == g.classes[r]
 
 
-def test_validation_codes():
-    def codes(g):
-        return {issue[0] for issue in validate(g, allow_disconnected=True).issues}
-
-    good = cycle_with_doubled_edges(6, 1.0, 1.0)
-    assert validate(good).ok
-
-    bad = WeightedGraph(
-        vertex_count=2,
-        origins=np.array([0, 1]),
-        reversals=np.array([1, 0]),
-        weights=np.array([1.0, -1.0]),
-        classes=("e", "e"),
-    )
-    assert {"WEIGHT_NOT_POSITIVE", "WEIGHT_NOT_SYMMETRIC"} <= codes(bad)
-    infinite = WeightedGraph(2, (0, 1), (1, 0), (float("inf"), float("inf")), ("e", "e"))
-    assert "WEIGHT_NOT_POSITIVE" in codes(infinite)
-
-    fixed_point = WeightedGraph(
-        vertex_count=1,
-        origins=np.array([0, 0]),
-        reversals=np.array([0, 1]),
-        weights=np.array([1.0, 1.0]),
-        classes=("e", "e"),
-    )
-    assert "REVERSAL_FIXED_POINT" in codes(fixed_point)
-
-    out_of_range = WeightedGraph(
-        vertex_count=1,
-        origins=np.array([0, 3]),
-        reversals=np.array([1, 0]),
-        weights=np.array([1.0, 1.0]),
-        classes=("e", "e"),
-    )
-    assert "ORIGIN_RANGE" in codes(out_of_range)
-
-    disconnected = WeightedGraph(
-        vertex_count=4,
-        origins=np.array([0, 1, 2, 3]),
-        reversals=np.array([1, 0, 3, 2]),
-        weights=np.ones(4),
-        classes=("e",) * 4,
-    )
-    assert "NOT_CONNECTED" in {i[0] for i in validate(disconnected).issues}
-    assert validate(disconnected, allow_disconnected=True).ok
+def _graph(vertex_count, origins, reversals, weights):
+    return WeightedGraph(vertex_count, origins, reversals, weights, ("e",) * len(origins))
 
 
-def test_isolated_vertex_detected():
-    g = WeightedGraph(
-        vertex_count=3,
-        origins=np.array([0, 1]),
-        reversals=np.array([1, 0]),
-        weights=np.ones(2),
-        classes=("e", "e"),
-    )
-    assert "ISOLATED_VERTEX" in {i[0] for i in validate(g, allow_disconnected=True).issues}
+@pytest.mark.parametrize("code, graph", [
+    # unchecked, each defect reaches the kernel: as an IndexError, a
+    # GeometryError that blames the deck words, or a solve that "converges"
+    # at a negative energy or stalls at nan
+    pytest.param("ORIGIN_RANGE", lambda: _graph(1, (0, 3), (1, 0), (1.0, 1.0)), id="origin-3-of-1-vertex"),
+    pytest.param("ORIGIN_RANGE", lambda: _graph(2, (0, -1), (1, 0), (1.0, 1.0)), id="origin-negative"),
+    pytest.param("REVERSAL_RANGE", lambda: _graph(1, (0, 0), (1, 2), (1.0, 1.0)), id="reversal-out-of-range"),
+    pytest.param("REVERSAL_NOT_INVOLUTION", lambda: _graph(2, (0, 1, 0, 1), (1, 2, 3, 0), (1.0,) * 4),
+                 id="reversal-not-involution"),
+    pytest.param("REVERSAL_FIXED_POINT", lambda: _graph(1, (0, 0), (0, 1), (1.0, 1.0)), id="reversal-fixed-point"),
+    pytest.param("WEIGHT_NOT_POSITIVE", lambda: _graph(2, (0, 1), (1, 0), (-1.0, -1.0)), id="weight-negative"),
+    pytest.param("WEIGHT_NOT_POSITIVE", lambda: _graph(2, (0, 1), (1, 0), (math.nan, math.nan)), id="weight-nan"),
+    pytest.param("WEIGHT_NOT_POSITIVE", lambda: _graph(2, (0, 1), (1, 0), (math.inf, math.inf)), id="weight-inf"),
+    pytest.param("WEIGHT_NOT_POSITIVE", lambda: _graph(2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, -1.0])),
+                 id="weight-negative-half-of-arrays"),
+    pytest.param("WEIGHT_NOT_SYMMETRIC", lambda: _graph(2, (0, 1), (1, 0), (1.0, 2.0)), id="weight-not-symmetric"),
+    pytest.param("CLASS_NOT_SYMMETRIC", lambda: WeightedGraph(2, (0, 1), (1, 0), (1.0, 1.0), ("c", "d")),
+                 id="class-not-symmetric"),
+    pytest.param("FIELD_LENGTH_MISMATCH", lambda: _graph(2, (0, 1), (1,), (1.0, 1.0)), id="field-length-mismatch"),
+    pytest.param("NO_VERTICES", lambda: _graph(0, (), (), ()), id="no-vertices"),
+])
+def test_graph_defects_are_caught_at_construction(code, graph):
+    with pytest.raises(GraphValidationError) as exc:
+        graph()
+    assert exc.value.code == code
+
+
+def test_isolated_vertices_and_components_still_build():
+    # the solver refuses an isolated vertex itself (ISOLATED_VERTEX), and a
+    # map may have several components
+    isolated = _graph(3, (0, 1), (1, 0), (1.0, 1.0))
+    assert isolated.vertex_count == 3 and set(isolated.origins) == {0, 1}
+    two = WeightedGraph.from_edges(4, [(0, 1, 1.0, "e"), (2, 3, 1.0, "e"), (3, 3, 2.0, "loop")])
+    assert [e[1:3] for e in two.unoriented_edges()] == [(0, 1), (2, 3), (3, 3)]
+    assert oracles.component_count(two) == 2
 
 
 def test_builders_reject_bad_parameters():
@@ -123,8 +103,6 @@ def test_builders_reject_bad_parameters():
         bouquet(0)
     with pytest.raises(GraphValidationError):
         cycle_with_doubled_edges(6, 0.0, 1.0)
-    with pytest.raises(GraphValidationError):
-        bouquet(2, weight=-1.0)
-    for bad in (float("inf"), float("nan")):
+    for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(GraphValidationError):
-            bouquet(1, weight=bad)
+            cycle_with_doubled_edges(6, 1.0, bad)

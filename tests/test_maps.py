@@ -15,16 +15,15 @@ from graphuniform.maps import (
     energy,
     gauge_transform,
     initial_lifts,
-    rebase_vertex,
 )
 from graphuniform.serialize import map_from_json, map_to_json
 from graphuniform.solver import solve
 from graphuniform.surfaces import (
     SurfaceModel,
-    _center_bouquet,
     build_genus2_hexagon_surface,
     build_klein_quartic,
     build_regular_4g_surface,
+    center_bouquet,
 )
 
 
@@ -41,13 +40,11 @@ def test_reference_map_is_balanced(genus2_bundle):
     _, _, ref = genus2_bundle
     report = balanced_residual(ref)
     assert report.max_norm < 1e-9
-    assert report.is_harmonic()
-    assert report.rms_norm <= report.max_norm
 
 
 def test_energy_is_weighted_sum_of_squared_lengths(genus2_bundle):
     _, _, ref = genus2_bundle
-    total = sum(w * dist_arr(*ref.edge_segment(e)) ** 2 for e, _, _, w, _ in ref.graph.unoriented_edges())
+    total = sum(w * dist_arr(*oracles.edge_segment(ref, e)) ** 2 for e, _, _, w, _ in ref.graph.unoriented_edges())
     assert abs(energy(ref) - total) < 1e-10 * (1.0 + total)
 
 
@@ -69,7 +66,7 @@ def test_rebase_vertex_keeps_energy_and_residual(genus2_bundle):
     m = perturbed(ref, 0.15, seed=3)
     e0 = energy(m)
     r0 = balanced_residual(m).max_norm
-    moved = rebase_vertex(m, 2, (1,))
+    moved = oracles.rebase_vertex(m, 2, (1,))
     assert np.max(np.abs(moved.lift_array()[2] - m.lift_array()[2])) > 0.05
     assert abs(energy(moved) - e0) < 1e-9 * (1.0 + e0)
     assert abs(balanced_residual(moved).max_norm - r0) < 1e-9 * (1.0 + r0)
@@ -82,7 +79,7 @@ def test_edge_lengths_symmetric_under_reversal(genus2_bundle):
     m = perturbed(ref, 0.1, seed=4)
     for e in range(m.graph.half_edge_count):
         r = m.graph.reversals[e]
-        assert abs(dist_arr(*m.edge_segment(e)) - dist_arr(*m.edge_segment(r))) < 1e-10
+        assert abs(dist_arr(*oracles.edge_segment(m, e)) - dist_arr(*oracles.edge_segment(m, r))) < 1e-10
 
 
 def test_deck_words_must_invert_under_reversal(genus2_bundle):
@@ -154,7 +151,7 @@ def test_deck_matrices_conjugated_by_gauge(genus2_bundle):
 def test_edge_segment_and_tangent_are_consistent(genus2_bundle):
     _, _, ref = genus2_bundle
     for e, *_ in ref.graph.unoriented_edges():
-        p, q = ref.edge_segment(e)
+        p, q = oracles.edge_segment(ref, e)
         t = log_arr(p, q)
         assert abs(minkowski_dot(t, p)) < 1e-12
         assert abs(minkowski_dot(q, q) + 1.0) < 1e-12
@@ -184,7 +181,7 @@ def test_isolated_vertices_have_zero_residual(genus2_bundle):
     assert residuals.shape == (4, 3)
     assert np.all(residuals[[1, 3]] == 0.0)
     assert np.max(np.abs(residuals[[0, 2]])) > 0.1
-    total = 1.0 * dist_arr(*m.edge_segment(0)) ** 2 + 2.0 * dist_arr(*m.edge_segment(2)) ** 2
+    total = 1.0 * dist_arr(*oracles.edge_segment(m, 0)) ** 2 + 2.0 * dist_arr(*oracles.edge_segment(m, 2)) ** 2
     assert abs(energy(m) - total) < 1e-12 * total
 
 
@@ -201,7 +198,7 @@ def test_derived_maps_match_fresh_construction(genus2_bundle):
     _assert_same_deck_matrices(m, MarkedMap(surface, graph, m.vertex_lifts, m.deck_words, m.gauge))
     g = Isometry(oracles.x_translation(0.9) @ oracles.rot_z(0.4))
     moved = gauge_transform(gauge_transform(m, g), g)
-    fresh = MarkedMap(surface, graph, moved.vertex_lifts, m.deck_words, g @ g @ m.gauge)
+    fresh = MarkedMap(surface, graph, moved.vertex_lifts, m.deck_words, Isometry(g.matrix @ g.matrix @ m.gauge.matrix))
     assert moved.deck_words == m.deck_words
     assert np.max(np.abs(moved.gauge.matrix - fresh.gauge.matrix)) < 1e-12
     _assert_same_deck_matrices(moved, fresh)
@@ -310,12 +307,12 @@ def test_with_surface_matches_fresh_construction(genus2_bundle):
     assert moved.edges.mats.tobytes() == target.edges.mats.tobytes()
     ladder = oracles.subdivide(ref, 8)
     _assert_retargets_like_fresh(ladder, other, ladder.lifts)
-    rebased = rebase_vertex(rebase_vertex(ref, 2, (1, -3, 2)), 3, (-4, 1))  # words of up to six letters
+    rebased = oracles.rebase_vertex(oracles.rebase_vertex(ref, 2, (1, -3, 2)), 3, (-4, 1))  # words of up to six letters
     assert max(map(len, rebased.deck_words)) == 6
     _assert_retargets_like_fresh(rebased, other, rebased.lifts)
     g = oracles.x_translation(0.3) @ oracles.rot_z(0.7)
     for surface in (build_regular_4g_surface(2), build_klein_quartic()):
-        _, _, bouquet = _center_bouquet(surface)
+        bouquet = center_bouquet(surface)
         _assert_retargets_like_fresh(bouquet, _conjugated(surface, g), bouquet.lifts @ g.T)
 
 

@@ -232,7 +232,7 @@ def test_surface_schema_errors_carry_paths():
 
 def test_map_roundtrip_embedded(genus2_bundle):
     _surface, _graph, m = genus2_bundle
-    back = map_from_json(map_to_json(m, embed=True))
+    back = map_from_json(map_to_json(m))
     assert np.max(np.abs(back.lift_array() - m.lift_array())) < 1e-13
     assert back.deck_words == m.deck_words
     assert abs(energy(back) - energy(m)) < 1e-12 * (1.0 + energy(m))
@@ -242,7 +242,7 @@ def test_map_roundtrip_with_gauge(genus2_bundle):
     _surface, _graph, m = genus2_bundle
     g = Isometry(oracles.x_translation(0.7) @ oracles.rot_z(0.3))
     moved = gauge_transform(m, g)
-    doc = map_to_json(moved, embed=True)
+    doc = map_to_json(moved)
     assert "gauge" in doc
     back = map_from_json(doc)
     assert np.array_equal(back.gauge.matrix, moved.gauge.matrix)
@@ -251,8 +251,8 @@ def test_map_roundtrip_with_gauge(genus2_bundle):
 
 def test_map_without_embedding_needs_explicit_surface(genus2_bundle):
     _surface, _graph, m = genus2_bundle
-    doc = map_to_json(m, embed=False)
-    assert "surface" not in doc and "graph" not in doc
+    doc = map_to_json(m)
+    del doc["surface"], doc["graph"]
     with pytest.raises(SchemaError) as exc:
         map_from_json(doc)
     assert exc.value.path == "map.surface"
@@ -262,7 +262,7 @@ def test_map_without_embedding_needs_explicit_surface(genus2_bundle):
 
 def test_map_schema_error_on_bad_lift(genus2_bundle):
     _surface, _graph, m = genus2_bundle
-    doc = map_to_json(m, embed=True)
+    doc = map_to_json(m)
     doc["vertex_lifts"][0] = [1.0, 0.0]
     with pytest.raises(SchemaError) as exc:
         map_from_json(doc)

@@ -55,7 +55,7 @@ def test_genus2_polygon_closes_with_right_angles():
 def test_genus2_seam_lengths_alternate():
     s = 0.9
     surface, graph, ref = build_genus2_hexagon_surface(s)
-    lengths = [dist_arr(*ref.edge_segment(e)) for e, *_ in ref.graph.unoriented_edges()]
+    lengths = [dist_arr(*oracles.edge_segment(ref, e)) for e, *_ in ref.graph.unoriented_edges()]
     classes = [cls for *_, cls in ref.graph.unoriented_edges()]
     # class-d edges realize the seam s itself, class-c edges its partner t(s)
     for ln, cls in zip(lengths, classes):
@@ -110,11 +110,18 @@ def test_regular_4g_surfaces_validate_for_small_genus():
 @pytest.mark.parametrize("genus", [25, 30, 40, 56, 70, 80])
 def test_regular_4g_surfaces_validate_at_large_genus(genus):
     # rounding grows with the corner coordinates: the angle sum is off by
-    # 2.3e-8 at genus 25 and 5.6e-7 at 40, over 1e-8; the area by 5.8e-6 at
-    # genus 56, over 1e-7 per 4*pi of area; and a paired corner lands 8.9e-5
-    # and 1.6e-4 away at genus 70 and 80, over 1e-8 (1 + c)
+    # 3.9e-8 at genus 70 and 5.4e-8 at 80, over 1e-8; and a paired corner
+    # lands 8.9e-5 and 1.6e-4 away at genus 70 and 80, over 1e-8 (1 + c)
     report = validate_surface(build_regular_4g_surface(genus))
     assert report.ok, report.issues
+
+
+def test_regular_4g_angle_sum_keeps_its_precision_at_genus_40():
+    # the corner angles are 2 atan2(|u - w|, |u + w|) of the unit tangents;
+    # the arccos of their cosine loses half the digits near pi, and its
+    # cycle sum here is off by 5.6e-7
+    report = validate_surface(build_regular_4g_surface(40))
+    assert max(abs(a - 2.0 * math.pi) for a in report.angle_sums) < 1e-8
 
 
 def test_area_or_pairing_gate_catches_a_moved_corner_at_genus_2():
@@ -246,14 +253,11 @@ def test_family_domain_checks():
 
 
 def test_family_fixed_parameters():
-    fam = family("regular-4g", genus=3)
-    assert fam.domain is None
-    surface, graph, ref = fam.build()
-    assert surface.genus == 3
-    with pytest.raises(DomainError):
-        fam.build(1.0)  # singleton family takes no parameter
-    with pytest.raises(DomainError):
-        family("no-such-family")
+    _surface, graph, _ref = family("hexagon-genus2", weights=(2.0, 3.0)).build(1.0)
+    assert {(cls, w) for _e, _u, _v, w, cls in graph.unoriented_edges()} == {("c", 2.0), ("d", 3.0)}
+    for kind in ("no-such-family", "regular-4g"):
+        with pytest.raises(DomainError):
+            family(kind)
     with pytest.raises(DomainError):
         family("hexagon-genus2", bogus=1)
 

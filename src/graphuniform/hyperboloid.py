@@ -32,6 +32,7 @@ MAX_CONSTRUCTION_DEFECT = 1e-6
 
 J_DIAG = np.array([-1.0, 1.0, 1.0])
 J_MATRIX = np.diag(J_DIAG)
+_X1_AXIS = np.array([0.0, 1.0, 0.0])
 
 
 def minkowski_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray | float:
@@ -39,23 +40,26 @@ def minkowski_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     return (u * w) @ J_DIAG
 
 
+_CROSS_LEFT = np.array([2, 2, 0])
+_CROSS_RIGHT = np.array([1, 0, 1])
+
+
 def minkowski_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Vector v with <v, x> = det[u, w, x] for all x: J times the cross
-    product, written out (np.cross costs several times as much per call)."""
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
-    return np.stack([u2 * w1 - u1 * w2, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0], axis=-1)
+    product, (u2 w1 - u1 w2, u2 w0 - u0 w2, u0 w1 - u1 w0), as two products
+    of permuted copies (np.cross costs several times as much per call, and
+    stacking the three components costs more on stacked arrays)."""
+    return u[..., _CROSS_LEFT] * w[..., _CROSS_RIGHT] - u[..., _CROSS_RIGHT] * w[..., _CROSS_LEFT]
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable at 0."""
+    """sinh(x)/x, stable at 0: 1 + x^2/6 up to 1e-8.  Both branches are
+    formed whole and selected by np.where, at half the cost of masked
+    assignment on the arrays of a small map."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
     big = x > 1e-8
-    out[big] = np.sinh(x[big]) / x[big]
-    small = ~big
-    out[small] = 1.0 + x[small] * x[small] / 6.0
-    return out
+    safe = np.where(big, x, 1.0)
+    return np.where(big, np.sinh(safe) / safe, 1.0 + x * x / 6.0)
 
 
 def points_arr(v) -> np.ndarray:
@@ -120,7 +124,7 @@ def exp_arr(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     n = np.sqrt(np.maximum(0.0, minkowski_dot(v, v)))
     out = np.cosh(n)[..., None] * p + _sinhc(n)[..., None] * v
     q = minkowski_dot(out, out)
-    if np.any(q >= 0) or np.any(out[..., 0] <= 0):
+    if (q >= 0).any() or (out[..., 0] <= 0).any():
         raise NotHyperbolicError("exponential map left the upper sheet")
     return out / np.sqrt(-q)[..., None]
 
@@ -148,11 +152,11 @@ class HPoint:
 def tangent_basis_arr(p: np.ndarray) -> np.ndarray:
     """Orthonormal tangent bases at points of shape (..., 3), shape (..., 2, 3):
     the x1-axis projected onto the tangent plane, then its +90 degree rotation."""
-    t1 = _project_tangent_arr(p, np.array([0.0, 1.0, 0.0]))
+    t1 = p[..., 1:2] * p + _X1_AXIS  # the projection, as <x1-axis, p> = p1
     t1 = t1 / np.sqrt(minkowski_dot(t1, t1))[..., None]
     t2 = minkowski_cross(p, t1)
     t2 = t2 / np.sqrt(minkowski_dot(t2, t2))[..., None]
-    return np.stack([t1, t2], axis=-2)
+    return np.concatenate([t1[..., None, :], t2[..., None, :]], axis=-2)  # np.stack costs twice as much
 
 
 def _minkowski_gram_schmidt(m: np.ndarray) -> np.ndarray:

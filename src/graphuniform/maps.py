@@ -84,8 +84,9 @@ def _lift_array(lifts, count: int) -> np.ndarray:
 class EdgeData:
     """Half-edge arrays of a marked map, sorted by origin so that every sum
     over a vertex star is a segment sum; half-edge e sits in row[e].  Methods
-    take the lifts as a (V, 3) array x, so callers can evaluate at trial
-    positions without building a map."""
+    take the lifts as an array x of shape (..., V, 3), so callers can
+    evaluate at trial positions without building a map, and at a stack of
+    lifts (S, V, 3) in one pass."""
 
     vertex_count: int
     row: np.ndarray
@@ -130,23 +131,26 @@ class EdgeData:
 
     def far_ends(self, x: np.ndarray) -> np.ndarray:
         """Lifted terminus of every row: its deck matrix applied to the terminus lift."""
-        return np.einsum("eij,...ej->...ei", self.mats, x[..., self.termini, :])
+        return np.einsum("eij,...ej->...ei", self.mats, x.take(self.termini, axis=-2))
 
     def geometry(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """One pass over the rows at lifts x of shape (..., V, 3): origin
         lifts p, far ends q, and sinhc(ell), cosh(ell) and the lengths ell
         themselves, shaped (..., E, 1).  `energy`, `residual` and `hessian`
-        take it."""
-        p = x[..., self.origins, :]
+        take it.  (The gathers here and below are ndarray.take, the
+        cheapest on the arrays of a small map.)"""
+        p = x.take(self.origins, axis=-2)
         q = self.far_ends(x)
         ell = dist_arr(p, q)[..., None]
         return p, q, _sinhc(ell), np.cosh(ell), ell
 
-    def energy(self, x: np.ndarray, geometry: tuple | None = None) -> float:
+    def energy(self, x: np.ndarray, geometry: tuple | None = None) -> float | np.ndarray:
         """Sum of w ell^2 over the even rows, one per unoriented edge, at lifts
-        x (V, 3): the lengths of `geometry` when given, else of x's far ends."""
-        ell = geometry[4][:, 0] if geometry else dist_arr(x[self.origins], self.far_ends(x))
-        return float(np.sum(self.weights[self.even] * ell[self.even] ** 2))
+        x (V, 3), or one sum per start at a stack (S, V, 3): the lengths of
+        `geometry` when given, else of x's far ends."""
+        ell = geometry[4][..., 0] if geometry else dist_arr(x.take(self.origins, axis=-2), self.far_ends(x))
+        total = np.add.reduce(self.weights[self.even] * ell.take(self.even, axis=-1) ** 2, axis=-1)  # np.sum, less its dispatch
+        return float(total) if total.ndim == 0 else total
 
     def residual(self, x: np.ndarray, geometry: tuple | None = None) -> np.ndarray:
         """Weighted sum of outgoing edge tangents log_p q at every vertex, shape
@@ -156,8 +160,8 @@ class EdgeData:
         return self.star_sums(self.weights[:, None] * tangents, axis=-2)
 
     def hessian(self, x: np.ndarray, geometry: tuple | None = None) -> "Hessian":
-        """Riemannian Hessian of the energy at lifts x (V, 3), as a `Hessian`
-        that applies it to tangent fields.
+        """Riemannian Hessian of the energy at lifts x (..., V, 3), as a
+        `Hessian` that applies it to tangent fields.
 
         Per half-edge from p to q (length ell, geodesic pole n, variation
         values v0 at p and v1 = deck v[terminus] at q) this is the polarized
@@ -168,9 +172,9 @@ class EdgeData:
         and T = (p + q) / (1 - <p,q>): v1 + <p,v1> T is v1 transported to p.
         It is assembled once per x as 3x3 blocks:
 
-        - near, (V, 3, 3): the tangent projection I + x x^T J at each vertex
+        - near, (..., V, 3, 3): the tangent projection I + x x^T J at each vertex
           times the star sum of 2w (I + a n n^T J), acting on v[vertex];
-        - far, (E, 3, 3): 2w (-I - T p^T J - b n n^T J) times the row's deck
+        - far, (..., E, 3, 3): 2w (-I - T p^T J - b n n^T J) times the row's deck
           matrix, acting on v[terminus].  Its image is tangent at p
           (<T,p> = -1, <n,p> = 0); a projection multiplied in would only
           amplify rounding, by |p|^2.
@@ -183,16 +187,16 @@ class EdgeData:
         p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
         size = np.sqrt(np.maximum(0.0, minkowski_dot(pole, pole)))
-        pole /= np.where(size > 0.0, size, 1.0)[:, None]
-        a = (cosh / sinhc - 1.0)[:, :, None]
-        b = (1.0 / sinhc - 1.0)[:, :, None]
-        transport = (p + q) / (1.0 - minkowski_dot(p, q))[:, None]
+        pole /= np.where(size > 0.0, size, 1.0)[..., None]
+        a = (cosh / sinhc - 1.0)[..., None]
+        b = (1.0 / sinhc - 1.0)[..., None]
+        transport = (p + q) / (1.0 - minkowski_dot(p, q))[..., None]
         w2 = 2.0 * self.weights[:, None, None]
         eye = np.eye(3)
-        pole_pole = pole[:, :, None] * (pole * J_DIAG)[:, None, :]
-        near = self.star_sums(w2 * (eye + a * pole_pole))
-        near = (eye + x[:, :, None] * (x * J_DIAG)[:, None, :]) @ near
-        far = (w2 * (-eye - transport[:, :, None] * (p * J_DIAG)[:, None, :] - b * pole_pole)) @ self.mats
+        pole_pole = pole[..., :, None] * (pole * J_DIAG)[..., None, :]
+        near = self.star_sums(w2 * (eye + a * pole_pole), axis=-3)
+        near = (eye + x[..., :, None] * (x * J_DIAG)[..., None, :]) @ near
+        far = (w2 * (-eye - transport[..., :, None] * (p * J_DIAG)[..., None, :] - b * pole_pole)) @ self.mats
         return Hessian(self, near, far)
 
     @cached_property
@@ -321,38 +325,45 @@ def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, tup
 
 @dataclass(frozen=True, eq=False)
 class Hessian:
-    """The energy Hessian at one set of lifts, as the 3x3 blocks built by
-    `EdgeData.hessian`: near (V, 3, 3) acts on v[vertex], far (E, 3, 3) on
-    v[terminus] of each row.  Calling it applies it to a tangent field."""
+    """The energy Hessian at one set of lifts, or at each of a stack, as the
+    3x3 blocks built by `EdgeData.hessian`: near (..., V, 3, 3) acts on
+    v[vertex], far (..., E, 3, 3) on v[terminus] of each row.  Calling it
+    applies it to a tangent field (..., V, 3)."""
 
     edges: EdgeData
     near: np.ndarray
     far: np.ndarray
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return (np.einsum("vij,vj->vi", self.near, v)
-                + self.edges.star_sums(np.einsum("eij,ej->ei", self.far, v[self.edges.termini])))
+        far = np.einsum("...eij,...ej->...ei", self.far, v.take(self.edges.termini, axis=-2))
+        return np.einsum("...vij,...vj->...vi", self.near, v) + self.edges.star_sums(far, axis=-2)
 
     def matrix(self, bases: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The matrix in the coordinates of the orthonormal tangent bases
-        (V, 2, 3) at the lifts, in the blocks of the `BlockPlan` (which must
-        have blocks): (diagonal, superdiagonal).  Entry (2i + a, 2j + b) of
-        diagonal block d is <bases[v, a], H bases[u, b]> for the i-th and
-        j-th vertices v and u of block d; superdiagonal block d holds the
+        (..., V, 2, 3) at the lifts, in the blocks of the `BlockPlan` (which
+        must have blocks): (diagonal, superdiagonal), each block with the
+        stack's leading axes.  Entry (2i + a, 2j + b) of diagonal block d is
+        <bases[v, a], H bases[u, b]> for the i-th and j-th vertices v and u
+        of block d; superdiagonal block d holds the
         same pairings between block d and block d + 1, plus the transposed
         pairings between block d + 1 and block d.  With one block, the
         diagonal block is the whole (2V, 2V) matrix.  Superdiagonal block d
         spans only the leading columns of block d + 1 that it can reach
-        (`BlockPlan.shapes`)."""
+        (`BlockPlan.shapes`).  A stack of S goes through one `np.bincount`,
+        each start's entries scattered to the plan's index offset by
+        `offsets[-1]` times its place in the stack."""
         edges = self.edges
         plan = edges.block_plan
         left = bases * J_DIAG
-        right = bases.transpose(0, 2, 1)
-        blocks = np.concatenate([left @ self.near @ right,
-                                 left[edges.origins] @ self.far @ right[edges.termini]])
-        offsets = plan.offsets
-        flat = np.bincount(plan.scatter, weights=blocks.ravel(), minlength=offsets[-1])
-        pieces = [flat[start:end].reshape(shape) for start, end, shape in zip(offsets, offsets[1:], plan.shapes)]
+        right = bases.swapaxes(-1, -2)
+        far = left.take(edges.origins, axis=-3) @ self.far @ right.take(edges.termini, axis=-3)
+        blocks = np.concatenate([left @ self.near @ right, far], axis=-3)
+        stack, size = blocks.shape[:-3], plan.offsets[-1]
+        count = math.prod(stack)
+        scatter = plan.scatter if count == 1 else (plan.scatter + size * np.arange(count)[:, None]).ravel()
+        flat = np.bincount(scatter, weights=blocks.ravel(), minlength=count * size).reshape(stack + (size,))
+        pieces = [flat[..., start:end].reshape(stack + shape)
+                  for start, end, shape in zip(plan.offsets, plan.offsets[1:], plan.shapes)]
         return tuple(pieces[0::2]), tuple(pieces[1::2])
 
 

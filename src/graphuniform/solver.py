@@ -31,6 +31,23 @@ first iterate is a gradient step.
 Convergence is declared on the residual itself, the harmonicity criterion,
 not on energy stalling.
 
+One descent (`_descend`) runs a stack of starts, lifts (S, V, 3) that
+share the map's words and `maps.EdgeData`, in lockstep.  Each iteration
+makes one residual, one Hessian build, one `Hessian.matrix` and one batched
+solve or block elimination for every start still descending, and its line
+search one exp_arr and one pass over the edge geometry per trial, for every
+start still searching.  A start leaves the stack when it converges, runs
+out of budget or stalls; a start that fails its exact step (a singular
+block, a step that is not finite or climbs, or no trial passes) takes the
+CG step alone, and a failure of the batched solve is found start by start
+(`_by_start`).  Every test is made per start, so each start takes the steps
+it takes alone: `solve` is the descent of a stack of one, and
+`uniqueness_probe` descends its starts as one stack, which amortizes the
+fixed cost of numpy calls over them on small maps: a probe of 4 starts on
+the genus-2 map and its 2- and 4-fold subdivisions (V = 6, 18, 42) takes
+0.37-0.41, 0.41-0.45 and 0.51-0.55 of the time of its 4 solves one after
+another (single-threaded BLAS, 2-core x86-64 host).
+
 Energy, residual and Hessian blocks come from the map's `maps.EdgeData`
 kernel, evaluated at trial lift arrays.  Each line-search trial makes one
 pass over the edge geometry, for its energy; the accepted trial's pass also
@@ -40,6 +57,7 @@ when a step is taken.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +75,10 @@ from .hyperboloid import (
     exp_arr,
     log_arr,
     minkowski_dot,
+    points_arr,
     tangent_basis_arr,
 )
-from .maps import MarkedMap, energy, gauge_transform, initial_lifts
+from .maps import Hessian, MarkedMap, gauge_transform, initial_lifts
 from .surfaces import SurfaceModel
 
 # Largest gauge-fixed distance between the limits of two starts that still
@@ -76,6 +95,8 @@ BACKTRACK_FACTOR = 0.5
 # and the LU solve turns rounding in the gradient into steps with cosines of
 # 3e-7 to 2e-4 that carry the lifts far along the geodesic, out of float range.
 DESCENT_COSINE = 1e-2
+# Relative float resolution of an energy in the line search's tests.
+_ENERGY_RESOLUTION = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -117,8 +138,9 @@ class SolveTrace:
         return "\n".join(lines) + "\n"
 
 
-def _residual_norms(r: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(0.0, minkowski_dot(r, r)))
+def _max_residuals(r: np.ndarray) -> list[float]:
+    """Largest residual norm of each start of a stack of residuals (S, V, 3)."""
+    return np.maximum.reduce(np.sqrt(np.maximum(0.0, minkowski_dot(r, r))), axis=1).tolist()
 
 
 def _inner(u: np.ndarray, w: np.ndarray) -> float:
@@ -160,153 +182,251 @@ def solve(m0: MarkedMap, cfg: SolverConfig | None = None) -> SolveTrace:
     Returns the trace whether or not the residual tolerance was reached;
     `stop_reason` says why it stopped.  DomainError when float64 overflows.
     """
+    return _solve_stack(m0, m0.lifts[None], cfg or SolverConfig())[0]
+
+
+def _solve_stack(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveTrace]:
+    """One trace per start of the stack of lifts (S, V, 3), each with m0's
+    words; DomainError when float64 overflows in any of them."""
     try:
-        return _descend(m0, cfg or SolverConfig())
+        return _descend(m0, lifts, cfg)
     except FloatingPointError as exc:
         raise DomainError(f"float64 overflowed ({exc}): edge weights or lift coordinates too large") from None
 
 
-def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-    """Exact solution s of H s = 2r in tangent_basis_arr coordinates, mapped
-    back along the bases; None when a block is singular, or s is not finite
-    or not a descent direction at an angle to the gradient of cosine
-    DESCENT_COSINE or more.  The Hessian is self-adjoint, so the assembled
-    matrix's antisymmetric part is rounding and is dropped: (H + H^T) s = 4r.
-    `Hessian.matrix` gives it in the blocks of the map's `BlockPlan`: one
-    block in vertex order takes one LU solve, several blocks in breadth-first
-    order are eliminated in that order (`_eliminate`)."""
+def _rows(arrays: tuple, rows: list[int]) -> tuple:
+    """The given rows, ascending, of each of the stacked arrays; the arrays
+    themselves when that is every row."""
+    if len(rows) == len(arrays[0]):
+        return arrays
+    return tuple(a[rows] for a in arrays)
+
+
+def _by_start(f, errors, *args) -> np.ndarray:
+    """f(*args) on a stack of starts: each argument an array, or a tuple of
+    arrays, with the starts along the first axis, and the result shaped like
+    the last.  When f raises one of `errors` on a stack of several, f on each
+    start alone, with a row of NaN for each start that it raises on: one
+    start's singular block or trial off the sheet is not its stack's."""
+    try:
+        return f(*args)
+    except errors:
+        if len(args[-1]) == 1:
+            return np.full(args[-1].shape, np.nan)
+        return np.concatenate([
+            _by_start(f, errors, *(tuple(b[s:s + 1] for b in a) if isinstance(a, tuple) else a[s:s + 1]
+                                   for a in args))
+            for s in range(len(args[-1]))])
+
+
+def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Exact solutions s of H s = 2r for a stack of starts, lifts x and
+    residuals r of shape (S, V, 3), in tangent_basis_arr coordinates, mapped
+    back along the bases; a start's row is NaN when a block of its matrix is
+    singular, or its s is not finite or not a descent direction at an angle
+    to the gradient of cosine DESCENT_COSINE or more.  The Hessian is
+    self-adjoint, so the assembled matrix's antisymmetric part is rounding
+    and is dropped: (H + H^T) s = 4r.  `Hessian.matrix` gives it in the
+    blocks of the map's `BlockPlan`, and `_eliminate` solves every start's
+    system at once: one block in vertex order is one batched LU solve,
+    several blocks in breadth-first order are eliminated in that order."""
     plan = hessian.edges.block_plan
     bases = tangent_basis_arr(x)
-    rhs = 2.0 * minkowski_dot(r[:, None, :], bases).ravel()
+    rhs = 2.0 * minkowski_dot(r[..., None, :], bases).reshape(len(x), -1)
     diagonal, upper = hessian.matrix(bases)
-    try:
-        if upper:
-            coords = np.empty_like(rhs)
-            coords[plan.coordinates] = _eliminate(diagonal, upper, 2.0 * rhs[plan.coordinates])
-        else:  # one block in vertex order: the same solve, without a step's reordering (10% of a V = 6 step)
-            coords = np.linalg.solve(diagonal[0] + diagonal[0].T, 2.0 * rhs)
-    except (np.linalg.LinAlgError, FloatingPointError):  # a singular block, or a step that overflows
-        return None
+    failures = (np.linalg.LinAlgError, FloatingPointError)  # a singular block, or a step that overflows
+    if upper:
+        coords = np.empty_like(rhs)
+        coords[:, plan.coordinates] = _by_start(_eliminate, failures, diagonal, upper,
+                                                2.0 * rhs[:, plan.coordinates, None])[..., 0]
+    else:  # one block in vertex order: the same solve, without a step's reordering (10% of a V = 6 step)
+        coords = _by_start(_eliminate, failures, diagonal, upper, 2.0 * rhs[..., None])[..., 0]
     with np.errstate(all="ignore"):
-        cosine = rhs @ coords / (np.linalg.norm(rhs) * np.linalg.norm(coords))
-    if not cosine >= DESCENT_COSINE:  # also when coords are not finite: nan
-        return None
-    return np.einsum("vi,vij->vj", coords.reshape(-1, 2), bases)
+        cosine = _dots(rhs, coords) / np.sqrt(_dots(rhs, rhs) * _dots(coords, coords))
+        steps = (coords.reshape(len(x), -1, 1, 2) @ bases).reshape(x.shape)
+    for i, c in enumerate(cosine.tolist()):
+        if not c >= DESCENT_COSINE:  # also when coords are not finite: nan
+            steps[i] = np.nan
+    return steps
+
+
+def _dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dot product of each start's rows of u and w, both (S, n)."""
+    return (u[:, None, :] @ w[:, :, None]).ravel()
 
 
 def _eliminate(diagonal, upper, y: np.ndarray) -> np.ndarray:
-    """Solution s of the symmetric block-tridiagonal system with diagonal
-    blocks D_b + D_b^T and superdiagonal blocks U_b, right-hand side y, by
-    block elimination: [X_b | z_b] = solve(S_b, [U_b | y_b]) with
-    S_0 = D_0 + D_0^T and S_{b+1} = D_{b+1} + D_{b+1}^T - U_b^T X_b,
-    y_{b+1} less U_b^T z_b, then s_b = z_b - X_b s_{b+1} back from the last
-    block.  U_b spans only the leading columns of block b + 1, which are all
-    that those products change or read."""
+    """Solutions s of the symmetric block-tridiagonal systems, one per start
+    of a stack, with diagonal blocks D_b + D_b^T and superdiagonal blocks
+    U_b, right-hand sides y (S, n, 1), by block elimination:
+    [X_b | z_b] = solve(S_b, [U_b | y_b]) with S_0 = D_0 + D_0^T and
+    S_{b+1} = D_{b+1} + D_{b+1}^T - U_b^T X_b, y_{b+1} less U_b^T z_b, then
+    s_b = z_b - X_b s_{b+1} back from the last block.  U_b spans only the
+    leading columns of block b + 1, which are all that those products change
+    or read.  Each step is one batched solve for the whole stack."""
     factors = []
-    start = len(diagonal[0])
-    schur, carry = diagonal[0] + diagonal[0].T, y[:start]
+    start = diagonal[0].shape[-1]
+    schur, carry = diagonal[0] + diagonal[0].swapaxes(1, 2), y[:, :start]
     for u, block in zip(upper, diagonal[1:]):
-        solved = np.linalg.solve(schur, np.column_stack([u, carry]))
+        solved = np.linalg.solve(schur, np.concatenate([u, carry], axis=2))
         factors.append(solved)
-        lead = u.shape[1]
-        schur = block + block.T
-        schur[:lead, :lead] -= u.T @ solved[:, :-1]
-        carry = y[start:start + len(block)].copy()
-        carry[:lead] -= u.T @ solved[:, -1]
-        start += len(block)
+        lead, size = u.shape[-1], block.shape[-1]
+        back = u.swapaxes(1, 2)
+        schur = block + block.swapaxes(1, 2)
+        schur[:, :lead, :lead] -= back @ solved[..., :-1]
+        carry = y[:, start:start + size].copy()
+        carry[:, :lead] -= back @ solved[..., -1:]
+        start += size
     parts = [np.linalg.solve(schur, carry)]
     for solved in reversed(factors):
-        parts.append(solved[:, -1] - solved[:, :-1] @ parts[-1][:solved.shape[1] - 1])
-    return np.concatenate(parts[::-1])
+        parts.append(solved[..., -1:] - solved[..., :-1] @ parts[-1][:, :solved.shape[-1] - 1])
+    return np.concatenate(parts[::-1], axis=1) if factors else parts[0]
 
 
-def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: float, max_res: float):
-    """Armijo backtracking along exp_x(tau delta), tau = 1, 1/2, ...: the
-    accepted trial's (lifts, geometry, energy), or None when no trial passes.
-    A trial that leaves the sheet is rejected like one that fails the test."""
-    slope = 2.0 * _inner(r, delta)
-    # once the predicted decrease drops under the float resolution of the
-    # energy, the Armijo comparison is rounding noise; switch the
-    # acceptance test to strict residual decrease, which stays measurable
-    floor = 16.0 * np.finfo(float).eps * max(1.0, abs(e_cur))
+def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: list, max_res: list):
+    """Armijo backtracking of a stack of starts along exp_x(tau delta),
+    tau = 1, 1/2, ..., in lockstep: each trial is one exp_arr and one pass
+    over the edge geometry for all the starts still searching.  A start
+    whose step is a row of NaN has none and does not search.  Returns
+    (rows, energies, lifts, *geometry) for each trial that some starts
+    passed: those rows of the stack and their accepted trials.  A trial that
+    leaves the sheet is rejected for its start like one that fails the
+    test.  A stack holds a few starts: their scalars are Python floats."""
+    slope = (2.0 * _dots((r * J_DIAG).reshape(len(x), -1), delta.reshape(len(x), -1))).tolist()
+    rows = [i for i, value in enumerate(slope) if not math.isnan(value)]
+    passed = []
     tau = 1.0
     for _ in range(80):
-        try:
-            x_new = exp_arr(x, tau * delta)
-        except NotHyperbolicError:
-            tau *= BACKTRACK_FACTOR
-            continue
+        if not rows:
+            break
+        x_try, delta_try = _rows((x, delta), rows)
+        # a trial off the sheet is a row of NaN, which no test below passes
+        x_new = _by_start(exp_arr, NotHyperbolicError, x_try, tau * delta_try)
         trial = edges.geometry(x_new)
-        e_new = edges.energy(x_new, trial)
-        if e_new <= e_cur - SUFFICIENT_DECREASE * tau * slope:
-            return x_new, trial, e_new
-        if SUFFICIENT_DECREASE * tau * slope <= floor:
-            if float(np.max(_residual_norms(edges.residual(x_new, trial)))) < max_res:
-                return x_new, trial, e_new
+        e_new = edges.energy(x_new, trial).tolist()
+        ok, flat = [], []
+        for k, (i, e) in enumerate(zip(rows, e_new)):
+            decrease = SUFFICIENT_DECREASE * tau * slope[i]
+            ok.append(e <= e_cur[i] - decrease)
+            # once the predicted decrease drops under the float resolution
+            # of the energy, the Armijo comparison is rounding noise; switch
+            # the acceptance test to strict residual decrease, which stays
+            # measurable
+            if not ok[k] and decrease <= _ENERGY_RESOLUTION * max(1.0, abs(e_cur[i])):
+                flat.append(k)
+        if flat:
+            x_flat, *trial_flat = _rows((x_new, *trial), flat)
+            res = _max_residuals(edges.residual(x_flat, trial_flat))
+            for k, value in zip(flat, res):
+                ok[k] = value < max_res[rows[k]]
+        if all(ok):
+            passed.append((rows, e_new, x_new, *trial))
+            break
+        done = [k for k, passes in enumerate(ok) if passes]
+        if done:
+            passed.append(([rows[k] for k in done], [e_new[k] for k in done], *_rows((x_new, *trial), done)))
+        rows = [i for i, passes in zip(rows, ok) if not passes]
         tau *= BACKTRACK_FACTOR
-    return None
+    return passed
 
 
 @np.errstate(over="raise", invalid="raise")
-def _descend(m0: MarkedMap, cfg: SolverConfig) -> SolveTrace:
+def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveTrace]:
+    """Newton descent of a stack of starts (S, V, 3) with m0's words, in
+    lockstep: per iteration one residual, one Hessian and one exact solve
+    for every start still descending, and one line search.  A start leaves
+    the stack when it converges, runs out of budget or stalls."""
     edges = m0.edges
     if len(edges.busy) < m0.graph.vertex_count:
         raise GraphValidationError("ISOLATED_VERTEX", "solver needs every vertex to carry an edge")
-    x = m0.lift_array()
-    energies: list[float] = []
-    residual_trace: list[float] = []
-    kinds: list[str] = []
-    stop_reason = "stalled"
+    count = len(lifts)
+    energies: list[list[float]] = [[] for _ in range(count)]
+    residual_trace: list[list[float]] = [[] for _ in range(count)]
+    kinds: list[list[str]] = [[] for _ in range(count)]
+    stop_reason = ["stalled"] * count
+    finals: list[np.ndarray | None] = [None] * count
 
+    live = list(range(count))  # the starts still descending, in stack order
+    x = lifts
     geometry = edges.geometry(x)
-    e_cur = edges.energy(x, geometry)
-    while True:
+    e_cur = edges.energy(x, geometry).tolist()
+    for iteration in itertools.count():
         r = edges.residual(x, geometry)
-        max_res = float(np.max(_residual_norms(r)))
-        energies.append(e_cur)
-        residual_trace.append(max_res)
-        if max_res <= cfg.residual_tol:
-            stop_reason = "converged"
+        max_res = _max_residuals(r)
+        keep = []
+        for i, (s, e, res) in enumerate(zip(live, e_cur, max_res)):
+            energies[s].append(e)
+            residual_trace[s].append(res)
+            if res <= cfg.residual_tol:
+                stop_reason[s], finals[s] = "converged", x[i]
+            elif iteration >= cfg.max_iters:
+                stop_reason[s], finals[s] = "budget", x[i]
+            else:
+                keep.append(i)
+        if not keep:
             break
-        if len(kinds) >= cfg.max_iters:
-            stop_reason = "budget"
-            break
+        if len(keep) < len(live):
+            live, e_cur, max_res = [live[i] for i in keep], [e_cur[i] for i in keep], [max_res[i] for i in keep]
+            x, r, *geometry = _rows((x, r, *geometry), keep)
 
         hessian = edges.hessian(x, geometry)
-        found = None
+        found = []  # (kind, rows of the stack, energies, lifts, *geometry) of the trials that they passed
         if edges.block_plan.blocks:  # built at the first step, for this map and its copies
-            delta = _exact_step(hessian, x, r)
-            if delta is not None:
-                found, kind = _line_search(edges, x, delta, r, e_cur, max_res), "lu"
-        if found is None:
-            found, kind = _line_search(edges, x, _newton_step(hessian, r), r, e_cur, max_res), "cg"
-        if found is None:
-            break  # at the numerical floor of both energy and residual
-        x, geometry, e_cur = found
-        kinds.append(kind)
+            found = [("lu", *piece) for piece in _line_search(edges, x, _exact_step(hessian, x, r), r, e_cur, max_res)]
+        unmoved = set(range(len(x))).difference(*(piece[1] for piece in found))
+        if unmoved:  # truncated CG, start by start, where no exact step passed
+            delta = np.full_like(x, np.nan)
+            for i in unmoved:
+                delta[i] = _newton_step(Hessian(edges, hessian.near[i], hessian.far[i]), r[i])
+            found += [("cg", *piece) for piece in _line_search(edges, x, delta, r, e_cur, max_res)]
+            for i in unmoved.difference(*(piece[1] for piece in found)):
+                finals[live[i]] = x[i]  # at the numerical floor of both energy and residual
+            if not found:
+                break
+        for kind, rows, *_trial in found:
+            for i in rows:
+                kinds[live[i]].append(kind)
+        live = [live[i] for piece in found for i in piece[1]]
+        if len(found) == 1:
+            e_cur, x, *geometry = found[0][2:]
+        else:  # the stack in the order of the pieces, as `live` now is
+            e_cur = [e for piece in found for e in piece[2]]
+            x, *geometry = map(np.concatenate, zip(*(piece[3:] for piece in found)))
 
-    final = m0.with_lifts(x)
-    return SolveTrace(tuple(energies), tuple(residual_trace), final, len(kinds), stop_reason, tuple(kinds))
+    return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), m0.with_lifts(finals[s]), len(kinds[s]),
+                       stop_reason[s], tuple(kinds[s])) for s in range(count)]
+
+
+def _gauge_matrices(edges, x: np.ndarray) -> np.ndarray:
+    """(S, 3, 3): for each start of a stack of lifts (S, V, 3) the isometry
+    that takes its first vertex lift to (1,0,0) and its first edge's tangent
+    there to the positive x1-axis."""
+    # inverse of the Minkowski frame (x0, tangent basis at x0): it takes x0
+    # to the origin and the first basis vector to the x1-axis
+    first = x[:, 0]
+    frame = np.concatenate([first[:, None], tangent_basis_arr(first)], axis=1)  # rows x0, t1, t2
+    to_origin = J_MATRIX @ frame @ J_MATRIX
+    # the first half-edge's initial tangent, up to a positive factor
+    e = edges.row[0]
+    far = x[:, edges.termini[e]] @ edges.mats[e].T
+    t0 = np.einsum("sij,sj->si", to_origin, _project_tangent_arr(x[:, edges.origins[e]], far))
+    size = np.hypot(t0[:, 1], t0[:, 2])
+    flat = size < 1e-12  # no tangent to turn: the frame's inverse alone
+    c = np.where(flat, 1.0, t0[:, 1] / np.where(flat, 1.0, size))
+    s = np.where(flat, 0.0, t0[:, 2] / np.where(flat, 1.0, size))
+    turn = np.zeros_like(to_origin)  # about the origin, by minus the tangent's angle
+    turn[:, 0, 0] = 1.0
+    turn[:, 1, 1] = turn[:, 2, 2] = c
+    turn[:, 1, 2], turn[:, 2, 1] = s, -s
+    return turn @ to_origin
 
 
 def gauge_fix(m: MarkedMap) -> MarkedMap:
     """Canonical gauge: first vertex lift at (1,0,0), first edge tangent along
     the positive x1-axis."""
-    x = m.lifts
-    # inverse of the Minkowski frame (x0, tangent basis at x0): it takes x0
-    # to the origin and the first basis vector to the x1-axis
-    frame = np.column_stack([x[0], *tangent_basis_arr(x[0])])
-    to_origin = J_MATRIX @ frame.T @ J_MATRIX
-    # the first edge's initial tangent, up to a positive factor
-    t0 = to_origin @ _project_tangent_arr(x[m.graph.origins[0]], m.deck_matrix(0) @ x[m.graph.terminus(0)])
-    size = math.hypot(t0[1], t0[2])
-    if size < 1e-12:
-        return gauge_transform(m, _prevalidated(Isometry, to_origin))
-    c, s = t0[1] / size, t0[2] / size
-    turn = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])  # by minus the tangent's angle
     # a Minkowski-orthonormal frame's inverse turned about the origin is an
     # isometry as built; gauge_transform validates its product with m.gauge
-    return gauge_transform(m, _prevalidated(Isometry, turn @ to_origin))
+    return gauge_transform(m, _prevalidated(Isometry, _gauge_matrices(m.edges, m.lifts[None])[0]))
 
 
 def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
@@ -361,21 +481,21 @@ class UniquenessReport:
         return "all starts agree"
 
 
-def _image_is_one_dimensional(m: MarkedMap) -> bool:
-    """True when at every vertex the outgoing edge tangents span at most a
-    line -- the map's image lies in a single geodesic (or a point), which is
-    exactly the degenerate case excluded by the uniqueness hypothesis.  A star
-    spans a plane when the larger singular value of its tangents (in
-    tangent_basis_arr coordinates, from their 2x2 Gram matrix) exceeds 1e-9 and
-    the smaller exceeds 1e-6 times the larger."""
-    edges = m.edges
-    x = m.lift_array()
-    p = x[edges.origins]
+def _image_is_one_dimensional(edges, x: np.ndarray) -> np.ndarray:
+    """For each start of a stack of lifts (S, V, 3): True when at every
+    vertex the outgoing edge tangents span at most a line -- the map's image
+    lies in a single geodesic (or a point), which is exactly the degenerate
+    case excluded by the uniqueness hypothesis.  A star spans a plane when
+    the larger singular value of its tangents (in tangent_basis_arr
+    coordinates, from their 2x2 Gram matrix) exceeds 1e-9 and the smaller
+    exceeds 1e-6 times the larger."""
+    p = x[:, edges.origins]
     tangents = log_arr(p, edges.far_ends(x))
-    coords = minkowski_dot(tangents[:, None, :], tangent_basis_arr(p))
-    gram = edges.star_sums(coords[:, :, None] * coords[:, None, :])
-    low, high = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(gram))).T
-    return not np.any((high > 1e-9) & (low > 1e-6 * high))
+    coords = minkowski_dot(tangents[..., None, :], tangent_basis_arr(p))
+    gram = edges.star_sums(coords[..., :, None] * coords[..., None, :], axis=1)
+    singular = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(gram)))
+    low, high = singular[..., 0], singular[..., 1]
+    return ~np.any((high > 1e-9) & (low > 1e-6 * high), axis=1)
 
 
 def uniqueness_probe(
@@ -387,24 +507,30 @@ def uniqueness_probe(
 ) -> UniquenessReport:
     """Solve from n_starts seeded-random initial lifts and compare the results
     after gauge fixing.  Distinct limits (or a one-dimensional image) mean the
-    uniqueness hypothesis fails for this homotopy class."""
+    uniqueness hypothesis fails for this homotopy class.
+
+    Start i is drawn by `initial_lifts(..., "random", seed=cfg.seed + i)`,
+    and the starts descend as one stack (S, V, 3), in lockstep, each exactly
+    as `solve` would take it alone.  The limits are gauge-fixed together,
+    each start's energy is the last of its trace, and the largest distance
+    between corresponding gauge-fixed lifts of two starts, over all pairs,
+    is the deviation."""
     if n_starts < 2:
         raise DomainError(f"uniqueness probe needs at least 2 starts, got {n_starts}")
     cfg = cfg or SolverConfig()
 
-    starts = [initial_lifts(surface, graph, "random", seed=cfg.seed + i) for i in range(n_starts)]
+    # normalized as a map normalizes the lifts it is given
+    starts = points_arr(np.stack([initial_lifts(surface, graph, "random", seed=cfg.seed + i) for i in range(n_starts)]))
     base = MarkedMap.from_unoriented_words(surface, graph, starts[0], deck_words)
-    traces = [solve(base.with_lifts(x), cfg) for x in starts]
-    fixed = [gauge_fix(t.final_map).lifts for t in traces]
-    worst = 0.0
-    for i, x in enumerate(fixed):
-        for y in fixed[i + 1:]:
-            worst = max(worst, float(np.max(dist_arr(x, y))))
-    degenerate = any(t.converged and _image_is_one_dimensional(t.final_map) for t in traces)
+    traces = _solve_stack(base, starts, cfg)
+    x = np.stack([t.final_map.lifts for t in traces])
+    fixed = x @ _gauge_matrices(base.edges, x).swapaxes(1, 2)
+    first, second = np.triu_indices(n_starts, 1)
+    converged = np.array([t.converged for t in traces])
     return UniquenessReport(
         n_starts,
-        tuple(t.converged for t in traces),
-        tuple(energy(t.final_map) for t in traces),
-        worst,
-        degenerate,
+        tuple(converged.tolist()),
+        tuple(t.energies[-1] for t in traces),
+        float(np.max(dist_arr(fixed[first], fixed[second]))),
+        bool(np.any(converged & _image_is_one_dimensional(base.edges, x))),
     )

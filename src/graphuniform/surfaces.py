@@ -228,14 +228,14 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
     are off by up to 5.4 eps c^2 at genus 2-150 (3.4e-9 at genus 40, 5.4e-8
     at 80), so from genus 53 some need the rounding gate, which passes 1e-8
     first at genus 11; genus 2 and 3 keep 1e-8 itself.
-    The area is (n - 2) pi minus the n angles, so its gate is 1e-7 per 4*pi
-    of expected area, or the n angles' rounding gates summed where that is
-    larger (from genus 34; the regular 4g-gons use up to 0.0011 of it at
-    genus 2-150).  A side pairing is gated at 1e-8 (1 + c), or at
-    8 eps (1 + c)^3 where that is larger (from genus 39): renormalizing a
-    corner of size c rescales it by 1 + O(eps c^2), moving it by eps c^3,
-    and the regular 4g-gons' pairings are off by up to 1.4 eps (1 + c)^3 at
-    genus 2-150 (8.9e-5 at genus 70).
+    The area is (n - 2) pi minus the n angles, gated at 1e-7 per 4*pi of
+    expected area: with the corner angles in atan2 form no surface built
+    here needs a rounding term (the regular 4g-gons are off by up to 3.7%
+    of the gate at genus 2-150, 3.1e-7 at genus 150).  A side pairing is
+    gated at 1e-8 (1 + c), or at 8 eps (1 + c)^3 where that is larger
+    (from genus 39): renormalizing a corner of size c rescales it by
+    1 + O(eps c^2), moving it by eps c^3, and the regular 4g-gons' pairings
+    are off by up to 1.4 eps (1 + c)^3 at genus 2-150 (8.9e-5 at genus 70).
     Reported relator defects are absolute, but the pass/fail gate scales
     1e-8 by the squared norm of the largest partial product: a float64
     product of long words cannot beat rounding amplified by those norms, and
@@ -277,7 +277,7 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
         area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)
-        if abs(area - area_expected) > max(1e-7 * area_expected / (4.0 * math.pi), angle_rounding * n):
+        if abs(area - area_expected) > 1e-7 * area_expected / (4.0 * math.pi):
             issues.append(("AREA", f"polygon area {area!r}, Gauss-Bonnet expects {area_expected!r}"))
 
     return SurfaceReport(tuple(issues), tuple(relator_defects), tuple(angle_sums), area, area_expected)

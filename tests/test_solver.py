@@ -289,6 +289,36 @@ def test_solver_builds_edge_geometry_once_per_iterate_and_blocks_per_step(genus2
     assert calls == {"geometry": 1, "hessian": 0}
 
 
+def test_probe_builds_hessians_once_per_lockstep_iteration(genus2_bundle, monkeypatch):
+    # the 4 starts descend as one stack: one Hessian per lockstep iteration,
+    # max(iterations) in all, and one edge-geometry pass per trial round
+    # (one exp_arr each) plus the first, not one set per start
+    import graphuniform.solver as solver
+
+    surface, graph, _ = genus2_bundle
+    calls = {"geometry": 0, "hessian": 0, "exp_arr": 0}
+    for name in ("geometry", "hessian"):
+        original = getattr(EdgeData, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(EdgeData, name, counting)
+    monkeypatch.setattr(solver, "exp_arr", lambda p, v: calls.__setitem__("exp_arr", calls["exp_arr"] + 1)
+                        or exp_arr(p, v))
+    traces = []
+    descend = solver._descend
+    monkeypatch.setattr(solver, "_descend", lambda *args: traces.extend(descend(*args)) or traces)
+    report = uniqueness_probe(surface, graph, genus2_deck_words(), 4)
+    assert report.ok and len(traces) == 4
+    iterations = [t.iterations for t in traces]
+    assert min(iterations) > 2
+    assert calls["hessian"] == max(iterations) < sum(iterations)
+    assert calls["exp_arr"] >= max(iterations)  # the trial rounds: one per iteration, plus backtracks
+    assert calls["geometry"] == calls["exp_arr"] + 1
+
+
 def test_report_with_disagreeing_starts_is_not_ok():
     report = UniquenessReport(
         n_starts=2, converged=(True, True), energies=(23.44, 23.44),
@@ -568,7 +598,7 @@ def test_exact_step_equals_a_converged_cg_step(genus2_solved, klein_surface, cas
     r = m.edges.residual(x)
     assert np.max(np.abs(r)) > 1e-3
     hessian = m.edges.hessian(x)
-    lu = solver._exact_step(hessian, x, r)
+    lu = solver._exact_step(m.edges.hessian(x[None]), x[None], r[None])[0]  # a stack of one
     cg, relative_residual = oracles.cg_solve(hessian, 2.0 * r, tangent_basis_arr(x), rtol=1e-13)
     # CG is driven to 1e-13 or to its rounding floor (1e-12 on the k = 2
     # map), far under the 1e-8 that the steps are compared at.  The k = 8
@@ -595,18 +625,19 @@ def test_block_eliminated_step_equals_a_dense_solve(genus2_solved, klein_surface
     rhs = 2.0 * minkowski_dot(r[:, None, :], bases).ravel()
     coords = np.linalg.solve(dense + dense.T, 2.0 * rhs)
     want = np.einsum("vi,vij->vj", coords.reshape(-1, 2), bases)
-    got = solver._exact_step(hessian, x, r)
+    got = solver._exact_step(m.edges.hessian(x[None]), x[None], r[None])[0]  # a stack of one
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, start, case):
     # a block that LU cannot factor, a step that is not finite or climbs,
     # or a step no line-search trial accepts: the iteration takes the CG
-    # step, so the solve is the CG-only solve, step for step
+    # step, so the solve is the CG-only solve, step for step.  A failed
+    # exact step is a row of NaN in the stack of steps
     import graphuniform.solver as solver
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_exact_step", lambda hessian, x, r: None)
+        patch.setattr(solver, "_exact_step", lambda hessian, x, r: np.full_like(x, np.nan))
         cg_only = solve(start)
     matrix = Hessian.matrix
 
@@ -619,7 +650,8 @@ def _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, start, case):
         # factors without a zero pivot, but the solution overflows
         def tiny(self, bases):
             diagonal, upper = matrix(self, bases)
-            return tuple(1e-320 * np.eye(len(block)) for block in diagonal), tuple(0.0 * block for block in upper)
+            return (tuple(0.0 * block + 1e-320 * np.eye(block.shape[-1]) for block in diagonal),
+                    tuple(0.0 * block for block in upper))
 
         monkeypatch.setattr(Hessian, "matrix", tiny)
     elif case == "uphill":
@@ -632,15 +664,15 @@ def _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, start, case):
             proposed.append(exact_step(hessian, x, r))
             return proposed[-1]
 
-        def rejecting(edges, x, delta, *args):
-            return None if delta is proposed[-1] else line_search(edges, x, delta, *args)
+        def rejecting(edges, x, delta, *args):  # no trial passed: no (rows, trial) pieces
+            return [] if delta is proposed[-1] else line_search(edges, x, delta, *args)
 
         monkeypatch.setattr(solver, "_exact_step", proposing)
         monkeypatch.setattr(solver, "_line_search", rejecting)
     trace = solve(start)
     if case == "line-search":
         assert len(proposed) == trace.iterations
-        assert all(step is not None for step in proposed)
+        assert all(np.isfinite(step).all() for step in proposed)
     assert trace.converged and trace.iterations == cg_only.iterations > 2
     assert trace.steps == ("cg",) * trace.iterations
     assert trace.energies == cg_only.energies and trace.residuals == cg_only.residuals
@@ -759,3 +791,109 @@ def test_block_plan_without_blocks_leaves_the_steps_to_cg(genus2_bundle):
     assert plan.blocks == () and plan.shapes == ()
     trace = solve(m)
     assert trace.converged and trace.steps == ("cg",) * trace.iterations
+
+
+def _assert_stack_matches_solo_solves(m, lifts, cfg=SolverConfig()):
+    # each start of a stacked descent is the start's own solve: the same
+    # steps and stop, energies to 1e-12 relative, limits to 1e-9.  The starts
+    # are normalized as a map normalizes the lifts it is given
+    import graphuniform.solver as solver
+
+    starts = np.stack([m.with_lifts(x).lifts for x in lifts])
+    traces = solver._solve_stack(m, starts, cfg)
+    assert len(traces) == len(lifts)
+    for x, trace in zip(lifts, traces):
+        solo = solve(m.with_lifts(x), cfg)
+        assert trace.stop_reason == solo.stop_reason
+        assert trace.iterations == solo.iterations
+        assert trace.steps == solo.steps
+        assert len(trace.residuals) == len(solo.residuals)
+        assert np.allclose(trace.energies, solo.energies, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(trace.final_map.lifts - solo.final_map.lifts)) <= 1e-9
+    return traces
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_stacked_descent_matches_solo_solves_on_the_genus2_ladder(genus2_solved, k):
+    # 8-fold is several blocks: every elimination step is batched
+    m = oracles.subdivide(genus2_solved, k)
+    assert (len(m.edges.block_plan.blocks) > 1) == (k == 8)
+    lifts = [initial_lifts(m.surface, m.graph, "random", seed=seed) for seed in range(3)]
+    lifts.append(perturbed(m, 0.05, seed=k).lifts)
+    traces = _assert_stack_matches_solo_solves(m, lifts)
+    assert all(t.converged for t in traces)
+    assert len({t.iterations for t in traces}) > 1 or k == 1  # starts leave the stack at different steps
+
+
+def test_stacked_descent_matches_solo_solves_with_cg_steps_mid_stack(octagon_surface):
+    # the loop's Hessian is singular at its limit: some starts end on a CG
+    # step while the others take exact steps or have stopped
+    graph = bouquet(1)
+    lifts = [initial_lifts(octagon_surface, graph, "random", seed=seed) for seed in range(4)]
+    m = MarkedMap.from_unoriented_words(octagon_surface, graph, lifts[0], ((1,),))
+    traces = _assert_stack_matches_solo_solves(m, lifts)
+    steps = [t.steps for t in traces]
+    assert any("cg" in s for s in steps) and any("cg" not in s for s in steps), steps
+
+
+def test_stacked_descent_keeps_a_converged_start_among_perturbed_ones(genus2_solved):
+    lifts = [perturbed(genus2_solved, 0.1, seed=seed).lifts for seed in (3, 4)]
+    traces = _assert_stack_matches_solo_solves(genus2_solved, [lifts[0], genus2_solved.lifts, lifts[1]])
+    assert traces[1].iterations == 0 and traces[1].converged
+    assert traces[0].iterations > 0 and traces[2].iterations > 0
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_stacked_descent_ends_on_its_budget(genus2_bundle, budget):
+    surface, graph, ref = genus2_bundle
+    lifts = [initial_lifts(surface, graph, "random", seed=seed) for seed in range(3)]
+    traces = _assert_stack_matches_solo_solves(ref, lifts, SolverConfig(max_iters=budget))
+    assert all(t.stop_reason == "budget" and t.iterations == budget for t in traces)
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_stacked_descent_sends_only_the_failing_start_to_cg(genus2_solved, monkeypatch, k):
+    # a singular block in one start's matrix is that start's: the batched
+    # solve or elimination fails, each start is solved alone, and only that
+    # start takes a CG step, as it would alone
+    import graphuniform.solver as solver
+
+    m = oracles.subdivide(genus2_solved, k)
+    lifts = [perturbed(m, 0.1 / k, seed=seed).lifts for seed in (5, 6, 7)]
+    matrix = Hessian.matrix
+
+    def singular_middle(self, bases):
+        diagonal, upper = matrix(self, bases)
+        if len(bases) == 3:
+            diagonal[0][1] = 0.0
+        return diagonal, upper
+
+    monkeypatch.setattr(Hessian, "matrix", singular_middle)
+    starts = np.stack([m.with_lifts(x).lifts for x in lifts])
+    traces = solver._solve_stack(m, starts, SolverConfig())
+    assert traces[1].steps[0] == "cg"
+    assert traces[0].steps[0] == traces[2].steps[0] == "lu"
+    assert all(t.converged for t in traces)
+
+
+def test_stacked_descent_rejects_a_trial_off_the_sheet_for_its_start_alone(genus2_solved, monkeypatch):
+    # every trial from the middle start leaves the sheet: the stack's trial
+    # pass is redone start by start, the middle start stalls where it
+    # stands, as it does alone, and the others descend
+    import graphuniform.solver as solver
+
+    lifts = [perturbed(genus2_solved, 0.1, seed=seed).lifts for seed in (8, 9, 10)]
+    marked = genus2_solved.with_lifts(lifts[1]).lifts
+    stacks = []
+
+    def leaving(p, v):
+        if any(np.array_equal(start, marked) for start in p):
+            stacks.append(len(p))
+            raise NotHyperbolicError("exponential map left the upper sheet")
+        return exp_arr(p, v)
+
+    monkeypatch.setattr(solver, "exp_arr", leaving)
+    traces = _assert_stack_matches_solo_solves(genus2_solved, lifts)
+    assert max(stacks) == 3
+    assert traces[1].stop_reason == "stalled" and traces[1].iterations == 0
+    assert traces[0].converged and traces[2].converged

@@ -40,12 +40,7 @@ from .families import (
     lagrange_solve,
     minimize_1d,
 )
-from .variations import (
-    VertexVariation,
-    first_variation,
-    hessian_consistency,
-    second_variation_geodesic,
-)
+from .variations import first_variation, hessian_consistency
 
 __all__ = [
     "__version__",
@@ -59,5 +54,5 @@ __all__ = [
     "MetricFamily", "SurfaceModel", "build_genus2_hexagon_surface", "build_klein_quartic",
     "build_regular_4g_surface", "family", "validate_surface",
     "EnergyEvaluator", "LagrangeSolution", "hexagon_family_energy", "lagrange_solve", "minimize_1d",
-    "VertexVariation", "first_variation", "hessian_consistency", "second_variation_geodesic",
+    "first_variation", "hessian_consistency",
 ]

@@ -172,17 +172,19 @@ class EdgeData:
         and T = (p + q) / (1 - <p,q>): v1 + <p,v1> T is v1 transported to p.
         It is assembled once per x as 3x3 blocks:
 
-        - near, (..., V, 3, 3): the tangent projection I + x x^T J at each vertex
-          times the star sum of 2w (I + a n n^T J), acting on v[vertex];
-        - far, (..., E, 3, 3): 2w (-I - T p^T J - b n n^T J) times the row's deck
-          matrix, acting on v[terminus].  Its image is tangent at p
-          (<T,p> = -1, <n,p> = 0); a projection multiplied in would only
-          amplify rounding, by |p|^2.
+        - near, (..., V, 3, 3): the star sum of 2w (I + a n n^T J), acting on
+          v[vertex];
+        - far, (..., E, 3, 3): 2w (-I - T p^T J - b n n^T J), acting on v1.
 
-        A product is near v + star_sums(far v[termini]); `Hessian.matrix`
-        assembles the same blocks into the block-tridiagonal matrix of the
-        `block_plan`: one dense (2V, 2V) matrix when V <= DENSE_MAX_VERTICES,
-        else blocks of at most 2 * DENSE_MAX_VERTICES rows.
+        Both images are tangent at p (<T,p> = -1, <n,p> = 0).  A product is
+        near v + star_sums(far v1), the blocks applied as the formula reads:
+        a tangent projection or a deck matrix multiplied into a block first
+        would only amplify rounding (in <v, H v>, the second variation,
+        about 20-fold on a perturbed genus-2 map with lifts of norm 13).
+        `Hessian.matrix` multiplies both in and assembles the blocks into
+        the block-tridiagonal matrix of the `block_plan`: one dense
+        (2V, 2V) matrix when V <= DENSE_MAX_VERTICES, else blocks of at
+        most 2 * DENSE_MAX_VERTICES rows.
         """
         p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
@@ -195,9 +197,8 @@ class EdgeData:
         eye = np.eye(3)
         pole_pole = pole[..., :, None] * (pole * J_DIAG)[..., None, :]
         near = self.star_sums(w2 * (eye + a * pole_pole), axis=-3)
-        near = (eye + x[..., :, None] * (x * J_DIAG)[..., None, :]) @ near
-        far = (w2 * (-eye - transport[..., :, None] * (p * J_DIAG)[..., None, :] - b * pole_pole)) @ self.mats
-        return Hessian(self, near, far)
+        far = w2 * (-eye - transport[..., :, None] * (p * J_DIAG)[..., None, :] - b * pole_pole)
+        return Hessian(self, x, near, far)
 
     @cached_property
     def block_plan(self) -> "BlockPlan":
@@ -327,15 +328,16 @@ def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, tup
 class Hessian:
     """The energy Hessian at one set of lifts, or at each of a stack, as the
     3x3 blocks built by `EdgeData.hessian`: near (..., V, 3, 3) acts on
-    v[vertex], far (..., E, 3, 3) on v[terminus] of each row.  Calling it
-    applies it to a tangent field (..., V, 3)."""
+    v[vertex], far (..., E, 3, 3) on deck v[terminus] of each row.  Calling
+    it applies it to a tangent field (..., V, 3)."""
 
     edges: EdgeData
+    lifts: np.ndarray  # (..., V, 3), where the blocks were built
     near: np.ndarray
     far: np.ndarray
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        far = np.einsum("...eij,...ej->...ei", self.far, v.take(self.edges.termini, axis=-2))
+        far = np.einsum("...eij,...ej->...ei", self.far, self.edges.far_ends(v))
         return np.einsum("...vij,...vj->...vi", self.near, v) + self.edges.star_sums(far, axis=-2)
 
     def matrix(self, bases: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -349,15 +351,19 @@ class Hessian:
         pairings between block d + 1 and block d.  With one block, the
         diagonal block is the whole (2V, 2V) matrix.  Superdiagonal block d
         spans only the leading columns of block d + 1 that it can reach
-        (`BlockPlan.shapes`).  A stack of S goes through one `np.bincount`,
-        each start's entries scattered to the plan's index offset by
+        (`BlockPlan.shapes`).  The near blocks are read times the tangent
+        projection I + x x^T J at their vertex, the far ones times their
+        deck matrix.  A stack of S goes through one `np.bincount`, each
+        start's entries scattered to the plan's index offset by
         `offsets[-1]` times its place in the stack."""
         edges = self.edges
         plan = edges.block_plan
+        x = self.lifts
+        near = (np.eye(3) + x[..., :, None] * (x * J_DIAG)[..., None, :]) @ self.near
         left = bases * J_DIAG
         right = bases.swapaxes(-1, -2)
-        far = left.take(edges.origins, axis=-3) @ self.far @ right.take(edges.termini, axis=-3)
-        blocks = np.concatenate([left @ self.near @ right, far], axis=-3)
+        far = left.take(edges.origins, axis=-3) @ (self.far @ edges.mats) @ right.take(edges.termini, axis=-3)
+        blocks = np.concatenate([left @ near @ right, far], axis=-3)
         stack, size = blocks.shape[:-3], plan.offsets[-1]
         count = math.prod(stack)
         scatter = plan.scatter if count == 1 else (plan.scatter + size * np.arange(count)[:, None]).ravel()
@@ -497,13 +503,6 @@ class MarkedMap:
     def vertex_lifts(self) -> tuple[HPoint, ...]:
         """The lifts as points, built on first use."""
         return tuple(_prevalidated(HPoint, p) for p in self.lifts)
-
-    def lift_array(self) -> np.ndarray:
-        """A writable copy of `lifts`."""
-        return self.lifts.copy()
-
-    def deck_matrix(self, e: int) -> np.ndarray:
-        return self.edges.mats[self.edges.row[e]]
 
     def with_surface(self, surface: SurfaceModel, lifts) -> "MarkedMap":
         """The same graph, words and gauge on another surface that has every

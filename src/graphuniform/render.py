@@ -94,7 +94,7 @@ def render_map_svg(m: MarkedMap, translate_depth: int = 1, size: int = 640) -> s
     the given depth (gray), lifted graph edges (crimson) and vertices (dots)."""
     svg = _surface_svg(m.surface, translate_depth, size)
     edges = m.edges
-    x = m.lift_array()
+    x = m.lifts
     for p, q in zip(x[edges.origins[edges.even]], edges.far_ends(x)[edges.even]):
         svg.polyline(disk_projection(_geodesic_points(p, q)), "crimson", 1.4)
     for point in x:

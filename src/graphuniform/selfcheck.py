@@ -16,7 +16,7 @@ from . import families, surfaces
 from .hyperboloid import dist_arr, hexagon_partner_length, polygon_area, regular_polygon
 from .maps import balanced_residual, energy
 from .solver import SolverConfig, gauge_fix, solve
-from .variations import VertexVariation, first_variation, first_variation_fd
+from .variations import first_variation, first_variation_fd, random_variation
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def check_reference_map() -> CheckResult:
 def check_solver_roundtrip() -> CheckResult:
     _surface, graph, reference = surfaces.build_genus2_hexagon_surface(1.0)
     rng = np.random.default_rng(11)
-    x = reference.lift_array()
+    x = reference.lifts
     lifts = []
     for v in range(graph.vertex_count):
         vec = rng.standard_normal(3) * 0.1
@@ -102,15 +102,15 @@ def check_solver_roundtrip() -> CheckResult:
     if not trace.converged:
         return CheckResult("solver returns to the balanced map", False,
                            f"no convergence in {trace.iterations} iterations")
-    a = gauge_fix(trace.final_map).lift_array()
-    b = gauge_fix(reference).lift_array()
+    a = gauge_fix(trace.final_map).lifts
+    b = gauge_fix(reference).lifts
     gap = float(np.max(dist_arr(a, b)))
     return _check("solver returns to the balanced map", gap, 1e-7)
 
 
 def check_first_variation() -> CheckResult:
     _surface, _graph, reference = surfaces.build_genus2_hexagon_surface(0.9)
-    variation = VertexVariation.random(reference, seed=5)
+    variation = random_variation(reference, seed=5)
     exact = first_variation(reference, variation)
     approx = first_variation_fd(reference, variation)
     scale = max(1.0, abs(exact))

@@ -377,7 +377,7 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
         if unmoved:  # truncated CG, start by start, where no exact step passed
             delta = np.full_like(x, np.nan)
             for i in unmoved:
-                delta[i] = _newton_step(Hessian(edges, hessian.near[i], hessian.far[i]), r[i])
+                delta[i] = _newton_step(Hessian(edges, x[i], hessian.near[i], hessian.far[i]), r[i])
             found += [("cg", *piece) for piece in _line_search(edges, x, delta, r, e_cur, max_res)]
             for i in unmoved.difference(*(piece[1] for piece in found)):
                 finals[live[i]] = x[i]  # at the numerical floor of both energy and residual
@@ -442,7 +442,7 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     chunks)."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
-    x = m.lift_array()
+    x = m.lifts
     dim = 2 * len(x)
     column = np.arange(dim)
     steps = np.zeros((2, dim) + x.shape)

@@ -116,20 +116,15 @@ class SurfaceModel:
     """Fuchsian generator data; polygon/side/relator fields optional."""
 
     genus: int
-    matrices: np.ndarray  # (n, 3, 3), read-only; given as Isometry values (kept) or an array (checked)
+    matrices: np.ndarray  # (n, 3, 3), read-only; given as an array, checked by isometries_arr
     polygon: np.ndarray | None = None  # (n, 3) corners, normalized, read-only
     side_pairs: tuple[tuple[int, int, int], ...] | None = None
     relator_words: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        gens = self.matrices
-        if not isinstance(gens, np.ndarray) and all(isinstance(g, Isometry) for g in gens):
-            self.__dict__["generators"] = gens = tuple(gens)
-            stack = np.array([g.matrix for g in gens]).reshape(-1, 3, 3)
-        else:
-            stack = isometries_arr(gens)
-            if stack.ndim != 3:
-                raise GeometryError(f"generators need shape (n, 3, 3), got {stack.shape}")
+        stack = isometries_arr(self.matrices)
+        if stack.ndim != 3:
+            raise GeometryError(f"generators need shape (n, 3, 3), got {stack.shape}")
         # row k is generator k and row -k its inverse J m^T J; row 0 is the identity
         inverses = stack.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)
         table = np.concatenate([np.eye(3)[None], stack, inverses[::-1]])

@@ -29,7 +29,7 @@ def genus2_solved(genus2_bundle):
     rng = np.random.default_rng(7)
     from graphuniform.hyperboloid import exp_arr
 
-    lifts = ref.lift_array()
+    lifts = ref.lifts
     noise = rng.standard_normal(lifts.shape) * 0.05
     noise[..., 0] = 0.0
     # project the noise onto each tangent space before exponentiating

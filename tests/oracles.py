@@ -104,7 +104,7 @@ def subdivide(m, k: int):
     lifts = [p.coords for p in m.vertex_lifts]
     edges, words = [], []
     for e, u, v, w, cls in m.graph.unoriented_edges():
-        p, q = lifts[u], m.deck_matrix(e) @ lifts[v]
+        p, q = lifts[u], deck_matrix(m, e) @ lifts[v]
         d = raw_dist(p, q)
         chain = [u]
         for j in range(1, k):
@@ -132,7 +132,7 @@ def polarized_hvp(m, x, v):
     g = m.graph
     out = np.zeros_like(x)
     for e in range(g.half_edge_count):
-        deck = m.deck_matrix(e)
+        deck = deck_matrix(m, e)
         o, t = g.origins[e], g.terminus(e)
         p, q = x[o], deck @ x[t]
         v0, v1 = v[o], deck @ v[t]
@@ -158,7 +158,7 @@ def hessian_fd_columns(m, h):
     the moved lifts, then symmetrized."""
     from graphuniform.hyperboloid import exp_arr, minkowski_dot, tangent_basis_arr
 
-    x = m.lift_array()
+    x = m.lifts
     bases = tangent_basis_arr(x)
     dim = 2 * len(x)
     hess = np.zeros((dim, dim))
@@ -181,10 +181,13 @@ def dense_hessian(hessian, bases):
     far blocks to (origin, terminus), in vertex order, by one bincount, so
     blocks that share a place (doubled edges, loops) add up."""
     edges = hessian.edges
-    left = bases * np.array([-1.0, 1.0, 1.0])
+    x = hessian.lifts
+    j = np.array([-1.0, 1.0, 1.0])
+    left = bases * j
     right = bases.transpose(0, 2, 1)
-    blocks = np.concatenate([left @ hessian.near @ right,
-                             left[edges.origins] @ hessian.far @ right[edges.termini]])
+    near = (np.eye(3) + x[:, :, None] * (x * j)[:, None, :]) @ hessian.near
+    blocks = np.concatenate([left @ near @ right,
+                             left[edges.origins] @ (hessian.far @ edges.mats) @ right[edges.termini]])
     count = edges.vertex_count
     rows = np.concatenate([np.arange(count), edges.origins])
     cols = np.concatenate([np.arange(count), edges.termini])
@@ -301,7 +304,7 @@ def reference_map(doc):
         return tuple(tuple(w) for w in values) if values is not None else None
 
     s, g = doc["surface"], doc["graph"]
-    surface = SurfaceModel(s["genus"], tuple(Isometry(rows(m)) for m in s["generators"]),
+    surface = SurfaceModel(s["genus"], np.array([Isometry(rows(m)).matrix for m in s["generators"]]),
                            rows(s["polygon"]) if "polygon" in s else None,
                            words(s.get("side_pairs")), words(s.get("relator_words")))
     graph = WeightedGraph.from_edges(g["vertices"], [
@@ -352,13 +355,18 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
 # one-edge and one-coordinate references for the library's batched code
 
 
+def deck_matrix(m, e):
+    """The deck matrix of half-edge e of map m, gauge included."""
+    return m.edges.mats[m.edges.row[e]]
+
+
 def edge_segment(m, e):
     """Endpoints of the lifted half-edge e of map m; the far end is put back
     on the sheet after the deck matrix moves it."""
     from graphuniform.hyperboloid import points_arr
 
     p = m.lifts[m.graph.origins[e]]
-    q = m.deck_matrix(e) @ m.lifts[m.graph.terminus(e)]
+    q = deck_matrix(m, e) @ m.lifts[m.graph.terminus(e)]
     return p, points_arr(q)
 
 
@@ -429,24 +437,46 @@ def jacobi_solve_segment(p, q, v0, v1):
     return JacobiField(ell, c, d, a, b, p, u0, float(max(err0, err1)))
 
 
-def jacobi_solve(m, e, variation):
-    """The Jacobi field of a VertexVariation along the lifted half-edge e:
-    the origin vertex's vector at one end, the terminus vector pushed
-    through the deck matrix, projected at edge_segment's far end, at the
-    other."""
+def jacobi_solve(m, e, v):
+    """The Jacobi field of the variation v, a (V, 3) array of tangent
+    vectors at the lifts, along the lifted half-edge e: the origin vertex's
+    vector at one end, the terminus vector pushed through the deck matrix,
+    projected at edge_segment's far end, at the other."""
     from graphuniform.hyperboloid import _project_tangent_arr
 
     p, q = edge_segment(m, e)
-    v1 = _project_tangent_arr(q, m.deck_matrix(e) @ variation.vectors[m.graph.terminus(e)])
-    return jacobi_solve_segment(p, q, variation.vectors[m.graph.origins[e]], v1)
+    v1 = _project_tangent_arr(q, deck_matrix(m, e) @ v[m.graph.terminus(e)])
+    return jacobi_solve_segment(p, q, v[m.graph.origins[e]], v1)
 
 
-def second_variation_fd(m, variation, h=1e-4):
-    """Central second difference of the energy along the variation."""
+def jacobi_second_variation(m, v):
+    """The second variation of the energy along v, summed one half-edge at a
+    time from the closed form of its Jacobi field: per half-edge
+    d^2 + (ell/2) ((a^2 + b^2) sinh 2ell + 2ab (cosh 2ell - 1)), the
+    integral of |grad_T V|^2 + |V_normal|^2 |T|^2 over the edge."""
+    total = 0.0
+    for e in range(m.graph.half_edge_count):
+        f = jacobi_solve(m, e, v)
+        ell = f.length
+        total += m.graph.weights[e] * (f.d * f.d + (ell / 2.0) * (
+            (f.a * f.a + f.b * f.b) * math.sinh(2.0 * ell) + 2.0 * f.a * f.b * (math.cosh(2.0 * ell) - 1.0)))
+    return total
+
+
+def hessian_form(m, v):
+    """<v, H v> for the solver's Hessian H at the map's lifts: the second
+    variation of the energy along the vertex-exponential curves of v."""
+    from graphuniform.hyperboloid import minkowski_dot
+
+    return float(np.sum(minkowski_dot(v, m.edges.hessian(m.lifts)(v))))
+
+
+def second_variation_fd(m, v, h=1e-4):
+    """Central second difference of the energy along the variation v."""
     from graphuniform.maps import energy
     from graphuniform.variations import energy_along
 
-    return (energy_along(m, variation, h) - 2.0 * energy(m) + energy_along(m, variation, -h)) / (h * h)
+    return (energy_along(m, v, h) - 2.0 * energy(m) + energy_along(m, v, -h)) / (h * h)
 
 
 def fd_gradient(m, h=1e-5):
@@ -454,7 +484,7 @@ def fd_gradient(m, h=1e-5):
     tangent_basis_arr coordinates (2 per vertex), one coordinate at a time."""
     from graphuniform.hyperboloid import exp_arr, tangent_basis_arr
 
-    x = m.lift_array()
+    x = m.lifts
     bases = tangent_basis_arr(x)
     grad = np.zeros(2 * len(x))
     for i in range(len(grad)):
@@ -472,7 +502,7 @@ def rebase_vertex(m, v, word):
 
     word = tuple(word)
     gamma = m.gauge.matrix @ m.surface.word_matrix(word) @ m.gauge.inverse().matrix
-    lifts = m.lift_array()
+    lifts = m.lifts.copy()
     lifts[v] = gamma @ lifts[v]
     inv = tuple(-w for w in reversed(word))
     new_words = []

@@ -47,7 +47,7 @@ def size(*arrays):
 
 def perturbed(m, scale, seed):
     rng = np.random.default_rng(seed)
-    lifts = m.lift_array()
+    lifts = m.lifts
     noise = rng.standard_normal(lifts.shape) * scale
     noise[..., 0] = 0.0
     noise += minkowski_dot(noise, lifts)[..., None] * lifts
@@ -84,7 +84,7 @@ def test_dist_symmetric_and_isometry_invariant(r1, phi1, r2, phi2, g):
 def test_energy_and_residual_invariant_under_gauge_transform(scale, seed, g):
     m = perturbed(REFERENCE, scale, seed)
     moved = gauge_transform(m, g)
-    s2 = size(m.lift_array(), moved.lift_array()) ** 2
+    s2 = size(m.lifts, moved.lifts) ** 2
     e0 = energy(m)
     assert abs(energy(moved) - e0) <= 1e-11 * s2 * (1.0 + e0)
     # the residual is a tangent field, so it moves with the lifts
@@ -101,7 +101,7 @@ generator = st.integers(1, len(_SURFACE.generators)).flatmap(lambda k: st.sample
 def test_energy_and_residual_invariant_under_rebase_vertex(scale, seed, v, word):
     m = perturbed(REFERENCE, scale, seed)
     moved = oracles.rebase_vertex(m, v, tuple(word))
-    s2 = size(m.lift_array(), moved.lift_array()) ** 2
+    s2 = size(m.lifts, moved.lifts) ** 2
     e0 = energy(m)
     assert abs(energy(moved) - e0) <= 1e-11 * s2 * (1.0 + e0)
     n0, n1 = residual_norms(balanced_residual(m)), residual_norms(balanced_residual(moved))

@@ -233,7 +233,7 @@ def test_surface_schema_errors_carry_paths():
 def test_map_roundtrip_embedded(genus2_bundle):
     _surface, _graph, m = genus2_bundle
     back = map_from_json(map_to_json(m))
-    assert np.max(np.abs(back.lift_array() - m.lift_array())) < 1e-13
+    assert np.max(np.abs(back.lifts - m.lifts)) < 1e-13
     assert back.deck_words == m.deck_words
     assert abs(energy(back) - energy(m)) < 1e-12 * (1.0 + energy(m))
 
@@ -257,7 +257,7 @@ def test_map_without_embedding_needs_explicit_surface(genus2_bundle):
         map_from_json(doc)
     assert exc.value.path == "map.surface"
     back = map_from_json(doc, surface=m.surface, graph=m.graph)
-    assert np.max(np.abs(back.lift_array() - m.lift_array())) < 1e-13
+    assert np.max(np.abs(back.lifts - m.lifts)) < 1e-13
 
 
 def test_map_schema_error_on_bad_lift(genus2_bundle):

@@ -32,6 +32,7 @@ MAX_CONSTRUCTION_DEFECT = 1e-6
 
 J_DIAG = np.array([-1.0, 1.0, 1.0])
 J_MATRIX = np.diag(J_DIAG)
+J_OUTER = np.outer(J_DIAG, J_DIAG)  # J m^T J, an isometry's inverse, is m^T * J_OUTER
 _X1_AXIS = np.array([0.0, 1.0, 0.0])
 
 
@@ -53,10 +54,12 @@ def minkowski_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable at 0: 1 + x^2/6 up to 1e-8.  Both branches are
-    formed whole and selected by np.where, at half the cost of masked
-    assignment on the arrays of a small map."""
+    """sinh(x)/x, stable at 0: 1 + x^2/6 up to 1e-8.  Where some x is that
+    small both branches are formed whole and selected by np.where, at half
+    the cost of masked assignment on the arrays of a small map."""
     x = np.asarray(x, dtype=float)
+    if x.size and x.min() > 1e-8:
+        return np.sinh(x) / x
     big = x > 1e-8
     safe = np.where(big, x, 1.0)
     return np.where(big, np.sinh(safe) / safe, 1.0 + x * x / 6.0)
@@ -66,19 +69,23 @@ def points_arr(v) -> np.ndarray:
     """Validated, normalized, read-only copy of points of shape (..., 3).
 
     The checks are HPoint's, in its order: three coordinates, all finite,
-    timelike, on the upper sheet.  The error names the first offending row.
+    timelike, on the upper sheet.  When every row passes, three reductions
+    tell; otherwise each check runs over all rows in turn, and the error
+    names the first offending row.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 3:
         raise GeometryError(f"points need 3 coordinates, got shape {v.shape}")
     flat = v.reshape(-1, 3)
     q = minkowski_dot(flat, flat)
-    for bad, error, what in ((~np.isfinite(flat).all(axis=1), GeometryError, "has non-finite coordinates"),
-                             (q >= 0, NotHyperbolicError, "is not timelike"),
-                             (flat[:, 0] <= 0, NotHyperbolicError, "is not on the upper sheet")):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise error(f"point{f' in row {i}' if v.ndim > 1 else ''} {what}: {flat[i].tolist()!r}")
+    # a finite q needs finite coordinates
+    if not (len(q) and -math.inf < q.min() and q.max() < 0.0 < flat[:, 0].min()):
+        for bad, error, what in ((~np.isfinite(flat).all(axis=1), GeometryError, "has non-finite coordinates"),
+                                 (q >= 0, NotHyperbolicError, "is not timelike"),
+                                 (flat[:, 0] <= 0, NotHyperbolicError, "is not on the upper sheet")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise error(f"point{f' in row {i}' if v.ndim > 1 else ''} {what}: {flat[i].tolist()!r}")
     out = v / np.sqrt(-q).reshape(v.shape[:-1] + (1,))
     out.flags.writeable = False
     return out
@@ -177,13 +184,20 @@ def _minkowski_gram_schmidt(m: np.ndarray) -> np.ndarray:
 
 def isometries_arr(m) -> np.ndarray:
     """Validated, read-only copy of isometry matrices of shape (..., 3, 3): Isometry's
-    checks and cleanup on each (NaN fails too); the error names the first bad one."""
+    checks and cleanup on each (NaN fails too).  A stack that needs no cleanup
+    and passes every check takes one pass; otherwise each check runs over all
+    matrices in turn, and the error names the first bad one."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise GeometryError(f"isometry needs a 3x3 matrix, got shape {m.shape}")
     flat = m.reshape(-1, 3, 3)
     scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)) ** 2)
     defect = np.abs((flat.transpose(0, 2, 1) * J_DIAG) @ flat - J_MATRIX).max(axis=(1, 2))
+    clean = len(flat) and (defect <= GEOM_TOL * scale).all() and flat[:, 0, 0].min() > 0.0
+    if clean and np.linalg.det(flat).min() >= 0.0:
+        out = m.copy()
+        out.flags.writeable = False
+        return out
     isometric = defect <= MAX_CONSTRUCTION_DEFECT * scale
     out = flat.copy()
     # the cleanup gate must scale with the squared norm: storage rounding

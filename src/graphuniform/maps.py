@@ -21,9 +21,8 @@ surface's generator array, edge endpoints and tangents plain 3-vectors;
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +34,7 @@ from .hyperboloid import (
     Isometry,
     J_DIAG,
     J_MATRIX,
+    J_OUTER,
     _prevalidated,
     _project_tangent_arr,
     _sinhc,
@@ -53,6 +53,17 @@ _REVERSAL_TOL = 1e-10
 # of n = 120 by 0.06-0.12 s each, against 0.2 ms on one thread.
 DENSE_MAX_VERTICES = 49
 _IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never changes
+
+
+def _derived(value, **fields):
+    """A copy of a frozen dataclass value with some fields replaced, at a
+    fraction of the cost of copy.copy or dataclasses.replace.  Cached
+    properties carry over, except a map's `vertex_lifts`, which its lifts
+    decide."""
+    out = object.__new__(type(value))
+    out.__dict__.update(value.__dict__, **fields)
+    out.__dict__.pop("vertex_lifts", None)
+    return out
 
 
 def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -385,6 +396,7 @@ class _WordIndex:
     index: np.ndarray
     reach: float  # the fewest generators that serve every letter (inf for a letter 0)
     reversals: np.ndarray
+    forward: np.ndarray  # half-edges numbered below their reversals
 
     @staticmethod
     def build(deck_words: tuple[tuple[int, ...], ...], reversals: tuple[int, ...]) -> "_WordIndex":
@@ -397,12 +409,14 @@ class _WordIndex:
         for i, word in enumerate(words):
             letters[i, :len(word)] = word
         used = [w for word in words for w in word]
+        reversals = np.asarray(reversals, dtype=int)
         return _WordIndex(
             letters=letters,
             ahead=tuple(sum(len(word) > k for word in words) for k in range(longest)),
             index=np.array([position[word] for word in first_use], dtype=int)[uses],
             reach=math.inf if 0 in used else max(map(abs, used), default=0),
-            reversals=np.asarray(reversals, dtype=int))
+            reversals=reversals,
+            forward=np.arange(len(reversals)) < reversals)
 
     def products(self, table: np.ndarray) -> np.ndarray:
         """(D, 3, 3): the product of each distinct word's rows of `table`,
@@ -461,17 +475,17 @@ class MarkedMap:
                 for w in word:
                     surface.generator_matrix(w)  # raises at the first letter it has no generator for
         mats = words.products(surface._table)
-        if not self.gauge.is_identity():
+        if self.gauge is not _IDENTITY and not self.gauge.is_identity():
             mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
         mats = mats[words.index]
         reversals = words.reversals
-        back = mats.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)  # J m^T J, the inverses
+        back = mats.transpose(0, 2, 1) * J_OUTER  # J m^T J, the inverses
         # product round-off grows with the square of the matrix norm
-        scale = (1.0 + np.max(np.abs(back), axis=(1, 2))) ** 2
-        defect = np.max(np.abs(mats[reversals] - back), axis=(1, 2))
-        bad = np.flatnonzero((defect > _REVERSAL_TOL * scale) & (np.arange(len(mats)) < reversals))
-        if bad.size:
-            e = int(bad[0])
+        scale = (1.0 + np.maximum.reduce(np.abs(back), axis=(1, 2))) ** 2
+        defect = np.maximum.reduce(np.abs(mats[reversals] - back), axis=(1, 2))
+        bad = (defect > _REVERSAL_TOL * scale) & words.forward
+        if bad.any():
+            e = int(np.argmax(bad))
             raise GeometryError(
                 f"deck word of half-edge {reversals[e]} is not inverse to half-edge {e} "
                 f"(defect {defect[e]:.3e})")
@@ -510,23 +524,14 @@ class MarkedMap:
         matrices are multiplied again, and the edge index arrays are shared."""
         x = _lift_array(lifts, self.graph.vertex_count)
         mats = self._deck_matrices(surface)
-        m = copy.copy(self)
-        m.__dict__.pop("vertex_lifts", None)
-        object.__setattr__(m, "surface", surface)
-        object.__setattr__(m, "lifts", x)
         rows = np.empty_like(mats)
         rows[self.edges.row] = mats  # half-edge e sits in row[e]
-        object.__setattr__(m, "edges", replace(self.edges, mats=rows))
-        return m
+        return _derived(self, surface=surface, lifts=x, edges=_derived(self.edges, mats=rows))
 
     def with_lifts(self, lifts) -> "MarkedMap":
         """Same class and gauge, new vertex positions; the words and edge
         arrays are shared."""
-        x = _lift_array(lifts, self.graph.vertex_count)
-        m = copy.copy(self)
-        m.__dict__.pop("vertex_lifts", None)
-        object.__setattr__(m, "lifts", x)
-        return m
+        return _derived(self, lifts=_lift_array(lifts, self.graph.vertex_count))
 
 
 def energy(m: MarkedMap) -> float:
@@ -556,7 +561,7 @@ def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
     moved = m.with_lifts(m.lifts @ g.matrix.T)
     object.__setattr__(moved, "gauge", Isometry(g.matrix @ m.gauge.matrix))
     conjugated = g.matrix @ m.edges.mats @ (J_MATRIX @ g.matrix.T @ J_MATRIX)  # g^-1 = J g^T J
-    object.__setattr__(moved, "edges", replace(m.edges, mats=conjugated))
+    object.__setattr__(moved, "edges", _derived(m.edges, mats=conjugated))
     return moved
 
 

@@ -12,9 +12,11 @@ Generator matrices are built in extended precision (longdouble) and rounded
 to float64 once, after conjugating the development to be centered at a
 polygon corner; this keeps relator products near the identity instead of
 letting round-off get amplified by the matrix norms.  The genus-2 hexagon
-build is one batched long-double pass: the six side reflections as one
-array, then the eight reflection words one letter position at a time, each
-entry by the arithmetic of a matrix-at-a-time build, so the bits are the
+build is one lean long-double pass: the hexagon's corners and the frame at
+one of them on long-double scalars, the six side reflections as one array,
+the eight reflection words one letter position at a time and the 16-gon's
+corners as one stacked product.  Every entry takes the arithmetic of an
+array-at-a-time, matrix-at-a-time build in its order, so the bits are the
 same.  The `hexagon-genus2` family builds its reference map once and moves
 it to every later seam with `MarkedMap.with_surface`.
 """
@@ -30,37 +32,34 @@ import numpy as np
 
 from .errors import DomainError, GeometryError
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
-from .hyperboloid import J_DIAG, Isometry, _prevalidated, isometries_arr, points_arr, polygon_interior_angles
+from .hyperboloid import (
+    J_OUTER, Isometry, _prevalidated, isometries_arr, minkowski_cross, points_arr, polygon_interior_angles)
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
 _J_LD = np.array([-1, 1, 1], dtype=_LD)
 _EYE_LD = np.eye(3, dtype=_LD)
+_EYE_ROW = np.eye(3)[None]  # row 0 of a generator table
+_NEXT_CORNER = np.array([1, 2, 3, 4, 5, 0])
 
 
 # --------------------------------------------------------------------------
-# extended-precision mini-kernel (plain arrays; rounded to float64 at the end)
+# extended-precision mini-kernel (plain arrays, points along the last axis;
+# the walk and the frame run on scalars, where a numpy call on a 3-vector
+# costs more than its arithmetic; rounded to float64 at the end)
 
 
 def _ld_mdot(u, w):
-    return -u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+    return -u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
 
 
-def _ld_cross(u, w):
-    # by components: np.cross costs over ten times as much on length-3 arrays
-    return np.array([
-        u[2] * w[1] - u[1] * w[2],
-        u[2] * w[0] - u[0] * w[2],
-        u[0] * w[1] - u[1] * w[0],
-    ], dtype=_LD)
-
-
-def _ld_unit_point(v):
-    return v / np.sqrt(-_ld_mdot(v, v))
+# the float64 kernel's permuted copies keep the dtype: each component is one
+# difference of two products, rounded as np.cross rounds it
+_ld_cross = minkowski_cross
 
 
 def _ld_unit_space(v):
-    return v / np.sqrt(_ld_mdot(v, v))
+    return v / np.sqrt(_ld_mdot(v, v))[..., None]
 
 
 def _ld_reflection(pole):
@@ -72,36 +71,59 @@ def _ld_pole_through(p, q):
     return _ld_unit_space(_ld_cross(p, q))
 
 
-def _ld_frame(c):
-    """Canonical Minkowski frame at c: the isometry taking (1,0,0) to c."""
-    a = np.array([_LD(0), _LD(1), _LD(0)])
-    e1 = _ld_unit_space(a + _ld_mdot(a, c) * c)
-    e2 = _ld_unit_space(_ld_cross(c, e1))
-    return np.column_stack([c, e1, e2])
+def _ld_frame(c0, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical Minkowski frame at the point (c0, c1, c2), the
+    isometry taking (1,0,0) there, and its inverse J frame^T J; the columns
+    are c, e1 = the x1-axis projected to the tangent plane and normalized,
+    and e2 = c x e1 normalized, by the arithmetic of the array formulas."""
+    zero, one = _LD(0), _LD(1)
+    ac = -zero * c0 + one * c1 + zero * c2  # <(0,1,0), c>
+    a0, a1, a2 = zero + ac * c0, one + ac * c1, zero + ac * c2
+    n = np.sqrt(-a0 * a0 + a1 * a1 + a2 * a2)
+    e10, e11, e12 = a0 / n, a1 / n, a2 / n
+    b0, b1, b2 = c2 * e11 - c1 * e12, c2 * e10 - c0 * e12, c0 * e11 - c1 * e10
+    n = np.sqrt(-b0 * b0 + b1 * b1 + b2 * b2)
+    e20, e21, e22 = b0 / n, b1 / n, b2 / n
+    frame = np.array([[c0, e10, e20], [c1, e11, e21], [c2, e12, e22]])
+    inverse = np.array([[c0, -c1, -c2], [-e10, e11, e12], [-e20, e21, e22]])
+    return frame, inverse
 
 
-def _ld_right_angled_walk(lengths):
-    """Corners of the left-turning right-angled polygon traced from the origin."""
-    p = np.array([_LD(1), _LD(0), _LD(0)])
-    u = np.array([_LD(0), _LD(1), _LD(0)])
-    corners = [p]
+def _ld_right_angled_walk(lengths) -> np.ndarray:
+    """Corners (n, 3) of the left-turning right-angled polygon traced from
+    the origin.  It runs on long-double scalars, one component at a time,
+    with the arithmetic of the array formulas in their order: a step along
+    length L to q = unit point of cosh L p + sinh L u, its direction there
+    d = unit vector of sinh L p + cosh L u, then a left turn by pi/2 to
+    u = unit vector of q x d.  cosh and sinh are taken once per length."""
+    trig = {L: (np.cosh(L), np.sinh(L)) for L in set(lengths)}
+    p0, p1, p2 = _LD(1), _LD(0), _LD(0)
+    u0, u1, u2 = _LD(0), _LD(1), _LD(0)
+    corners = [(p0, p1, p2)]
     for L in lengths:
-        q = _ld_unit_point(np.cosh(L) * p + np.sinh(L) * u)
-        d = _ld_unit_space(np.sinh(L) * p + np.cosh(L) * u)
-        u = _ld_unit_space(_ld_cross(q, d))  # left turn by pi/2
-        p = q
-        corners.append(p)
-    closure = float(np.max(np.abs(np.asarray(corners[-1] - corners[0], dtype=float))))
+        ch, sh = trig[L]
+        a0, a1, a2 = ch * p0 + sh * u0, ch * p1 + sh * u1, ch * p2 + sh * u2
+        n = np.sqrt(-(-a0 * a0 + a1 * a1 + a2 * a2))
+        q0, q1, q2 = a0 / n, a1 / n, a2 / n
+        a0, a1, a2 = sh * p0 + ch * u0, sh * p1 + ch * u1, sh * p2 + ch * u2
+        n = np.sqrt(-a0 * a0 + a1 * a1 + a2 * a2)
+        d0, d1, d2 = a0 / n, a1 / n, a2 / n
+        a0, a1, a2 = q2 * d1 - q1 * d2, q2 * d0 - q0 * d2, q0 * d1 - q1 * d0  # left turn by pi/2
+        n = np.sqrt(-a0 * a0 + a1 * a1 + a2 * a2)
+        u0, u1, u2 = a0 / n, a1 / n, a2 / n
+        p0, p1, p2 = q0, q1, q2
+        corners.append((p0, p1, p2))
+    closure = max(abs(float(a - b)) for a, b in zip(corners[-1], corners[0]))
     scale = max(float(c[0]) for c in corners)
-    if closure > 1e-4 * scale:
+    if not closure <= 1e-4 * scale:  # NaN fails too
         raise GeometryError(f"polygon walk failed to close (defect {closure:.3e})")
-    return corners[:-1]
+    return np.array(corners[:-1])
 
 
-def _ld_hexagon(s: float) -> list[np.ndarray]:
-    """Long-double corners of the right-angled hexagon with sides t(s), s, ..."""
-    if not s > 0.0:
-        raise DomainError(f"hexagon seam length must be positive, got {s!r}")
+def _ld_hexagon(s: float) -> np.ndarray:
+    """Long-double corners (6, 3) of the right-angled hexagon with sides t(s), s, ..."""
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"hexagon seam length must be positive and finite, got {s!r}")
     s_ld = _LD(s)
     t_ld = 2 * np.arcsinh(0.5 / np.sinh(s_ld / 2))
     return _ld_right_angled_walk([t_ld, s_ld] * 3)
@@ -126,8 +148,7 @@ class SurfaceModel:
         if stack.ndim != 3:
             raise GeometryError(f"generators need shape (n, 3, 3), got {stack.shape}")
         # row k is generator k and row -k its inverse J m^T J; row 0 is the identity
-        inverses = stack.transpose(0, 2, 1) * np.outer(J_DIAG, J_DIAG)
-        table = np.concatenate([np.eye(3)[None], stack, inverses[::-1]])
+        table = np.concatenate([_EYE_ROW, stack, stack[::-1].transpose(0, 2, 1) * J_OUTER])
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "matrices", table[1:len(stack) + 1])
@@ -369,6 +390,12 @@ _GENUS2_REFLECTION_WORDS = ((0, 2), (1, 3), (0, 4), (1, 5),
 # the same words as one array; the padding of the two-letter words is never read
 _GENUS2_REFLECTION_LETTERS = np.array([word + (0,) * (4 - len(word)) for word in _GENUS2_REFLECTION_WORDS])
 
+# the 16-gon's corners: hexagon corners 2 3 4 5 0 of A, 5 4 3 2 of C, 3 4 5 0
+# of D and 5 4 3 of B, where tiles A, C, B and D are the images of the base
+# hexagon under 1, r0, r1 and r1 r0
+_GENUS2_TILE = np.repeat([0, 1, 3, 2], [5, 4, 4, 3])
+_GENUS2_TILE_CORNER = np.array([2, 3, 4, 5, 0, 5, 4, 3, 2, 3, 4, 5, 0, 5, 4, 3])
+
 # Deck words (in g1..g8) for the twelve graph edges i -> i+1 of the doubled
 # 6-cycle: the primary copy of each edge stays inside the base hexagon, the
 # secondary copy crosses into the neighboring hexagons via r_{i-1} r_{i+1}.
@@ -401,20 +428,19 @@ def build_genus2_hexagon_surface(
 
 def _genus2_hexagon(s: float) -> tuple[SurfaceModel, np.ndarray]:
     """The surface at seam s and the lifts of its reference map, from one
-    long-double pass: the six side reflections at once, then the eight
-    reflection words one letter position at a time."""
-    v = np.array(_ld_hexagon(s))
-    refl = _ld_reflection(_ld_pole_through(v.T, v[[1, 2, 3, 4, 5, 0]].T).T)  # side i: corners i, i + 1
-    frame = _ld_frame(v[1])
-    u = frame.T * _J_LD[:, None] * _J_LD  # J frame^T J: takes v[1] to the origin
+    long-double pass: the six side reflections at once, the eight
+    reflection words one letter position at a time, and the 16-gon's
+    corners as one stacked product."""
+    v = _ld_hexagon(s)
+    refl = _ld_reflection(_ld_pole_through(v, v[_NEXT_CORNER]))  # side i: corners i, i + 1
+    frame, u = _ld_frame(*v[1])  # u takes v[1] to the origin
     letters = _GENUS2_REFLECTION_LETTERS
     raw = refl[letters[:, 0]] @ refl[letters[:, 1]]
     raw[4:] = raw[4:] @ refl[letters[4:, 2]] @ refl[letters[4:, 3]]  # the words of four letters
     gens = np.asarray(u @ raw @ frame, dtype=float)
-    # the 16-gon's corners: hexagon corners mapped by 1 and mirrors C, D, B
-    tiles = zip((_EYE_LD, refl[0], refl[1] @ refl[0], refl[1]),
-                ((2, 3, 4, 5, 0), (5, 4, 3, 2), (3, 4, 5, 0), (5, 4, 3)))
-    polygon = np.asarray(np.concatenate([v[list(k)] @ m.T for m, k in tiles]) @ u.T, dtype=float)
+    tiles = np.concatenate([_EYE_LD[None], refl[:2], refl[1:2] @ refl[:1]])
+    corners = (tiles[_GENUS2_TILE] @ v[_GENUS2_TILE_CORNER, :, None])[..., 0]
+    polygon = np.asarray(corners @ u.T, dtype=float)
     surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, _GENUS2_RELATORS)
     return surface, np.asarray(v @ u.T, dtype=float)
 

@@ -314,13 +314,59 @@ def reference_map(doc):
                                            words(doc["edge_decks"]), gauge)
 
 
+def _ld_unit(v, sign):
+    """v over the square root of sign * <v, v>, in long double."""
+    return v / np.sqrt(sign * (-v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
+
+
+def _ld_minkowski_cross(u, w):
+    return np.array([u[2] * w[1] - u[1] * w[2], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]])
+
+
+def ld_right_angled_walk(lengths):
+    """Corners (n, 3) of the left-turning right-angled polygon traced from
+    the origin, the way the walk was first written: on long-double arrays,
+    a step along length L to q = unit point of cosh L p + sinh L u, its
+    direction there d = unit vector of sinh L p + cosh L u, then a left turn
+    by pi/2 to u = unit vector of q x d.  The library's scalar walk must
+    give these bits; this one has no closure check."""
+    p = np.array([1, 0, 0], dtype=np.longdouble)
+    u = np.array([0, 1, 0], dtype=np.longdouble)
+    corners = [p]
+    for L in lengths:
+        q = _ld_unit(np.cosh(L) * p + np.sinh(L) * u, -1)
+        d = _ld_unit(np.sinh(L) * p + np.cosh(L) * u, 1)
+        u = _ld_unit(_ld_minkowski_cross(q, d), 1)
+        p = q
+        corners.append(p)
+    return np.array(corners[:-1])
+
+
+def ld_hexagon_walk(s):
+    """The array walk of the right-angled hexagon with sides t(s), s, ..."""
+    s_ld = np.longdouble(s)
+    t_ld = 2 * np.arcsinh(0.5 / np.sinh(s_ld / 2))
+    return ld_right_angled_walk([t_ld, s_ld] * 3)
+
+
+def ld_frame(c):
+    """The canonical Minkowski frame at the long-double point c, on arrays:
+    columns c, the x1-axis projected to the tangent plane at c and
+    normalized, and c x e1 normalized."""
+    a = np.array([0, 1, 0], dtype=np.longdouble)
+    e1 = _ld_unit(a + (-a[0] * c[0] + a[1] * c[1] + a[2] * c[2]) * c, 1)
+    e2 = _ld_unit(_ld_minkowski_cross(c, e1), 1)
+    return np.column_stack([c, e1, e2])
+
+
 def reference_hexagon(s, weights=(1.0, 1.0)):
-    """The `hexagon-genus2` build at seam s the way it was first written: one
-    long-double reflection per hexagon side, each reflection word folded
-    over them by `reduce`, then one `SurfaceModel.word_matrix` product per
-    half-edge.  Returns the generators, the polygon, the reference lifts,
-    the deck matrices in `EdgeData` row order and the reference energy; the
-    family must build all of them bit for bit."""
+    """The `hexagon-genus2` build at seam s the way it was first written:
+    the hexagon by the array walk, one long-double reflection per hexagon
+    side, each reflection word folded over them by `reduce`, then one
+    `SurfaceModel.word_matrix` product per half-edge.  Returns the
+    generators, the polygon, the reference lifts, the deck matrices in
+    `EdgeData` row order and the reference energy; the family must build
+    all of them bit for bit."""
     from functools import reduce
 
     from graphuniform.graphs import cycle_with_doubled_edges
@@ -328,11 +374,11 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
     from graphuniform.maps import EdgeData
     from graphuniform.surfaces import (
         _EYE_LD, _GENUS2_REFLECTION_WORDS, _GENUS2_RELATORS, _GENUS2_SIDE_PAIRS, _J_LD, SurfaceModel,
-        _ld_frame, _ld_hexagon, _ld_pole_through, _ld_reflection, genus2_deck_words)
+        _ld_pole_through, _ld_reflection, genus2_deck_words)
 
-    v = np.array(_ld_hexagon(s))
+    v = ld_hexagon_walk(s)
     refl = [_ld_reflection(_ld_pole_through(v[i], v[(i + 1) % 6])) for i in range(6)]
-    frame = _ld_frame(v[1])
+    frame = ld_frame(v[1])
     u = frame.T * _J_LD[:, None] * _J_LD
     raw = np.array([reduce(np.matmul, [refl[i] for i in word]) for word in _GENUS2_REFLECTION_WORDS])
     gens = np.asarray(u @ raw @ frame, dtype=float)

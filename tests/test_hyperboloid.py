@@ -17,6 +17,7 @@ from graphuniform.hyperboloid import (
     log_arr,
     minkowski_cross,
     minkowski_dot,
+    points_arr,
     polygon_area,
     polygon_interior_angles,
     regular_polygon,
@@ -157,6 +158,17 @@ def test_isometries_arr_rejects_rows_like_isometry(bad):
     stack = np.stack([oracles.x_translation(0.5)] * 2 + [bad] + [np.eye(3)])
     with pytest.raises(type(single.value), match="in row 2"):
         isometries_arr(stack)
+
+
+def test_validators_name_the_row_of_the_first_check_that_fails():
+    # each check runs over every row before the next one, so a later row that
+    # fails an earlier check is named before an earlier row that fails a later one
+    spacelike, infinite = [0.1, 1.0, 0.0], [math.inf, 0.0, 0.0]
+    with pytest.raises(GeometryError, match="point in row 1 has non-finite coordinates"):
+        points_arr(np.array([spacelike, infinite]))
+    sheet_swapping, stretched = np.diag([-1.0, -1.0, 1.0]), np.diag([2.0, 1.0, 1.0])
+    with pytest.raises(GeometryError, match="matrix in row 1 does not preserve the Minkowski form"):
+        isometries_arr(np.stack([sheet_swapping, stretched]))
 
 
 def test_translation_length_classification():

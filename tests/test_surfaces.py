@@ -248,6 +248,48 @@ def test_family_builds_bit_for_bit_as_one_word_at_a_time():
                     assert np.array_equal(a, b), (s, weights)
 
 
+def _same_bits(a, b):
+    # long-double storage has padding bytes, so compare values and zero signs
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_scalar_walk_matches_the_array_walk_bit_for_bit():
+    # the library walks on long-double scalars, the oracle on arrays, the way
+    # the walk was first written
+    from graphuniform.surfaces import _ld_hexagon, _ld_right_angled_walk
+
+    for s in [float(s) for s in np.geomspace(0.25, 4.0, 42)[1:-1]] + [8.5]:
+        assert _same_bits(_ld_hexagon(s), oracles.ld_hexagon_walk(s)), s
+    # an asymmetric right-angled hexagon: alternate sides a, b, c, and by the
+    # hexagon law the side opposite a has cosh a' = (cosh b cosh c + cosh a) / (sinh b sinh c)
+    a, b, c = (np.longdouble(x) for x in (0.9, 1.3, 1.7))
+
+    def opposite(x, y, z):
+        return np.arccosh((np.cosh(y) * np.cosh(z) + np.cosh(x)) / (np.sinh(y) * np.sinh(z)))
+
+    lengths = [a, opposite(c, a, b), b, opposite(a, b, c), c, opposite(b, c, a)]
+    corners = _ld_right_angled_walk(lengths)
+    assert _same_bits(corners, oracles.ld_right_angled_walk(lengths))
+    sides = dist_arr(corners.astype(float), np.roll(corners, -1, axis=0).astype(float))
+    assert np.max(np.abs(sides - np.array(lengths, dtype=float))) < 1e-12
+    with pytest.raises(GeometryError, match="failed to close"):
+        _ld_right_angled_walk(lengths[:-1] + [lengths[-1] + np.longdouble(0.1)])
+
+
+def test_hexagon_walk_that_does_not_close_raises():
+    # at seam 0.01 the partner side is about 10.6 long and the long-double
+    # walk loses the closure
+    with pytest.raises(GeometryError, match="polygon walk failed to close"):
+        hexagon_corners(0.01)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_non_finite_seam_is_a_domain_error(s):
+    for build in (hexagon_corners, build_genus2_hexagon_surface):
+        with pytest.raises(DomainError, match=f"seam length must be positive and finite, got {s!r}"):
+            build(s)
+
+
 def test_family_domain_checks():
     fam = family("hexagon-genus2")
     with pytest.raises(DomainError):

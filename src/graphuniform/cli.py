@@ -57,9 +57,7 @@ def cmd_solve(args) -> int:
         {"residual_tol": args.tol, "max_iters": args.max_iters})
     cfg = SolverConfig(residual_tol=args.tol, max_iters=args.max_iters, seed=args.seed)
     trace = solve(m, cfg)
-    final = trace.final_map
-    report = balanced_residual(final)
-    final_energy = energy(final)
+    final_energy, max_residual = trace.energies[-1], trace.residuals[-1]
 
     payload = {
         "manifest": manifest,
@@ -67,8 +65,8 @@ def cmd_solve(args) -> int:
         "stop_reason": trace.stop_reason,
         "iterations": trace.iterations,
         "energy": final_energy,
-        "max_residual": report.max_norm,
-        "map": serialize.map_to_json(final),
+        "max_residual": max_residual,
+        "map": serialize.map_to_json(trace.final_map),
     }
     serialize.write_artifact(args.out, payload)
     trace_path = args.trace if args.trace else args.out + ".trace.jsonl"
@@ -77,10 +75,10 @@ def cmd_solve(args) -> int:
 
     if trace.converged:
         print(f"converged in {trace.iterations} iterations   "
-              f"energy {final_energy:.12g}   max residual {report.max_norm:.3e}")
+              f"energy {final_energy:.12g}   max residual {max_residual:.3e}")
     else:
         print(f"did not converge ({trace.stop_reason}) after {trace.iterations} iterations   "
-              f"max residual {report.max_norm:.3e}")
+              f"max residual {max_residual:.3e}")
     print(f"wrote {args.out}")
     print(f"wrote {trace_path}")
     return 0 if trace.converged else 3

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .hyperboloid import hexagon_partner_length
-from .maps import energy
 from .solver import SolveTrace, SolverConfig, solve
 from .surfaces import MetricFamily
 
@@ -107,7 +106,7 @@ class EnergyEvaluator:
             raise NonConvergenceError(
                 f"harmonic solve did not reach residual {self.cfg.residual_tol} "
                 f"at parameter {theta!r} ({trace.stop_reason} after {trace.iterations} iterations)")
-        return energy(trace.final_map)
+        return trace.energies[-1]
 
 
 def minimize_1d(

@@ -52,6 +52,13 @@ _REVERSAL_TOL = 1e-10
 # worker threads, and on a shared 2-core x86-64 host those stalled solves
 # of n = 120 by 0.06-0.12 s each, against 0.2 ms on one thread.
 DENSE_MAX_VERTICES = 49
+# Most vertices that a larger map's `BlockPlan` groups its levels into, unless
+# one level is wider.  The ladder's levels hold 4 vertices, so a block is a
+# narrow band that LU factors in full: on its perturbed subdivided genus-2
+# maps of V = 186 and 378 a solve takes 7% and 12% less time than with
+# blocks of up to 49 vertices (the same at V = 90), in the same 3 steps;
+# blocks of up to 16 or 32 vertices did no better.
+LEVEL_BLOCK_VERTICES = 24
 _IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never changes
 
 
@@ -192,10 +199,10 @@ class EdgeData:
         a tangent projection or a deck matrix multiplied into a block first
         would only amplify rounding (in <v, H v>, the second variation,
         about 20-fold on a perturbed genus-2 map with lifts of norm 13).
-        `Hessian.matrix` multiplies both in and assembles the blocks into
-        the block-tridiagonal matrix of the `block_plan`: one dense
-        (2V, 2V) matrix when V <= DENSE_MAX_VERTICES, else blocks of at
-        most 2 * DENSE_MAX_VERTICES rows.
+        `Hessian.matrix` multiplies the deck matrices in and assembles the
+        blocks into the block-tridiagonal matrix of the `block_plan`: one
+        dense (2V, 2V) matrix when V <= DENSE_MAX_VERTICES, else blocks of
+        at most 2 * DENSE_MAX_VERTICES rows.
         """
         p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
         pole = minkowski_cross(p, q)
@@ -209,7 +216,7 @@ class EdgeData:
         pole_pole = pole[..., :, None] * (pole * J_DIAG)[..., None, :]
         near = self.star_sums(w2 * (eye + a * pole_pole), axis=-3)
         far = w2 * (-eye - transport[..., :, None] * (p * J_DIAG)[..., None, :] - b * pole_pole)
-        return Hessian(self, x, near, far)
+        return Hessian(self, near, far)
 
     @cached_property
     def block_plan(self) -> "BlockPlan":
@@ -229,10 +236,11 @@ class BlockPlan:
     lowest-numbered vertex, neighbours by edges other than loops, each level
     in vertex order, the components' levels one after another.  An edge
     joins a level to itself or to the next, so grouping consecutive levels
-    greedily into blocks of at most DENSE_MAX_VERTICES vertices leaves every
-    edge inside a block or between neighbouring blocks, and between
-    neighbouring blocks it ends in the leading level of the later one.  A
-    graph with a level wider than that has no blocks.
+    greedily into blocks of at most LEVEL_BLOCK_VERTICES vertices (a wider
+    level is a block of its own) leaves every edge inside a block or
+    between neighbouring blocks, and between neighbouring blocks it ends in
+    the leading level of the later one.  A graph with a level wider than
+    DENSE_MAX_VERTICES has no blocks.
 
     The blocks of the matrix lie end to end along `scatter`: diagonal block
     0, superdiagonal block 0, diagonal block 1, ..., in 2 tangent
@@ -263,7 +271,7 @@ class BlockPlan:
             return BlockPlan((), (), (0,), np.empty(0, dtype=int))
         blocks = [levels[0]]
         for level in levels[1:]:
-            if len(blocks[-1]) + len(level) <= DENSE_MAX_VERTICES:
+            if len(blocks[-1]) + len(level) <= LEVEL_BLOCK_VERTICES:
                 blocks[-1] = np.concatenate([blocks[-1], level])
             else:
                 blocks.append(level)
@@ -343,7 +351,6 @@ class Hessian:
     it applies it to a tangent field (..., V, 3)."""
 
     edges: EdgeData
-    lifts: np.ndarray  # (..., V, 3), where the blocks were built
     near: np.ndarray
     far: np.ndarray
 
@@ -362,19 +369,19 @@ class Hessian:
         pairings between block d + 1 and block d.  With one block, the
         diagonal block is the whole (2V, 2V) matrix.  Superdiagonal block d
         spans only the leading columns of block d + 1 that it can reach
-        (`BlockPlan.shapes`).  The near blocks are read times the tangent
-        projection I + x x^T J at their vertex, the far ones times their
-        deck matrix.  A stack of S goes through one `np.bincount`, each
-        start's entries scattered to the plan's index offset by
-        `offsets[-1]` times its place in the stack."""
+        (`BlockPlan.shapes`).  The near blocks are read as they are, the
+        bases being tangent already (reading them through the tangent
+        projection I + x x^T J adds rounding of up to 2e-9 of the largest
+        entry on lifts of norm 63), the far ones times their deck matrix.
+        A stack of S goes through one `np.bincount`, each start's entries
+        scattered to the plan's index offset by `offsets[-1]` times its
+        place in the stack."""
         edges = self.edges
         plan = edges.block_plan
-        x = self.lifts
-        near = (np.eye(3) + x[..., :, None] * (x * J_DIAG)[..., None, :]) @ self.near
         left = bases * J_DIAG
         right = bases.swapaxes(-1, -2)
         far = left.take(edges.origins, axis=-3) @ (self.far @ edges.mats) @ right.take(edges.termini, axis=-3)
-        blocks = np.concatenate([left @ near @ right, far], axis=-3)
+        blocks = np.concatenate([left @ self.near @ right, far], axis=-3)
         stack, size = blocks.shape[:-3], plan.offsets[-1]
         count = math.prod(stack)
         scatter = plan.scatter if count == 1 else (plan.scatter + size * np.arange(count)[:, None]).ravel()

@@ -10,14 +10,17 @@ own terms), and `far`, one per half-edge (the coupling to the far end's
 lift) (`maps.EdgeData.hessian`).
 
 The equation is solved exactly.  In the breadth-first vertex order of the
-map's `maps.BlockPlan` the Hessian is block-tridiagonal, with blocks of at
-most DENSE_MAX_VERTICES (49) vertices, so one block elimination solves it
-(`_exact_step`) and no matrix wider than 98 is ever built or factored; a
-map of at most 49 vertices is one block, one LU solve.  Exact steps
-converge quadratically: from the perturbed subdivided genus-2 starts of
-V = 90, 186 and 378 a solve takes 3 steps and 4.1, 5.8 and 10.5 ms, where
-truncated conjugate gradients took 11-12 steps and 12.4, 23.7 and 60.2 ms
-(single-threaded BLAS, 2-core x86-64 host).
+map's `maps.BlockPlan` the Hessian is block-tridiagonal, with blocks of
+consecutive levels of at most LEVEL_BLOCK_VERTICES (24) vertices, or of one
+wider level of at most DENSE_MAX_VERTICES (49), so one block elimination
+solves it (`_exact_step`) and no matrix wider than 98 is ever built or
+factored; a map of at most 49 vertices is one block, one LU solve.  Exact
+steps converge quadratically: from the perturbed subdivided genus-2 starts
+of V = 90, 186 and 378 a solve takes 3 steps and 1.9, 2.8 and 4.7 ms
+(1.9, 3.0 and 5.4 ms with blocks of up to 49 vertices; minimum of 40
+interleaved solves in process), where truncated conjugate gradients took
+11-12 steps and 12.4, 23.7 and 60.2 ms (single-threaded BLAS, 2-core
+x86-64 host).
 
 Truncated CG, with forcing term min(0.5, sqrt|2r|) and each product two
 batched 3x3 products and one star sum, is the fallback: it takes the step
@@ -78,7 +81,7 @@ from .hyperboloid import (
     points_arr,
     tangent_basis_arr,
 )
-from .maps import Hessian, MarkedMap, gauge_transform, initial_lifts
+from .maps import Hessian, MarkedMap, _derived, gauge_transform, initial_lifts
 from .surfaces import SurfaceModel
 
 # Largest gauge-fixed distance between the limits of two starts that still
@@ -377,7 +380,7 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
         if unmoved:  # truncated CG, start by start, where no exact step passed
             delta = np.full_like(x, np.nan)
             for i in unmoved:
-                delta[i] = _newton_step(Hessian(edges, x[i], hessian.near[i], hessian.far[i]), r[i])
+                delta[i] = _newton_step(Hessian(edges, hessian.near[i], hessian.far[i]), r[i])
             found += [("cg", *piece) for piece in _line_search(edges, x, delta, r, e_cur, max_res)]
             for i in unmoved.difference(*(piece[1] for piece in found)):
                 finals[live[i]] = x[i]  # at the numerical floor of both energy and residual
@@ -393,8 +396,17 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
             e_cur = [e for piece in found for e in piece[2]]
             x, *geometry = map(np.concatenate, zip(*(piece[3:] for piece in found)))
 
-    return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), m0.with_lifts(finals[s]), len(kinds[s]),
+    return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), _final_map(m0, finals[s]), len(kinds[s]),
                        stop_reason[s], tuple(kinds[s])) for s in range(count)]
+
+
+def _final_map(m0: MarkedMap, x: np.ndarray) -> MarkedMap:
+    """m0 at the last iterate x of a start, bit for bit: x is validated and
+    normalized already, by exp_arr or as the start's own lifts, and a second
+    normalization could move it."""
+    lifts = np.array(x)
+    lifts.flags.writeable = False
+    return _derived(m0, lifts=lifts)
 
 
 def _gauge_matrices(edges, x: np.ndarray) -> np.ndarray:

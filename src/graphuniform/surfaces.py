@@ -120,10 +120,20 @@ def _ld_right_angled_walk(lengths) -> np.ndarray:
     return np.array(corners[:-1])
 
 
+# Seams at which the genus-2 build holds: on a 3,000-point geometric grid
+# from 0.15 to 9.0 both builders succeed; below about 0.149 and above about
+# 9.46 the generators fail Isometry's checks, and far out the walk stops
+# closing, divides by zero or overflows.
+_HEXAGON_SEAMS = (0.2, 9.0)
+
+
 def _ld_hexagon(s: float) -> np.ndarray:
     """Long-double corners (6, 3) of the right-angled hexagon with sides t(s), s, ..."""
     if not 0.0 < s < math.inf:
         raise DomainError(f"hexagon seam length must be positive and finite, got {s!r}")
+    lo, hi = _HEXAGON_SEAMS
+    if not lo <= s <= hi:
+        raise DomainError(f"hexagon seam length {s!r} outside [{lo}, {hi}], where the genus-2 build holds")
     s_ld = _LD(s)
     t_ld = 2 * np.arcsinh(0.5 / np.sinh(s_ld / 2))
     return _ld_right_angled_walk([t_ld, s_ld] * 3)

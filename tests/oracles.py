@@ -174,19 +174,22 @@ def hessian_fd_columns(m, h):
     return 0.5 * (hess + hess.T)
 
 
-def dense_hessian(hessian, bases):
-    """The (2V, 2V) matrix of a `maps.Hessian` in the coordinates of the
-    orthonormal tangent bases (V, 2, 3): entry (2v + i, 2u + j) is
-    <bases[v, i], H bases[u, j]>.  Its near 2x2 blocks go to (v, v) and its
-    far blocks to (origin, terminus), in vertex order, by one bincount, so
-    blocks that share a place (doubled edges, loops) add up."""
+def dense_hessian(hessian, x, bases):
+    """The (2V, 2V) matrix of a `maps.Hessian` built at lifts x (V, 3) in the
+    coordinates of the orthonormal tangent bases (V, 2, 3) there: entry
+    (2v + i, 2u + j) is <bases[v, i], H bases[u, j]>.  The near blocks are
+    read through the tangent projection P = I + x x^T J at their vertex, as
+    <P bases[v, i], near bases[v, j]> (P is self-adjoint for the form, and
+    applied to the bases it adds only their rounding off the tangent plane);
+    its near 2x2 blocks go to (v, v) and its far blocks to (origin,
+    terminus), in vertex order, by one bincount, so blocks that share a
+    place (doubled edges, loops) add up."""
     edges = hessian.edges
-    x = hessian.lifts
     j = np.array([-1.0, 1.0, 1.0])
     left = bases * j
     right = bases.transpose(0, 2, 1)
-    near = (np.eye(3) + x[:, :, None] * (x * j)[:, None, :]) @ hessian.near
-    blocks = np.concatenate([left @ near @ right,
+    projected = bases + np.sum(bases * (x * j)[:, None, :], axis=-1, keepdims=True) * x[:, None, :]
+    blocks = np.concatenate([(projected * j) @ hessian.near @ right,
                              left[edges.origins] @ (hessian.far @ edges.mats) @ right[edges.termini]])
     count = edges.vertex_count
     rows = np.concatenate([np.arange(count), edges.origins])

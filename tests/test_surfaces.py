@@ -278,9 +278,30 @@ def test_scalar_walk_matches_the_array_walk_bit_for_bit():
 
 def test_hexagon_walk_that_does_not_close_raises():
     # at seam 0.01 the partner side is about 10.6 long and the long-double
-    # walk loses the closure
+    # walk loses the closure; the builders reject that seam before walking
+    from graphuniform.surfaces import _ld_right_angled_walk
+
+    s = np.longdouble(0.01)
+    t = 2 * np.arcsinh(0.5 / np.sinh(s / 2))
     with pytest.raises(GeometryError, match="polygon walk failed to close"):
-        hexagon_corners(0.01)
+        _ld_right_angled_walk([t, s] * 3)
+
+
+@pytest.mark.parametrize("s", [20.0, 100.0, 1e4, 1e5, 1e-300, 5e-324, 0.05, 0.01])
+def test_seam_outside_the_build_range_is_a_domain_error(s):
+    # these seams used to end in a divide-by-zero or overflow RuntimeWarning
+    # (an error under the suite's filter), in the walk's closure check or in
+    # Isometry's checks
+    for build in (hexagon_corners, build_genus2_hexagon_surface):
+        with pytest.raises(DomainError, match=f"seam length {s!r} outside"):
+            build(s)
+
+
+def test_seams_at_the_ends_of_the_build_range_build():
+    for s in (0.2, 9.0):
+        assert hexagon_corners(s).shape == (6, 3)
+        surface, _graph, ref = build_genus2_hexagon_surface(s)
+        assert surface.matrices.shape == (8, 3, 3) and ref.lifts.shape == (6, 3)
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])

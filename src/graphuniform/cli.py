@@ -147,7 +147,7 @@ def _example_hexagon_genus2(args) -> list[CheckResult]:
                                cfg=SolverConfig(residual_tol=1e-9))
     print(f"energy-search minimizer = {theta:.6f}   minimum energy = {value:.6f}")
     checks.append(_check("energy search agrees with stationarity solve",
-                         abs(theta - sol.s), 1e-5))
+                         abs(theta - sol.s), 1e-6))
     closed = hexagon_family_energy(sol.s, args.mc, args.md)
     checks.append(_check("minimum energy matches closed form",
                          abs(value - closed) / closed, 1e-6))

@@ -7,6 +7,13 @@ independent route: a stationarity condition in (s, t) under the hexagon
 closure constraint sinh(s/2) sinh(t/2) = 1/2, solved by bisection on a
 monotone ratio.  The two routes agreeing is one of the package's main
 cross-checks.
+
+E(theta) is `maps.energy` of the float64 solve's harmonic map, summed on
+the surface's long-double deck matrices.  Brent's stop rule assumes
+energies exact to a few ulps.  Near the hexagon family's minimizer the
+float64 energy carries 1e-12 to 2e-11 of rounding noise, from rounding the
+deck matrices, and the long-double one about 1e-14, on which the search
+finds the minimizer to 4e-8 in 11-13 evaluations.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .hyperboloid import hexagon_partner_length
+from .maps import energy
 from .solver import SolveTrace, SolverConfig, solve
 from .surfaces import MetricFamily
 
@@ -91,7 +99,8 @@ def lagrange_solve(ratio: float) -> LagrangeSolution:
 
 class EnergyEvaluator:
     """Evaluates E(theta) = energy of the converged harmonic map at theta,
-    solving from the family's reference map at theta each time."""
+    solving from the family's reference map at theta each time; the value is
+    `maps.energy` of the solve's final map."""
 
     def __init__(self, fam: MetricFamily, cfg: SolverConfig | None = None):
         self.family = fam
@@ -106,7 +115,7 @@ class EnergyEvaluator:
             raise NonConvergenceError(
                 f"harmonic solve did not reach residual {self.cfg.residual_tol} "
                 f"at parameter {theta!r} ({trace.stop_reason} after {trace.iterations} iterations)")
-        return trace.energies[-1]
+        return energy(trace.final_map)
 
 
 def minimize_1d(

@@ -13,9 +13,10 @@ to another surface keeps them, with new deck matrices), and is the
 one kernel for energy, balanced residual and the Hessian blocks, which
 `Hessian` applies to tangent fields or assembles into the blocks of a
 block-tridiagonal matrix, in the breadth-first vertex order of the map's
-`BlockPlan`; `variations` and `solver` evaluate through it too.  The lifts
-are one validated (V, 3) array, deck matrices one (E, 3, 3) array from the
-surface's generator array, edge endpoints and tangents plain 3-vectors;
+`BlockPlan`; `variations` and `solver` evaluate through it too, and
+`energy` sums its energy on the surface's long-double deck matrices.  The
+lifts are one validated (V, 3) array, deck matrices one (E, 3, 3) array from
+the surface's generator array, edge endpoints and tangents plain 3-vectors;
 `HPoint`s appear only at the API edges, built on demand.
 """
 
@@ -472,6 +473,26 @@ class MarkedMap:
         map derived from this one."""
         return _WordIndex.build(self.deck_words, self.graph.reversals)
 
+    @cached_property
+    def _forward_edges(self) -> tuple[EdgeData, np.ndarray]:
+        """`edges` cut to its even rows, one per unoriented edge, and the
+        distinct word of each: what `energy` evaluates, with its own deck
+        matrices.  Built on first use and shared like `_word_index`."""
+        edges = self.edges
+        even = edges.even
+        cut = _derived(edges, origins=edges.origins[even], termini=edges.termini[even],
+                       weights=edges.weights[even], even=np.arange(len(even)))
+        half_edges = np.argsort(edges.row)  # the half-edge in each row
+        return cut, self._word_index.index[half_edges[even]]
+
+    def _word_products(self, table: np.ndarray) -> np.ndarray:
+        """(D, 3, 3): each distinct word's product over a surface's generator
+        table, of its dtype, conjugated by the gauge."""
+        mats = self._word_index.products(table)
+        if self.gauge is not _IDENTITY and not self.gauge.is_identity():
+            mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
+        return mats
+
     def _deck_matrices(self, surface: SurfaceModel) -> np.ndarray:
         """The (E, 3, 3) deck matrices on `surface` in half-edge order, gauge
         included, each distinct word multiplied once; GeometryError when a
@@ -481,10 +502,7 @@ class MarkedMap:
             for word in self.deck_words:
                 for w in word:
                     surface.generator_matrix(w)  # raises at the first letter it has no generator for
-        mats = words.products(surface._table)
-        if self.gauge is not _IDENTITY and not self.gauge.is_identity():
-            mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
-        mats = mats[words.index]
+        mats = self._word_products(surface._table)[words.index]
         reversals = words.reversals
         back = mats.transpose(0, 2, 1) * J_OUTER  # J m^T J, the inverses
         # product round-off grows with the square of the matrix norm
@@ -542,8 +560,14 @@ class MarkedMap:
 
 
 def energy(m: MarkedMap) -> float:
-    """Sum over unoriented edges of weight * (lifted edge length)^2."""
-    return m.edges.energy(m.lifts)
+    """Sum over unoriented edges of weight * (lifted edge length)^2, in long
+    double on the deck matrices that the surface's float64 ones round and
+    the widened lifts.  Rounding the deck matrices moves the energy at first
+    order, rounding a harmonic map's lifts at second, so this drops the
+    first-order noise of `EdgeData.energy`, the float64 kernel of the solver."""
+    rows, words = m._forward_edges
+    mats = m._word_products(m.surface._table_ld)[words]
+    return _derived(rows, mats=mats).energy(m.lifts.astype(np.longdouble))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,12 +2,16 @@
 
 Each step solves the Newton equation H s = 2r (r the balanced-condition
 residual, -2r the energy gradient), then moves every vertex along its share
-of s by the exponential map, with Armijo backtracking so accepted steps
-strictly decrease energy; a trial step that leaves the hyperboloid's upper
-sheet is rejected like one that fails the Armijo test.  The Hessian is
-assembled once per step as 3x3 blocks: `near`, one per vertex (its star's
-own terms), and `far`, one per half-edge (the coupling to the far end's
-lift) (`maps.EdgeData.hessian`).
+of s by the exponential map, with backtracking.  A trial passes one of two
+tests.  The Armijo test asks the energy to fall by a fraction of the
+predicted decrease.  Once that predicted decrease is under the energy's
+float64 resolution (16 eps max(1, |E|)), a trial that fails Armijo passes
+if it strictly lowers the largest residual norm instead; that test puts no
+bound on the energy, so such a step may raise it.  A trial step that leaves
+the hyperboloid's upper sheet is rejected like one that fails both tests.
+The Hessian is assembled once per step as 3x3 blocks: `near`, one per
+vertex (its star's own terms), and `far`, one per half-edge (the coupling
+to the far end's lift) (`maps.EdgeData.hessian`).
 
 The equation is solved exactly.  In the breadth-first vertex order of the
 map's `maps.BlockPlan` the Hessian is block-tridiagonal, with blocks of

@@ -8,10 +8,13 @@ values only at the API edges), corners one (n, 3) array in counterclockwise
 order.  Constructors cover the regular 4g-gon, the genus-2 surface tiled by
 four right-angled hexagons, and the Klein 14-gon.
 
-Generator matrices are built in extended precision (longdouble) and rounded
-to float64 once, after conjugating the development to be centered at a
-polygon corner; this keeps relator products near the identity instead of
-letting round-off get amplified by the matrix norms.  The genus-2 hexagon
+Generator matrices are built in extended precision (longdouble), after
+conjugating the development to be centered at a polygon corner; this keeps
+relator products near the identity instead of letting round-off get
+amplified by the matrix norms.  `SurfaceModel` rounds them to float64 once
+and keeps the long-double table beside the float64 one (generators given in
+float64, as from JSON, are widened), so that `maps.energy` can evaluate on
+the generators the solver's were rounded from.  The genus-2 hexagon
 build is one lean long-double pass: the hexagon's corners and the frame at
 one of them on long-double scalars, the six side reflections as one array,
 the eight reflection words one letter position at a time and the 16-gon's
@@ -39,7 +42,7 @@ _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
 _J_LD = np.array([-1, 1, 1], dtype=_LD)
 _EYE_LD = np.eye(3, dtype=_LD)
-_EYE_ROW = np.eye(3)[None]  # row 0 of a generator table
+_EYE_ROW = np.eye(3)[None]  # row 0 of a generator table, of either dtype
 _NEXT_CORNER = np.array([1, 2, 3, 4, 5, 0])
 
 
@@ -143,25 +146,36 @@ def _ld_hexagon(s: float) -> np.ndarray:
 # surface values
 
 
+def _generator_table(gens: np.ndarray) -> np.ndarray:
+    """Read-only table of generators (n, 3, 3), in their dtype: row k is
+    generator k and row -k its inverse J m^T J; row 0 is the identity."""
+    table = np.concatenate([_EYE_ROW, gens, gens[::-1].transpose(0, 2, 1) * J_OUTER])
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceModel:
     """Fuchsian generator data; polygon/side/relator fields optional."""
 
     genus: int
-    matrices: np.ndarray  # (n, 3, 3), read-only; given as an array, checked by isometries_arr
+    # (n, 3, 3), float64, read-only; given as an array, long double or
+    # float64, rounded and checked by isometries_arr
+    matrices: np.ndarray
     polygon: np.ndarray | None = None  # (n, 3) corners, normalized, read-only
     side_pairs: tuple[tuple[int, int, int], ...] | None = None
     relator_words: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        stack = isometries_arr(self.matrices)
+        wide = np.asarray(self.matrices, dtype=_LD)  # float64 generators widen exactly
+        stack = isometries_arr(wide)
         if stack.ndim != 3:
             raise GeometryError(f"generators need shape (n, 3, 3), got {stack.shape}")
-        # row k is generator k and row -k its inverse J m^T J; row 0 is the identity
-        table = np.concatenate([_EYE_ROW, stack, stack[::-1].transpose(0, 2, 1) * J_OUTER])
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "matrices", table[1:len(stack) + 1])
+        # `_table_ld` holds the generators as given, which `_table` rounds
+        # (and cleans up where isometries_arr must); `maps.energy` evaluates on it
+        object.__setattr__(self, "_table", _generator_table(stack))
+        object.__setattr__(self, "_table_ld", _generator_table(wide))
+        object.__setattr__(self, "matrices", self._table[1:len(stack) + 1])
         if self.polygon is not None:
             corners = np.asarray(self.polygon, dtype=float)
             if corners.ndim != 2:
@@ -344,7 +358,7 @@ def build_regular_4g_surface(g: int) -> SurfaceModel:
         gens.append(rot @ trans @ rot.T)
     side_pairs = tuple((k + 2 * g, k, k + 1) for k in range(2 * g))
     relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
-    return SurfaceModel(g, np.asarray(gens, dtype=float), corners, side_pairs, relators)
+    return SurfaceModel(g, np.array(gens), corners, side_pairs, relators)
 
 
 def build_klein_quartic() -> SurfaceModel:
@@ -374,7 +388,7 @@ def build_klein_quartic() -> SurfaceModel:
     corners = np.asarray(kw, dtype=float)
     side_pairs = tuple((2 * k, (2 * k + 5) % n, k + 1) for k in range(7))
     relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
-    return SurfaceModel(3, np.asarray(gens, dtype=float), corners, side_pairs, relators)
+    return SurfaceModel(3, np.array(gens), corners, side_pairs, relators)
 
 
 # Genus-2 hexagon tiling: four right-angled hexagons with sides alternating
@@ -447,7 +461,7 @@ def _genus2_hexagon(s: float) -> tuple[SurfaceModel, np.ndarray]:
     letters = _GENUS2_REFLECTION_LETTERS
     raw = refl[letters[:, 0]] @ refl[letters[:, 1]]
     raw[4:] = raw[4:] @ refl[letters[4:, 2]] @ refl[letters[4:, 3]]  # the words of four letters
-    gens = np.asarray(u @ raw @ frame, dtype=float)
+    gens = u @ raw @ frame
     tiles = np.concatenate([_EYE_LD[None], refl[:2], refl[1:2] @ refl[:1]])
     corners = (tiles[_GENUS2_TILE] @ v[_GENUS2_TILE_CORNER, :, None])[..., 0]
     polygon = np.asarray(corners @ u.T, dtype=float)

@@ -367,9 +367,11 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
     the hexagon by the array walk, one long-double reflection per hexagon
     side, each reflection word folded over them by `reduce`, then one
     `SurfaceModel.word_matrix` product per half-edge.  Returns the
-    generators, the polygon, the reference lifts, the deck matrices in
-    `EdgeData` row order and the reference energy; the family must build
-    all of them bit for bit."""
+    generators, the long-double generators they round, the polygon, the
+    reference lifts, the deck matrices in `EdgeData` row order, the
+    reference energy by the float64 kernel, and by the same kernel on
+    long-double deck matrices (multiplied one letter at a time) and lifts;
+    the family must build all of them bit for bit."""
     from functools import reduce
 
     from graphuniform.graphs import cycle_with_doubled_edges
@@ -384,7 +386,8 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
     frame = ld_frame(v[1])
     u = frame.T * _J_LD[:, None] * _J_LD
     raw = np.array([reduce(np.matmul, [refl[i] for i in word]) for word in _GENUS2_REFLECTION_WORDS])
-    gens = np.asarray(u @ raw @ frame, dtype=float)
+    wide = u @ raw @ frame
+    gens = np.asarray(wide, dtype=float)
     tiles = zip((_EYE_LD, refl[0], refl[1] @ refl[0], refl[1]),
                 ((2, 3, 4, 5, 0), (5, 4, 3, 2), (3, 4, 5, 0), (5, 4, 3)))
     polygon = np.asarray(np.concatenate([v[list(k)] @ m.T for m, k in tiles]) @ u.T, dtype=float)
@@ -397,7 +400,12 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
         words[e] = word
         words[graph.reversals[e]] = tuple(-w for w in reversed(word))
     edges = EdgeData.build(graph, np.array([surface.word_matrix(word) for word in words]))
-    return surface.matrices, surface.polygon, lifts, edges.mats, edges.energy(lifts)
+    letters = {k: m for k, m in enumerate(wide, 1)}
+    letters.update({-k: m.T * _J_LD[:, None] * _J_LD for k, m in enumerate(wide, 1)})
+    wide_edges = EdgeData.build(graph, np.array([reduce(np.matmul, [letters[w] for w in word], _EYE_LD)
+                                                 for word in words]))
+    return (surface.matrices, wide, surface.polygon, lifts, edges.mats, edges.energy(lifts),
+            wide_edges.energy(lifts.astype(np.longdouble)))
 
 
 # --------------------------------------------------------------------------

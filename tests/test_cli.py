@@ -438,8 +438,8 @@ def test_example_genus_g_rejects_low_genus():
 def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") >= 10 and "FAIL" not in out
-    assert "10/10 checks passed" in out
+    assert out.count("PASS") >= 11 and "FAIL" not in out
+    assert "11/11 checks passed" in out
     assert "PASS  klein centre bouquet energy closed form" in out
     assert not [line for line in out.splitlines() if "triangle" in line]
 

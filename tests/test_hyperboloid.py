@@ -130,10 +130,12 @@ def test_isometry_rejects_orientation_reversal():
 def test_isometries_arr_agrees_with_isometry_row_by_row(monkeypatch):
     import graphuniform.surfaces as surfaces
 
-    # the genus-2 build at seam 0.27 hands over a raw stack whose generator 5
-    # has drifted past GEOM_TOL and needs the Gram-Schmidt cleanup
+    # the genus-2 build at seam 0.27 hands over a long-double stack whose
+    # float64 rounding has generator 5 drifted past GEOM_TOL, needing the
+    # Gram-Schmidt cleanup
     raw = []
-    monkeypatch.setattr(surfaces, "isometries_arr", lambda m: raw.append(np.array(m)) or isometries_arr(m))
+    monkeypatch.setattr(surfaces, "isometries_arr",
+                        lambda m: raw.append(np.asarray(m, dtype=float)) or isometries_arr(m))
     surfaces.build_genus2_hexagon_surface(0.27)
     out = isometries_arr(raw[0])
     assert not out.flags.writeable

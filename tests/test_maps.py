@@ -24,6 +24,7 @@ from graphuniform.surfaces import (
     build_klein_quartic,
     build_regular_4g_surface,
     center_bouquet,
+    family,
 )
 
 
@@ -59,6 +60,33 @@ def test_energy_gauge_invariance(genus2_bundle):
     assert abs(r0 - r1) < 1e-10 * (1.0 + r0)
     # lifts actually moved
     assert np.max(np.abs(moved.lifts - m.lifts)) > 0.1
+
+
+def test_gauge_transform_keeps_the_long_double_energy():
+    # the gauge is multiplied into the long-double deck matrices as into the
+    # float64 ones, and accumulates: one and two gauge moves of a solved map
+    # change its energy by 1e-15 to 1e-14 relative
+    for s in (math.log(2.0 + math.sqrt(3.0)), 2.0):
+        m = solve(family("hexagon-genus2").build(s)[2]).final_map
+        once = gauge_transform(m, Isometry(oracles.x_translation(0.8) @ oracles.rot_z(1.1)))
+        twice = gauge_transform(once, Isometry(oracles.rot_z(0.4) @ oracles.x_translation(0.3)))
+        for moved in (once, twice):
+            assert abs(energy(moved) - energy(m)) <= 1e-13 * energy(m)
+
+
+def test_energy_on_generators_read_as_float64_is_the_float64_kernels(genus2_bundle):
+    # generators read from JSON widen exactly, so the long-double energy
+    # differs from the float64 kernel's by that kernel's rounding alone:
+    # under 1e-14 on the centre bouquets, whose deck matrices and lifts are
+    # small, and growing with their norms on the genus-2 map (1.1e-13 here,
+    # at seam 1.0, with deck entries up to 173)
+    cases = ((center_bouquet(build_klein_quartic()), 1e-14),
+             (center_bouquet(build_regular_4g_surface(3)), 1e-14),
+             (perturbed(center_bouquet(build_regular_4g_surface(2)), 0.2, seed=5), 1e-14),
+             (perturbed(genus2_bundle[2], 0.1, seed=5), 1e-11))
+    for m, bound in cases:
+        back = map_from_json(map_to_json(m))
+        assert abs(energy(back) - back.edges.energy(back.lifts)) <= bound * energy(back)
 
 
 def test_rebase_vertex_keeps_energy_and_residual(genus2_bundle):

@@ -275,7 +275,7 @@ def test_line_search_rejects_trial_steps_that_leave_the_sheet(weights, monkeypat
 
 def _assert_trace_describes_its_final_map(trace):
     final = trace.final_map
-    assert energy(final) == trace.energies[-1]
+    assert final.edges.energy(final.lifts) == trace.energies[-1]
     assert balanced_residual(final).max_norm == trace.residuals[-1]
     assert not final.lifts.flags.writeable
 

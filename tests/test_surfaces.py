@@ -235,7 +235,8 @@ def test_family_builds_bit_for_bit_as_one_word_at_a_time():
     # the batched long-double build and the re-targeted reference maps give
     # the bits of one reflection and one word_matrix product at a time, at
     # seams across the domain and at 8.5 outside it, fresh and through one
-    # family object (its builder, past the domain check, for 8.5)
+    # family object (its builder, past the domain check, for 8.5); so do the
+    # long-double generators and the energy on them
     seams = [float(s) for s in np.geomspace(0.25, 4.0, 42)[1:-1]] + [8.5]
     for weights in ((1.0, 1.0), (4.0, 1.0)):
         fam = family("hexagon-genus2", weights=weights)
@@ -243,7 +244,8 @@ def test_family_builds_bit_for_bit_as_one_word_at_a_time():
             want = oracles.reference_hexagon(s, weights)
             built = fam.build(s) if s < fam.domain[1] else fam._builder(s)
             for surface, _graph, ref in (build_genus2_hexagon_surface(s, weights), built):
-                got = (surface.matrices, surface.polygon, ref.lifts, ref.edges.mats, energy(ref))
+                got = (surface.matrices, surface._table_ld[1:9], surface.polygon, ref.lifts, ref.edges.mats,
+                       ref.edges.energy(ref.lifts), energy(ref))
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b), (s, weights)
 

@@ -38,6 +38,13 @@ from . import serialize
 
 
 def cmd_solve(args) -> int:
+    """Solve a map document; write the artifact and its iteration trace.
+
+    The artifact's `energy`, like the trace's, is the solver's float64
+    `EdgeData.energy` of the last iterate.  Near the ends of the
+    `hexagon-genus2` domain it is 30 to 10,000 times further off the closed
+    form than `maps.energy` of the same map, the long-double energy that
+    `optimize` searches."""
     doc = serialize.read_json(args.map)
     surface = graph = None
     inputs = [args.map]
@@ -70,8 +77,7 @@ def cmd_solve(args) -> int:
     }
     serialize.write_artifact(args.out, payload)
     trace_path = args.trace if args.trace else args.out + ".trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(trace.jsonl())
+    serialize.write_text(trace_path, trace.jsonl())
 
     if trace.converged:
         print(f"converged in {trace.iterations} iterations   "
@@ -228,8 +234,7 @@ def cmd_render(args) -> int:
     else:
         surface = serialize.surface_from_json(serialize.read_json(args.surface))
         svg = render_surface_svg(surface, translate_depth=args.depth, size=args.size)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    serialize.write_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0
 

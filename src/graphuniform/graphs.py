@@ -65,14 +65,11 @@ class WeightedGraph:
     @staticmethod
     def from_edges(vertex_count: int, edges: list[tuple[int, int, float, str]]) -> "WeightedGraph":
         """Build from unoriented (u, v, weight, class) tuples; halves 2k and 2k+1."""
-        origins, reversals, weights, classes = [], [], [], []
-        for k, (u, v, w, cls) in enumerate(edges):
-            origins += [u, v]
-            reversals += [2 * k + 1, 2 * k]
-            weights += [float(w), float(w)]
-            classes += [cls, cls]
-        return WeightedGraph(vertex_count, tuple(origins), tuple(reversals),
-                             tuple(weights), tuple(classes))
+        us, vs, weights, classes = list(zip(*edges)) or [()] * 4
+        weights = tuple(map(float, weights))
+        halves = range(2 * len(us))
+        return WeightedGraph(vertex_count, _interleave(us, vs), _interleave(halves[1::2], halves[0::2]),
+                             _interleave(weights, weights), _interleave(classes, classes))
 
     @property
     def half_edge_count(self) -> int:
@@ -90,6 +87,12 @@ class WeightedGraph:
         # built once per graph: one solve reads it to build the map and to write its graph and deck words
         return tuple((e, self.origins[e], self.terminus(e), self.weights[e], self.classes[e])
                      for e in range(self.half_edge_count) if e < self.reversals[e])
+
+
+def _interleave(evens, odds) -> tuple:
+    out = [None] * (len(evens) + len(odds))
+    out[0::2], out[1::2] = evens, odds
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ the surface's generator array, edge endpoints and tangents plain 3-vectors;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -408,9 +409,7 @@ class _WordIndex:
 
     @staticmethod
     def build(deck_words: tuple[tuple[int, ...], ...], reversals: tuple[int, ...]) -> "_WordIndex":
-        first_use: dict[tuple[int, ...], int] = {}
-        uses = [first_use.setdefault(word, len(first_use)) for word in deck_words]
-        words = sorted(first_use, key=len, reverse=True)
+        words = sorted(dict.fromkeys(deck_words), key=len, reverse=True)  # ties in order of first use
         position = {word: i for i, word in enumerate(words)}
         longest = len(words[0]) if words else 0
         letters = np.zeros((len(words), longest), dtype=int)
@@ -421,7 +420,7 @@ class _WordIndex:
         return _WordIndex(
             letters=letters,
             ahead=tuple(sum(len(word) > k for word in words) for k in range(longest)),
-            index=np.array([position[word] for word in first_use], dtype=int)[uses],
+            index=np.fromiter(map(position.__getitem__, deck_words), dtype=int, count=len(deck_words)),
             reach=math.inf if 0 in used else max(map(abs, used), default=0),
             reversals=reversals,
             forward=np.arange(len(reversals)) < reversals)
@@ -464,7 +463,7 @@ class MarkedMap:
         if len(self.deck_words) != g.half_edge_count:
             raise GraphValidationError(
                 "DECK_COUNT", f"{len(self.deck_words)} deck words for {g.half_edge_count} half-edges")
-        object.__setattr__(self, "deck_words", tuple(tuple(w) for w in self.deck_words))
+        object.__setattr__(self, "deck_words", tuple(map(tuple, self.deck_words)))
         object.__setattr__(self, "edges", EdgeData.build(g, self._deck_matrices(self.surface)))
 
     @cached_property
@@ -530,10 +529,12 @@ class MarkedMap:
         if len(words) != len(unoriented):
             raise GraphValidationError(
                 "DECK_COUNT", f"{len(words)} deck words for {len(unoriented)} unoriented edges")
+        words = tuple(map(tuple, words))
+        inverse = {word: _inverse_word(word) for word in set(words)}  # each distinct word once
         full: list[tuple[int, ...]] = [()] * graph.half_edge_count
-        for (e, _u, _v, _w, _cls), word in zip(unoriented, words):
-            full[e] = tuple(word)
-            full[graph.reversals[e]] = _inverse_word(tuple(word))
+        reversals = graph.reversals
+        for e, word, back in zip(map(operator.itemgetter(0), unoriented), words, map(inverse.__getitem__, words)):
+            full[e], full[reversals[e]] = word, back
         return MarkedMap(surface, graph, lifts, tuple(full), gauge if gauge is not None else _IDENTITY)
 
     # -- accessors ---------------------------------------------------------

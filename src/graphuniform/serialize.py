@@ -24,7 +24,9 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
+import stat
 import sys
 import time
 from typing import Any
@@ -211,9 +213,16 @@ def _emit_records(records, inner: str, parts: list, values: list) -> bool:
     return True
 
 
+def write_text(path: str, text: str) -> None:
+    """UTF-8 text over the file at path, cut to length: truncating first makes ext4's close() flush."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_artifact(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(payload) + "\n")
+    write_text(path, dumps(payload) + "\n")
 
 
 def read_json(path: str) -> Any:
@@ -257,6 +266,7 @@ def make_manifest(command: str, inputs: list[str], seeds: dict, tolerances: dict
 
 
 _FLOAT_MAX = sys.float_info.max  # a larger integer raises OverflowError in float()
+_EDGE_FIELDS = operator.itemgetter("from", "to", "weight")
 
 
 def _as_object(x: Any, path: str) -> dict:
@@ -347,11 +357,16 @@ def graph_to_json(g: WeightedGraph) -> dict:
 def graph_from_json(obj: Any, path: str = "graph") -> WeightedGraph:
     n = _as_int(_need(obj, "vertices", path), f"{path}.vertices")
     raw_edges = _as_list(_need(obj, "edges", path), f"{path}.edges")
-    if set(map(type, raw_edges)) <= {dict} and all(e.keys() >= {"from", "to", "weight"} for e in raw_edges):
-        us, vs, weights = ([e[key] for e in raw_edges] for key in ("from", "to", "weight"))
+    columns = None
+    if set(map(type, raw_edges)) <= {dict}:
+        with contextlib.suppress(KeyError):  # an edge without from, to or weight
+            columns = list(zip(*map(_EDGE_FIELDS, raw_edges))) or [()] * 3
+    if columns:
+        us, vs, weights = columns
         classes = [e.get("class", "edge") for e in raw_edges]
-        if (set(map(type, us + vs)) <= {int} and set(map(type, weights)) <= {int, float}
-                and set(map(type, classes)) <= {str} and all(0 <= u < n for u in us + vs)
+        ends = us + vs
+        if (set(map(type, ends)) <= {int} and set(map(type, weights)) <= {int, float}
+                and set(map(type, classes)) <= {str} and (not ends or 0 <= min(ends) and max(ends) < n)
                 and all(0.0 < w <= _FLOAT_MAX for w in weights)):
             return WeightedGraph.from_edges(n, list(zip(us, vs, weights, classes)))
     edges = []  # a check failed: find the first offending edge

@@ -1,6 +1,8 @@
+import errno
 import gc
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -526,3 +528,55 @@ def test_artifacts_bit_identical_under_frozen_epoch(map_file, tmp_path, monkeypa
     for out in (oa, ob):
         assert main(["optimize", "--tol", "1e-6", "--out", out]) == 0
     assert open(oa, "rb").read() == open(ob, "rb").read()
+
+
+# ----------------------------------------------------------------- outputs
+# Outputs are overwritten in place and cut to length (serialize.write_text).
+
+
+def _solve_outputs(map_file, out):
+    assert main(["solve", "--map", map_file, "--out", str(out)]) == 0
+    return Path(out).read_bytes(), Path(f"{out}.trace.jsonl").read_bytes()
+
+
+def test_solve_overwrites_longer_outputs_with_the_bytes_of_a_fresh_run(map_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    fresh = _solve_outputs(map_file, tmp_path / "fresh.json")
+    out = tmp_path / "out.json"
+    for path, text in ((out, fresh[0]), (Path(f"{out}.trace.jsonl"), fresh[1])):
+        path.write_bytes(b"#" * (len(text) + 5000))
+    assert _solve_outputs(map_file, out) == fresh
+    assert _solve_outputs(map_file, out) == fresh  # run twice into the same path
+
+
+def test_optimize_and_render_overwrite_longer_outputs(map_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argvs = {"optimize": ["optimize", "--tol", "1e-6", "--out"], "render": ["render", "--map", map_file, "--out"]}
+    for name, argv in argvs.items():
+        fresh, out = tmp_path / f"{name}-fresh", tmp_path / f"{name}-out"
+        assert main(argv + [str(fresh)]) == 0
+        out.write_bytes(b"#" * (fresh.stat().st_size + 5000))
+        assert main(argv + [str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_solve_writes_through_a_symlinked_out(map_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    fresh, _trace = _solve_outputs(map_file, tmp_path / "fresh.json")
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"#" * (len(fresh) + 5000))
+    link.symlink_to(target)
+    assert _solve_outputs(map_file, link)[0] == fresh
+    assert link.is_symlink() and target.read_bytes() == fresh
+
+
+def test_solve_trace_to_the_null_device_exits_0(map_file, tmp_path):
+    assert main(["solve", "--map", map_file, "--out", str(tmp_path / "o.json"), "--trace", os.devnull]) == 0
+
+
+def test_solve_out_that_is_a_directory_exits_2_with_one_error_line(map_file, tmp_path, capsys):
+    out = tmp_path / "a-directory"
+    out.mkdir()
+    assert main(["solve", "--map", map_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"

@@ -1,4 +1,7 @@
+import copy
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import oracles
 from graphuniform import serialize
 from graphuniform.cli import main
-from graphuniform.errors import SchemaError
+from graphuniform.errors import DomainError, GraphValidationError, SchemaError
 from graphuniform.graphs import cycle_with_doubled_edges
 from graphuniform.hyperboloid import Isometry
 from graphuniform.maps import energy, gauge_transform
@@ -207,6 +210,54 @@ def test_write_and_read_roundtrip(tmp_path):
     assert read_json(path) == payload
 
 
+def test_write_text_overwrites_a_longer_file_with_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"x" * 10000)
+    serialize.write_text(str(path), "caf\u00e9\n")
+    assert path.read_bytes() == "caf\u00e9\n".encode("utf-8")
+    write_artifact(str(path), {"values": [1.5]})
+    assert path.read_bytes() == b'{\n  "values": [1.5]\n}\n'
+    serialize.write_text(str(path), "")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_text_gives_files_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "opened", "w", encoding="utf-8"):
+            pass
+        serialize.write_text(str(tmp_path / "written"), "text")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "opened").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "written").stat().st_mode) == mode
+    # an existing file keeps its mode, as it does under open(path, "w")
+    os.chmod(tmp_path / "written", 0o640)
+    serialize.write_text(str(tmp_path / "written"), "other")
+    assert stat.S_IMODE((tmp_path / "written").stat().st_mode) == 0o640
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("an older and longer text")
+    link.symlink_to(target)
+    serialize.write_text(str(link), "new")
+    assert link.is_symlink() and target.read_text() == "new"
+
+
+def test_write_text_streams_into_a_fifo_and_the_null_device(tmp_path):
+    serialize.write_text(os.devnull, "dropped")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so opening to write does not block
+    try:
+        serialize.write_text(str(fifo), "through the pipe")
+        assert os.read(reader, 100) == b"through the pipe"
+    finally:
+        os.close(reader)
+
+
 def test_read_json_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"a": 1,\n  "b": }\n')
@@ -346,6 +397,58 @@ def test_map_schema_error_when_document_is_not_an_object(doc):
     with pytest.raises(SchemaError) as exc:
         map_from_json(doc)
     assert exc.value.path == "map"
+
+
+# One offender in the middle of the k = 32 map document (V = 378, 384
+# edges): the reader checks whole arrays first, and the error it then
+# raises must be the one a reader that checks one value at a time raises.
+def _edge(key, value, i=192):
+    return lambda doc: doc["graph"]["edges"][i].__setitem__(key, value)
+
+
+def _deck(j, word):
+    return lambda doc: doc["edge_decks"].__setitem__(j, word)
+
+
+_OFFENDERS = {
+    "weight-negative": ([_edge("weight", -2.0)],
+                        SchemaError, "map.graph.edges[192].weight: weight must be positive, got -2.0"),
+    "weight-nan": ([_edge("weight", math.nan)],
+                   SchemaError, "map.graph.edges[192].weight: expected a finite number, got nan"),
+    "weight-huge-integer": ([_edge("weight", 10 ** 400)], SchemaError,
+                            "map.graph.edges[192].weight: expected a finite number, "
+                            "got an integer too large for a float"),
+    "weight-before-endpoint": ([_edge("to", 378), _edge("weight", -1.0), _edge("weight", 0.0, 300)],
+                               SchemaError, "map.graph.edges[192].weight: weight must be positive, got -1.0"),
+    "endpoint-past-end": ([_edge("to", 378), _edge("from", -1, 300)],
+                          SchemaError, "map.graph.edges[192]: edge endpoints (0,378) outside 0..377"),
+    "endpoint-negative": ([_edge("from", -1)],
+                          SchemaError, "map.graph.edges[192]: edge endpoints (-1,192) outside 0..377"),
+    "letter-float": ([_deck(192, [1, 2.0]), _deck(300, [0.5])],
+                     SchemaError, "map.edge_decks[192][1]: expected an integer, got 2.0"),
+    "letter-bool": ([_deck(192, [1, True])], SchemaError, "map.edge_decks[192][1]: expected an integer, got True"),
+    "deck-count": ([lambda doc: doc["edge_decks"].pop(192)],
+                   GraphValidationError, "DECK_COUNT: 383 deck words for 384 unoriented edges"),
+    "letter-past-end": ([_deck(192, [1, 9]), _deck(300, [0])], DomainError, "no generator with signed index 9"),
+    "letter-zero": ([_deck(192, [0])], DomainError, "no generator with signed index 0"),
+}
+
+
+@pytest.fixture(scope="module")
+def k32_document(genus2_bundle):
+    _surface, _graph, ref = genus2_bundle
+    return map_to_json(oracles.subdivide(ref, 32))
+
+
+@pytest.mark.parametrize("case", sorted(_OFFENDERS))
+def test_map_reader_names_the_first_offender_of_a_large_document(case, k32_document):
+    edits, kind, message = _OFFENDERS[case]
+    doc = copy.deepcopy(k32_document)
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(kind) as exc:
+        map_from_json(doc)
+    assert type(exc.value) is kind and str(exc.value) == message
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])

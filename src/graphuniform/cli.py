@@ -75,9 +75,10 @@ def cmd_solve(args) -> int:
         "max_residual": max_residual,
         "map": serialize.map_to_json(trace.final_map),
     }
-    serialize.write_artifact(args.out, payload)
+    # the trace first: a trace path that cannot be written leaves --out as it was
     trace_path = args.trace if args.trace else args.out + ".trace.jsonl"
     serialize.write_text(trace_path, trace.jsonl())
+    serialize.write_artifact(args.out, payload)
 
     if trace.converged:
         print(f"converged in {trace.iterations} iterations   "

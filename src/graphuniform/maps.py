@@ -68,10 +68,14 @@ def _derived(value, **fields):
     """A copy of a frozen dataclass value with some fields replaced, at a
     fraction of the cost of copy.copy or dataclasses.replace.  Cached
     properties carry over, except a map's `vertex_lifts`, which its lifts
-    decide."""
+    decide, and an `EdgeData`'s `block_plan` and `fd_stars` when a field
+    other than its deck matrices is replaced: its index arrays decide them."""
     out = object.__new__(type(value))
     out.__dict__.update(value.__dict__, **fields)
     out.__dict__.pop("vertex_lifts", None)
+    if isinstance(value, EdgeData) and fields.keys() - {"mats"}:
+        out.__dict__.pop("block_plan", None)
+        out.__dict__.pop("fd_stars", None)
     return out
 
 
@@ -227,6 +231,31 @@ class EdgeData:
         these arrays."""
         return BlockPlan.build(self)
 
+    @cached_property
+    def fd_stars(self) -> tuple[np.ndarray, ...]:
+        """The index of `solver.hessian_fd`'s columns, built on first use and
+        shared like `block_plan`.  Moving the lift of vertex v moves the
+        residual only at the star vertices of v: v and the origins of the
+        rows that end at v.  It holds, for each pair (v, u) of a busy vertex
+        and one of its star vertices, in order of v and then u, the rows of
+        u's star in star order: (vertex, star) per pair, and (rows, starts,
+        origins, termini) per row, where `starts` is the first row of each
+        pair and `origins` and `termini` index the V lifts followed by the
+        V moved ones, an endpoint at v being v's moved lift (V + v)."""
+        count = self.vertex_count
+        keys = np.sort(np.concatenate([self.busy * (count + 1), self.termini * count + self.origins]))
+        # each pair once (the first np.unique call in a process costs about 15 ms under numpy 2.4)
+        vertex, star = np.divmod(keys[np.diff(keys, prepend=-1) > 0], count)
+        first, degree = np.zeros(count, dtype=int), np.bincount(self.origins, minlength=count)
+        first[self.busy] = self.starts
+        sizes = degree[star]
+        starts = np.cumsum(sizes) - sizes
+        rows = np.arange(sizes.sum()) + np.repeat(first[star] - starts, sizes)
+        moved = np.repeat(vertex, sizes)
+        origins, termini = self.origins[rows], self.termini[rows]
+        return (vertex, star, rows, starts,
+                origins + count * (origins == moved), termini + count * (termini == moved))
+
 
 @dataclass(frozen=True, eq=False)
 class BlockPlan:
@@ -285,6 +314,13 @@ class BlockPlan:
         the coordinates in vertex order (2v and 2v + 1 for vertex v)."""
         order = 2 * np.concatenate(self.blocks)
         return np.stack([order, order + 1], axis=1).ravel()
+
+    @cached_property
+    def in_vertex_order(self) -> bool:
+        """Whether the blocks list the vertices in vertex order, so that the
+        coordinates need no reordering."""
+        order = np.concatenate(self.blocks)
+        return bool(np.array_equal(order, np.arange(len(order))))
 
 
 def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -606,12 +642,23 @@ def initial_lifts(
     corners; "random" draws a Dirichlet-weighted corner combination per
     vertex from the given seed.
     """
-    if surface.polygon is None:
-        raise DomainError("surface has no polygon to seed lifts in")
-    corners = surface.polygon
+    if mode == "random":
+        return _random_lifts(surface, graph, (seed,))[0]
+    corners = _polygon(surface)
     if mode == "barycenter":
         return points_arr(np.tile(corners.mean(axis=0), (graph.vertex_count, 1)))
-    if mode == "random":
-        weights = np.random.default_rng(seed).dirichlet(np.ones(len(corners)), size=graph.vertex_count)
-        return points_arr(weights @ corners)
     raise DomainError(f"unknown lift seeding mode {mode!r}")
+
+
+def _polygon(surface: SurfaceModel) -> np.ndarray:
+    if surface.polygon is None:
+        raise DomainError("surface has no polygon to seed lifts in")
+    return surface.polygon
+
+
+def _random_lifts(surface: SurfaceModel, graph: WeightedGraph, seeds) -> np.ndarray:
+    """(S, V, 3): the "random" `initial_lifts` of each seed, drawn one seed
+    at a time and combined and normalized as one stack."""
+    corners = _polygon(surface)
+    weights = [np.random.default_rng(seed).dirichlet(np.ones(len(corners)), size=graph.vertex_count) for seed in seeds]
+    return points_arr(np.stack(weights) @ corners)

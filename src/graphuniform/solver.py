@@ -59,7 +59,8 @@ Energy, residual and Hessian blocks come from the map's `maps.EdgeData`
 kernel, evaluated at trial lift arrays.  Each line-search trial makes one
 pass over the edge geometry, for its energy; the accepted trial's pass also
 gives the next iterate's residual and blocks, and the blocks are built only
-when a step is taken.
+when a step is taken.  A trial that the float-floor test accepted hands on
+the residual that the test computed.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .hyperboloid import (
     points_arr,
     tangent_basis_arr,
 )
-from .maps import Hessian, MarkedMap, _derived, gauge_transform, initial_lifts
+from .maps import Hessian, MarkedMap, _derived, _random_lifts, gauge_transform
 from .surfaces import SurfaceModel
 
 # Largest gauge-fixed distance between the limits of two starts that still
@@ -235,19 +236,19 @@ def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     self-adjoint, so the assembled matrix's antisymmetric part is rounding
     and is dropped: (H + H^T) s = 4r.  `Hessian.matrix` gives it in the
     blocks of the map's `BlockPlan`, and `_eliminate` solves every start's
-    system at once: one block in vertex order is one batched LU solve,
-    several blocks in breadth-first order are eliminated in that order."""
+    system at once, in the plan's order: one block is one batched LU
+    solve."""
     plan = hessian.edges.block_plan
     bases = tangent_basis_arr(x)
     rhs = 2.0 * minkowski_dot(r[..., None, :], bases).reshape(len(x), -1)
     diagonal, upper = hessian.matrix(bases)
     failures = (np.linalg.LinAlgError, FloatingPointError)  # a singular block, or a step that overflows
-    if upper:
+    if plan.in_vertex_order:  # the same solve, without a step's reordering (10% of a V = 6 step)
+        coords = _by_start(_eliminate, failures, diagonal, upper, 2.0 * rhs[..., None])[..., 0]
+    else:
         coords = np.empty_like(rhs)
         coords[:, plan.coordinates] = _by_start(_eliminate, failures, diagonal, upper,
                                                 2.0 * rhs[:, plan.coordinates, None])[..., 0]
-    else:  # one block in vertex order: the same solve, without a step's reordering (10% of a V = 6 step)
-        coords = _by_start(_eliminate, failures, diagonal, upper, 2.0 * rhs[..., None])[..., 0]
     with np.errstate(all="ignore"):
         cosine = _dots(rhs, coords) / np.sqrt(_dots(rhs, rhs) * _dots(coords, coords))
         steps = (coords.reshape(len(x), -1, 1, 2) @ bases).reshape(x.shape)
@@ -295,8 +296,10 @@ def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: 
     tau = 1, 1/2, ..., in lockstep: each trial is one exp_arr and one pass
     over the edge geometry for all the starts still searching.  A start
     whose step is a row of NaN has none and does not search.  Returns
-    (rows, energies, lifts, *geometry) for each trial that some starts
-    passed: those rows of the stack and their accepted trials.  A trial that
+    (rows, energies, residuals, lifts, *geometry) for each trial that some
+    starts passed: those rows of the stack and their accepted trials, with
+    the residuals that the float-floor test computed when every start
+    searching passed the trial by that test, else None.  A trial that
     leaves the sheet is rejected for its start like one that fails the
     test.  A stack holds a few starts: their scalars are Python floats."""
     slope = (2.0 * _dots((r * J_DIAG).reshape(len(x), -1), delta.reshape(len(x), -1))).tolist()
@@ -323,15 +326,15 @@ def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: 
                 flat.append(k)
         if flat:
             x_flat, *trial_flat = _rows((x_new, *trial), flat)
-            res = _max_residuals(edges.residual(x_flat, trial_flat))
-            for k, value in zip(flat, res):
+            r_flat = edges.residual(x_flat, trial_flat)
+            for k, value in zip(flat, _max_residuals(r_flat)):
                 ok[k] = value < max_res[rows[k]]
-        if all(ok):
-            passed.append((rows, e_new, x_new, *trial))
+        if all(ok):  # the residuals of a trial that all its rows passed by the float-floor test are handed on
+            passed.append((rows, e_new, r_flat if len(flat) == len(ok) else None, x_new, *trial))
             break
         done = [k for k, passes in enumerate(ok) if passes]
         if done:
-            passed.append(([rows[k] for k in done], [e_new[k] for k in done], *_rows((x_new, *trial), done)))
+            passed.append(([rows[k] for k in done], [e_new[k] for k in done], None, *_rows((x_new, *trial), done)))
         rows = [i for i, passes in zip(rows, ok) if not passes]
         tau *= BACKTRACK_FACTOR
     return passed
@@ -357,8 +360,10 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
     x = lifts
     geometry = edges.geometry(x)
     e_cur = edges.energy(x, geometry).tolist()
+    r = None  # the residual at x, when the line search computed it
     for iteration in itertools.count():
-        r = edges.residual(x, geometry)
+        if r is None:
+            r = edges.residual(x, geometry)
         max_res = _max_residuals(r)
         keep = []
         for i, (s, e, res) in enumerate(zip(live, e_cur, max_res)):
@@ -377,7 +382,7 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
             x, r, *geometry = _rows((x, r, *geometry), keep)
 
         hessian = edges.hessian(x, geometry)
-        found = []  # (kind, rows of the stack, energies, lifts, *geometry) of the trials that they passed
+        found = []  # (kind, rows of the stack, energies, residuals, lifts, *geometry) of the trials that they passed
         if edges.block_plan.blocks:  # built at the first step, for this map and its copies
             found = [("lu", *piece) for piece in _line_search(edges, x, _exact_step(hessian, x, r), r, e_cur, max_res)]
         unmoved = set(range(len(x))).difference(*(piece[1] for piece in found))
@@ -395,10 +400,12 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
                 kinds[live[i]].append(kind)
         live = [live[i] for piece in found for i in piece[1]]
         if len(found) == 1:
-            e_cur, x, *geometry = found[0][2:]
+            e_cur, r, x, *geometry = found[0][2:]
         else:  # the stack in the order of the pieces, as `live` now is
             e_cur = [e for piece in found for e in piece[2]]
-            x, *geometry = map(np.concatenate, zip(*(piece[3:] for piece in found)))
+            known = [piece[3] for piece in found]
+            r = None if any(part is None for part in known) else np.concatenate(known)
+            x, *geometry = map(np.concatenate, zip(*(piece[4:] for piece in found)))
 
     return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), _final_map(m0, finals[s]), len(kinds[s]),
                        stop_reason[s], tuple(kinds[s])) for s in range(count)]
@@ -451,26 +458,35 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     differences of the closed-form gradient -2 * residual along each basis
     vector, read in the tangent basis of each moved point; symmetrized.
     Meaningful as a second-order object at a harmonic map, where the
-    coordinate choice drops out.  The moved lifts of all 2V columns form
-    one (2, 2V, V, 3) stack, +h and -h along each coordinate direction,
-    which goes through the batched residual in chunks of columns whose
-    per-half-edge arrays are no larger than the stack (about E / V
-    chunks)."""
+    coordinate choice drops out.
+
+    Moving vertex v moves the residual only at its star vertices (v and
+    its neighbours), so column (v, a) is built from their whole stars
+    alone, in the star order of `EdgeData.residual`, with the lifts they
+    reach unmoved taken as exp_arr(x, 0) leaves them: every entry is the
+    one that a residual of all the moved lifts gives, bit for bit, and the
+    others are 0.  All columns go through the residual kernel in one pass
+    over (2, 2, T) rows, +h and -h along each basis direction, where T
+    sums over the vertices the sizes of their star vertices' stars
+    (`EdgeData.fd_stars`): O(E) work on a graph of bounded degree."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
-    x = m.lifts
-    dim = 2 * len(x)
-    column = np.arange(dim)
-    steps = np.zeros((2, dim) + x.shape)
-    steps[0, column, column // 2] = h * tangent_basis_arr(x).reshape(dim, 3)
-    steps[1] = -steps[0]
-    hess = np.empty((dim, dim))
-    width = max(1, dim * len(x) // max(1, len(m.edges.origins)))
-    for lo in range(0, dim, width):
-        moved = exp_arr(x, steps[:, lo:lo + width])
-        grad = -2.0 * m.edges.residual(moved)
-        grads = minkowski_dot(grad[..., None, :], tangent_basis_arr(moved)).reshape(2, -1, dim)
-        hess[:, lo:lo + width] = ((grads[0] - grads[1]) / (2.0 * h)).T
+    edges, x = m.edges, m.lifts
+    count = len(x)
+    vertex, star, rows, starts, origins, termini = edges.fd_stars
+    step = h * tangent_basis_arr(x)
+    # (sign, direction, 2V): the unmoved lifts, then each vertex moved
+    moved = exp_arr(x[:, None], np.stack([step, -step])).swapaxes(1, 2)
+    lifts = np.concatenate([np.broadcast_to(exp_arr(x, np.zeros_like(x)), moved.shape), moved], axis=-2)
+    # the rows of every pair's star, one star per pair, for the residual kernel
+    stars = _derived(edges, vertex_count=len(vertex), busy=np.arange(len(vertex)), starts=starts,
+                     origins=origins, termini=termini, weights=edges.weights[rows], mats=edges.mats[rows])
+    grad = -2.0 * stars.residual(lifts)  # at the star vertex of each pair
+    at = star + count * (star == vertex)
+    grads = minkowski_dot(grad[..., None, :], tangent_basis_arr(lifts.take(at, axis=-2)))
+    hess = np.zeros((2 * count, 2 * count))
+    pair = np.arange(2)
+    hess[2 * star[:, None] + pair, 2 * vertex[:, None] + pair[:, None, None]] = (grads[0] - grads[1]) / (2.0 * h)
     return 0.5 * (hess + hess.T)
 
 
@@ -502,16 +518,16 @@ def _image_is_one_dimensional(edges, x: np.ndarray) -> np.ndarray:
     vertex the outgoing edge tangents span at most a line -- the map's image
     lies in a single geodesic (or a point), which is exactly the degenerate
     case excluded by the uniqueness hypothesis.  A star spans a plane when
-    the larger singular value of its tangents (in tangent_basis_arr
-    coordinates, from their 2x2 Gram matrix) exceeds 1e-9 and the smaller
-    exceeds 1e-6 times the larger."""
-    p = x[:, edges.origins]
-    tangents = log_arr(p, edges.far_ends(x))
-    coords = minkowski_dot(tangents[..., None, :], tangent_basis_arr(p))
+    the larger singular value of its tangents (in the tangent_basis_arr
+    coordinates of its vertex) exceeds 1e-9 and the smaller exceeds 1e-6
+    times the larger: when the larger eigenvalue of their 2x2 Gram matrix
+    exceeds 1e-18 and its determinant 1e-12 times that eigenvalue squared."""
+    tangents = log_arr(x.take(edges.origins, axis=-2), edges.far_ends(x))
+    coords = minkowski_dot(tangents[..., None, :], tangent_basis_arr(x).take(edges.origins, axis=-3))
     gram = edges.star_sums(coords[..., :, None] * coords[..., None, :], axis=1)
-    singular = np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(gram)))
-    low, high = singular[..., 0], singular[..., 1]
-    return ~np.any((high > 1e-9) & (low > 1e-6 * high), axis=1)
+    a, b, c = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+    high = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    return ~np.any((high > 1e-18) & (a * c - b * b > 1e-12 * high * high), axis=1)
 
 
 def uniqueness_probe(
@@ -525,9 +541,10 @@ def uniqueness_probe(
     after gauge fixing.  Distinct limits (or a one-dimensional image) mean the
     uniqueness hypothesis fails for this homotopy class.
 
-    Start i is drawn by `initial_lifts(..., "random", seed=cfg.seed + i)`,
-    and the starts descend as one stack (S, V, 3), in lockstep, each exactly
-    as `solve` would take it alone.  The limits are gauge-fixed together,
+    Start i is `initial_lifts(..., "random", seed=cfg.seed + i)`, bit for
+    bit, drawn seed by seed and normalized in stacked passes, and the starts
+    descend as one stack (S, V, 3), in lockstep, each exactly as `solve`
+    would take it alone.  The limits are gauge-fixed together,
     each start's energy is the last of its trace, and the largest distance
     between corresponding gauge-fixed lifts of two starts, over all pairs,
     is the deviation."""
@@ -536,7 +553,7 @@ def uniqueness_probe(
     cfg = cfg or SolverConfig()
 
     # normalized as a map normalizes the lifts it is given
-    starts = points_arr(np.stack([initial_lifts(surface, graph, "random", seed=cfg.seed + i) for i in range(n_starts)]))
+    starts = points_arr(_random_lifts(surface, graph, range(cfg.seed, cfg.seed + n_starts)))
     base = MarkedMap.from_unoriented_words(surface, graph, starts[0], deck_words)
     traces = _solve_stack(base, starts, cfg)
     x = np.stack([t.final_map.lifts for t in traces])

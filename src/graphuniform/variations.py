@@ -24,9 +24,14 @@ from .maps import MarkedMap, energy
 def random_variation(m: MarkedMap, seed: int = 0) -> np.ndarray:
     """Gaussian coordinates in the canonical tangent bases at the lifts; one
     (V, 2) draw is the same stream as V draws of two."""
-    c = np.random.default_rng(seed).standard_normal((len(m.lifts), 2))
-    b = tangent_basis_arr(m.lifts)
-    return tangents_arr(m.lifts, c[:, :1] * b[:, 0] + c[:, 1:] * b[:, 1])
+    return _random_variations(m.lifts, tangent_basis_arr(m.lifts), (seed,))[0]
+
+
+def _random_variations(x: np.ndarray, bases: np.ndarray, seeds) -> np.ndarray:
+    """(S, V, 3): the `random_variation` of each seed at lifts x (V, 3), with
+    their tangent bases (V, 2, 3), as one stack."""
+    c = np.stack([np.random.default_rng(seed).standard_normal((len(x), 2)) for seed in seeds])
+    return tangents_arr(np.broadcast_to(x, c.shape[:-1] + (3,)), c[..., :1] * bases[:, 0] + c[..., 1:] * bases[:, 1])
 
 
 def first_variation(m: MarkedMap, v: np.ndarray) -> float:
@@ -58,13 +63,16 @@ class ConsistencyReport:
 def hessian_consistency(m: MarkedMap, n_random: int, seed: int = 0, h: float = 1e-4) -> ConsistencyReport:
     """Compare the second variation <v, H v>, for the Hessian the exact
     Newton steps factor, with the quadratic form of the finite-difference
-    Hessian over random variations, all of them applied in one stack."""
+    Hessian over the random variations of seeds seed, seed + 1, ...: drawn,
+    bit for bit as `random_variation` draws them, and applied as one stack
+    on one set of tangent bases."""
     from .solver import hessian_fd
 
     hess = hessian_fd(m, h)
-    fields = np.stack([random_variation(m, seed + i) for i in range(n_random)])
+    bases = tangent_basis_arr(m.lifts)
+    fields = _random_variations(m.lifts, bases, range(seed, seed + n_random))
     closed = np.sum(minkowski_dot(fields, m.edges.hessian(m.lifts)(fields)), axis=-1)
-    coords = minkowski_dot(fields[..., None, :], tangent_basis_arr(m.lifts)).reshape(n_random, -1)
+    coords = minkowski_dot(fields[..., None, :], bases).reshape(n_random, -1)
     quad = np.einsum("si,ij,sj->s", coords, hess, coords)
     devs = np.abs(closed - quad) / np.maximum(1.0, np.abs(closed))
     return ConsistencyReport(n_random, float(np.max(devs)), tuple(devs.tolist()))

@@ -574,6 +574,16 @@ def test_solve_trace_to_the_null_device_exits_0(map_file, tmp_path):
     assert main(["solve", "--map", map_file, "--out", str(tmp_path / "o.json"), "--trace", os.devnull]) == 0
 
 
+def test_solve_trace_that_cannot_be_written_leaves_out_as_it_was(map_file, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    out.write_bytes(b"an earlier artifact\n")
+    trace = tmp_path / "a-directory"
+    trace.mkdir()
+    assert main(["solve", "--map", map_file, "--out", str(out), "--trace", str(trace)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier artifact\n"
+
+
 def test_solve_out_that_is_a_directory_exits_2_with_one_error_line(map_file, tmp_path, capsys):
     out = tmp_path / "a-directory"
     out.mkdir()

@@ -159,6 +159,16 @@ def test_random_initial_lifts_match_per_vertex_draws(genus2_bundle):
     assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(want))
 
 
+def test_stacked_random_lifts_are_the_draws_of_their_seeds(genus2_bundle):
+    # uniqueness_probe draws its starts as one stack
+    from graphuniform.maps import _random_lifts
+
+    surface, graph, _ = genus2_bundle
+    stack = _random_lifts(surface, graph, range(7, 11))
+    for seed, lifts in zip(range(7, 11), stack):
+        assert np.array_equal(lifts, initial_lifts(surface, graph, "random", seed=seed))
+
+
 def test_perturbation_produces_measurable_residual(genus2_bundle):
     _, graph, ref = genus2_bundle
     m = perturbed(ref, 0.1, seed=9)
@@ -363,3 +373,21 @@ def test_with_surface_refuses_what_fresh_construction_refuses():
         with pytest.raises(error) as moved:
             m.with_surface(surface, lifts)
         assert str(moved.value) == str(fresh.value)
+
+
+def test_edge_arrays_with_other_rows_build_their_own_plans():
+    # `energy` evaluates a map's edge arrays cut to one row per unoriented
+    # edge; the plans cached on the full arrays index rows the cut does not
+    # have, while arrays that differ only in their deck matrices share them
+    _, _, ref = family("hexagon-genus2").build(1.3)
+    m = solve(ref.with_lifts(initial_lifts(ref.surface, ref.graph, "random", seed=3))).final_map
+    edges = m.edges
+    assert edges.block_plan.scatter.size == 4 * (edges.vertex_count + len(edges.origins))
+    assert edges.fd_stars[2].max() == len(edges.origins) - 1
+    energy(m)
+    cut = m._forward_edges[0]
+    assert len(cut.origins) == len(edges.origins) // 2
+    assert "block_plan" not in cut.__dict__ and "fd_stars" not in cut.__dict__
+    assert cut.block_plan.scatter.size == 4 * (cut.vertex_count + len(cut.origins))
+    moved = gauge_transform(m, Isometry(oracles.x_translation(0.3)))
+    assert moved.edges.block_plan is edges.block_plan and moved.edges.fd_stars is edges.fd_stars

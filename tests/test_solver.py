@@ -17,7 +17,9 @@ from graphuniform.maps import (
     EdgeData,
     Hessian,
     MarkedMap,
+    _block_layout,
     _breadth_first_levels,
+    _derived,
     balanced_residual,
     energy,
     gauge_transform,
@@ -361,6 +363,49 @@ def test_probe_builds_hessians_once_per_lockstep_iteration(genus2_bundle, monkey
     assert calls["geometry"] == calls["exp_arr"] + 1
 
 
+def test_float_floor_step_hands_its_residual_on(genus2_bundle, monkeypatch):
+    # the last step raises the energy, so the float-floor test accepted it,
+    # and the residual that test computed is the next iterate's: one
+    # residual per iterate
+    calls = []
+    residual = EdgeData.residual
+    monkeypatch.setattr(EdgeData, "residual", lambda self, *args: calls.append(1) or residual(self, *args))
+    trace = solve(perturbed(genus2_bundle[2], 0.05, seed=7), SolverConfig(residual_tol=1e-11))
+    assert trace.converged and trace.energies[-1] > trace.energies[-2]
+    assert len(calls) == len(trace.residuals) == 4
+
+
+def _spans_a_line_by_singular_values(edges, x):
+    """The degenerate-image test from the singular values of each star's
+    tangents, as LAPACK's eigenvalues of their Gram matrix give them."""
+    p = x[:, edges.origins]
+    coords = minkowski_dot(log_arr(p, edges.far_ends(x))[..., None, :], tangent_basis_arr(p))
+    gram = edges.star_sums(coords[..., :, None] * coords[..., None, :], axis=1)
+    low, high = np.moveaxis(np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(gram))), -1, 0)
+    return ~np.any((high > 1e-9) & (low > 1e-6 * high), axis=1)
+
+
+def test_one_dimensional_image_test_decides_as_the_singular_values(octagon_surface):
+    # one loop's harmonic vertex lies on the generator's axis; moved off it
+    # by 1e-1 to 1e-11, its two tangents span a plane of singular-value
+    # ratio about 0.3 sqrt(offset), across the 1e-6 threshold
+    import graphuniform.solver as solver
+
+    graph = bouquet(1)
+    start = MarkedMap(octagon_surface, graph, initial_lifts(octagon_surface, graph, "random", seed=2), ((1,), (-1,)))
+    trace = solve(start, SolverConfig(residual_tol=1e-12, max_iters=2000))
+    assert trace.converged
+    x, edges = trace.final_map.lifts, start.edges
+    axis = log_arr(x[0], edges.far_ends(x)[0])
+    basis = tangent_basis_arr(x[0])
+    normal = basis[0] * minkowski_dot(axis, basis[1]) - basis[1] * minkowski_dot(axis, basis[0])
+    offsets = 10.0 ** -np.arange(1.0, 11.25, 0.25)
+    stack = np.stack([exp_arr(x, d * normal / math.sqrt(minkowski_dot(normal, normal))) for d in offsets])
+    got = solver._image_is_one_dimensional(edges, stack)
+    assert np.array_equal(got, _spans_a_line_by_singular_values(edges, stack))
+    assert not got[0] and got[-1]
+
+
 def test_report_with_disagreeing_starts_is_not_ok():
     report = UniquenessReport(
         n_starts=2, converged=(True, True), energies=(23.44, 23.44),
@@ -447,6 +492,30 @@ def test_batched_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved, ca
         got = hessian_fd(m, h)
         assert got.shape == (2 * m.graph.vertex_count,) * 2
         assert np.max(np.abs(got - oracles.hessian_fd_columns(m, h))) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["octagon-bouquet", "gauged", "k4-perturbed"])
+def test_star_local_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved, octagon_surface, case):
+    # each column comes from the stars of its vertex and its neighbours:
+    # on loops (every edge of the bouquet starts and ends at its one
+    # vertex), on conjugated deck matrices and on a 42-vertex map
+    if case == "octagon-bouquet":
+        m = perturbed(center_bouquet(octagon_surface), 0.3, seed=47)
+    elif case == "gauged":
+        m = _hessian_test_maps(genus2_bundle, case)
+    else:
+        m = perturbed(oracles.subdivide(genus2_solved, 4), 0.05, seed=4)
+    for h in (1e-4, 1e-3):
+        assert np.max(np.abs(hessian_fd(m, h) - oracles.hessian_fd_columns(m, h))) <= 1e-10
+
+
+def test_fd_hessian_of_the_harmonic_32_fold_subdivision_is_positive_definite():
+    _, _, ref = family("hexagon-genus2").build(SEAM)
+    m = oracles.subdivide(ref, 32)  # V = 378
+    assert balanced_residual(m).max_norm < 1e-9
+    hess = hessian_fd(m, h=1e-4)
+    assert np.array_equal(hess, hess.T)
+    assert np.linalg.eigvalsh(hess).min() > 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
@@ -651,24 +720,39 @@ def test_exact_step_equals_a_converged_cg_step(genus2_solved, klein_surface, cas
     assert np.max(np.abs(lu - cg)) <= 1e-8 * np.max(np.abs(cg))
 
 
-@pytest.mark.parametrize("case", ["k8-perturbed", "k16-perturbed", "two-components"])
-def test_block_eliminated_step_equals_a_dense_solve(genus2_solved, klein_surface, case):
+def _assert_exact_step_is_the_dense_solve(edges, x):
     # the step through the blocks is the step through the whole matrix,
     # assembled in vertex order as the one-block maps assemble it
     import graphuniform.solver as solver
 
-    m = _dense_test_maps(genus2_solved, klein_surface, case)
-    assert len(m.edges.block_plan.blocks) > 1
-    x = m.lifts
-    r = m.edges.residual(x)
-    hessian = m.edges.hessian(x)
+    r = edges.residual(x)
     bases = tangent_basis_arr(x)
-    dense = oracles.dense_hessian(hessian, x, bases)
+    dense = oracles.dense_hessian(edges.hessian(x), x, bases)
     rhs = 2.0 * minkowski_dot(r[:, None, :], bases).ravel()
     coords = np.linalg.solve(dense + dense.T, 2.0 * rhs)
     want = np.einsum("vi,vij->vj", coords.reshape(-1, 2), bases)
-    got = solver._exact_step(m.edges.hessian(x[None]), x[None], r[None])[0]  # a stack of one
+    got = solver._exact_step(edges.hessian(x[None]), x[None], r[None])[0]  # a stack of one
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["k8-perturbed", "k16-perturbed", "two-components"])
+def test_block_eliminated_step_equals_a_dense_solve(genus2_solved, klein_surface, case):
+    m = _dense_test_maps(genus2_solved, klein_surface, case)
+    assert len(m.edges.block_plan.blocks) > 1
+    _assert_exact_step_is_the_dense_solve(m.edges, m.lifts)
+
+
+def test_one_block_out_of_vertex_order_steps_as_a_dense_solve(genus2_solved, klein_surface):
+    # today's constants build no such plan: a map of at most
+    # DENSE_MAX_VERTICES vertices is one block in vertex order, a larger one
+    # several.  With one block in breadth-first order, the step must still
+    # be read back through the plan's order
+    m = _dense_test_maps(genus2_solved, klein_surface, "k2-perturbed")
+    edges = _derived(m.edges, mats=m.edges.mats)  # a copy whose plan this test may set
+    order = np.concatenate(_breadth_first_levels(edges.vertex_count, edges.origins, edges.termini))
+    edges.__dict__["block_plan"] = plan = BlockPlan((order,), *_block_layout(edges, [order]))
+    assert not plan.in_vertex_order
+    _assert_exact_step_is_the_dense_solve(edges, m.lifts)
 
 
 def _assert_failed_exact_steps_fall_back_to_cg(monkeypatch, start, case):

@@ -190,6 +190,16 @@ def test_random_variation_matches_per_vertex_draws(genus2_solved):
     assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(want))
 
 
+def test_stacked_variations_are_the_draws_of_their_seeds(genus2_solved):
+    # hessian_consistency draws its variations as one stack on one basis
+    from graphuniform.variations import _random_variations
+
+    x = genus2_solved.lifts
+    stack = _random_variations(x, tangent_basis_arr(x), range(30, 34))
+    for seed, field in zip(range(30, 34), stack):
+        assert np.array_equal(field, random_variation(genus2_solved, seed))
+
+
 def test_variation_rejects_non_tangent_rows_and_mixed_bases(genus2_bundle):
     _, _, ref = genus2_bundle
     vectors = random_variation(ref, seed=22).copy()

@@ -2,8 +2,9 @@
 
 Subcommands: solve (harmonic map at a fixed surface), optimize (energy
 minimization over a metric family), example (reproduce built-in worked
-examples as PASS/FAIL tables), check (internal consistency suite), render
-(Poincare-disk SVG figures).
+examples as PASS/FAIL tables), check (the internal checks and every example
+at its defaults), render (Poincare-disk SVG figures).  The checks live in
+`selfcheck`; this module parses, dispatches and prints.
 
 Exit codes: 0 success, 2 bad input file or usage, 3 solver did not converge,
 4 domain/geometry error, 5 a check or example criterion failed.
@@ -24,12 +25,11 @@ from .errors import (
     NonConvergenceError,
     SchemaError,
 )
-from .families import hexagon_family_energy, lagrange_solve, minimize_1d
-from .hyperboloid import regular_polygon
-from .maps import balanced_residual, energy, initial_lifts
-from .selfcheck import CheckResult, _check, run_all, summary_table
+from .families import lagrange_solve, minimize_1d
+from .maps import initial_lifts
+from .selfcheck import example_hexagon_genus2, example_klein, example_regular_4g, run_all, summary_table
 from .solver import SolverConfig, solve
-from .surfaces import build_regular_4g_surface, center_bouquet, family, validate_surface
+from .surfaces import family
 from . import serialize
 
 
@@ -140,77 +140,12 @@ def cmd_optimize(args) -> int:
 # example
 
 
-def _example_hexagon_genus2(args) -> list[CheckResult]:
-    checks = []
-    sol = lagrange_solve(args.mc / args.md)
-    print(f"stationary seam s* = {sol.s:.6f}   partner length t* = {sol.t:.6f}")
-    checks.append(_check("closure constraint at s*", abs(sol.constraint_residual), 1e-10))
-    checks.append(_check("stationarity condition at s*", abs(sol.stationarity_residual), 1e-10))
-    if args.mc == args.md:
-        checks.append(_check("equal weights give s* = log(2+sqrt(3))",
-                             abs(sol.s - math.log(2.0 + math.sqrt(3.0))), 1e-9))
-    fam = family("hexagon-genus2", weights=(args.mc, args.md))
-    theta, value = minimize_1d(fam, (0.5 * sol.s, 2.0 * sol.s), tol=1e-7,
-                               cfg=SolverConfig(residual_tol=1e-9))
-    print(f"energy-search minimizer = {theta:.6f}   minimum energy = {value:.6f}")
-    checks.append(_check("energy search agrees with stationarity solve",
-                         abs(theta - sol.s), 1e-6))
-    closed = hexagon_family_energy(sol.s, args.mc, args.md)
-    checks.append(_check("minimum energy matches closed form",
-                         abs(value - closed) / closed, 1e-6))
-    return checks
-
-
-def _example_regular_4g(genus: int) -> list[CheckResult]:
-    checks = []
-    surface = build_regular_4g_surface(genus)
-    report = validate_surface(surface)
-    worst = max(report.relator_defects) if report.relator_defects else math.inf
-    relator_ok = not any(code == "RELATOR" for code, _ in report.issues)
-    checks.append(CheckResult(f"4g-gon relators close up (genus {genus})",
-                              relator_ok, f"worst defect {worst:.3e} (norm-scaled gate)"))
-    area_ok = not any(code == "AREA" for code, _ in report.issues)
-    checks.append(CheckResult("polygon area matches Gauss-Bonnet", area_ok,
-                              f"off by {abs(report.area - report.area_expected):.3e} (rounding-scaled gate)"))
-    if genus == 2:
-        expected = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
-        checks.append(_check("octagon generator translation length",
-                             abs(surface.generators[0].translation_length() - expected), 1e-8))
-    ref = center_bouquet(surface)
-    rep = balanced_residual(ref)
-    checks.append(_check("center bouquet map is balanced", rep.max_norm, 1e-10))
-    geo = regular_polygon(4 * genus, math.pi / (2 * genus))
-    closed = 2 * genus * (2.0 * geo.inradius) ** 2
-    print(f"bouquet map energy = {energy(ref):.6f}   loops have length {2 * geo.inradius:.6f}")
-    checks.append(_check("bouquet energy matches closed form",
-                         abs(energy(ref) - closed) / closed, 1e-12))
-    return checks
-
-
-def _example_klein(args) -> list[CheckResult]:
-    from .surfaces import build_klein_quartic
-
-    checks = []
-    surface = build_klein_quartic()
-    report = validate_surface(surface)
-    worst = max(report.relator_defects)
-    checks.append(_check("14-gon relators close up", worst, 1e-8))
-    checks.append(_check("polygon area is 8*pi", abs(report.area - 8.0 * math.pi), 1e-8))
-    checks.append(_check("both corner cycles have angle sum 2*pi",
-                         max(abs(a - 2.0 * math.pi) for a in report.angle_sums), 1e-8))
-    checks.append(_check("corner cycle count is 2", abs(len(report.angle_sums) - 2), 0))
-    return checks
-
-
 def cmd_example(args) -> int:
     if args.name == "hexagon-genus2":
-        checks = _example_hexagon_genus2(args)
-    elif args.name == "regular-4g":
-        checks = _example_regular_4g(args.genus)
-    else:
-        checks = _example_klein(args)
-    print(summary_table(checks))
-    return 0 if all(c.ok for c in checks) else 5
+        return _print_table(example_hexagon_genus2(args.mc, args.md))
+    if args.name == "regular-4g":
+        return _print_table(example_regular_4g(args.genus))
+    return _print_table(example_klein())
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +153,10 @@ def cmd_example(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_all()
+    return _print_table(run_all())
+
+
+def _print_table(results) -> int:
     print(summary_table(results))
     return 0 if all(r.ok for r in results) else 5
 
@@ -265,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="graph JSON overriding the one embedded in the map")
     p.add_argument("--init", choices=["map", "barycenter", "random"], default="map",
                    help="starting lifts: from the map file, or reseeded")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds --init random; unused otherwise")
     p.add_argument("--tol", type=positive_float, default=1e-9, help="max residual norm for convergence")
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--out", required=True, help="output artifact path")
@@ -280,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=positive_float, default=1e-8, help="parameter search tolerance")
     p.add_argument("--solver-tol", type=positive_float, default=1e-9)
     p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the artifact's manifest; the search draws no random numbers")
     p.add_argument("--out", help="optional output artifact path")
     p.set_defaults(func=cmd_optimize)
 

@@ -13,7 +13,7 @@ refuses a vertex without edges itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +28,10 @@ class WeightedGraph:
     reversals: tuple[int, ...]
     weights: tuple[float, ...]
     classes: tuple[str, ...]
+    # the first three as read-only arrays, kept from the checks for `EdgeData.build` and `_WordIndex.build`
+    origin_array: np.ndarray = field(init=False, repr=False)
+    reversal_array: np.ndarray = field(init=False, repr=False)
+    weight_array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         """Raises GraphValidationError, coded, at the first offender."""
@@ -61,6 +65,9 @@ class WeightedGraph:
         classes = np.asarray(self.classes, dtype=object)
         first(classes != classes[reversals], "CLASS_NOT_SYMMETRIC",
               lambda e: f"edge ({e},{reversals[e]}) has classes {classes[e]!r} != {classes[reversals[e]]!r}")
+        for name, array in (("origin_array", origins), ("reversal_array", reversals), ("weight_array", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @staticmethod
     def from_edges(vertex_count: int, edges: list[tuple[int, int, float, str]]) -> "WeightedGraph":

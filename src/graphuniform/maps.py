@@ -125,8 +125,7 @@ class EdgeData:
     @staticmethod
     def build(graph: WeightedGraph, mats: np.ndarray) -> "EdgeData":
         """Arrays of `graph` with deck matrices `mats` (in half-edge order)."""
-        origins = np.asarray(graph.origins, dtype=int)
-        reversals = np.asarray(graph.reversals, dtype=int)
+        origins, reversals = graph.origin_array, graph.reversal_array
         order = np.argsort(origins, kind="stable")
         busy = np.flatnonzero(np.bincount(origins, minlength=graph.vertex_count))
         return EdgeData(
@@ -134,7 +133,7 @@ class EdgeData:
             row=np.argsort(order),
             origins=origins[order],
             termini=origins[reversals][order],
-            weights=np.asarray(graph.weights, dtype=float)[order],
+            weights=graph.weight_array[order],
             mats=mats[order],
             even=np.flatnonzero(order < reversals[order]),
             busy=busy,
@@ -444,7 +443,7 @@ class _WordIndex:
     forward: np.ndarray  # half-edges numbered below their reversals
 
     @staticmethod
-    def build(deck_words: tuple[tuple[int, ...], ...], reversals: tuple[int, ...]) -> "_WordIndex":
+    def build(deck_words: tuple[tuple[int, ...], ...], reversals: np.ndarray) -> "_WordIndex":
         words = sorted(dict.fromkeys(deck_words), key=len, reverse=True)  # ties in order of first use
         position = {word: i for i, word in enumerate(words)}
         longest = len(words[0]) if words else 0
@@ -452,7 +451,6 @@ class _WordIndex:
         for i, word in enumerate(words):
             letters[i, :len(word)] = word
         used = [w for word in words for w in word]
-        reversals = np.asarray(reversals, dtype=int)
         return _WordIndex(
             letters=letters,
             ahead=tuple(sum(len(word) > k for word in words) for k in range(longest)),
@@ -506,7 +504,7 @@ class MarkedMap:
     def _word_index(self) -> "_WordIndex":
         """The deck words as arrays, built on first use and shared by every
         map derived from this one."""
-        return _WordIndex.build(self.deck_words, self.graph.reversals)
+        return _WordIndex.build(self.deck_words, self.graph.reversal_array)
 
     @cached_property
     def _forward_edges(self) -> tuple[EdgeData, np.ndarray]:

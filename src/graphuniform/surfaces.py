@@ -247,9 +247,11 @@ def vertex_cycles(side_count: int, side_pairs: tuple[tuple[int, int, int], ...])
 class SurfaceReport:
     issues: tuple[tuple[str, str], ...]
     relator_defects: tuple[float, ...]
+    relator_gates: tuple[float, ...]  # each relator's pass/fail bound on its defect
     angle_sums: tuple[float, ...]
     area: float | None
     area_expected: float | None
+    area_gate: float | None
 
     @property
     def ok(self) -> bool:
@@ -283,7 +285,7 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
     as large as the generator itself."""
     issues: list[tuple[str, str]] = []
 
-    relator_defects = []
+    relator_defects, relator_gates = [], []
     for i, word in enumerate(surface.relator_words or ()):
         out = np.eye(3)
         biggest = 1.0
@@ -292,11 +294,12 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
             biggest = max(biggest, float(np.max(np.abs(out))))
         defect = float(np.max(np.abs(out - np.eye(3))))
         relator_defects.append(defect)
-        if defect > 1e-8 * (1.0 + biggest) ** 2:
+        relator_gates.append(1e-8 * (1.0 + biggest) ** 2)
+        if defect > relator_gates[-1]:
             issues.append(("RELATOR", f"relator {i} has identity defect {defect:.3e}"))
 
     angle_sums: list[float] = []
-    area = area_expected = None
+    area = area_expected = area_gate = None
     if surface.polygon is not None and surface.side_pairs is not None:
         corners = surface.polygon
         n = len(corners)
@@ -317,10 +320,12 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
                 issues.append(("ANGLE_CYCLE", f"cycle at corner {cyc.corners[0]} has angle sum {total!r}"))
         area = (n - 2) * math.pi - sum(angles)
         area_expected = 2.0 * math.pi * (2 * surface.genus - 2)
-        if abs(area - area_expected) > 1e-7 * area_expected / (4.0 * math.pi):
+        area_gate = 1e-7 * area_expected / (4.0 * math.pi)
+        if abs(area - area_expected) > area_gate:
             issues.append(("AREA", f"polygon area {area!r}, Gauss-Bonnet expects {area_expected!r}"))
 
-    return SurfaceReport(tuple(issues), tuple(relator_defects), tuple(angle_sums), area, area_expected)
+    return SurfaceReport(tuple(issues), tuple(relator_defects), tuple(relator_gates), tuple(angle_sums),
+                         area, area_expected, area_gate)
 
 
 # --------------------------------------------------------------------------

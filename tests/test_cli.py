@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -440,10 +441,47 @@ def test_example_genus_g_rejects_low_genus():
 def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") >= 11 and "FAIL" not in out
-    assert "11/11 checks passed" in out
+    assert out.count("PASS") >= 22 and "FAIL" not in out
+    assert "22/22 checks passed" in out
     assert "PASS  klein centre bouquet energy closed form" in out
     assert not [line for line in out.splitlines() if "triangle" in line]
+
+
+def _table_rows(out: str) -> list[str]:
+    """The lines of a PASS/FAIL table, without its count line."""
+    return [line for line in out.splitlines() if line.startswith(("PASS  ", "FAIL  "))]
+
+
+def _check_name(row: str) -> str:
+    return row[6:].split("  ")[0]
+
+
+def test_check_runs_every_example_at_its_defaults_once(capsys):
+    assert main(["check"]) == 0
+    out = capsys.readouterr().out
+    rows = _table_rows(out)
+    names = list(map(_check_name, rows))
+    assert len(names) == len(set(names)), "a check name appears twice"
+    assert out.splitlines()[-1] == f"{len(rows)}/{len(rows)} checks passed"
+    for name in ("hexagon-genus2", "regular-4g", "klein"):
+        assert main(["example", name]) == 0
+        example_rows = _table_rows(capsys.readouterr().out)
+        assert example_rows
+        for row in example_rows:
+            # the same row, padded to the wider name column of the check table
+            assert _check_name(row) in names
+            assert rows[names.index(_check_name(row))].split() == row.split()
+
+
+def test_regular_4g_relator_row_shows_its_gate(capsys):
+    # the verdict is the defect-to-gate ratio against 1, and the row prints
+    # both numbers it was computed from
+    assert main(["example", "regular-4g", "--genus", "40"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if "relators close up" in line)
+    found = re.search(r"  (\S+) \(tol 1\)  ratio of defect (\S+) to gate (\S+)$", row)
+    assert row.startswith("PASS") and found, row
+    ratio, defect, gate = map(float, found.groups())
+    assert ratio <= 1.0 and ratio == pytest.approx(defect / gate, rel=2e-3)
 
 
 def test_render_surface_svg(tmp_path, genus2_bundle):

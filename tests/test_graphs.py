@@ -19,6 +19,15 @@ def test_bouquet_shape():
     assert g.weights == (1.0,) * 8
 
 
+def test_graph_keeps_its_checked_columns_as_read_only_arrays():
+    g = cycle_with_doubled_edges(6, m_c=2.0, m_d=3.0)
+    for array, column, dtype in ((g.origin_array, g.origins, int), (g.reversal_array, g.reversals, int),
+                                 (g.weight_array, g.weights, float)):
+        assert array.dtype == np.dtype(dtype) and array.tolist() == list(column)
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+
+
 def test_cycle_with_doubled_edges_structure():
     g = cycle_with_doubled_edges(6, m_c=2.0, m_d=3.0)
     assert g.vertex_count == 6

@@ -7,7 +7,8 @@ at its defaults), render (Poincare-disk SVG figures).  The checks live in
 `selfcheck`; this module parses, dispatches and prints.
 
 Exit codes: 0 success, 2 bad input file or usage, 3 solver did not converge,
-4 domain/geometry error, 5 a check or example criterion failed.
+4 domain/geometry error, 5 a check or example criterion failed.  A standard
+output that its reader closed changes none of them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,20 @@ from .errors import (
 )
 from .families import lagrange_solve, minimize_1d
 from .maps import initial_lifts
-from .selfcheck import example_hexagon_genus2, example_klein, example_regular_4g, run_all, summary_table
 from .solver import SolverConfig, solve
 from .surfaces import family
 from . import serialize
+
+
+def _say(text: str) -> None:
+    """Print a line of the command's output.  Once the reader has closed
+    standard output (`graphuniform check | head -1`), the rest is dropped,
+    print() writing nothing while sys.stdout is None: the command still
+    finishes and returns its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        sys.stdout = None
 
 
 # --------------------------------------------------------------------------
@@ -81,13 +92,12 @@ def cmd_solve(args) -> int:
     serialize.write_artifact(args.out, payload)
 
     if trace.converged:
-        print(f"converged in {trace.iterations} iterations   "
-              f"energy {final_energy:.12g}   max residual {max_residual:.3e}")
+        _say(f"converged in {trace.iterations} iterations   "
+             f"energy {final_energy:.12g}   max residual {max_residual:.3e}")
     else:
-        print(f"did not converge ({trace.stop_reason}) after {trace.iterations} iterations   "
-              f"max residual {max_residual:.3e}")
-    print(f"wrote {args.out}")
-    print(f"wrote {trace_path}")
+        _say(f"did not converge ({trace.stop_reason}) after {trace.iterations} iterations   "
+             f"max residual {max_residual:.3e}")
+    _say(f"wrote {args.out}\nwrote {trace_path}")
     return 0 if trace.converged else 3
 
 
@@ -111,10 +121,10 @@ def cmd_optimize(args) -> int:
     theta, value = minimize_1d(fam, (args.bracket[0], args.bracket[1]), tol=args.tol, cfg=cfg)
     sol = lagrange_solve(args.mc / args.md)
 
-    print(f"minimizer s* = {theta:.8f}   energy E* = {value:.10g}")
-    print(f"stationarity cross-check: s = {sol.s:.8f}  |difference| = {abs(theta - sol.s):.3e}")
-    print(f"  closure residual {abs(sol.constraint_residual):.3e}   "
-          f"stationarity residual {abs(sol.stationarity_residual):.3e}")
+    _say(f"minimizer s* = {theta:.8f}   energy E* = {value:.10g}\n"
+         f"stationarity cross-check: s = {sol.s:.8f}  |difference| = {abs(theta - sol.s):.3e}\n"
+         f"  closure residual {abs(sol.constraint_residual):.3e}   "
+         f"stationarity residual {abs(sol.stationarity_residual):.3e}")
 
     if args.out:
         payload = {
@@ -132,7 +142,7 @@ def cmd_optimize(args) -> int:
             "agreement": abs(theta - sol.s),
         }
         serialize.write_artifact(args.out, payload)
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     return 0
 
 
@@ -141,6 +151,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .selfcheck import example_hexagon_genus2, example_klein, example_regular_4g
+
     if args.name == "hexagon-genus2":
         return _print_table(example_hexagon_genus2(args.mc, args.md))
     if args.name == "regular-4g":
@@ -153,11 +165,15 @@ def cmd_example(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .selfcheck import run_all
+
     return _print_table(run_all())
 
 
 def _print_table(results) -> int:
-    print(summary_table(results))
+    from .selfcheck import summary_table
+
+    _say(summary_table(results))
     return 0 if all(r.ok for r in results) else 5
 
 
@@ -174,7 +190,7 @@ def cmd_render(args) -> int:
         surface = serialize.surface_from_json(serialize.read_json(args.surface))
         svg = render_surface_svg(surface, translate_depth=args.depth, size=args.size)
     serialize.write_text(args.out, svg)
-    print(f"wrote {args.out}")
+    _say(f"wrote {args.out}")
     return 0
 
 

@@ -48,18 +48,17 @@ from .hyperboloid import (
 from .surfaces import SurfaceModel
 
 _REVERSAL_TOL = 1e-10
-# Most vertices in one block of the Hessian's `BlockPlan`, so the largest
-# matrix an exact Newton step factors is (2 * 49, 2 * 49).  Under 10,000
-# entries OpenBLAS's dgesv factors on one thread; from 10,000 on it starts
-# worker threads, and on a shared 2-core x86-64 host those stalled solves
-# of n = 120 by 0.06-0.12 s each, against 0.2 ms on one thread.
+# Widest breadth-first level that a block of the Hessian's `BlockPlan` may
+# hold (a map with a wider level takes CG steps), so no exact Newton step
+# factors a matrix wider than 2 * 49: from 10,000 entries OpenBLAS's dgesv
+# starts worker threads, which on a shared 2-core host stalled n = 120 by 0.1 s.
 DENSE_MAX_VERTICES = 49
-# Most vertices that a larger map's `BlockPlan` groups its levels into, unless
-# one level is wider.  The ladder's levels hold 4 vertices, so a block is a
-# narrow band that LU factors in full: on its perturbed subdivided genus-2
-# maps of V = 186 and 378 a solve takes 7% and 12% less time than with
-# blocks of up to 49 vertices (the same at V = 90), in the same 3 steps;
-# blocks of up to 16 or 32 vertices did no better.
+# Most vertices of a `BlockPlan` block, unless one level is wider; a map of at
+# most this many is one block in vertex order.  Narrow bands factor faster: on
+# the ladder's perturbed maps of V = 186 and 378 (levels of 4) a solve takes 7%
+# and 12% less time than with blocks of up to 49 vertices (16 or 32: no better),
+# and at V = 42 an exact step on a stack of 4 takes 30% less in blocks of 23 and
+# 19 vertices than as one (84, 84) LU (single-threaded BLAS, 2-core host).
 LEVEL_BLOCK_VERTICES = 24
 _IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never changes
 
@@ -68,14 +67,15 @@ def _derived(value, **fields):
     """A copy of a frozen dataclass value with some fields replaced, at a
     fraction of the cost of copy.copy or dataclasses.replace.  Cached
     properties carry over, except a map's `vertex_lifts`, which its lifts
-    decide, and an `EdgeData`'s `block_plan` and `fd_stars` when a field
-    other than its deck matrices is replaced: its index arrays decide them."""
+    decide, and an `EdgeData`'s `block_plan`, `fd_stars` and `forward_edges`
+    when a field other than its deck matrices is replaced: its index arrays
+    decide them."""
     out = object.__new__(type(value))
     out.__dict__.update(value.__dict__, **fields)
     out.__dict__.pop("vertex_lifts", None)
     if isinstance(value, EdgeData) and fields.keys() - {"mats"}:
-        out.__dict__.pop("block_plan", None)
-        out.__dict__.pop("fd_stars", None)
+        for name in ("block_plan", "fd_stars", "forward_edges"):
+            out.__dict__.pop(name, None)
     return out
 
 
@@ -206,7 +206,7 @@ class EdgeData:
         about 20-fold on a perturbed genus-2 map with lifts of norm 13).
         `Hessian.matrix` multiplies the deck matrices in and assembles the
         blocks into the block-tridiagonal matrix of the `block_plan`: one
-        dense (2V, 2V) matrix when V <= DENSE_MAX_VERTICES, else blocks of
+        dense (2V, 2V) matrix when V <= LEVEL_BLOCK_VERTICES, else blocks of
         at most 2 * DENSE_MAX_VERTICES rows.
         """
         p, q, sinhc, cosh, _ell = geometry or self.geometry(x)
@@ -229,6 +229,20 @@ class EdgeData:
         Hessian, built on first use and shared by every map that shares
         these arrays."""
         return BlockPlan.build(self)
+
+    @cached_property
+    def forward_edges(self) -> tuple["EdgeData", np.ndarray]:
+        """These arrays cut to their even rows, one per unoriented edge, with
+        stars of their own (the rows stay sorted by origin), and the
+        half-edge in each of those rows: what `energy` evaluates, on deck
+        matrices of its own.  Built on first use and shared like `block_plan`,
+        so a family's maps on other surfaces cut their arrays once."""
+        even = self.even
+        origins = self.origins[even]
+        busy = np.flatnonzero(np.bincount(origins, minlength=self.vertex_count))
+        cut = _derived(self, origins=origins, termini=self.termini[even], weights=self.weights[even],
+                       even=np.arange(len(even)), busy=busy, starts=np.searchsorted(origins, busy))
+        return cut, np.argsort(self.row)[even]
 
     @cached_property
     def fd_stars(self) -> tuple[np.ndarray, ...]:
@@ -260,17 +274,17 @@ class EdgeData:
 class BlockPlan:
     """A vertex order in which the Hessian of a map is block-tridiagonal.
 
-    A graph of at most DENSE_MAX_VERTICES vertices is one block in vertex
-    order, with no breadth-first search.  A larger graph's levels are its
-    breadth-first levels (Cuthill-McKee order): each component from its
-    lowest-numbered vertex, neighbours by edges other than loops, each level
-    in vertex order, the components' levels one after another.  An edge
-    joins a level to itself or to the next, so grouping consecutive levels
-    greedily into blocks of at most LEVEL_BLOCK_VERTICES vertices (a wider
-    level is a block of its own) leaves every edge inside a block or
-    between neighbouring blocks, and between neighbouring blocks it ends in
-    the leading level of the later one.  A graph with a level wider than
-    DENSE_MAX_VERTICES has no blocks.
+    A graph of at most LEVEL_BLOCK_VERTICES vertices is one level, and so
+    one block, in vertex order, with no breadth-first search.  A larger
+    graph's levels are its breadth-first levels (Cuthill-McKee order): each
+    component from its lowest-numbered vertex, neighbours by edges other
+    than loops, each level in vertex order, the components' levels one
+    after another.  An edge joins a level to itself or to the next, so
+    grouping consecutive levels greedily into blocks of at most
+    LEVEL_BLOCK_VERTICES vertices (a wider level is a block of its own)
+    leaves every edge inside a block or between neighbouring blocks, and
+    between neighbouring blocks it ends in the leading level of the later
+    one.  A graph with a level wider than DENSE_MAX_VERTICES has no blocks.
 
     The blocks of the matrix lie end to end along `scatter`: diagonal block
     0, superdiagonal block 0, diagonal block 1, ..., in 2 tangent
@@ -293,10 +307,8 @@ class BlockPlan:
     @staticmethod
     def build(edges: EdgeData) -> "BlockPlan":
         count = edges.vertex_count
-        if count <= DENSE_MAX_VERTICES:
-            blocks = [np.arange(count)]
-            return BlockPlan(tuple(blocks), *_block_layout(edges, blocks))
-        levels = _breadth_first_levels(count, edges.origins, edges.termini)
+        levels = ((np.arange(count),) if count <= LEVEL_BLOCK_VERTICES
+                  else _breadth_first_levels(count, edges.origins, edges.termini))
         if max(len(level) for level in levels) > DENSE_MAX_VERTICES:
             return BlockPlan((), (), (0,), np.empty(0, dtype=int))
         blocks = [levels[0]]
@@ -401,9 +413,9 @@ class Hessian:
         must have blocks): (diagonal, superdiagonal), each block with the
         stack's leading axes.  Entry (2i + a, 2j + b) of diagonal block d is
         <bases[v, a], H bases[u, b]> for the i-th and j-th vertices v and u
-        of block d; superdiagonal block d holds the
-        same pairings between block d and block d + 1, plus the transposed
-        pairings between block d + 1 and block d.  With one block, the
+        of block d; superdiagonal block d holds the same pairings between
+        block d and block d + 1, plus the transposed pairings between block
+        d + 1 and block d.  With one block (V <= LEVEL_BLOCK_VERTICES), the
         diagonal block is the whole (2V, 2V) matrix.  Superdiagonal block d
         spans only the leading columns of block d + 1 that it can reach
         (`BlockPlan.shapes`).  The near blocks are read as they are, the
@@ -506,18 +518,6 @@ class MarkedMap:
         map derived from this one."""
         return _WordIndex.build(self.deck_words, self.graph.reversal_array)
 
-    @cached_property
-    def _forward_edges(self) -> tuple[EdgeData, np.ndarray]:
-        """`edges` cut to its even rows, one per unoriented edge, and the
-        distinct word of each: what `energy` evaluates, with its own deck
-        matrices.  Built on first use and shared like `_word_index`."""
-        edges = self.edges
-        even = edges.even
-        cut = _derived(edges, origins=edges.origins[even], termini=edges.termini[even],
-                       weights=edges.weights[even], even=np.arange(len(even)))
-        half_edges = np.argsort(edges.row)  # the half-edge in each row
-        return cut, self._word_index.index[half_edges[even]]
-
     def _word_products(self, table: np.ndarray) -> np.ndarray:
         """(D, 3, 3): each distinct word's product over a surface's generator
         table, of its dtype, conjugated by the gauge."""
@@ -600,8 +600,8 @@ def energy(m: MarkedMap) -> float:
     the widened lifts.  Rounding the deck matrices moves the energy at first
     order, rounding a harmonic map's lifts at second, so this drops the
     first-order noise of `EdgeData.energy`, the float64 kernel of the solver."""
-    rows, words = m._forward_edges
-    mats = m._word_products(m.surface._table_ld)[words]
+    rows, half_edges = m.edges.forward_edges
+    mats = m._word_products(m.surface._table_ld)[m._word_index.index[half_edges]]
     return _derived(rows, mats=mats).energy(m.lifts.astype(np.longdouble))
 
 

@@ -18,13 +18,16 @@ map's `maps.BlockPlan` the Hessian is block-tridiagonal, with blocks of
 consecutive levels of at most LEVEL_BLOCK_VERTICES (24) vertices, or of one
 wider level of at most DENSE_MAX_VERTICES (49), so one block elimination
 solves it (`_exact_step`) and no matrix wider than 98 is ever built or
-factored; a map of at most 49 vertices is one block, one LU solve.  Exact
-steps converge quadratically: from the perturbed subdivided genus-2 starts
-of V = 90, 186 and 378 a solve takes 3 steps and 1.9, 2.8 and 4.7 ms
-(1.9, 3.0 and 5.4 ms with blocks of up to 49 vertices; minimum of 40
-interleaved solves in process), where truncated conjugate gradients took
-11-12 steps and 12.4, 23.7 and 60.2 ms (single-threaded BLAS, 2-core
-x86-64 host).
+factored; a map of at most 24 vertices is one block in vertex order, one LU
+solve.  The probes' V = 42 map splits into blocks of 23 and 19 vertices: an
+exact step on a stack of 4 takes 349 us there against 524 us as one (84, 84)
+LU, one on a stack of 1 takes 214 us against 195 us (minimum of 3,000
+interleaved calls).  Exact steps converge quadratically: from the
+perturbed subdivided genus-2 starts of V = 90, 186 and 378 a solve takes 3
+steps and 1.9, 2.8 and 4.7 ms (1.9, 3.0 and 5.4 ms with blocks of up to 49
+vertices; minimum of 40 interleaved solves in process), where truncated
+conjugate gradients took 11-12 steps and 12.4, 23.7 and 60.2 ms
+(single-threaded BLAS, 2-core x86-64 host).
 
 Truncated CG, with forcing term min(0.5, sqrt|2r|) and each product two
 batched 3x3 products and one star sum, is the fallback: it takes the step
@@ -52,8 +55,9 @@ it takes alone: `solve` is the descent of a stack of one, and
 `uniqueness_probe` descends its starts as one stack, which amortizes the
 fixed cost of numpy calls over them on small maps: a probe of 4 starts on
 the genus-2 map and its 2- and 4-fold subdivisions (V = 6, 18, 42) takes
-0.37-0.41, 0.41-0.45 and 0.51-0.55 of the time of its 4 solves one after
-another (single-threaded BLAS, 2-core x86-64 host).
+0.38-0.39, 0.42-0.43 and 0.52 of the time of its 4 solves one after another
+(0.66-0.67 at V = 42 with the map in one block; minimum and median of 400
+interleaved calls, single-threaded BLAS, 2-core x86-64 host).
 
 Energy, residual and Hessian blocks come from the map's `maps.EdgeData`
 kernel, evaluated at trial lift arrays.  Each line-search trial makes one

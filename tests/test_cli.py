@@ -1,5 +1,6 @@
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -445,6 +446,32 @@ def test_check_passes(capsys):
     assert "22/22 checks passed" in out
     assert "PASS  klein centre bouquet energy closed form" in out
     assert not [line for line in out.splitlines() if "triangle" in line]
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone, as under `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["check", "example", "solve", "solve-budget", "optimize"])
+def test_a_closed_standard_output_leaves_the_exit_code(command, map_file, tmp_path, monkeypatch, capsys):
+    # the command finishes and returns what it returns with a reader,
+    # with no error line: a broken pipe is no bad input file
+    out = str(tmp_path / "out.json")
+    argv = {"check": ["check"],
+            "example": ["example", "regular-4g", "--genus", "3"],
+            "solve": ["solve", "--map", map_file, "--out", out],
+            "solve-budget": ["solve", "--map", map_file, "--out", out, "--init", "random", "--max-iters", "2"],
+            "optimize": ["optimize", "--out", out]}[command]
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    expected = main(argv)
+    assert expected == (3 if command == "solve-budget" else 0)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == expected
+    assert "error:" not in capsys.readouterr().err
 
 
 def _table_rows(out: str) -> list[str]:

@@ -7,6 +7,9 @@ names that would let it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +53,14 @@ print(summary_table(run_all()))
 checks = example_klein()
 '''
     assert row_makers(ast.parse(allowed)) == []
+
+
+def test_commands_that_print_no_checks_leave_selfcheck_unloaded():
+    # `solve`, `optimize` and `render` neither compile nor run the checks:
+    # `example` and `check` import them when they run
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, graphuniform.cli; print(sorted(m for m in sys.modules if m.endswith('selfcheck')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

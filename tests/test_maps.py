@@ -378,16 +378,33 @@ def test_with_surface_refuses_what_fresh_construction_refuses():
 def test_edge_arrays_with_other_rows_build_their_own_plans():
     # `energy` evaluates a map's edge arrays cut to one row per unoriented
     # edge; the plans cached on the full arrays index rows the cut does not
-    # have, while arrays that differ only in their deck matrices share them
+    # have, while arrays that differ only in their deck matrices share them,
+    # and the cut itself
     _, _, ref = family("hexagon-genus2").build(1.3)
     m = solve(ref.with_lifts(initial_lifts(ref.surface, ref.graph, "random", seed=3))).final_map
     edges = m.edges
     assert edges.block_plan.scatter.size == 4 * (edges.vertex_count + len(edges.origins))
     assert edges.fd_stars[2].max() == len(edges.origins) - 1
     energy(m)
-    cut = m._forward_edges[0]
+    cut = m.edges.forward_edges[0]
     assert len(cut.origins) == len(edges.origins) // 2
     assert "block_plan" not in cut.__dict__ and "fd_stars" not in cut.__dict__
     assert cut.block_plan.scatter.size == 4 * (cut.vertex_count + len(cut.origins))
     moved = gauge_transform(m, Isometry(oracles.x_translation(0.3)))
     assert moved.edges.block_plan is edges.block_plan and moved.edges.fd_stars is edges.fd_stars
+    assert moved.edges.forward_edges is edges.forward_edges
+
+
+def test_edge_arrays_cut_to_one_row_per_edge_sum_over_their_own_stars():
+    # the cut keeps its rows sorted by origin, in stars of its own: on the
+    # V = 6 map each vertex begins 2 of the 4 half-edges of its full star,
+    # so the full arrays' segments reach past the cut's 12 rows
+    _, _, m = family("hexagon-genus2").build(1.3)
+    cut = m.edges.forward_edges[0]
+    count = m.graph.vertex_count
+    degree = np.bincount(cut.origins, minlength=count)
+    assert np.array_equal(cut.star_sums(np.ones(len(cut.origins))), degree)
+    assert len(cut.origins) < m.edges.starts[-1]
+    _vertex, star, rows, starts, _origins, _termini = cut.fd_stars
+    assert np.array_equal(np.diff(starts, append=len(rows)), degree[star])
+    assert np.array_equal(cut.origins[rows], np.repeat(star, degree[star]))

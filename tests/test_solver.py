@@ -641,7 +641,7 @@ def _dense_test_maps(genus2_solved, klein_surface, case):
         return oracles.subdivide(genus2_solved, 2)
     if case == "k2-perturbed":
         return perturbed(oracles.subdivide(genus2_solved, 2), 0.05, seed=2)
-    if case in ("k8-perturbed", "k16-perturbed"):
+    if case in ("k4-perturbed", "k8-perturbed", "k16-perturbed"):
         k = int(case[1:case.index("-")])
         return perturbed(oracles.subdivide(genus2_solved, k), 0.05, seed=k)
     if case == "two-components":
@@ -655,12 +655,12 @@ def _dense_test_maps(genus2_solved, klein_surface, case):
 
 
 @pytest.mark.parametrize("case", ["k1-solved", "k1-perturbed", "k2-solved", "k2-perturbed",
-                                  "octagon-bouquet", "klein-bouquet", "one-loop", "k8-perturbed",
-                                  "two-components"])
+                                  "octagon-bouquet", "klein-bouquet", "one-loop", "k4-perturbed",
+                                  "k8-perturbed", "two-components"])
 def test_dense_hessian_reproduces_the_product_on_every_basis_vector(genus2_solved, klein_surface, case):
     # the genus-2 maps have doubled edges and the bouquets put every far
     # block on the diagonal: blocks sharing a place must add up.  The
-    # one-block maps (V <= 49) give the whole matrix; the others give the
+    # one-block maps (V <= 24) give the whole matrix; the others give the
     # blocks of its symmetric part, superdiagonal blocks transposed in
     m = _dense_test_maps(genus2_solved, klein_surface, case)
     x = m.lifts
@@ -668,7 +668,7 @@ def test_dense_hessian_reproduces_the_product_on_every_basis_vector(genus2_solve
     hessian = m.edges.hessian(x)
     diagonal, upper = hessian.matrix(bases)
     dim = 2 * len(x)
-    assert (len(diagonal) == 1) == (len(x) <= DENSE_MAX_VERTICES)
+    assert (len(diagonal) == 1) == (len(x) <= LEVEL_BLOCK_VERTICES)
     columns = np.empty((dim, dim))
     scale = 0.0
     for j in range(dim):
@@ -735,7 +735,7 @@ def _assert_exact_step_is_the_dense_solve(edges, x):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("case", ["k8-perturbed", "k16-perturbed", "two-components"])
+@pytest.mark.parametrize("case", ["k4-perturbed", "k8-perturbed", "k16-perturbed", "two-components"])
 def test_block_eliminated_step_equals_a_dense_solve(genus2_solved, klein_surface, case):
     m = _dense_test_maps(genus2_solved, klein_surface, case)
     assert len(m.edges.block_plan.blocks) > 1
@@ -744,7 +744,7 @@ def test_block_eliminated_step_equals_a_dense_solve(genus2_solved, klein_surface
 
 def test_one_block_out_of_vertex_order_steps_as_a_dense_solve(genus2_solved, klein_surface):
     # today's constants build no such plan: a map of at most
-    # DENSE_MAX_VERTICES vertices is one block in vertex order, a larger one
+    # LEVEL_BLOCK_VERTICES vertices is one block in vertex order, a larger one
     # several.  With one block in breadth-first order, the step must still
     # be read back through the plan's order
     m = _dense_test_maps(genus2_solved, klein_surface, "k2-perturbed")
@@ -873,7 +873,7 @@ def test_block_plan_keeps_every_edge_within_neighbouring_blocks(genus2_solved, k
     for b, block in enumerate(plan.blocks):
         block_of[block] = b
     assert np.all(np.abs(block_of[edges.origins] - block_of[edges.termini]) <= 1)
-    if count <= DENSE_MAX_VERTICES:
+    if count <= LEVEL_BLOCK_VERTICES:
         assert len(plan.blocks) == 1 and np.array_equal(plan.blocks[0], np.arange(count))
     else:
         assert len(plan.blocks) > 1 and np.array_equal(order, np.concatenate(levels))
@@ -947,9 +947,9 @@ def _assert_stack_matches_solo_solves(m, lifts, cfg=SolverConfig()):
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_stacked_descent_matches_solo_solves_on_the_genus2_ladder(genus2_solved, k):
-    # 8-fold is several blocks: every elimination step is batched
+    # 4- and 8-fold are several blocks: every elimination step is batched
     m = oracles.subdivide(genus2_solved, k)
-    assert (len(m.edges.block_plan.blocks) > 1) == (k == 8)
+    assert (len(m.edges.block_plan.blocks) > 1) == (k in (4, 8))
     lifts = [initial_lifts(m.surface, m.graph, "random", seed=seed) for seed in range(3)]
     lifts.append(perturbed(m, 0.05, seed=k).lifts)
     traces = _assert_stack_matches_solo_solves(m, lifts)

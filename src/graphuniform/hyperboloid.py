@@ -69,7 +69,8 @@ def points_arr(v) -> np.ndarray:
     """Validated, normalized, read-only copy of points of shape (..., 3).
 
     The checks are HPoint's, in its order: three coordinates, all finite,
-    timelike, on the upper sheet.  When every row passes, three reductions
+    timelike, on the upper sheet, a finite Minkowski form (coordinates
+    near 1e155 overflow it).  When every row passes, three reductions
     tell; otherwise each check runs over all rows in turn, and the error
     names the first offending row.
     """
@@ -82,7 +83,8 @@ def points_arr(v) -> np.ndarray:
     if not (len(q) and -math.inf < q.min() and q.max() < 0.0 < flat[:, 0].min()):
         for bad, error, what in ((~np.isfinite(flat).all(axis=1), GeometryError, "has non-finite coordinates"),
                                  (q >= 0, NotHyperbolicError, "is not timelike"),
-                                 (flat[:, 0] <= 0, NotHyperbolicError, "is not on the upper sheet")):
+                                 (flat[:, 0] <= 0, NotHyperbolicError, "is not on the upper sheet"),
+                                 (~np.isfinite(q), GeometryError, "overflows the Minkowski form")):
             if bad.any():
                 i = int(np.argmax(bad))
                 raise error(f"point{f' in row {i}' if v.ndim > 1 else ''} {what}: {flat[i].tolist()!r}")
@@ -186,14 +188,16 @@ def isometries_arr(m) -> np.ndarray:
     """Validated, read-only copy of isometry matrices of shape (..., 3, 3): Isometry's
     checks and cleanup on each (NaN fails too).  A stack that needs no cleanup
     and passes every check takes one pass; otherwise each check runs over all
-    matrices in turn, and the error names the first bad one."""
+    matrices in turn, and the error names the first bad one.  Entries near
+    1e155 overflow the defect and its gate, which are then rejected."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise GeometryError(f"isometry needs a 3x3 matrix, got shape {m.shape}")
     flat = m.reshape(-1, 3, 3)
     scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)) ** 2)
     defect = np.abs((flat.transpose(0, 2, 1) * J_DIAG) @ flat - J_MATRIX).max(axis=(1, 2))
-    clean = len(flat) and (defect <= GEOM_TOL * scale).all() and flat[:, 0, 0].min() > 0.0
+    # strictly below the gate: an overflowing defect meets an overflowing gate at inf
+    clean = len(flat) and (defect < GEOM_TOL * scale).all() and flat[:, 0, 0].min() > 0.0
     if clean and np.linalg.det(flat).min() >= 0.0:
         out = m.copy()
         out.flags.writeable = False
@@ -206,6 +210,7 @@ def isometries_arr(m) -> np.ndarray:
     for i in np.flatnonzero(isometric & (defect > GEOM_TOL * scale)):
         out[i] = _minkowski_gram_schmidt(flat[i])
     checks = ((lambda: ~isometric, "matrix{} does not preserve the Minkowski form (defect {:.3e})"),
+              (lambda: ~np.isfinite(scale), "matrix{} overflows the Minkowski form (defect {:.3e})"),
               (lambda: flat[:, 0, 0] <= 0, "matrix{} swaps the sheets of the hyperboloid"),
               (lambda: np.linalg.det(out) < 0, "orientation-reversing matrix{} is not an Isometry value"))
     for test, what in checks:  # in order: no determinant of a rejected matrix

@@ -18,6 +18,12 @@ block-tridiagonal matrix, in the breadth-first vertex order of the map's
 lifts are one validated (V, 3) array, deck matrices one (E, 3, 3) array from
 the surface's generator array, edge endpoints and tangents plain 3-vectors;
 `HPoint`s appear only at the API edges, built on demand.
+
+A map moves to other lifts, another gauge or another surface as a copy
+(`_derived`) that shares everything its source has cached, so a copy
+replaces only fields that no cache reads: a map's lifts, surface, gauge and
+edge arrays, and an `EdgeData`'s deck matrices.  Arrays with other rows are
+a new `EdgeData`, with caches of their own.
 """
 
 from __future__ import annotations
@@ -65,17 +71,11 @@ _IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never 
 
 def _derived(value, **fields):
     """A copy of a frozen dataclass value with some fields replaced, at a
-    fraction of the cost of copy.copy or dataclasses.replace.  Cached
-    properties carry over, except a map's `vertex_lifts`, which its lifts
-    decide, and an `EdgeData`'s `block_plan`, `fd_stars` and `forward_edges`
-    when a field other than its deck matrices is replaced: its index arrays
-    decide them."""
+    fraction of the cost of copy.copy or dataclasses.replace.  Every cached
+    property carries over, so the fields replaced must be ones that no
+    cached property reads (see the module docstring)."""
     out = object.__new__(type(value))
     out.__dict__.update(value.__dict__, **fields)
-    out.__dict__.pop("vertex_lifts", None)
-    if isinstance(value, EdgeData) and fields.keys() - {"mats"}:
-        for name in ("block_plan", "fd_stars", "forward_edges"):
-            out.__dict__.pop(name, None)
     return out
 
 
@@ -107,13 +107,13 @@ def _lift_array(lifts, count: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EdgeData:
     """Half-edge arrays of a marked map, sorted by origin so that every sum
-    over a vertex star is a segment sum; half-edge e sits in row[e].  Methods
-    take the lifts as an array x of shape (..., V, 3), so callers can
-    evaluate at trial positions without building a map, and at a stack of
-    lifts (S, V, 3) in one pass."""
+    over a vertex star is a segment sum; row r holds half-edge
+    half_edges[r].  Methods take the lifts as an array x of shape
+    (..., V, 3), so callers can evaluate at trial positions without building
+    a map, and at a stack of lifts (S, V, 3) in one pass."""
 
     vertex_count: int
-    row: np.ndarray
+    half_edges: np.ndarray
     origins: np.ndarray
     termini: np.ndarray
     weights: np.ndarray
@@ -130,7 +130,7 @@ class EdgeData:
         busy = np.flatnonzero(np.bincount(origins, minlength=graph.vertex_count))
         return EdgeData(
             vertex_count=graph.vertex_count,
-            row=np.argsort(order),
+            half_edges=order,
             origins=origins[order],
             termini=origins[reversals][order],
             weights=graph.weight_array[order],
@@ -229,20 +229,6 @@ class EdgeData:
         Hessian, built on first use and shared by every map that shares
         these arrays."""
         return BlockPlan.build(self)
-
-    @cached_property
-    def forward_edges(self) -> tuple["EdgeData", np.ndarray]:
-        """These arrays cut to their even rows, one per unoriented edge, with
-        stars of their own (the rows stay sorted by origin), and the
-        half-edge in each of those rows: what `energy` evaluates, on deck
-        matrices of its own.  Built on first use and shared like `block_plan`,
-        so a family's maps on other surfaces cut their arrays once."""
-        even = self.even
-        origins = self.origins[even]
-        busy = np.flatnonzero(np.bincount(origins, minlength=self.vertex_count))
-        cut = _derived(self, origins=origins, termini=self.termini[even], weights=self.weights[even],
-                       even=np.arange(len(even)), busy=busy, starts=np.searchsorted(origins, busy))
-        return cut, np.argsort(self.row)[even]
 
     @cached_property
     def fd_stars(self) -> tuple[np.ndarray, ...]:
@@ -573,9 +559,9 @@ class MarkedMap:
 
     # -- accessors ---------------------------------------------------------
 
-    @cached_property
+    @property
     def vertex_lifts(self) -> tuple[HPoint, ...]:
-        """The lifts as points, built on first use."""
+        """The lifts as points, built on every call."""
         return tuple(_prevalidated(HPoint, p) for p in self.lifts)
 
     def with_surface(self, surface: SurfaceModel, lifts) -> "MarkedMap":
@@ -583,10 +569,8 @@ class MarkedMap:
         generator the words name, at new vertex positions: only the deck
         matrices are multiplied again, and the edge index arrays are shared."""
         x = _lift_array(lifts, self.graph.vertex_count)
-        mats = self._deck_matrices(surface)
-        rows = np.empty_like(mats)
-        rows[self.edges.row] = mats  # half-edge e sits in row[e]
-        return _derived(self, surface=surface, lifts=x, edges=_derived(self.edges, mats=rows))
+        mats = self._deck_matrices(surface)[self.edges.half_edges]
+        return _derived(self, surface=surface, lifts=x, edges=_derived(self.edges, mats=mats))
 
     def with_lifts(self, lifts) -> "MarkedMap":
         """Same class and gauge, new vertex positions; the words and edge
@@ -600,9 +584,11 @@ def energy(m: MarkedMap) -> float:
     the widened lifts.  Rounding the deck matrices moves the energy at first
     order, rounding a harmonic map's lifts at second, so this drops the
     first-order noise of `EdgeData.energy`, the float64 kernel of the solver."""
-    rows, half_edges = m.edges.forward_edges
-    mats = m._word_products(m.surface._table_ld)[m._word_index.index[half_edges]]
-    return _derived(rows, mats=mats).energy(m.lifts.astype(np.longdouble))
+    edges, x = m.edges, m.lifts.astype(np.longdouble)
+    even = edges.even
+    mats = m._word_products(m.surface._table_ld)[m._word_index.index[edges.half_edges[even]]]
+    ell = dist_arr(x[edges.origins[even]], np.einsum("eij,...ej->...ei", mats, x[edges.termini[even]]))
+    return float(np.add.reduce(edges.weights[even] * ell ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,11 +610,10 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
 
 def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
     """Move every lift by g and conjugate the deck matrices; words unchanged."""
-    moved = m.with_lifts(m.lifts @ g.matrix.T)
-    object.__setattr__(moved, "gauge", Isometry(g.matrix @ m.gauge.matrix))
+    lifts = _lift_array(m.lifts @ g.matrix.T, m.graph.vertex_count)
+    gauge = Isometry(g.matrix @ m.gauge.matrix)
     conjugated = g.matrix @ m.edges.mats @ (J_MATRIX @ g.matrix.T @ J_MATRIX)  # g^-1 = J g^T J
-    object.__setattr__(moved, "edges", _derived(m.edges, mats=conjugated))
-    return moved
+    return _derived(m, lifts=lifts, gauge=gauge, edges=_derived(m.edges, mats=conjugated))
 
 
 def initial_lifts(
@@ -657,6 +642,8 @@ def _polygon(surface: SurfaceModel) -> np.ndarray:
 def _random_lifts(surface: SurfaceModel, graph: WeightedGraph, seeds) -> np.ndarray:
     """(S, V, 3): the "random" `initial_lifts` of each seed, drawn one seed
     at a time and combined and normalized as one stack."""
+    if min(seeds, default=0) < 0:
+        raise DomainError(f"random seeds must be non-negative, got {min(seeds)}")
     corners = _polygon(surface)
     weights = [np.random.default_rng(seed).dirichlet(np.ones(len(corners)), size=graph.vertex_count) for seed in seeds]
     return points_arr(np.stack(weights) @ corners)

@@ -90,7 +90,7 @@ from .hyperboloid import (
     points_arr,
     tangent_basis_arr,
 )
-from .maps import Hessian, MarkedMap, _derived, _random_lifts, gauge_transform
+from .maps import EdgeData, Hessian, MarkedMap, _derived, _random_lifts, gauge_transform
 from .surfaces import SurfaceModel
 
 # Largest gauge-fixed distance between the limits of two starts that still
@@ -434,7 +434,7 @@ def _gauge_matrices(edges, x: np.ndarray) -> np.ndarray:
     frame = np.concatenate([first[:, None], tangent_basis_arr(first)], axis=1)  # rows x0, t1, t2
     to_origin = J_MATRIX @ frame @ J_MATRIX
     # the first half-edge's initial tangent, up to a positive factor
-    e = edges.row[0]
+    e = int(np.argmin(edges.half_edges))  # the row that holds half-edge 0
     far = x[:, edges.termini[e]] @ edges.mats[e].T
     t0 = np.einsum("sij,sj->si", to_origin, _project_tangent_arr(x[:, edges.origins[e]], far))
     size = np.hypot(t0[:, 1], t0[:, 2])
@@ -482,9 +482,11 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     # (sign, direction, 2V): the unmoved lifts, then each vertex moved
     moved = exp_arr(x[:, None], np.stack([step, -step])).swapaxes(1, 2)
     lifts = np.concatenate([np.broadcast_to(exp_arr(x, np.zeros_like(x)), moved.shape), moved], axis=-2)
-    # the rows of every pair's star, one star per pair, for the residual kernel
-    stars = _derived(edges, vertex_count=len(vertex), busy=np.arange(len(vertex)), starts=starts,
-                     origins=origins, termini=termini, weights=edges.weights[rows], mats=edges.mats[rows])
+    # the rows of every pair's star, one star per pair, for the residual
+    # kernel: copies of the map's rows, so no reversal pairs (`even`)
+    stars = EdgeData(vertex_count=len(vertex), half_edges=edges.half_edges[rows], origins=origins,
+                     termini=termini, weights=edges.weights[rows], mats=edges.mats[rows],
+                     even=np.empty(0, dtype=int), busy=np.arange(len(vertex)), starts=starts)
     grad = -2.0 * stars.residual(lifts)  # at the star vertex of each pair
     at = star + count * (star == vertex)
     grads = minkowski_dot(grad[..., None, :], tangent_basis_arr(lifts.take(at, axis=-2)))

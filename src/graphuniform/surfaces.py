@@ -36,7 +36,8 @@ import numpy as np
 from .errors import DomainError, GeometryError
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 from .hyperboloid import (
-    J_OUTER, Isometry, _prevalidated, isometries_arr, minkowski_cross, points_arr, polygon_interior_angles)
+    J_OUTER, Isometry, _prevalidated, isometries_arr, minkowski_cross, minkowski_dot, points_arr,
+    polygon_interior_angles)
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
@@ -52,17 +53,13 @@ _NEXT_CORNER = np.array([1, 2, 3, 4, 5, 0])
 # costs more than its arithmetic; rounded to float64 at the end)
 
 
-def _ld_mdot(u, w):
-    return -u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
-
-
 # the float64 kernel's permuted copies keep the dtype: each component is one
 # difference of two products, rounded as np.cross rounds it
 _ld_cross = minkowski_cross
 
 
 def _ld_unit_space(v):
-    return v / np.sqrt(_ld_mdot(v, v))[..., None]
+    return v / np.sqrt(minkowski_dot(v, v))[..., None]
 
 
 def _ld_reflection(pole):

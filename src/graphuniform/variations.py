@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .hyperboloid import exp_arr, minkowski_dot, tangent_basis_arr, tangents_arr
 from .maps import MarkedMap, energy
 
@@ -30,6 +31,8 @@ def random_variation(m: MarkedMap, seed: int = 0) -> np.ndarray:
 def _random_variations(x: np.ndarray, bases: np.ndarray, seeds) -> np.ndarray:
     """(S, V, 3): the `random_variation` of each seed at lifts x (V, 3), with
     their tangent bases (V, 2, 3), as one stack."""
+    if min(seeds, default=0) < 0:
+        raise DomainError(f"random seeds must be non-negative, got {min(seeds)}")
     c = np.stack([np.random.default_rng(seed).standard_normal((len(x), 2)) for seed in seeds])
     return tangents_arr(np.broadcast_to(x, c.shape[:-1] + (3,)), c[..., :1] * bases[:, 0] + c[..., 1:] * bases[:, 1])
 

@@ -173,6 +173,28 @@ def test_validators_name_the_row_of_the_first_check_that_fails():
         isometries_arr(np.stack([sheet_swapping, stretched]))
 
 
+@pytest.mark.parametrize("row", [[1e200, 0.0, 0.0], [1e200, 1e199, 0.0]])
+def test_points_whose_form_overflows_are_rejected(row):
+    # the form overflows to -inf, which would normalize the first row to
+    # (0, 0, 0), or to -inf + inf = nan (an invalid value, and a warning too)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(GeometryError, match="point overflows the Minkowski form"):
+            HPoint(np.array(row))
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(GeometryError, match="point in row 1 overflows the Minkowski form"):
+            points_arr(np.array([[1.0, 0.0, 0.0], row]))
+
+
+def test_isometries_whose_defect_overflows_are_rejected():
+    # 1e200 I: its defect and the gate it is held to both overflow to inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(GeometryError, match="matrix overflows the Minkowski form"):
+            Isometry(1e200 * np.eye(3))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(GeometryError, match="matrix in row 1 overflows the Minkowski form"):
+            isometries_arr(np.stack([np.eye(3), 1e200 * np.eye(3)]))
+
+
 def test_translation_length_classification():
     g = Isometry(oracles.x_translation(1.7))
     assert abs(g.translation_length() - 1.7) < 1e-12

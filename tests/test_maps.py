@@ -145,6 +145,8 @@ def test_initial_lifts_modes(genus2_bundle):
     assert np.max(np.abs(r1 - r3)) > 1e-3
     with pytest.raises(DomainError):
         initial_lifts(surface, graph, mode="nope")
+    with pytest.raises(DomainError, match="non-negative"):
+        initial_lifts(surface, graph, mode="random", seed=-1)  # numpy's SeedSequence would raise ValueError
 
 
 def test_random_initial_lifts_match_per_vertex_draws(genus2_bundle):
@@ -315,13 +317,13 @@ def test_points_and_isometries_handed_out_are_the_array_rows(s, genus2_solved):
     assert dist_arr(HPoint(2.0 * ref.lifts[3]).coords, ref.vertex_lifts[3].coords) <= 1e-10
 
 
-_INDEX_ARRAYS = ("row", "origins", "termini", "weights", "even", "busy", "starts")
+_INDEX_ARRAYS = ("half_edges", "origins", "termini", "weights", "even", "busy", "starts")
 
 
 def _assert_retargets_like_fresh(m, surface, lifts):
     """m moved onto `surface` at `lifts` keeps its words, gauge and edge
     index arrays, and has the deck matrices of a map built there afresh."""
-    m.vertex_lifts  # cached on m, and not handed on
+    m.vertex_lifts  # read on m first: the moved map's points are still its own
     moved = m.with_surface(surface, lifts)
     fresh = MarkedMap(surface, m.graph, lifts, m.deck_words, m.gauge)
     assert moved.surface is surface and moved.graph is m.graph
@@ -375,36 +377,44 @@ def test_with_surface_refuses_what_fresh_construction_refuses():
         assert str(moved.value) == str(fresh.value)
 
 
-def test_edge_arrays_with_other_rows_build_their_own_plans():
-    # `energy` evaluates a map's edge arrays cut to one row per unoriented
-    # edge; the plans cached on the full arrays index rows the cut does not
-    # have, while arrays that differ only in their deck matrices share them,
-    # and the cut itself
+def test_copies_share_the_caches_that_their_fields_do_not_decide(monkeypatch):
+    # a copy replaces lifts, surface, gauge or deck matrices, none of which
+    # the edge arrays' plans read, so it shares them; `hessian_fd`'s pair
+    # stars have rows of their own and build their own
+    import graphuniform.maps as maps
+    from graphuniform.solver import hessian_fd
+
     _, _, ref = family("hexagon-genus2").build(1.3)
     m = solve(ref.with_lifts(initial_lifts(ref.surface, ref.graph, "random", seed=3))).final_map
     edges = m.edges
-    assert edges.block_plan.scatter.size == 4 * (edges.vertex_count + len(edges.origins))
-    assert edges.fd_stars[2].max() == len(edges.origins) - 1
-    energy(m)
-    cut = m.edges.forward_edges[0]
-    assert len(cut.origins) == len(edges.origins) // 2
-    assert "block_plan" not in cut.__dict__ and "fd_stars" not in cut.__dict__
-    assert cut.block_plan.scatter.size == 4 * (cut.vertex_count + len(cut.origins))
-    moved = gauge_transform(m, Isometry(oracles.x_translation(0.3)))
-    assert moved.edges.block_plan is edges.block_plan and moved.edges.fd_stars is edges.fd_stars
-    assert moved.edges.forward_edges is edges.forward_edges
+    plan, stars = edges.block_plan, edges.fd_stars
+    other, _, target = build_genus2_hexagon_surface(1.7)
+    m.vertex_lifts  # read on m first: each copy's points are still its own
+    copies = (m.with_lifts(target.lifts), m.with_surface(other, target.lifts),
+              gauge_transform(m, Isometry(oracles.x_translation(0.3))))
+    for copy in copies:
+        assert copy.edges.block_plan is plan and copy.edges.fd_stars is stars
+        assert np.array([p.coords for p in copy.vertex_lifts]).tobytes() == copy.lifts.tobytes()
+    assert not np.array_equal(copies[2].lifts, m.lifts)  # the gauge moved the lifts
+
+    cached = []
+    residual = maps.EdgeData.residual
+
+    def spy(self, x, geometry=None):
+        cached.append(self is edges or "block_plan" in vars(self) or "fd_stars" in vars(self))
+        return residual(self, x, geometry)
+
+    monkeypatch.setattr(maps.EdgeData, "residual", spy)
+    hessian_fd(m)
+    assert cached == [False]
 
 
-def test_edge_arrays_cut_to_one_row_per_edge_sum_over_their_own_stars():
-    # the cut keeps its rows sorted by origin, in stars of its own: on the
-    # V = 6 map each vertex begins 2 of the 4 half-edges of its full star,
-    # so the full arrays' segments reach past the cut's 12 rows
-    _, _, m = family("hexagon-genus2").build(1.3)
-    cut = m.edges.forward_edges[0]
-    count = m.graph.vertex_count
-    degree = np.bincount(cut.origins, minlength=count)
-    assert np.array_equal(cut.star_sums(np.ones(len(cut.origins))), degree)
-    assert len(cut.origins) < m.edges.starts[-1]
-    _vertex, star, rows, starts, _origins, _termini = cut.fd_stars
-    assert np.array_equal(np.diff(starts, append=len(rows)), degree[star])
-    assert np.array_equal(cut.origins[rows], np.repeat(star, degree[star]))
+def test_energy_is_the_long_double_sum_over_unoriented_edges():
+    for weights in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (2.5, 1.5)):
+        fam = family("hexagon-genus2", weights=weights)
+        for s in (0.6, 1.3, 2.9):
+            _, _, ref = fam.build(s)
+            m = perturbed(ref, 0.1, seed=int(10 * s))
+            for case in (ref, m, gauge_transform(m, Isometry(oracles.x_translation(0.8) @ oracles.rot_z(1.1)))):
+                want = oracles.ld_energy(case)
+                assert abs(energy(case) - want) <= math.ulp(want), (weights, s)

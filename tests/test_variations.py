@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from graphuniform.errors import DegenerateEdgeError, TangencyError
+from graphuniform.errors import DegenerateEdgeError, DomainError, TangencyError
 from graphuniform.hyperboloid import exp_arr, log_arr, minkowski_dot, tangent_basis_arr
 from graphuniform.maps import MarkedMap, energy
 from graphuniform.variations import (
@@ -218,3 +218,11 @@ def test_zero_variation_gives_zero_derivatives(genus2_bundle):
     z = np.zeros_like(m.lifts)
     assert first_variation(m, z) == 0.0
     assert oracles.hessian_form(m, z) == 0.0
+
+
+def test_negative_seeds_are_a_domain_error(genus2_bundle):
+    _, _, ref = genus2_bundle
+    with pytest.raises(DomainError, match="non-negative"):
+        random_variation(ref, seed=-1)
+    with pytest.raises(DomainError, match="non-negative"):
+        hessian_consistency(ref, 2, seed=-1)

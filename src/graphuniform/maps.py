@@ -4,7 +4,9 @@ A map is stored through an equivariant lift: one hyperboloid point per graph
 vertex plus, for every oriented edge, a word in the surface generators (the
 deck transformation).  The lifted edge e runs from lift(o(e)) to
 deck_e * lift(t(e)); the words are combinatorial data encoding the homotopy
-class and are never recomputed from floats.  A gauge isometry can be applied
+class and are never recomputed from floats.  The word of each half-edge's
+reversal is the literal inverse of its own, checked once on the words, so a
+map's validity never depends on its surface.  A gauge isometry can be applied
 on top without touching the words, so gauge moves keep the class exact.
 
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
@@ -42,7 +44,6 @@ from .hyperboloid import (
     Isometry,
     J_DIAG,
     J_MATRIX,
-    J_OUTER,
     _prevalidated,
     _project_tangent_arr,
     _sinhc,
@@ -53,7 +54,6 @@ from .hyperboloid import (
 )
 from .surfaces import SurfaceModel
 
-_REVERSAL_TOL = 1e-10
 # Widest breadth-first level that a block of the Hessian's `BlockPlan` may
 # hold (a map with a wider level takes CG steps), so no exact Newton step
 # factors a matrix wider than 2 * 49: from 10,000 entries OpenBLAS's dgesv
@@ -430,20 +430,26 @@ class Hessian:
 class _WordIndex:
     """A map's deck words as arrays: each distinct word once, the longest
     first, with its letters left-aligned in the rows of `letters` (padded
-    with 0); `ahead[k]` words have a letter k, `index` names the distinct
-    word of each half-edge and `reversals` its reversed half-edge."""
+    with 0); `ahead[k]` words have a letter k and `index` names the distinct
+    word of each half-edge."""
 
     letters: np.ndarray
     ahead: tuple[int, ...]
     index: np.ndarray
     reach: float  # the fewest generators that serve every letter (inf for a letter 0)
-    reversals: np.ndarray
-    forward: np.ndarray  # half-edges numbered below their reversals
 
     @staticmethod
     def build(deck_words: tuple[tuple[int, ...], ...], reversals: np.ndarray) -> "_WordIndex":
+        """GeometryError, at the first pair, when the word of a half-edge's
+        reversal is not the literal inverse of its own."""
         words = sorted(dict.fromkeys(deck_words), key=len, reverse=True)  # ties in order of first use
         position = {word: i for i, word in enumerate(words)}
+        index = np.fromiter(map(position.__getitem__, deck_words), dtype=int, count=len(deck_words))
+        inverse = np.fromiter((position.get(_inverse_word(word), -1) for word in words), dtype=int, count=len(words))
+        bad = index[reversals] != inverse[index]  # flags both half-edges of a pair, so the first is the lower
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise GeometryError(f"deck word of half-edge {reversals[e]} is not inverse to half-edge {e}")
         longest = len(words[0]) if words else 0
         letters = np.zeros((len(words), longest), dtype=int)
         for i, word in enumerate(words):
@@ -452,10 +458,8 @@ class _WordIndex:
         return _WordIndex(
             letters=letters,
             ahead=tuple(sum(len(word) > k for word in words) for k in range(longest)),
-            index=np.fromiter(map(position.__getitem__, deck_words), dtype=int, count=len(deck_words)),
-            reach=math.inf if 0 in used else max(map(abs, used), default=0),
-            reversals=reversals,
-            forward=np.arange(len(reversals)) < reversals)
+            index=index,
+            reach=math.inf if 0 in used else max(map(abs, used), default=0))
 
     def products(self, table: np.ndarray) -> np.ndarray:
         """(D, 3, 3): the product of each distinct word's rows of `table`,
@@ -473,14 +477,17 @@ class MarkedMap:
 
     The effective deck matrix of half-edge e is gauge * word(e) * gauge^-1;
     matrices are cached at construction in `edges`, words are the source of
-    truth.  They come from one routine: an index of the distinct words,
-    built once per map and handed on to derived maps, multiplies the
+    truth, and the word of each half-edge's reversal must be the literal
+    inverse of its own ((1, -2) against (2, -1)), whatever the surface:
+    words equal only as group elements are a GeometryError.  The matrices
+    come from one routine: an index of the distinct words, built and
+    checked once per map and handed on to derived maps, multiplies the
     letters in batches through the surface's generator table, then the
-    gauge conjugates them and the reversal check runs.  Maps derived by
-    `with_lifts` and `gauge_transform` share or conjugate the cached arrays
-    instead of rebuilding them; `with_surface` moves a map to another
-    surface whose generators its words still name, such as the same gluing
-    at another metric: only the deck matrices are multiplied again.
+    gauge conjugates them.  Maps derived by `with_lifts` and
+    `gauge_transform` share or conjugate the cached arrays instead of
+    rebuilding them; `with_surface` moves a map to another surface whose
+    generators its words still name, such as the same gluing at another
+    metric: only the deck matrices are multiplied again.
     """
 
     surface: SurfaceModel
@@ -514,26 +521,13 @@ class MarkedMap:
 
     def _deck_matrices(self, surface: SurfaceModel) -> np.ndarray:
         """The (E, 3, 3) deck matrices on `surface` in half-edge order, gauge
-        included, each distinct word multiplied once; GeometryError when a
-        reversed half-edge's matrix is not the inverse of its partner's."""
+        included, each distinct word multiplied once."""
         words = self._word_index
         if words.reach > len(surface.matrices):
             for word in self.deck_words:
                 for w in word:
                     surface.generator_matrix(w)  # raises at the first letter it has no generator for
-        mats = self._word_products(surface._table)[words.index]
-        reversals = words.reversals
-        back = mats.transpose(0, 2, 1) * J_OUTER  # J m^T J, the inverses
-        # product round-off grows with the square of the matrix norm
-        scale = (1.0 + np.maximum.reduce(np.abs(back), axis=(1, 2))) ** 2
-        defect = np.maximum.reduce(np.abs(mats[reversals] - back), axis=(1, 2))
-        bad = (defect > _REVERSAL_TOL * scale) & words.forward
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise GeometryError(
-                f"deck word of half-edge {reversals[e]} is not inverse to half-edge {e} "
-                f"(defect {defect[e]:.3e})")
-        return mats
+        return self._word_products(surface._table)[words.index]
 
     @staticmethod
     def from_unoriented_words(

@@ -71,6 +71,15 @@ def _ld_pole_through(p, q):
     return _ld_unit_space(_ld_cross(p, q))
 
 
+def _ld_regular_corners(n: int, half) -> np.ndarray:
+    """(n, 3): the corners of the regular n-gon about the origin with
+    interior angle 2 * half, corner k at polar angle 2 pi k / n."""
+    circum = np.arccosh(1.0 / (np.tan(half) * np.tan(_PI_LD / n)))
+    theta = 2 * _PI_LD * np.arange(n) / n
+    return np.stack([np.full(n, np.cosh(circum)), np.sinh(circum) * np.cos(theta), np.sinh(circum) * np.sin(theta)],
+                    axis=1)
+
+
 def _ld_frame(c0, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     """The canonical Minkowski frame at the point (c0, c1, c2), the
     isometry taking (1,0,0) there, and its inverse J frame^T J; the columns
@@ -340,14 +349,8 @@ def build_regular_4g_surface(g: int) -> SurfaceModel:
         raise DomainError(f"regular 4g-gon surface needs genus >= 2, got {g}")
     n = 4 * g
     half = _PI_LD / (4 * g)  # half the interior angle
-    central = _PI_LD / n
-    inr = np.arccosh(np.cos(half) / np.sin(central))
-    circum = np.arccosh(1.0 / (np.tan(half) * np.tan(central)))
-
-    theta = 2 * _PI_LD * np.arange(n) / n
-    corners = np.asarray(np.stack(
-        [np.full(n, np.cosh(circum)), np.sinh(circum) * np.cos(theta), np.sinh(circum) * np.sin(theta)],
-        axis=1), dtype=float)
+    inr = np.arccosh(np.cos(half) / np.sin(_PI_LD / n))
+    corners = np.asarray(_ld_regular_corners(n, half), dtype=float)
     trans = np.eye(3, dtype=_LD)
     trans[0, 0] = trans[1, 1] = np.cosh(2 * inr)
     trans[0, 1] = trans[1, 0] = np.sinh(2 * inr)
@@ -371,14 +374,7 @@ def build_klein_quartic() -> SurfaceModel:
     reflection across the diameter bisecting the skip.
     """
     n = 14
-    half = _PI_LD / 7  # half the interior angle
-    central = _PI_LD / n
-    circum = np.arccosh(1.0 / (np.tan(half) * np.tan(central)))
-    kw = []
-    for k in range(n):
-        th = 2 * _PI_LD * k / n
-        kw.append(np.array([np.cosh(circum), np.sinh(circum) * np.cos(th), np.sinh(circum) * np.sin(th)], dtype=_LD))
-
+    kw = _ld_regular_corners(n, _PI_LD / 7)  # half the interior angle
     gens = []
     for k in range(7):
         a = 2 * k
@@ -516,13 +512,11 @@ def center_bouquet(surface: SurfaceModel):
     return MarkedMap.from_unoriented_words(surface, graph, lifts, words)
 
 
-def family(kind: str, **fixed) -> MetricFamily:
+def family(kind: str, weights: tuple[float, float] = (1.0, 1.0)) -> MetricFamily:
     """The family 'hexagon-genus2' (parameter = seam length s), with class
-    weights fixed by `weights=(m_c, m_d)`."""
+    weights (m_c, m_d); it is the one family, and any other kind is a
+    DomainError."""
     if kind == "hexagon-genus2":
-        weights = fixed.pop("weights", (1.0, 1.0))
-        if fixed:
-            raise DomainError(f"unknown hexagon-genus2 options {sorted(fixed)}")
         # seams the float64 build serves: up to 4.0 the reference energy is
         # within 1.1e-7 of the closed form and the surface validates; rounding
         # grows with the deck norms (error 1.3e-6 at 4.51, 0.22 at 7; invalid from 8)
@@ -537,4 +531,4 @@ def family(kind: str, **fixed) -> MetricFamily:
             return surface, first[0].graph, first[0].with_surface(surface, lifts)
 
         return MetricFamily(kind, (0.25, 4.0), build)
-    raise DomainError(f"unknown family kind {kind!r}")
+    raise DomainError(f"unknown family {kind!r}: the one family with a metric parameter is 'hexagon-genus2'")

@@ -64,16 +64,40 @@ def test_solve_exit_4_on_a_negative_seed(map_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_exit_4_on_a_lift_whose_form_overflows(map_file, tmp_path, capsys):
+def _assert_exit_4_with_one_error_line(argv, error, out, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _huge_lift_document(map_file, tmp_path):
     doc = serialize.read_json(map_file)
     doc["vertex_lifts"][0] = [1e200, 0.0, 0.0]
-    path, out = tmp_path / "huge.json", tmp_path / "o.json"
+    path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["solve", "--map", str(path), "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: point in row 0 overflows the Minkowski form") and "Traceback" not in err
-    assert not out.exists()
+    return str(path)
+
+
+def test_solve_exit_4_on_a_lift_whose_form_overflows(map_file, tmp_path, capsys):
+    _assert_exit_4_with_one_error_line(
+        ["solve", "--map", _huge_lift_document(map_file, tmp_path)],
+        "error: point in row 0 overflows the Minkowski form", tmp_path / "o.json", capsys)
+
+
+def test_render_exit_4_on_a_lift_or_generator_that_overflows(map_file, tmp_path, capsys):
+    _assert_exit_4_with_one_error_line(
+        ["render", "--map", _huge_lift_document(map_file, tmp_path)],
+        "error: point in row 0 overflows the Minkowski form", tmp_path / "o.svg", capsys)
+    doc = serialize.read_json(map_file)["surface"]
+    doc["generators"][0][0][0] = 1e200
+    path = tmp_path / "huge_surface.json"
+    path.write_text(json.dumps(doc))
+    _assert_exit_4_with_one_error_line(
+        ["render", "--surface", str(path)], "error: matrix overflows the Minkowski form", tmp_path / "o.svg", capsys)
 
 
 def test_solve_writes_parseable_trace(map_file, tmp_path):
@@ -390,8 +414,10 @@ def test_optimize_finds_known_minimizer(tmp_path, capsys):
     assert abs(doc["stationarity"]["s"] - THETA_STAR) < 1e-10
 
 
-def test_optimize_exit_4_on_parameterless_family():
+def test_optimize_exit_4_on_parameterless_family(capsys):
     assert main(["optimize", "--family", "klein"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown family 'klein'") and "'hexagon-genus2'" in err and err.count("\n") == 1
 
 
 def test_optimize_exit_4_on_bad_bracket():

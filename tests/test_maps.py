@@ -9,7 +9,6 @@ from graphuniform.errors import DomainError, GeometryError, SchemaError
 from graphuniform.graphs import WeightedGraph, bouquet
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot
 from graphuniform.maps import (
-    _REVERSAL_TOL,
     MarkedMap,
     balanced_residual,
     energy,
@@ -228,8 +227,8 @@ def test_isolated_vertices_have_zero_residual(genus2_bundle):
 def _assert_same_deck_matrices(a, b):
     for e in range(a.graph.half_edge_count):
         want = oracles.deck_matrix(b, e)
-        scale = (1.0 + np.max(np.abs(want))) ** 2
-        assert np.max(np.abs(oracles.deck_matrix(a, e) - want)) <= _REVERSAL_TOL * scale
+        scale = (1.0 + np.max(np.abs(want))) ** 2  # product round-off grows with the square of the norm
+        assert np.max(np.abs(oracles.deck_matrix(a, e) - want)) <= 1e-10 * scale
 
 
 def test_derived_maps_match_fresh_construction(genus2_bundle):
@@ -364,17 +363,38 @@ def test_with_surface_keeps_the_gauge(genus2_bundle):
 
 
 def test_with_surface_refuses_what_fresh_construction_refuses():
-    # the loop's words (1,) and (-2,) are inverse only while g1 = g2
+    # a surface without the generator that a word names refuses the map
+    # fresh and moved, with the same text
     t = oracles.x_translation(0.5)
-    m = MarkedMap(SurfaceModel(2, np.stack([t, t])), bouquet(1), [[1.0, 0.0, 0.0]], ((1,), (-2,)))
-    lifts = m.lifts
-    for surface, error in ((SurfaceModel(2, np.stack([t, oracles.x_translation(0.7)])), GeometryError),
-                           (SurfaceModel(2, t[None]), DomainError)):
-        with pytest.raises(error) as fresh:
-            MarkedMap(surface, m.graph, lifts, m.deck_words)
-        with pytest.raises(error) as moved:
-            m.with_surface(surface, lifts)
-        assert str(moved.value) == str(fresh.value)
+    m = MarkedMap(SurfaceModel(2, np.stack([t, t])), bouquet(1), [[1.0, 0.0, 0.0]], ((2,), (-2,)))
+    surface = SurfaceModel(2, t[None])
+    with pytest.raises(DomainError) as fresh:
+        MarkedMap(surface, m.graph, m.lifts, m.deck_words)
+    with pytest.raises(DomainError) as moved:
+        m.with_surface(surface, m.lifts)
+    assert str(moved.value) == str(fresh.value)
+
+
+def test_words_inverse_only_as_matrices_are_refused_on_every_surface():
+    # the loop's words (1,) and (-2,) are inverse matrices while g1 = g2, yet
+    # not literal inverses, so no surface takes them
+    t = oracles.x_translation(0.5)
+    for gens in (np.stack([t, t]), np.stack([t, oracles.x_translation(0.7)])):
+        with pytest.raises(GeometryError, match="^deck word of half-edge 1 is not inverse to half-edge 0$"):
+            MarkedMap(SurfaceModel(2, gens), bouquet(1), [[1.0, 0.0, 0.0]], ((1,), (-2,)))
+
+
+def test_words_equal_only_as_group_elements_are_refused_at_the_first_pair():
+    # (1, -1) is the identity as a group element, but not the literal
+    # inverse of the empty word; the first pair of half-edges is fine
+    t = oracles.x_translation(0.5)
+    surface = SurfaceModel(2, np.stack([t, oracles.x_translation(0.7)]))
+    graph = bouquet(2)
+    assert graph.reversals[0] == 1 and graph.reversals[2] == 3
+    lifts = [[1.0, 0.0, 0.0]]
+    MarkedMap(surface, graph, lifts, ((1, -2), (2, -1), (), ()))
+    with pytest.raises(GeometryError, match="^deck word of half-edge 3 is not inverse to half-edge 2$"):
+        MarkedMap(surface, graph, lifts, ((1, -2), (2, -1), (1, -1), ()))
 
 
 def test_copies_share_the_caches_that_their_fields_do_not_decide(monkeypatch):

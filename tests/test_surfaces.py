@@ -329,7 +329,7 @@ def test_family_fixed_parameters():
     for kind in ("no-such-family", "regular-4g"):
         with pytest.raises(DomainError):
             family(kind)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         family("hexagon-genus2", bogus=1)
 
 

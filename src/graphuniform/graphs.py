@@ -40,8 +40,7 @@ class WeightedGraph:
             raise GraphValidationError("FIELD_LENGTH_MISMATCH", "half-edge arrays differ in length")
         if self.vertex_count <= 0:
             raise GraphValidationError("NO_VERTICES", "graph needs at least one vertex")
-        origins = np.asarray(self.origins, dtype=int)
-        reversals = np.asarray(self.reversals, dtype=int)
+        origins, reversals = _indices(self.origins), _indices(self.reversals)
         weights = np.asarray(self.weights, dtype=float)
 
         def first(bad, code, message):
@@ -50,9 +49,9 @@ class WeightedGraph:
                 raise GraphValidationError(code, message(e))
 
         first((origins < 0) | (origins >= self.vertex_count), "ORIGIN_RANGE",
-              lambda e: f"half-edge {e} originates at unknown vertex {origins[e]}")
+              lambda e: f"half-edge {e} originates at unknown vertex {self.origins[e]}")
         first((reversals < 0) | (reversals >= n), "REVERSAL_RANGE",
-              lambda e: f"half-edge {e} reverses to unknown half-edge {reversals[e]}")
+              lambda e: f"half-edge {e} reverses to unknown half-edge {self.reversals[e]}")
         partner = reversals[reversals]
         first(partner != np.arange(n), "REVERSAL_NOT_INVOLUTION",
               lambda e: f"reversal of {e} is {reversals[e]} but reversal of {reversals[e]} is {partner[e]}")
@@ -94,6 +93,14 @@ class WeightedGraph:
         # built once per graph: one solve reads it to build the map and to write its graph and deck words
         return tuple((e, self.origins[e], self.terminus(e), self.weights[e], self.classes[e])
                      for e in range(self.half_edge_count) if e < self.reversals[e])
+
+
+def _indices(values) -> np.ndarray:
+    """As int64, an index that int64 cannot hold as -1, which the range checks refuse."""
+    try:
+        return np.asarray(values, dtype=int)
+    except OverflowError:
+        return np.array([v if -2 ** 63 <= v < 2 ** 63 else -1 for v in values])
 
 
 def _interleave(evens, odds) -> tuple:

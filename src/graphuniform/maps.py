@@ -231,29 +231,21 @@ class EdgeData:
         return BlockPlan.build(self)
 
     @cached_property
-    def fd_stars(self) -> tuple[np.ndarray, ...]:
-        """The index of `solver.hessian_fd`'s columns, built on first use and
-        shared like `block_plan`.  Moving the lift of vertex v moves the
-        residual only at the star vertices of v: v and the origins of the
-        rows that end at v.  It holds, for each pair (v, u) of a busy vertex
-        and one of its star vertices, in order of v and then u, the rows of
-        u's star in star order: (vertex, star) per pair, and (rows, starts,
-        origins, termini) per row, where `starts` is the first row of each
-        pair and `origins` and `termini` index the V lifts followed by the
-        V moved ones, an endpoint at v being v's moved lift (V + v)."""
-        count = self.vertex_count
-        keys = np.sort(np.concatenate([self.busy * (count + 1), self.termini * count + self.origins]))
-        # each pair once (the first np.unique call in a process costs about 15 ms under numpy 2.4)
-        vertex, star = np.divmod(keys[np.diff(keys, prepend=-1) > 0], count)
-        first, degree = np.zeros(count, dtype=int), np.bincount(self.origins, minlength=count)
-        first[self.busy] = self.starts
-        sizes = degree[star]
-        starts = np.cumsum(sizes) - sizes
-        rows = np.arange(sizes.sum()) + np.repeat(first[star] - starts, sizes)
-        moved = np.repeat(vertex, sizes)
-        origins, termini = self.origins[rows], self.termini[rows]
-        return (vertex, star, rows, starts,
-                origins + count * (origins == moved), termini + count * (termini == moved))
+    def fd_colours(self) -> np.ndarray:
+        """The colour of each vertex for `solver.hessian_fd`, built on first
+        use and shared like `block_plan`: greedy in vertex order, the least
+        colour of no earlier vertex that shares a star vertex with it (v and
+        the origins of the rows that end at v, where moving v's lift moves
+        the residual), so one residual with all of a colour's vertices moved
+        gives each of their columns (a distance-2 colouring)."""
+        stars = [{v} for v in range(self.vertex_count)]
+        for o, t in zip(self.origins.tolist(), self.termini.tolist()):
+            stars[t].add(o)
+        colours = []
+        for v, star in enumerate(stars):  # w shares star vertex u with v when u's star holds w
+            taken = {colours[w] for u in star for w in stars[u] if w < v}
+            colours.append(min(set(range(len(taken) + 1)) - taken))
+        return np.array(colours)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,7 +445,10 @@ class _WordIndex:
         longest = len(words[0]) if words else 0
         letters = np.zeros((len(words), longest), dtype=int)
         for i, word in enumerate(words):
-            letters[i, :len(word)] = word
+            try:
+                letters[i, :len(word)] = word
+            except OverflowError:  # a letter beyond int64 names no generator: `reach` has every surface refuse it
+                continue
         used = [w for word in words for w in word]
         return _WordIndex(
             letters=letters,

@@ -90,11 +90,12 @@ from .hyperboloid import (
     points_arr,
     tangent_basis_arr,
 )
-from .maps import EdgeData, Hessian, MarkedMap, _derived, _random_lifts, gauge_transform
+from .maps import Hessian, MarkedMap, _derived, _random_lifts, gauge_transform
 from .surfaces import SurfaceModel
 
-# Largest gauge-fixed distance between the limits of two starts that still
-# counts as agreement in a uniqueness probe.
+# Largest distance between the limits of two starts, as the solver returns
+# them, that still counts as agreement in a uniqueness probe: with the deck
+# words fixed a harmonic lift has no gauge freedom, so no gauge is fixed.
 GAUGE_TOL = 1e-7
 # Armijo line search: the trial step t*delta, t = 1, 1/2, 1/4, ..., passes
 # when the energy falls by at least SUFFICIENT_DECREASE * t * slope.
@@ -424,36 +425,25 @@ def _final_map(m0: MarkedMap, x: np.ndarray) -> MarkedMap:
     return _derived(m0, lifts=lifts)
 
 
-def _gauge_matrices(edges, x: np.ndarray) -> np.ndarray:
-    """(S, 3, 3): for each start of a stack of lifts (S, V, 3) the isometry
-    that takes its first vertex lift to (1,0,0) and its first edge's tangent
-    there to the positive x1-axis."""
-    # inverse of the Minkowski frame (x0, tangent basis at x0): it takes x0
-    # to the origin and the first basis vector to the x1-axis
-    first = x[:, 0]
-    frame = np.concatenate([first[:, None], tangent_basis_arr(first)], axis=1)  # rows x0, t1, t2
-    to_origin = J_MATRIX @ frame @ J_MATRIX
-    # the first half-edge's initial tangent, up to a positive factor
-    e = int(np.argmin(edges.half_edges))  # the row that holds half-edge 0
-    far = x[:, edges.termini[e]] @ edges.mats[e].T
-    t0 = np.einsum("sij,sj->si", to_origin, _project_tangent_arr(x[:, edges.origins[e]], far))
-    size = np.hypot(t0[:, 1], t0[:, 2])
-    flat = size < 1e-12  # no tangent to turn: the frame's inverse alone
-    c = np.where(flat, 1.0, t0[:, 1] / np.where(flat, 1.0, size))
-    s = np.where(flat, 0.0, t0[:, 2] / np.where(flat, 1.0, size))
-    turn = np.zeros_like(to_origin)  # about the origin, by minus the tangent's angle
-    turn[:, 0, 0] = 1.0
-    turn[:, 1, 1] = turn[:, 2, 2] = c
-    turn[:, 1, 2], turn[:, 2, 1] = s, -s
-    return turn @ to_origin
-
-
 def gauge_fix(m: MarkedMap) -> MarkedMap:
     """Canonical gauge: first vertex lift at (1,0,0), first edge tangent along
     the positive x1-axis."""
+    edges, x = m.edges, m.lifts
+    # inverse of the Minkowski frame (x0, tangent basis at x0): it takes x0
+    # to the origin and the first basis vector to the x1-axis
+    frame = np.concatenate([x[:1], tangent_basis_arr(x[0])])  # rows x0, t1, t2
+    to_origin = J_MATRIX @ frame @ J_MATRIX
+    # the first half-edge's initial tangent, up to a positive factor
+    e = int(np.argmin(edges.half_edges))  # the row that holds half-edge 0
+    far = edges.mats[e] @ x[edges.termini[e]]
+    t0 = np.einsum("ij,j->i", to_origin, _project_tangent_arr(x[edges.origins[e]], far))
+    size = math.hypot(t0[1], t0[2])
+    # no tangent to turn: the frame's inverse alone
+    c, s = (1.0, 0.0) if size < 1e-12 else (t0[1] / size, t0[2] / size)
+    turn = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])  # about the origin, by minus the tangent's angle
     # a Minkowski-orthonormal frame's inverse turned about the origin is an
     # isometry as built; gauge_transform validates its product with m.gauge
-    return gauge_transform(m, _prevalidated(Isometry, _gauge_matrices(m.edges, m.lifts[None])[0]))
+    return gauge_transform(m, _prevalidated(Isometry, turn @ to_origin))
 
 
 def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
@@ -465,34 +455,32 @@ def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
     coordinate choice drops out.
 
     Moving vertex v moves the residual only at its star vertices (v and
-    its neighbours), so column (v, a) is built from their whole stars
-    alone, in the star order of `EdgeData.residual`, with the lifts they
-    reach unmoved taken as exp_arr(x, 0) leaves them: every entry is the
-    one that a residual of all the moved lifts gives, bit for bit, and the
-    others are 0.  All columns go through the residual kernel in one pass
-    over (2, 2, T) rows, +h and -h along each basis direction, where T
-    sums over the vertices the sizes of their star vertices' stars
-    (`EdgeData.fd_stars`): O(E) work on a graph of bounded degree."""
+    its neighbours), and no two vertices of one colour of
+    `EdgeData.fd_colours` share a star vertex, so one residual with every
+    vertex of a colour moved gives all of their columns (the column
+    grouping of Curtis, Powell and Reid, 1974): each entry is the one
+    that a residual with its vertex alone moved gives, bit for bit, the
+    lifts left unmoved taken as exp_arr(x, 0) leaves them, and the others
+    are 0.  All columns go through the map's own residual kernel in one
+    pass over (2, 2, C) configurations, +h and -h along each basis
+    direction and each of the C colours: O(C E) work."""
     if not 1e-6 <= h <= 1e-3:
         raise DomainError(f"finite-difference step {h!r} outside [1e-6, 1e-3]")
     edges, x = m.edges, m.lifts
     count = len(x)
-    vertex, star, rows, starts, origins, termini = edges.fd_stars
-    step = h * tangent_basis_arr(x)
-    # (sign, direction, 2V): the unmoved lifts, then each vertex moved
-    moved = exp_arr(x[:, None], np.stack([step, -step])).swapaxes(1, 2)
-    lifts = np.concatenate([np.broadcast_to(exp_arr(x, np.zeros_like(x)), moved.shape), moved], axis=-2)
-    # the rows of every pair's star, one star per pair, for the residual
-    # kernel: copies of the map's rows, so no reversal pairs (`even`)
-    stars = EdgeData(vertex_count=len(vertex), half_edges=edges.half_edges[rows], origins=origins,
-                     termini=termini, weights=edges.weights[rows], mats=edges.mats[rows],
-                     even=np.empty(0, dtype=int), busy=np.arange(len(vertex)), starts=starts)
-    grad = -2.0 * stars.residual(lifts)  # at the star vertex of each pair
-    at = star + count * (star == vertex)
-    grads = minkowski_dot(grad[..., None, :], tangent_basis_arr(lifts.take(at, axis=-2)))
+    colour = edges.fd_colours
+    step = h * tangent_basis_arr(x).swapaxes(0, 1)  # (direction, V, 3)
+    # (direction, colour, V, 3): each colour's vertices moved along the direction
+    step = np.where((colour == np.arange(colour.max() + 1)[:, None])[..., None], step[:, None], 0.0)
+    lifts = exp_arr(x, np.stack([step, -step]))  # (sign, direction, colour, V, 3)
+    grads = minkowski_dot((-2.0 * edges.residual(lifts))[..., None, :], tangent_basis_arr(lifts))
+    # each vertex's column is read at its star vertices: itself, and the origin of each row that ends at it
+    vertex = np.concatenate([np.arange(count), edges.termini])
+    star = np.concatenate([np.arange(count), edges.origins])
     hess = np.zeros((2 * count, 2 * count))
     pair = np.arange(2)
-    hess[2 * star[:, None] + pair, 2 * vertex[:, None] + pair[:, None, None]] = (grads[0] - grads[1]) / (2.0 * h)
+    diff = (grads[0] - grads[1]) / (2.0 * h)  # (direction, colour, V, 2)
+    hess[2 * star[:, None] + pair, 2 * vertex[:, None] + pair[:, None, None]] = diff[:, colour[vertex], star]
     return 0.5 * (hess + hess.T)
 
 
@@ -501,7 +489,7 @@ class UniquenessReport:
     n_starts: int
     converged: tuple[bool, ...]
     energies: tuple[float, ...]
-    max_gauge_deviation: float
+    max_gauge_deviation: float  # largest distance between the lifts of two limits, taken as solved: no gauge fixed
     degenerate: bool
 
     @property
@@ -515,7 +503,7 @@ class UniquenessReport:
         if not all(self.converged):
             return f"{self.converged.count(False)} of {self.n_starts} starts did not converge"
         if self.max_gauge_deviation > GAUGE_TOL:
-            return f"starts disagree (gauge-fixed deviation {self.max_gauge_deviation:.3e})"
+            return f"starts disagree (deviation {self.max_gauge_deviation:.3e})"
         return "all starts agree"
 
 
@@ -544,16 +532,19 @@ def uniqueness_probe(
     cfg: SolverConfig | None = None,
 ) -> UniquenessReport:
     """Solve from n_starts seeded-random initial lifts and compare the results
-    after gauge fixing.  Distinct limits (or a one-dimensional image) mean the
+    as solved.  Distinct limits (or a one-dimensional image) mean the
     uniqueness hypothesis fails for this homotopy class.
 
     Start i is `initial_lifts(..., "random", seed=cfg.seed + i)`, bit for
     bit, drawn seed by seed and normalized in stacked passes, and the starts
     descend as one stack (S, V, 3), in lockstep, each exactly as `solve`
-    would take it alone.  The limits are gauge-fixed together,
-    each start's energy is the last of its trace, and the largest distance
-    between corresponding gauge-fixed lifts of two starts, over all pairs,
-    is the deviation."""
+    would take it alone.  Each start's energy is the last of its trace, and
+    the largest distance between corresponding lifts of two limits, over
+    all pairs, is the deviation.  No gauge is fixed: with the deck words
+    held fixed, an isometry that keeps a harmonic lift harmonic commutes
+    with every deck matrix, and in a closed surface's deck group only an
+    elementary subgroup has one, whose lifts lie in one geodesic or a
+    point, the one-dimensional image that the probe flags as degenerate."""
     if n_starts < 2:
         raise DomainError(f"uniqueness probe needs at least 2 starts, got {n_starts}")
     cfg = cfg or SolverConfig()
@@ -563,13 +554,12 @@ def uniqueness_probe(
     base = MarkedMap.from_unoriented_words(surface, graph, starts[0], deck_words)
     traces = _solve_stack(base, starts, cfg)
     x = np.stack([t.final_map.lifts for t in traces])
-    fixed = x @ _gauge_matrices(base.edges, x).swapaxes(1, 2)
     first, second = np.triu_indices(n_starts, 1)
     converged = np.array([t.converged for t in traces])
     return UniquenessReport(
         n_starts,
         tuple(converged.tolist()),
         tuple(t.energies[-1] for t in traces),
-        float(np.max(dist_arr(fixed[first], fixed[second]))),
+        float(np.max(dist_arr(x[first], x[second]))),
         bool(np.any(converged & _image_is_one_dimensional(base.edges, x))),
     )

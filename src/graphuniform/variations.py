@@ -71,6 +71,8 @@ def hessian_consistency(m: MarkedMap, n_random: int, seed: int = 0, h: float = 1
     on one set of tangent bases."""
     from .solver import hessian_fd
 
+    if n_random < 1:
+        raise DomainError(f"Hessian consistency needs at least 1 variation, got {n_random}")
     hess = hessian_fd(m, h)
     bases = tangent_basis_arr(m.lifts)
     fields = _random_variations(m.lifts, bases, range(seed, seed + n_random))

@@ -218,6 +218,32 @@ def test_map_document_that_is_not_an_object_exits_2(command, tmp_path, capsys):
     assert "expected an object" in err and "Traceback" not in err
 
 
+def _int64_overflow_document(map_file, tmp_path, case):
+    doc = serialize.read_json(map_file)
+    if case == "graph":
+        doc["graph"]["vertices"] = 2 ** 63 + 1
+        doc["graph"]["edges"][0]["to"] = 2 ** 63
+    else:
+        doc["edge_decks"][6] = [2 ** 63 if case == "letter" else -2 ** 63]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+@pytest.mark.parametrize("case, error", [
+    # a letter that int64 cannot hold names no generator, and neither does
+    # the letter whose inverse int64 cannot hold
+    ("letter", "error: no generator with signed index 9223372036854775808"),
+    ("letter-negative", "error: no generator with signed index -9223372036854775808"),
+    ("graph", "error: ORIGIN_RANGE: half-edge 1 originates at unknown vertex 9223372036854775808"),
+])
+def test_integers_that_int64_cannot_hold_exit_4(map_file, tmp_path, capsys, command, case, error):
+    _assert_exit_4_with_one_error_line(
+        [command, "--map", _int64_overflow_document(map_file, tmp_path, case)],
+        error, tmp_path / ("o.json" if command == "solve" else "o.svg"), capsys)
+
+
 # A malformed document is refused where it is read: exit 2 for a schema
 # error, 4 for a value the geometry or the graph rejects.  Each case edits
 # the genus-2 reference map document, or the surface or graph embedded in

@@ -97,6 +97,21 @@ def test_graph_defects_are_caught_at_construction(code, graph):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("code, graph, message", [
+    ("ORIGIN_RANGE", lambda: _graph(2 ** 63 + 1, (0, 2 ** 63), (1, 0), (1.0, 1.0)),
+     "half-edge 1 originates at unknown vertex 9223372036854775808"),
+    ("ORIGIN_RANGE", lambda: _graph(2, (0, -2 ** 63 - 1), (1, 0), (1.0, 1.0)),
+     "half-edge 1 originates at unknown vertex -9223372036854775809"),
+    ("REVERSAL_RANGE", lambda: _graph(1, (0, 0), (2 ** 64, 0), (1.0, 1.0)),
+     "half-edge 0 reverses to unknown half-edge 18446744073709551616"),
+])
+def test_indices_that_int64_cannot_hold_are_range_errors(code, graph, message):
+    # refused by value, naming the half-edge, not by numpy's OverflowError
+    with pytest.raises(GraphValidationError) as exc:
+        graph()
+    assert exc.value.code == code and str(exc.value) == f"{code}: {message}"
+
+
 def test_isolated_vertices_and_components_still_build():
     # the solver refuses an isolated vertex itself (ISOLATED_VERTEX), and a
     # map may have several components

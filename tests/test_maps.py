@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from graphuniform import maps
 from graphuniform.errors import DomainError, GeometryError, SchemaError
 from graphuniform.graphs import WeightedGraph, bouquet
 from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot
@@ -399,34 +400,63 @@ def test_words_equal_only_as_group_elements_are_refused_at_the_first_pair():
 
 def test_copies_share_the_caches_that_their_fields_do_not_decide(monkeypatch):
     # a copy replaces lifts, surface, gauge or deck matrices, none of which
-    # the edge arrays' plans read, so it shares them; `hessian_fd`'s pair
-    # stars have rows of their own and build their own
-    import graphuniform.maps as maps
+    # the edge arrays' plans read, so it shares them; `hessian_fd` takes its
+    # columns through the map's own edge arrays
     from graphuniform.solver import hessian_fd
 
     _, _, ref = family("hexagon-genus2").build(1.3)
     m = solve(ref.with_lifts(initial_lifts(ref.surface, ref.graph, "random", seed=3))).final_map
     edges = m.edges
-    plan, stars = edges.block_plan, edges.fd_stars
+    plan, colours = edges.block_plan, edges.fd_colours
     other, _, target = build_genus2_hexagon_surface(1.7)
     m.vertex_lifts  # read on m first: each copy's points are still its own
     copies = (m.with_lifts(target.lifts), m.with_surface(other, target.lifts),
               gauge_transform(m, Isometry(oracles.x_translation(0.3))))
     for copy in copies:
-        assert copy.edges.block_plan is plan and copy.edges.fd_stars is stars
+        assert copy.edges.block_plan is plan and copy.edges.fd_colours is colours
         assert np.array([p.coords for p in copy.vertex_lifts]).tobytes() == copy.lifts.tobytes()
     assert not np.array_equal(copies[2].lifts, m.lifts)  # the gauge moved the lifts
 
-    cached = []
+    evaluated = []
     residual = maps.EdgeData.residual
 
     def spy(self, x, geometry=None):
-        cached.append(self is edges or "block_plan" in vars(self) or "fd_stars" in vars(self))
+        evaluated.append(self)
         return residual(self, x, geometry)
 
     monkeypatch.setattr(maps.EdgeData, "residual", spy)
     hessian_fd(m)
-    assert cached == [False]
+    assert len(evaluated) == 1 and evaluated[0] is edges
+
+
+def _star_vertices(edges) -> list[set]:
+    """The vertices whose residual moves with each vertex's lift: itself and
+    the origins of the rows that end at it."""
+    stars = [{v} for v in range(edges.vertex_count)]
+    for o, t in zip(edges.origins.tolist(), edges.termini.tolist()):
+        stars[t].add(o)
+    return stars
+
+
+@pytest.mark.parametrize("case", ["octagon-bouquet", "genus2-k1", "genus2-k2", "genus2-k4", "isolated-vertex"])
+def test_fd_colours_share_no_star_vertex(genus2_bundle, case):
+    # loops (the bouquet), doubled edges (the genus-2 graph and its
+    # subdivisions) and an empty star: no two vertices of one colour share
+    # a star vertex, and each takes the least colour that no earlier vertex
+    # sharing one has
+    if case == "octagon-bouquet":
+        edges = center_bouquet(build_regular_4g_surface(2)).edges
+    elif case == "isolated-vertex":
+        graph = WeightedGraph.from_edges(4, [(0, 2, 1.0, "e"), (2, 0, 2.0, "e"), (0, 3, 1.0, "e")])
+        edges = maps.EdgeData.build(graph, np.broadcast_to(np.eye(3), (graph.half_edge_count, 3, 3)))
+    else:
+        edges = oracles.subdivide(genus2_bundle[2], int(case[-1])).edges
+    colours = edges.fd_colours.tolist()
+    assert len(colours) == edges.vertex_count
+    stars = _star_vertices(edges)
+    for v in range(edges.vertex_count):
+        taken = {colours[w] for w in range(v) if stars[v] & stars[w]}
+        assert colours[v] not in taken and all(c in taken for c in range(colours[v]))
 
 
 def test_energy_is_the_long_double_sum_over_unoriented_edges():

@@ -26,6 +26,7 @@ from graphuniform.maps import (
     initial_lifts,
 )
 from graphuniform.solver import (
+    GAUGE_TOL,
     SolverConfig,
     UniquenessReport,
     gauge_fix,
@@ -227,6 +228,25 @@ def test_uniqueness_probe_flags_single_loop(octagon_surface):
     for seed in range(8):
         report = uniqueness_probe(octagon_surface, bouquet(1), ((1,),), 4, SolverConfig(seed=seed))
         assert all(report.converged) and report.degenerate and not report.ok
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_probe_deviation_is_the_distance_between_solo_limits(genus2_bundle, k):
+    # the probe compares its limits as solved: its deviation is the largest
+    # distance between the limits of the same starts solved one at a time,
+    # bit for bit, as the stacked descents are the solo ones
+    surface, graph, words = genus2_bundle[0], genus2_bundle[1], genus2_deck_words()
+    if k > 1:
+        m = oracles.subdivide(genus2_bundle[2], k)
+        graph, words = m.graph, tuple(m.deck_words[e] for e, *_ in m.graph.unoriented_edges())
+    cfg = SolverConfig(seed=30)
+    report = uniqueness_probe(surface, graph, words, 4, cfg)
+    base = MarkedMap.from_unoriented_words(surface, graph, initial_lifts(surface, graph), words)
+    limits = [solve(base.with_lifts(initial_lifts(surface, graph, "random", seed=30 + i)), cfg).final_map.lifts
+              for i in range(4)]
+    spread = max(float(np.max(dist_arr(a, b))) for i, a in enumerate(limits) for b in limits[i + 1:])
+    assert report.ok and report.max_gauge_deviation == spread
+    assert 0.0 < spread <= GAUGE_TOL
 
 
 def test_zero_iteration_budget_reports_nonconvergence(genus2_bundle):
@@ -491,14 +511,15 @@ def test_batched_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved, ca
     for h in (1e-4, 1e-3):
         got = hessian_fd(m, h)
         assert got.shape == (2 * m.graph.vertex_count,) * 2
-        assert np.max(np.abs(got - oracles.hessian_fd_columns(m, h))) <= 1e-10
+        assert np.array_equal(got, oracles.hessian_fd_columns(m, h))
 
 
 @pytest.mark.parametrize("case", ["octagon-bouquet", "gauged", "k4-perturbed"])
 def test_star_local_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved, octagon_surface, case):
-    # each column comes from the stars of its vertex and its neighbours:
-    # on loops (every edge of the bouquet starts and ends at its one
-    # vertex), on conjugated deck matrices and on a 42-vertex map
+    # each column is read at the star vertices of its vertex, from a
+    # residual with the other vertices of its colour moved too: on loops
+    # (every edge of the bouquet starts and ends at its one vertex), on
+    # conjugated deck matrices and on a 42-vertex map
     if case == "octagon-bouquet":
         m = perturbed(center_bouquet(octagon_surface), 0.3, seed=47)
     elif case == "gauged":
@@ -506,7 +527,7 @@ def test_star_local_fd_hessian_matches_column_loop(genus2_bundle, genus2_solved,
     else:
         m = perturbed(oracles.subdivide(genus2_solved, 4), 0.05, seed=4)
     for h in (1e-4, 1e-3):
-        assert np.max(np.abs(hessian_fd(m, h) - oracles.hessian_fd_columns(m, h))) <= 1e-10
+        assert np.array_equal(hessian_fd(m, h), oracles.hessian_fd_columns(m, h))
 
 
 def test_fd_hessian_of_the_harmonic_32_fold_subdivision_is_positive_definite():

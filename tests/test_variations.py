@@ -220,6 +220,16 @@ def test_zero_variation_gives_zero_derivatives(genus2_bundle):
     assert oracles.hessian_form(m, z) == 0.0
 
 
+@pytest.mark.parametrize("n_random", [0, -1])
+def test_hessian_consistency_needs_a_variation(genus2_bundle, n_random, monkeypatch):
+    # refused by count before the finite-difference Hessian is built
+    import graphuniform.solver as solver
+
+    monkeypatch.setattr(solver, "hessian_fd", None)
+    with pytest.raises(DomainError, match=f"^Hessian consistency needs at least 1 variation, got {n_random}$"):
+        hessian_consistency(genus2_bundle[2], n_random)
+
+
 def test_negative_seeds_are_a_domain_error(genus2_bundle):
     _, _, ref = genus2_bundle
     with pytest.raises(DomainError, match="non-negative"):

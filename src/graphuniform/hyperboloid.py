@@ -7,7 +7,7 @@ reduce to plain linear algebra.  Inside the library points, tangent vectors
 and isometries are plain arrays of shape (..., 3) and (..., 3, 3); the
 `*_arr` functions work on them and validate a whole array at once.
 `HPoint` and `Isometry` are the value types at the API edges: constructors
-validate and normalize, methods return new objects.
+validate and normalize.
 """
 
 from __future__ import annotations
@@ -239,17 +239,6 @@ class Isometry:
         if m.shape != (3, 3):
             raise GeometryError(f"isometry needs a 3x3 matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", isometries_arr(m))
-
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(np.eye(3))
-
-    def inverse(self) -> "Isometry":
-        return Isometry(J_MATRIX @ self.matrix.T @ J_MATRIX)
-
-    def is_identity(self) -> bool:
-        """True only for the exact identity matrix."""
-        return bool(np.array_equal(self.matrix, np.eye(3)))
 
     def translation_length(self) -> float:
         """Length of a hyperbolic translation; raises for elliptic or parabolic maps."""

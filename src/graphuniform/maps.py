@@ -6,8 +6,10 @@ deck transformation).  The lifted edge e runs from lift(o(e)) to
 deck_e * lift(t(e)); the words are combinatorial data encoding the homotopy
 class and are never recomputed from floats.  The word of each half-edge's
 reversal is the literal inverse of its own, checked once on the words, so a
-map's validity never depends on its surface.  A gauge isometry can be applied
-on top without touching the words, so gauge moves keep the class exact.
+map's validity never depends on its surface.  A map carries no frame of its
+own: moving it by an isometry g (`gauge_transform`) moves its lifts and puts
+it on the conjugated surface, whose generators the same words name, so the
+class stays exact.
 
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per graph and deck words (a map moved
@@ -21,11 +23,11 @@ lifts are one validated (V, 3) array, deck matrices one (E, 3, 3) array from
 the surface's generator array, edge endpoints and tangents plain 3-vectors;
 `HPoint`s appear only at the API edges, built on demand.
 
-A map moves to other lifts, another gauge or another surface as a copy
-(`_derived`) that shares everything its source has cached, so a copy
-replaces only fields that no cache reads: a map's lifts, surface, gauge and
-edge arrays, and an `EdgeData`'s deck matrices.  Arrays with other rows are
-a new `EdgeData`, with caches of their own.
+A map moves to other lifts or another surface as a copy (`_derived`) that
+shares everything its source has cached, so a copy replaces only fields
+that no cache reads: a map's lifts, surface and edge arrays, and an
+`EdgeData`'s deck matrices, which only `MarkedMap.with_surface` replaces.
+Arrays with other rows are a new `EdgeData`, with caches of their own.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .hyperboloid import (
     HPoint,
     Isometry,
     J_DIAG,
-    J_MATRIX,
     _prevalidated,
     _project_tangent_arr,
     _sinhc,
@@ -66,7 +67,6 @@ DENSE_MAX_VERTICES = 49
 # and at V = 42 an exact step on a stack of 4 takes 30% less in blocks of 23 and
 # 19 vertices than as one (84, 84) LU (single-threaded BLAS, 2-core host).
 LEVEL_BLOCK_VERTICES = 24
-_IDENTITY = Isometry.identity()  # the default gauge, shared: an Isometry never changes
 
 
 def _derived(value, **fields):
@@ -117,7 +117,7 @@ class EdgeData:
     origins: np.ndarray
     termini: np.ndarray
     weights: np.ndarray
-    mats: np.ndarray  # (E, 3, 3) deck matrices, gauge included
+    mats: np.ndarray  # (E, 3, 3) deck matrices, the products of the words on the surface
     even: np.ndarray  # rows of the first half-edge of each reversal pair
     busy: np.ndarray  # vertices with a nonempty star
     starts: np.ndarray  # first row of each busy vertex's star
@@ -468,28 +468,26 @@ class _WordIndex:
 
 @dataclass(frozen=True, eq=False)
 class MarkedMap:
-    """Vertex lifts + per-half-edge deck words (+ an overall gauge isometry).
+    """Vertex lifts + per-half-edge deck words on a surface.
 
-    The effective deck matrix of half-edge e is gauge * word(e) * gauge^-1;
+    The deck matrix of half-edge e is the product of its word's generators;
     matrices are cached at construction in `edges`, words are the source of
     truth, and the word of each half-edge's reversal must be the literal
     inverse of its own ((1, -2) against (2, -1)), whatever the surface:
     words equal only as group elements are a GeometryError.  The matrices
     come from one routine: an index of the distinct words, built and
     checked once per map and handed on to derived maps, multiplies the
-    letters in batches through the surface's generator table, then the
-    gauge conjugates them.  Maps derived by `with_lifts` and
-    `gauge_transform` share or conjugate the cached arrays instead of
-    rebuilding them; `with_surface` moves a map to another surface whose
-    generators its words still name, such as the same gluing at another
-    metric: only the deck matrices are multiplied again.
+    letters in batches through the surface's generator table.  `with_lifts`
+    shares the cached arrays; `with_surface` moves a map to another surface
+    whose generators its words still name, such as the same gluing at
+    another metric or in another frame (`gauge_transform`): only the deck
+    matrices are multiplied again.
     """
 
     surface: SurfaceModel
     graph: WeightedGraph
     lifts: np.ndarray  # (V, 3), normalized, read-only; given as an array or HPoints/rows
     deck_words: tuple[tuple[int, ...], ...]
-    gauge: Isometry = _IDENTITY
 
     def __post_init__(self):
         g = self.graph
@@ -506,23 +504,15 @@ class MarkedMap:
         map derived from this one."""
         return _WordIndex.build(self.deck_words, self.graph.reversal_array)
 
-    def _word_products(self, table: np.ndarray) -> np.ndarray:
-        """(D, 3, 3): each distinct word's product over a surface's generator
-        table, of its dtype, conjugated by the gauge."""
-        mats = self._word_index.products(table)
-        if self.gauge is not _IDENTITY and not self.gauge.is_identity():
-            mats = self.gauge.matrix @ mats @ self.gauge.inverse().matrix
-        return mats
-
     def _deck_matrices(self, surface: SurfaceModel) -> np.ndarray:
-        """The (E, 3, 3) deck matrices on `surface` in half-edge order, gauge
-        included, each distinct word multiplied once."""
+        """The (E, 3, 3) deck matrices on `surface` in half-edge order, each
+        distinct word multiplied once."""
         words = self._word_index
         if words.reach > len(surface.matrices):
             for word in self.deck_words:
                 for w in word:
                     surface.generator_matrix(w)  # raises at the first letter it has no generator for
-        return self._word_products(surface._table)[words.index]
+        return words.products(surface._table)[words.index]
 
     @staticmethod
     def from_unoriented_words(
@@ -530,7 +520,6 @@ class MarkedMap:
         graph: WeightedGraph,
         lifts,
         words: tuple[tuple[int, ...], ...],
-        gauge: Isometry | None = None,
     ) -> "MarkedMap":
         """Build from one deck word per unoriented edge (in unoriented_edges()
         order); the reversed half-edges get the inverse words."""
@@ -544,7 +533,7 @@ class MarkedMap:
         reversals = graph.reversals
         for e, word, back in zip(map(operator.itemgetter(0), unoriented), words, map(inverse.__getitem__, words)):
             full[e], full[reversals[e]] = word, back
-        return MarkedMap(surface, graph, lifts, tuple(full), gauge if gauge is not None else _IDENTITY)
+        return MarkedMap(surface, graph, lifts, tuple(full))
 
     # -- accessors ---------------------------------------------------------
 
@@ -554,16 +543,17 @@ class MarkedMap:
         return tuple(_prevalidated(HPoint, p) for p in self.lifts)
 
     def with_surface(self, surface: SurfaceModel, lifts) -> "MarkedMap":
-        """The same graph, words and gauge on another surface that has every
+        """The same graph and words on another surface that has every
         generator the words name, at new vertex positions: only the deck
-        matrices are multiplied again, and the edge index arrays are shared."""
+        matrices are multiplied again, and the edge index arrays are shared.
+        It is the one place where a map's deck matrices change."""
         x = _lift_array(lifts, self.graph.vertex_count)
         mats = self._deck_matrices(surface)[self.edges.half_edges]
         return _derived(self, surface=surface, lifts=x, edges=_derived(self.edges, mats=mats))
 
     def with_lifts(self, lifts) -> "MarkedMap":
-        """Same class and gauge, new vertex positions; the words and edge
-        arrays are shared."""
+        """Same class, new vertex positions; the words and edge arrays are
+        shared."""
         return _derived(self, lifts=_lift_array(lifts, self.graph.vertex_count))
 
 
@@ -575,7 +565,7 @@ def energy(m: MarkedMap) -> float:
     first-order noise of `EdgeData.energy`, the float64 kernel of the solver."""
     edges, x = m.edges, m.lifts.astype(np.longdouble)
     even = edges.even
-    mats = m._word_products(m.surface._table_ld)[m._word_index.index[edges.half_edges[even]]]
+    mats = m._word_index.products(m.surface._table_ld)[m._word_index.index[edges.half_edges[even]]]
     ell = dist_arr(x[edges.origins[even]], np.einsum("eij,...ej->...ei", mats, x[edges.termini[even]]))
     return float(np.add.reduce(edges.weights[even] * ell ** 2))
 
@@ -598,11 +588,9 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
 
 
 def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
-    """Move every lift by g and conjugate the deck matrices; words unchanged."""
-    lifts = _lift_array(m.lifts @ g.matrix.T, m.graph.vertex_count)
-    gauge = Isometry(g.matrix @ m.gauge.matrix)
-    conjugated = g.matrix @ m.edges.mats @ (J_MATRIX @ g.matrix.T @ J_MATRIX)  # g^-1 = J g^T J
-    return _derived(m, lifts=lifts, gauge=gauge, edges=_derived(m.edges, mats=conjugated))
+    """The map moved by g: every lift moved by g, on the surface conjugated
+    by g; words unchanged."""
+    return m.with_surface(m.surface.conjugated(g.matrix), m.lifts @ g.matrix.T)
 
 
 def initial_lifts(

@@ -428,20 +428,19 @@ def surface_from_json(obj: Any, path: str = "surface") -> SurfaceModel:
 
 def map_to_json(m: MarkedMap) -> dict:
     """The map with its surface and graph embedded."""
-    out: dict[str, Any] = {
+    return {
         "surface": surface_to_json(m.surface),
         "graph": graph_to_json(m.graph),
         "vertex_lifts": m.lifts.tolist(),
         "edge_decks": [list(m.deck_words[e]) for (e, *_rest) in m.graph.unoriented_edges()],
     }
-    if not m.gauge.is_identity():
-        out["gauge"] = m.gauge.matrix.tolist()
-    return out
 
 
 def map_from_json(obj: Any, surface: SurfaceModel | None = None, graph: WeightedGraph | None = None) -> MarkedMap:
     """Rebuild a map; surface/graph may be embedded in the document or passed
-    in (explicit arguments win)."""
+    in (explicit arguments win).  An optional "gauge" isometry, which no
+    document of this version carries, is the frame of the lifts: the map is
+    read on the surface conjugated by it (`SurfaceModel.conjugated`)."""
     path = "map"
     obj = _as_object(obj, path)
     if surface is None:
@@ -455,7 +454,6 @@ def map_from_json(obj: Any, surface: SurfaceModel | None = None, graph: Weighted
     # schema checks on the whole array; the geometric checks run in MarkedMap
     lifts = _as_array(_need(obj, "vertex_lifts", path), f"{path}.vertex_lifts", (None, 3))
     words = _as_words(_need(obj, "edge_decks", path), f"{path}.edge_decks")
-    gauge = Isometry.identity()
     if obj.get("gauge") is not None:
-        gauge = Isometry(_as_array(obj["gauge"], f"{path}.gauge", (3, 3)))
-    return MarkedMap.from_unoriented_words(surface, graph, lifts, words, gauge)
+        surface = surface.conjugated(Isometry(_as_array(obj["gauge"], f"{path}.gauge", (3, 3))).matrix)
+    return MarkedMap.from_unoriented_words(surface, graph, lifts, words)

@@ -442,7 +442,7 @@ def gauge_fix(m: MarkedMap) -> MarkedMap:
     c, s = (1.0, 0.0) if size < 1e-12 else (t0[1] / size, t0[2] / size)
     turn = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])  # about the origin, by minus the tangent's angle
     # a Minkowski-orthonormal frame's inverse turned about the origin is an
-    # isometry as built; gauge_transform validates its product with m.gauge
+    # isometry as built
     return gauge_transform(m, _prevalidated(Isometry, turn @ to_origin))
 
 

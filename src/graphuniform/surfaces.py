@@ -14,7 +14,9 @@ relator products near the identity instead of letting round-off get
 amplified by the matrix norms.  `SurfaceModel` rounds them to float64 once
 and keeps the long-double table beside the float64 one (generators given in
 float64, as from JSON, are widened), so that `maps.energy` can evaluate on
-the generators the solver's were rounded from.  The genus-2 hexagon
+the generators the solver's were rounded from.  A change of frame by an
+isometry g is the conjugated surface (`SurfaceModel.conjugated`), its
+generators g m g^-1 multiplied on that table.  The genus-2 hexagon
 build is one lean long-double pass: the hexagon's corners and the frame at
 one of them on long-double scalars, the six side reflections as one array,
 the eight reflection words one letter position at a time and the 16-gon's
@@ -205,6 +207,15 @@ class SurfaceModel:
         for w in word:
             out = out @ self.generator_matrix(w)
         return out
+
+    def conjugated(self, g: np.ndarray) -> "SurfaceModel":
+        """The same gluing seen in the frame moved by the isometry matrix g:
+        generators g m g^-1, multiplied in long double on `_table_ld`, and
+        the polygon moved by g; side pairs and relators are kept."""
+        wide = np.asarray(g, dtype=_LD)
+        gens = wide @ self._table_ld[1:len(self.matrices) + 1] @ (wide.T * J_OUTER)  # g^-1 = J g^T J
+        polygon = None if self.polygon is None else self.polygon @ g.T
+        return SurfaceModel(self.genus, gens, polygon, self.side_pairs, self.relator_words)
 
 
 @dataclass(frozen=True)

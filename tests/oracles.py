@@ -297,8 +297,9 @@ def reference_dumps(obj, indent=0):
 def reference_map(doc):
     """The map a well-formed map document describes, built a value at a
     time: float() of every coordinate, one Isometry per generator, one tuple
-    per edge, side pairing and word."""
-    from graphuniform import Isometry, MarkedMap, SurfaceModel, WeightedGraph
+    per edge, side pairing and word.  A "gauge" isometry G conjugates each
+    generator by `ld_conjugate` and moves each polygon corner by G."""
+    from graphuniform import HPoint, Isometry, MarkedMap, SurfaceModel, WeightedGraph
 
     def rows(values):
         return np.array([[float(v) for v in row] for row in values])
@@ -307,14 +308,38 @@ def reference_map(doc):
         return tuple(tuple(w) for w in values) if values is not None else None
 
     s, g = doc["surface"], doc["graph"]
-    surface = SurfaceModel(s["genus"], np.array([Isometry(rows(m)).matrix for m in s["generators"]]),
-                           rows(s["polygon"]) if "polygon" in s else None,
+    gens = [Isometry(rows(m)).matrix for m in s["generators"]]
+    polygon = rows(s["polygon"]) if "polygon" in s else None
+    if "gauge" in doc:  # the frame of the lifts: the surface conjugated by it
+        gauge = Isometry(rows(doc["gauge"])).matrix
+        gens = [ld_conjugate(gauge, m) for m in gens]
+        if polygon is not None:
+            polygon = np.array([gauge @ HPoint(p).coords for p in polygon])
+    surface = SurfaceModel(s["genus"], np.array(gens), polygon,
                            words(s.get("side_pairs")), words(s.get("relator_words")))
     graph = WeightedGraph.from_edges(g["vertices"], [
         (e["from"], e["to"], float(e["weight"]), e.get("class", "edge")) for e in g["edges"]])
-    gauge = Isometry(rows(doc["gauge"])) if "gauge" in doc else None
-    return MarkedMap.from_unoriented_words(surface, graph, rows(doc["vertex_lifts"]),
-                                           words(doc["edge_decks"]), gauge)
+    return MarkedMap.from_unoriented_words(surface, graph, rows(doc["vertex_lifts"]), words(doc["edge_decks"]))
+
+
+def gauged_document(doc, g):
+    """Map document `doc` with a "gauge" isometry matrix g, as documents
+    once carried a map's frame: the lifts moved by g, the surface as it is."""
+    out = dict(doc, vertex_lifts=(np.array(doc["vertex_lifts"]) @ g.T).tolist())
+    out["gauge"] = g.tolist()
+    return out
+
+
+def ld_conjugate(g, m):
+    """g m g^-1 for isometry matrices g and m, a value at a time in long
+    double: (g m) first, each entry summed over k = 0, 1, 2 in turn, then
+    times g^-1 = J g^T J."""
+    j = (-1, 1, 1)
+    g, m = g.astype(np.longdouble), m.astype(np.longdouble)
+    gm = [[g[i, 0] * m[0, c] + g[i, 1] * m[1, c] + g[i, 2] * m[2, c] for c in range(3)] for i in range(3)]
+    inverse = [[g[c, r] * (j[r] * j[c]) for c in range(3)] for r in range(3)]
+    return np.array([[gm[i][0] * inverse[0][c] + gm[i][1] * inverse[1][c] + gm[i][2] * inverse[2][c]
+                      for c in range(3)] for i in range(3)], dtype=np.longdouble)
 
 
 def _ld_unit(v, sign):
@@ -413,29 +438,27 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
 
 
 def deck_matrix(m, e):
-    """The deck matrix of half-edge e of map m, gauge included."""
+    """The deck matrix of half-edge e of map m."""
     return m.edges.mats[np.flatnonzero(m.edges.half_edges == e)[0]]
 
 
 def ld_energy(m):
     """Sum over `unoriented_edges()`, in their order, of w ell^2 in long
     double: each deck word multiplied one letter at a time from the
-    surface's long-double generators and conjugated by the gauge, and ell
-    from the chord c = |p - deck q| as 2 asinh(c / 2), all rounded to
-    float64 only at the end.  (The arccosh of -<p, deck q> would differ by
-    the lifts' float64 distance from the sheet, up to 5e-15 of the energy.)"""
+    surface's long-double generators, and ell from the chord
+    c = |p - deck q| as 2 asinh(c / 2), all rounded to float64 only at the
+    end.  (The arccosh of -<p, deck q> would differ by the lifts' float64
+    distance from the sheet, up to 5e-15 of the energy.)"""
     from functools import reduce
 
     j = np.array([-1, 1, 1], dtype=np.longdouble)
     letters = {}
     for k, g in enumerate(m.surface._table_ld[1:len(m.surface.matrices) + 1], 1):
         letters[k], letters[-k] = g, g.T * j[:, None] * j
-    gauge = m.gauge.matrix.astype(np.longdouble)
     x = m.lifts.astype(np.longdouble)
     total = np.longdouble(0)
     for e, o, t, w, _ in m.graph.unoriented_edges():
-        deck = gauge @ reduce(np.matmul, [letters[k] for k in m.deck_words[e]], np.eye(3, dtype=np.longdouble))
-        q = deck @ (gauge.T * j[:, None] * j) @ x[t]
+        q = reduce(np.matmul, [letters[k] for k in m.deck_words[e]], np.eye(3, dtype=np.longdouble)) @ x[t]
         chord = np.sqrt((j * (x[o] - q) ** 2).sum())
         total += np.longdouble(w) * (2 * np.arcsinh(chord / 2)) ** 2
     return float(total)
@@ -582,7 +605,7 @@ def rebase_vertex(m, v, word):
     from graphuniform.maps import MarkedMap
 
     word = tuple(word)
-    gamma = m.gauge.matrix @ m.surface.word_matrix(word) @ m.gauge.inverse().matrix
+    gamma = m.surface.word_matrix(word)
     lifts = m.lifts.copy()
     lifts[v] = gamma @ lifts[v]
     inv = tuple(-w for w in reversed(word))
@@ -594,7 +617,7 @@ def rebase_vertex(m, v, word):
         if m.graph.terminus(e) == v:
             w = w + inv
         new_words.append(w)
-    return MarkedMap(m.surface, m.graph, lifts, tuple(new_words), m.gauge)
+    return MarkedMap(m.surface, m.graph, lifts, tuple(new_words))
 
 
 def component_count(graph):

@@ -56,6 +56,25 @@ def test_solve_random_init_reaches_same_energy(map_file, tmp_path):
     assert abs(doc["energy"] - 23.440366595634146) < 1e-7
 
 
+def test_solve_of_a_gauged_document_writes_a_self_contained_surface(map_file, tmp_path):
+    # the gauge is read as the frame of the lifts: the solved map is written
+    # on the surface conjugated by it, with no gauge of its own
+    import oracles
+
+    path = str(tmp_path / "gauged.json")
+    g = oracles.x_translation(0.7) @ oracles.rot_z(0.3)
+    serialize.write_artifact(path, oracles.gauged_document(serialize.read_json(map_file), g))
+    out = str(tmp_path / "solved.json")
+    assert main(["solve", "--map", path, "--out", out]) == 0
+    doc = serialize.read_json(out)
+    assert doc["converged"] is True
+    assert abs(doc["energy"] - 23.440366595634146) < 1e-8
+    assert "gauge" not in doc["map"]
+    conjugated = serialize.map_from_json(serialize.read_json(path)).surface
+    assert doc["map"]["surface"]["generators"] == conjugated.matrices.tolist()
+    assert doc["map"]["surface"]["polygon"] == conjugated.polygon.tolist()
+
+
 def test_solve_exit_4_on_a_negative_seed(map_file, tmp_path, capsys):
     out = tmp_path / "o.json"
     assert main(["solve", "--map", map_file, "--out", str(out), "--init", "random", "--seed", "-1"]) == 4

@@ -9,6 +9,7 @@ from graphuniform.hyperboloid import (
     HPoint,
     Isometry,
     J_DIAG,
+    J_MATRIX,
     _minkowski_gram_schmidt,
     dist_arr,
     exp_arr,
@@ -114,7 +115,7 @@ def test_isometry_group_operations():
         r = Isometry(oracles.rot_z(float(rng.uniform(0, 2 * math.pi))))
         g = Isometry(a.matrix @ r.matrix)
         assert abs(np.linalg.det(g.matrix) - 1.0) < 1e-12
-        assert np.max(np.abs(g.matrix @ g.inverse().matrix - np.eye(3))) < 1e-12
+        assert np.max(np.abs(g.matrix @ (J_MATRIX @ g.matrix.T @ J_MATRIX) - np.eye(3))) < 1e-12
         p = random_points(rng, 1)[0]
         q = random_points(rng, 1)[0]
         assert abs(dist_arr(g.matrix @ p, g.matrix @ q) - dist_arr(p, q)) < 1e-12
@@ -201,7 +202,7 @@ def test_translation_length_classification():
     with pytest.raises(GeometryError):
         Isometry(oracles.rot_z(0.4)).translation_length()
     with pytest.raises(GeometryError):
-        Isometry.identity().translation_length()
+        Isometry(np.eye(3)).translation_length()
 
 
 def test_regular_polygon_against_bisection_oracle():

@@ -8,7 +8,7 @@ import oracles
 from graphuniform import maps
 from graphuniform.errors import DomainError, GeometryError, SchemaError
 from graphuniform.graphs import WeightedGraph, bouquet
-from graphuniform.hyperboloid import HPoint, Isometry, dist_arr, exp_arr, log_arr, minkowski_dot
+from graphuniform.hyperboloid import HPoint, Isometry, J_MATRIX, dist_arr, exp_arr, log_arr, minkowski_dot
 from graphuniform.maps import (
     MarkedMap,
     balanced_residual,
@@ -63,8 +63,8 @@ def test_energy_gauge_invariance(genus2_bundle):
 
 
 def test_gauge_transform_keeps_the_long_double_energy():
-    # the gauge is multiplied into the long-double deck matrices as into the
-    # float64 ones, and accumulates: one and two gauge moves of a solved map
+    # a gauge move conjugates the long-double generators as well as the
+    # float64 ones, and moves accumulate: one and two gauge moves of a solved map
     # change its energy by 1e-15 to 1e-14 relative
     for s in (math.log(2.0 + math.sqrt(3.0)), 2.0):
         m = solve(family("hexagon-genus2").build(s)[2]).final_map
@@ -184,7 +184,7 @@ def test_deck_matrices_conjugated_by_gauge(genus2_bundle):
     moved = gauge_transform(ref, g)
     for e in range(graph.half_edge_count):
         lhs = oracles.deck_matrix(moved, e)
-        rhs = g.matrix @ oracles.deck_matrix(ref, e) @ g.inverse().matrix
+        rhs = g.matrix @ oracles.deck_matrix(ref, e) @ (J_MATRIX @ g.matrix.T @ J_MATRIX)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -235,12 +235,11 @@ def _assert_same_deck_matrices(a, b):
 def test_derived_maps_match_fresh_construction(genus2_bundle):
     surface, graph, ref = genus2_bundle
     m = perturbed(ref, 0.1, seed=6)
-    _assert_same_deck_matrices(m, MarkedMap(surface, graph, m.vertex_lifts, m.deck_words, m.gauge))
+    _assert_same_deck_matrices(m, MarkedMap(surface, graph, m.vertex_lifts, m.deck_words))
     g = Isometry(oracles.x_translation(0.9) @ oracles.rot_z(0.4))
     moved = gauge_transform(gauge_transform(m, g), g)
-    fresh = MarkedMap(surface, graph, moved.vertex_lifts, m.deck_words, Isometry(g.matrix @ g.matrix @ m.gauge.matrix))
+    fresh = MarkedMap(surface.conjugated(g.matrix @ g.matrix), graph, moved.vertex_lifts, m.deck_words)
     assert moved.deck_words == m.deck_words
-    assert np.max(np.abs(moved.gauge.matrix - fresh.gauge.matrix)) < 1e-12
     _assert_same_deck_matrices(moved, fresh)
 
 
@@ -321,13 +320,13 @@ _INDEX_ARRAYS = ("half_edges", "origins", "termini", "weights", "even", "busy", 
 
 
 def _assert_retargets_like_fresh(m, surface, lifts):
-    """m moved onto `surface` at `lifts` keeps its words, gauge and edge
-    index arrays, and has the deck matrices of a map built there afresh."""
+    """m moved onto `surface` at `lifts` keeps its words and edge index
+    arrays, and has the deck matrices of a map built there afresh."""
     m.vertex_lifts  # read on m first: the moved map's points are still its own
     moved = m.with_surface(surface, lifts)
-    fresh = MarkedMap(surface, m.graph, lifts, m.deck_words, m.gauge)
+    fresh = MarkedMap(surface, m.graph, lifts, m.deck_words)
     assert moved.surface is surface and moved.graph is m.graph
-    assert moved.deck_words is m.deck_words and moved.gauge is m.gauge
+    assert moved.deck_words is m.deck_words
     assert all(getattr(moved.edges, name) is getattr(m.edges, name) for name in _INDEX_ARRAYS)
     assert np.array_equal(moved.lifts, fresh.lifts)
     assert np.array_equal([p.coords for p in moved.vertex_lifts], fresh.lifts)
@@ -356,11 +355,15 @@ def test_with_surface_matches_fresh_construction(genus2_bundle):
         _assert_retargets_like_fresh(bouquet, _conjugated(surface, g), bouquet.lifts @ g.T)
 
 
-def test_with_surface_keeps_the_gauge(genus2_bundle):
+def test_with_surface_moves_a_gauged_map_to_a_conjugated_surface(genus2_bundle):
+    # a map carries no frame: a map moved by g goes to another metric on the
+    # surface conjugated by g, and lands where the target moved by g does
     _, _, ref = genus2_bundle
-    gauged = gauge_transform(ref, Isometry(oracles.x_translation(0.8) @ oracles.rot_z(1.1)))
+    g = Isometry(oracles.x_translation(0.8) @ oracles.rot_z(1.1))
+    gauged = gauge_transform(ref, g)
     other, _, target = build_genus2_hexagon_surface(0.9)
-    _assert_retargets_like_fresh(gauged, other, target.lifts @ gauged.gauge.matrix.T)
+    moved = _assert_retargets_like_fresh(gauged, other.conjugated(g.matrix), target.lifts @ g.matrix.T)
+    assert moved.edges.mats.tobytes() == gauge_transform(target, g).edges.mats.tobytes()
 
 
 def test_with_surface_refuses_what_fresh_construction_refuses():
@@ -399,7 +402,7 @@ def test_words_equal_only_as_group_elements_are_refused_at_the_first_pair():
 
 
 def test_copies_share_the_caches_that_their_fields_do_not_decide(monkeypatch):
-    # a copy replaces lifts, surface, gauge or deck matrices, none of which
+    # a copy replaces lifts, surface or deck matrices, none of which
     # the edge arrays' plans read, so it shares them; `hessian_fd` takes its
     # columns through the map's own edge arrays
     from graphuniform.solver import hessian_fd

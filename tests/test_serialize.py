@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -11,8 +12,8 @@ from graphuniform import serialize
 from graphuniform.cli import main
 from graphuniform.errors import DomainError, GraphValidationError, SchemaError
 from graphuniform.graphs import cycle_with_doubled_edges
-from graphuniform.hyperboloid import Isometry
-from graphuniform.maps import energy, gauge_transform
+from graphuniform.hyperboloid import Isometry, J_MATRIX, points_arr
+from graphuniform.maps import energy, gauge_transform, initial_lifts
 from graphuniform.serialize import (
     dumps,
     graph_from_json,
@@ -362,14 +363,71 @@ def test_map_roundtrip_embedded(genus2_bundle):
 
 
 def test_map_roundtrip_with_gauge(genus2_bundle):
+    # a moved map is written with no gauge: its conjugated generators, and
+    # so its deck matrices, read back bit for bit
     _surface, _graph, m = genus2_bundle
     g = Isometry(oracles.x_translation(0.7) @ oracles.rot_z(0.3))
     moved = gauge_transform(m, g)
     doc = map_to_json(moved)
-    assert "gauge" in doc
+    assert "gauge" not in doc and "gauge" not in map_to_json(m)
     back = map_from_json(doc)
-    assert np.array_equal(back.gauge.matrix, moved.gauge.matrix)
+    assert back.surface.matrices.tobytes() == moved.surface.matrices.tobytes()
+    assert back.edges.mats.tobytes() == moved.edges.mats.tobytes()
     assert abs(energy(back) - energy(moved)) < 1e-12 * (1.0 + energy(moved))
+
+
+_FRAME = oracles.x_translation(0.7) @ oracles.rot_z(0.3)
+
+
+def test_a_gauged_document_loads_as_the_map_it_describes():
+    # the gauge is the frame of the lifts: the lifts are read as they are,
+    # and the surface is conjugated by it; at the 2:1 map at seam
+    # log(2 + sqrt 3) the energy moves by 1.4e-15 relative
+    from graphuniform.solver import solve
+    from graphuniform.surfaces import family
+
+    m = solve(family("hexagon-genus2", (2.0, 1.0)).build(math.log(2.0 + math.sqrt(3.0)))[2]).final_map
+    plain = map_to_json(m)
+    doc = oracles.gauged_document(plain, _FRAME)
+    got, base = map_from_json(doc), map_from_json(plain)
+    assert got.lifts.tobytes() == points_arr(np.array(doc["vertex_lifts"])).tobytes()
+    assert got.deck_words == base.deck_words
+    want = _FRAME @ base.edges.mats @ (J_MATRIX @ _FRAME.T @ J_MATRIX)
+    assert np.max(np.abs(got.edges.mats - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    assert abs(energy(got) - energy(base)) <= 1e-14 * energy(base)
+    # the generators bit for bit those of a value-at-a-time build; corners
+    # of size c are renormalized, which moves them by up to eps c^3
+    reference = oracles.reference_map(doc)
+    for a, b in ((got.surface.matrices, reference.surface.matrices), (got.edges.mats, reference.edges.mats)):
+        assert a.tobytes() == b.tobytes()
+    corners = reference.surface.polygon
+    size = 1.0 + np.max(np.abs(corners))
+    assert np.max(np.abs(got.surface.polygon - corners)) <= 8.0 * np.finfo(float).eps * size ** 3
+
+
+def _gauged_and_plain(ref):
+    plain = map_to_json(ref)
+    return map_from_json(oracles.gauged_document(plain, _FRAME)), map_from_json(plain)
+
+
+def test_a_gauged_document_seeds_in_the_frame_of_its_lifts(genus2_bundle):
+    # the polygon moves with the lifts, and so do the starts seeded in it
+    m, base = _gauged_and_plain(genus2_bundle[2])
+    for mode in ("barycenter", "random"):
+        start = initial_lifts(m.surface, m.graph, mode, seed=5)
+        assert np.max(np.abs(start - initial_lifts(base.surface, base.graph, mode, seed=5) @ _FRAME.T)) <= 1e-12
+
+
+def test_a_gauged_document_is_drawn_in_the_frame_of_its_lifts(genus2_bundle):
+    # the fundamental polygon (black, drawn after its grey translates)
+    # starts at the first corner moved by the gauge
+    from graphuniform.render import disk_projection, render_map_svg
+
+    m, base = _gauged_and_plain(genus2_bundle[2])
+    outline = re.search(r'points="([^"]*)" fill="none" stroke="#000000"', render_map_svg(m, size=640)).group(1)
+    first = np.array([float(v) for v in outline.split()[0].split(",")])
+    x, y = disk_projection(_FRAME @ base.surface.polygon[0])
+    assert np.max(np.abs(first - [320.0 + 304.0 * x, 320.0 - 304.0 * y])) <= 1e-4
 
 
 def test_map_without_embedding_needs_explicit_surface(genus2_bundle):
@@ -459,8 +517,7 @@ def test_parsed_map_matches_a_value_at_a_time_build_bit_for_bit(k, genus2_bundle
     doc = read_json(path)
     got, want = map_from_json(doc), oracles.reference_map(doc)
     for a, b in ((got.lifts, want.lifts), (got.surface.matrices, want.surface.matrices),
-                 (got.surface.polygon, want.surface.polygon), (got.edges.mats, want.edges.mats),
-                 (got.gauge.matrix, want.gauge.matrix)):
+                 (got.surface.polygon, want.surface.polygon), (got.edges.mats, want.edges.mats)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.deck_words == want.deck_words
     assert got.graph.unoriented_edges() == want.graph.unoriented_edges()

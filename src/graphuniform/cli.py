@@ -90,7 +90,7 @@ def cmd_solve(args) -> int:
     }
     # the trace first: a trace path that cannot be written leaves --out as it was
     trace_path = args.trace if args.trace else args.out + ".trace.jsonl"
-    serialize.write_text(trace_path, trace.jsonl())
+    serialize.write_text(trace_path, serialize.trace_jsonl(trace))
     serialize.write_artifact(args.out, payload)
 
     if trace.converged:

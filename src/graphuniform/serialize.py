@@ -1,26 +1,18 @@
 """JSON schemas and deterministic serialization.
 
-All artifacts are JSON with floats printed at 17 significant digits (enough
-to round-trip IEEE doubles).  Emission is deterministic -- fixed key order,
-fixed float formatting -- so identical run manifests produce bit-identical
-files.  The emitter walks a document once into one %-format template and
-one flat tuple of values, then formats the whole text with one % call.
-Python floats and ints go in as %.17g and %d, strings of up to 64
-characters as %s of their JSON text.  A row of numbers, a list of such rows
-(lifts, generator rows, deck words) and a list of records with the same
-keys and value types (the graph's edges) each add one template built by
-repetition, with one finiteness check, a sum, per row, list of rows or
-record column.  Bools, None, numpy scalars and long strings go in as %s of
-the value-at-a-time `_scalar`, arrays as their tolist(), and keys as
-template text with any % doubled.  Parsers check each array whole
-(lengths, types, finiteness) and read it value by value only to locate an
-offender, raising SchemaError with the path of the offending field.
+Artifacts and traces are written by the standard library's JSON encoder:
+floats by repr, the shortest text that reads back as the same double, and
+keys in insertion order, so identical run manifests give identical files.
+In an artifact each key of an object goes on its own line; every other
+value, arrays of rows and of records included, goes on one line.  A nan or
+an infinity raises ValueError.  Parsers check each array whole (lengths,
+types, finiteness) and read it value by value only to locate an offender,
+raising SchemaError with the path of the offending field.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -38,179 +30,33 @@ from .errors import GeometryError, SchemaError
 from .graphs import WeightedGraph
 from .hyperboloid import Isometry
 from .maps import MarkedMap
+from .solver import SolveTrace
 from .surfaces import SurfaceModel
 
 
 # --------------------------------------------------------------------------
-# deterministic emitter
+# writer
 
 
-_FORMATS = {float: "%.17g", int: "%d"}  # by exact type: "%d" would print a bool as 1
-_NUMBERS = (bool, int, float, np.integer, np.floating)  # what a flat row may hold
-_quote = functools.lru_cache(maxsize=1024)(json.dumps)  # keys and short strings recur
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def _scalar(x) -> str:
-    """A bool, number, string or None, Python or numpy."""
-    if isinstance(x, str):
-        return _quote(x) if len(x) <= 64 else json.dumps(x)
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite number {x!r}")
-        return format(float(x), ".17g")
-    if x is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+def dumps(obj: Any) -> str:
+    """JSON text of obj: each key of an object on its own line, indented two
+    spaces a level, in insertion order; every other value on one line, as
+    the standard library's encoder writes it."""
+    if not isinstance(obj, dict) or not obj:
+        return _encode(obj)
+    items = ",\n".join(f"{_encode(str(k))}: {dumps(v)}" for k, v in obj.items())
+    return "{\n  " + items.replace("\n", "\n  ") + "\n}"
 
 
-def _check_finite(numbers) -> None:
-    """Raise at the first non-finite value of a sequence of Python ints and
-    floats.  One sum checks them all: it is finite unless a value is not,
-    or the sum overflows, and only then is each value looked at."""
-    try:
-        finite = math.isfinite(sum(numbers))
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        for x in numbers:
-            _scalar(x)  # raises at the first non-finite value
-
-
-def _key(k) -> str:
-    """A dict key as template text: its JSON string, with % doubled."""
-    text = _quote(str(k))
-    return text.replace("%", "%%") if "%" in text else text
-
-
-@functools.lru_cache(maxsize=256)
-def _row_template(fmt: str, count: int) -> str:
-    return "[" + ", ".join([fmt] * count) + "]"
-
-
-def dumps(obj: Any, indent: int = 0) -> str:
-    """JSON text with .17g floats and insertion-order keys, from one
-    template and one flat tuple of values: one %-format call formats the
-    whole document."""
-    parts: list[str] = []
-    values: list = []
-    _emit(obj, indent, parts, values)
-    return "".join(parts) % tuple(values)
-
-
-def _emit(obj: Any, indent: int, parts: list, values: list) -> None:
-    """Append obj's template text to `parts` and its values to `values`, as
-    the module docstring says; a non-finite value raises in document order."""
-    fmt = _FORMATS.get(type(obj))
-    if fmt is not None:
-        if type(obj) is float and not math.isfinite(obj):
-            _scalar(obj)  # raises
-        parts.append(fmt)
-        values.append(obj)
-    elif type(obj) is str and len(obj) <= 64:
-        parts.append("%s")
-        values.append(_quote(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = " " * (indent + 2)
-        parts.append("{\n")
-        sep = ""
-        for k, v in obj.items():
-            parts.append(f"{sep}{inner}{_key(k)}: ")
-            _emit(v, indent + 2, parts, values)
-            sep = ",\n"
-        parts.append("\n" + " " * indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        _emit_list(obj, indent, parts, values)
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, parts, values)
-    else:
-        parts.append("%s")
-        values.append(_scalar(obj))
-
-
-def _emit_list(obj, indent: int, parts: list, values: list) -> None:
-    if not obj:
-        parts.append("[]")
-        return
-    types = set(map(type, obj))
-    if types <= {int, float}:  # a flat row
-        if float in types:
-            _check_finite(obj)
-        parts.append(_row_template(_FORMATS[types.pop()], len(obj)) if len(types) == 1
-                     else "[" + ", ".join([_FORMATS[type(v)] for v in obj]) + "]")
-        values.extend(obj)
-        return
-    if all(isinstance(v, _NUMBERS) for v in obj):  # bools and numpy scalars
-        parts.append(_row_template("%s", len(obj)))
-        values.extend(map(_scalar, obj))
-        return
-    inner = " " * (indent + 2)
-    if (types <= {list, tuple} and _emit_rows(obj, inner, parts, values)
-            or types == {dict} and _emit_records(obj, inner, parts, values)):
-        parts.append("\n" + " " * indent + "]")
-        return
-    parts.append("[\n")
-    sep = ""
-    for v in obj:
-        parts.append(sep + inner)
-        _emit(v, indent + 2, parts, values)
-        sep = ",\n"
-    parts.append("\n" + " " * indent + "]")
-
-
-def _emit_rows(rows, inner: str, parts: list, values: list) -> bool:
-    """A list of flat rows of Python ints, or of Python floats (lifts,
-    matrix rows, words), all but the closing bracket; False, adding
-    nothing, for any other list of lists."""
-    flat = list(itertools.chain.from_iterable(rows))
-    types = set(map(type, flat))
-    if not (types <= {int} or types == {float}):
-        return False
-    if float in types:
-        _check_finite(flat)
-    fmt = _FORMATS[types.pop()] if types else "%d"
-    lengths = list(map(len, rows))
-    by_length = {n: inner + _row_template(fmt, n) for n in set(lengths)}
-    parts.append("[\n" + ",\n".join(map(by_length.__getitem__, lengths)))
-    values.extend(flat)
-    return True
-
-
-def _emit_records(records, inner: str, parts: list, values: list) -> bool:
-    """A list of dicts with the same str keys in the same order and, per
-    key, one value type of float, int and str (up to 64 characters) (the
-    graph's edges), all but the closing bracket; False, adding nothing, for
-    any other list of dicts."""
-    keys = list(records[0])
-    if (not keys or not all(type(k) is str for k in keys)
-            or list(itertools.chain.from_iterable(records)) != keys * len(records)):
-        return False
-    width = len(keys)
-    flat = list(itertools.chain.from_iterable(map(dict.values, records)))
-    formats = []
-    for i in range(width):
-        column = flat[i::width]
-        types = set(map(type, column))
-        fmt = _FORMATS.get(types.pop()) if len(types) == 1 else None
-        if fmt is None:
-            if types or type(column[0]) is not str or max(map(len, column)) > 64:
-                return False
-            fmt = "%s"
-            flat[i::width] = map(_quote, column)
-        elif fmt == "%.17g" and not math.isfinite(sum(column)):
-            return False  # the general path names the first offender
-        formats.append(fmt)
-    deeper = inner + "  "
-    record = "{\n" + ",\n".join(f"{deeper}{_key(k)}: {fmt}" for k, fmt in zip(keys, formats)) + "\n" + inner + "}"
-    parts.append("[\n" + ",\n".join([inner + record] * len(records)))
-    values.extend(flat)
-    return True
+def trace_jsonl(trace: SolveTrace) -> str:
+    """One JSON object a line per iterate: iteration, energy, residual, and
+    from iterate 1 on the kind of step that reached it."""
+    steps = [{}] + [{"step": step} for step in trace.steps]
+    return "".join(_encode({"iteration": i, "energy": e, "residual": r, **step}) + "\n"
+                   for i, (e, r, step) in enumerate(zip(trace.energies, trace.residuals, steps)))
 
 
 def write_text(path: str, text: str) -> None:

@@ -141,15 +141,6 @@ class SolveTrace:
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
-    def jsonl(self) -> str:
-        """One JSON object per iterate: iteration, energy, residual, and from
-        iterate 1 on the kind of step that reached it."""
-        lines = []
-        for i, (e, r) in enumerate(zip(self.energies, self.residuals)):
-            step = ', "step": "%s"' % self.steps[i - 1] if i else ""
-            lines.append('{"iteration": %d, "energy": %.17g, "residual": %.17g%s}' % (i, e, r, step))
-        return "\n".join(lines) + "\n"
-
 
 def _max_residuals(r: np.ndarray) -> list[float]:
     """Largest residual norm of each start of a stack of residuals (S, V, 3)."""

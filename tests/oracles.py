@@ -5,7 +5,6 @@ trigonometry, deliberately avoiding the package's closed forms, so agreement
 is evidence rather than tautology.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -248,50 +247,6 @@ def cg_solve(apply, rhs, bases, rtol):
         d = res + (rr / rr_old) * d
     true_res = b - coords(apply(field(c)))
     return field(c), math.sqrt((true_res @ true_res) / (b @ b))
-
-
-def reference_dumps(obj, indent=0):
-    """JSON text the way a value-at-a-time emitter writes it: one call per
-    scalar, an isinstance chain on every value, floats by format(x, ".17g"),
-    numpy scalars and arrays as their Python values, keys in insertion order.
-    Artifacts must come out byte for byte as this writes them."""
-    def number(x):
-        if isinstance(x, float):
-            value = x
-        elif isinstance(x, (bool, np.bool_)):
-            return "true" if x else "false"
-        elif isinstance(x, (int, np.integer)):
-            return str(int(x))
-        else:
-            value = float(x)
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return format(float(value), ".17g")
-
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {reference_dumps(v, indent + 2)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq):
-            return "[" + ", ".join(map(number, seq)) + "]"
-        items = ",\n".join(f"{pad}  {reference_dumps(v, indent + 2)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return reference_dumps(obj.tolist(), indent)
-    if isinstance(obj, (bool, np.bool_, int, float, np.integer, np.floating)):
-        return number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def reference_map(doc):

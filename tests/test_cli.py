@@ -716,6 +716,63 @@ def test_optimize_and_render_overwrite_longer_outputs(map_file, tmp_path, monkey
         assert out.read_bytes() == fresh.read_bytes()
 
 
+def _exact(x):
+    """x with each float as its hex text and each object as its list of
+    items: equal only when the values are of the same types and the same
+    bit for bit, with keys in the same order."""
+    if isinstance(x, dict):
+        return [(k, _exact(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_exact(v) for v in x]
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+def _recording(monkeypatch, name):
+    """Wrap serialize.<name> so that each call also appends its last
+    argument (a payload or a trace) to the list returned."""
+    seen, call = [], getattr(serialize, name)
+
+    def record(*args):
+        seen.append(args[-1])
+        return call(*args)
+
+    monkeypatch.setattr(serialize, name, record)
+    return seen
+
+
+@pytest.mark.parametrize("k", [8, 32])  # V = 90 and 378, the benchmark's largest artifact
+def test_solve_outputs_read_back_bit_for_bit(k, genus2_bundle, tmp_path, monkeypatch):
+    import oracles
+    from graphuniform.hyperboloid import points_arr
+
+    source, out, solved, again = (str(tmp_path / name) for name in ("in", "out", "solved", "again"))
+    serialize.write_artifact(source, serialize.map_to_json(oracles.subdivide(genus2_bundle[2], k)))
+    payloads, traces = _recording(monkeypatch, "write_artifact"), _recording(monkeypatch, "trace_jsonl")
+    assert main(["solve", "--map", source, "--out", out, "--init", "random", "--seed", "2"]) == 0
+    assert _exact(json.loads(Path(out).read_text())) == _exact(payloads[0])
+    lines = Path(out + ".trace.jsonl").read_text().splitlines()
+    assert [_exact(json.loads(line)) for line in lines] == [
+        _exact({"iteration": i, "energy": e, "residual": r, **({"step": traces[0].steps[i - 1]} if i else {})})
+        for i, (e, r) in enumerate(zip(traces[0].energies, traces[0].residuals))]
+    # the solved map, read back, is solved as it was: not one step
+    serialize.write_artifact(solved, serialize.read_json(out)["map"])
+    assert main(["solve", "--map", solved, "--out", again]) == 0
+    assert payloads[-1]["iterations"] == 0
+    first, last = traces[0].final_map, traces[-1].final_map
+    # reading a map normalizes its lifts, which moves a last iterate by ulps
+    assert last.lifts.tobytes() == points_arr(first.lifts).tobytes()
+    assert last.surface.matrices.tobytes() == first.surface.matrices.tobytes()
+    assert main(["render", "--map", out, "--out", str(tmp_path / "map.svg")]) == 0
+
+
+@pytest.mark.parametrize("mc", [0.25, 4.0])
+def test_optimize_artifacts_read_back_bit_for_bit(mc, tmp_path, monkeypatch):
+    out = tmp_path / "opt.json"
+    payloads = _recording(monkeypatch, "write_artifact")
+    assert main(["optimize", "--mc", str(mc), "--tol", "1e-6", "--out", str(out)]) == 0
+    assert _exact(json.loads(out.read_text())) == _exact(payloads[0])
+
+
 def test_solve_writes_through_a_symlinked_out(map_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     fresh, _trace = _solve_outputs(map_file, tmp_path / "fresh.json")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from graphuniform import serialize
 from graphuniform.errors import DomainError, GraphValidationError, NotHyperbolicError
 from graphuniform.families import hexagon_family_energy
 from graphuniform.graphs import WeightedGraph, bouquet
@@ -91,14 +92,16 @@ def test_trace_jsonl_parses(genus2_bundle):
     surface, graph, ref = genus2_bundle
     lifts = initial_lifts(surface, graph, mode="random", seed=3)
     trace = solve(ref.with_lifts(lifts), SolverConfig(residual_tol=1e-6, max_iters=500))
-    lines = trace.jsonl().strip().splitlines()
+    lines = serialize.trace_jsonl(trace).splitlines()
     assert len(lines) == len(trace.energies) == trace.iterations + 1
     assert len(trace.steps) == trace.iterations > 0
     for i, line in enumerate(lines):
         doc = json.loads(line)
+        assert list(doc)[:3] == ["iteration", "energy", "residual"]
         assert doc["iteration"] == i
-        assert doc["energy"] == trace.energies[i]
-        assert doc["residual"] == trace.residuals[i]
+        # read back bit for bit
+        assert doc["energy"].hex() == float(trace.energies[i]).hex()
+        assert doc["residual"].hex() == float(trace.residuals[i]).hex()
         # the kind of step that reached the iterate; the start has none
         assert doc.get("step") == (trace.steps[i - 1] if i else None)
         assert doc.get("step", "lu") in ("lu", "cg")

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 from .hyperboloid import HPoint, Isometry
-from .maps import MarkedMap, balanced_residual, energy, gauge_transform, initial_lifts
+from .maps import MarkedMap, balanced_residual, energy, initial_lifts
 from .solver import SolverConfig, SolveTrace, gauge_fix, hessian_fd, solve, uniqueness_probe
 from .surfaces import (
     MetricFamily,
@@ -49,7 +49,7 @@ __all__ = [
     "SchemaError", "TangencyError",
     "WeightedGraph", "bouquet", "cycle_with_doubled_edges",
     "HPoint", "Isometry",
-    "MarkedMap", "balanced_residual", "energy", "gauge_transform", "initial_lifts",
+    "MarkedMap", "balanced_residual", "energy", "initial_lifts",
     "SolverConfig", "SolveTrace", "gauge_fix", "hessian_fd", "solve", "uniqueness_probe",
     "MetricFamily", "SurfaceModel", "build_genus2_hexagon_surface", "build_klein_quartic",
     "build_regular_4g_surface", "family", "validate_surface",

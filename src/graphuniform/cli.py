@@ -75,7 +75,7 @@ def cmd_solve(args) -> int:
     manifest = serialize.make_manifest(
         "solve", inputs, {"seed": args.seed, "init": args.init},
         {"residual_tol": args.tol, "max_iters": args.max_iters})
-    cfg = SolverConfig(residual_tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+    cfg = SolverConfig(residual_tol=args.tol, max_iters=args.max_iters)
     trace = solve(m, cfg)
     final_energy, max_residual = trace.energies[-1], trace.residuals[-1]
 
@@ -116,7 +116,7 @@ def cmd_optimize(args) -> int:
             {"seed": args.seed},
             {"search_tol": args.tol, "residual_tol": args.solver_tol,
              "max_iters": args.max_iters})
-    cfg = SolverConfig(residual_tol=args.solver_tol, max_iters=args.max_iters, seed=args.seed)
+    cfg = SolverConfig(residual_tol=args.solver_tol, max_iters=args.max_iters)
     theta, value = minimize_1d(fam, (args.bracket[0], args.bracket[1]), tol=args.tol, cfg=cfg)
     sol = lagrange_solve(args.mc / args.md)
 

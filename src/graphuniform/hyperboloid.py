@@ -34,6 +34,8 @@ J_DIAG = np.array([-1.0, 1.0, 1.0])
 J_MATRIX = np.diag(J_DIAG)
 J_OUTER = np.outer(J_DIAG, J_DIAG)  # J m^T J, an isometry's inverse, is m^T * J_OUTER
 _X1_AXIS = np.array([0.0, 1.0, 0.0])
+# |<x, x> + 1| / x0^2 up to which `points_arr` keeps a row as on the sheet
+_SHEET_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 def minkowski_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray | float:
@@ -73,6 +75,11 @@ def points_arr(v) -> np.ndarray:
     near 1e155 overflow it).  When every row passes, three reductions
     tell; otherwise each check runs over all rows in turn, and the error
     names the first offending row.
+
+    A row already on the sheet to its rounding, |<x, x> + 1| <= 16 eps x0^2,
+    is kept as it is (one more reduction tells when all are), and only the
+    other rows are rescaled: a rescaled row measures at most
+    4 eps |x|^2 < 8 eps x0^2, so normalizing a second time changes nothing.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 3:
@@ -88,7 +95,11 @@ def points_arr(v) -> np.ndarray:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise error(f"point{f' in row {i}' if v.ndim > 1 else ''} {what}: {flat[i].tolist()!r}")
-    out = v / np.sqrt(-q).reshape(v.shape[:-1] + (1,))
+    drift = np.abs(q + 1.0) / np.square(flat[:, 0])
+    if drift.max(initial=0.0) <= _SHEET_ROUNDING:
+        out = v.copy()
+    else:
+        out = np.where((drift > _SHEET_ROUNDING)[:, None], flat / np.sqrt(-q)[:, None], flat).reshape(v.shape)
     out.flags.writeable = False
     return out
 
@@ -248,13 +259,6 @@ class Isometry:
                 raise NotHyperbolicError(f"isometry is parabolic or the identity (trace {tr!r})")
             raise NotHyperbolicError(f"isometry is elliptic (trace {tr!r})")
         return math.acosh((tr - 1.0) / 2.0)
-
-
-def _prevalidated(cls, value: np.ndarray):
-    """An HPoint or Isometry around a validated row, which a second normalization could move."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "coords" if cls is HPoint else "matrix", value)
-    return obj
 
 
 # --------------------------------------------------------------------------

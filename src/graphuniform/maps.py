@@ -7,9 +7,9 @@ deck_e * lift(t(e)); the words are combinatorial data encoding the homotopy
 class and are never recomputed from floats.  The word of each half-edge's
 reversal is the literal inverse of its own, checked once on the words, so a
 map's validity never depends on its surface.  A map carries no frame of its
-own: moving it by an isometry g (`gauge_transform`) moves its lifts and puts
-it on the conjugated surface, whose generators the same words name, so the
-class stays exact.
+own: moving it by an isometry g, `m.with_surface(m.surface.conjugated(g),
+m.lifts @ g.T)`, moves its lifts and puts it on the conjugated surface,
+whose generators the same words name, so the class stays exact.
 
 Every quantity of a map is a sum over its lifted half-edges.  `EdgeData`
 holds the half-edge arrays, built once per graph and deck words (a map moved
@@ -43,9 +43,7 @@ from .errors import DomainError, GeometryError, GraphValidationError
 from .graphs import WeightedGraph
 from .hyperboloid import (
     HPoint,
-    Isometry,
     J_DIAG,
-    _prevalidated,
     _project_tangent_arr,
     _sinhc,
     dist_arr,
@@ -85,12 +83,8 @@ def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def _lift_array(lifts, count: int) -> np.ndarray:
     """(count, 3) read-only array of validated, normalized lifts, from an
-    array or a sequence of rows.  A sequence of HPoints is taken as it is:
-    its points are validated and normalized already."""
-    points = False
+    array or a sequence of rows or HPoints."""
     if not isinstance(lifts, np.ndarray):
-        lifts = tuple(lifts)
-        points = all(isinstance(p, HPoint) for p in lifts)
         lifts = [p.coords if isinstance(p, HPoint) else p for p in lifts]
     if len(lifts) != count:
         raise GraphValidationError("LIFT_COUNT", f"{len(lifts)} lifts for {count} vertices")
@@ -98,10 +92,7 @@ def _lift_array(lifts, count: int) -> np.ndarray:
         x = np.asarray(lifts, dtype=float).reshape(count, 3)
     except ValueError:  # ragged rows, or rows of the wrong length
         raise GeometryError(f"lifts need {count} rows of 3 coordinates") from None
-    if not points:
-        return points_arr(x)
-    x.flags.writeable = False  # a fresh array, built from the points' rows
-    return x
+    return points_arr(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,7 +471,7 @@ class MarkedMap:
     letters in batches through the surface's generator table.  `with_lifts`
     shares the cached arrays; `with_surface` moves a map to another surface
     whose generators its words still name, such as the same gluing at
-    another metric or in another frame (`gauge_transform`): only the deck
+    another metric or in another frame (`SurfaceModel.conjugated`): only the deck
     matrices are multiplied again.
     """
 
@@ -540,7 +531,7 @@ class MarkedMap:
     @property
     def vertex_lifts(self) -> tuple[HPoint, ...]:
         """The lifts as points, built on every call."""
-        return tuple(_prevalidated(HPoint, p) for p in self.lifts)
+        return tuple(map(HPoint, self.lifts))
 
     def with_surface(self, surface: SurfaceModel, lifts) -> "MarkedMap":
         """The same graph and words on another surface that has every
@@ -585,12 +576,6 @@ def balanced_residual(m: MarkedMap) -> BalancedReport:
     residuals = m.edges.residual(m.lifts)
     norms = np.sqrt(np.maximum(0.0, minkowski_dot(residuals, residuals)))
     return BalancedReport(residuals, float(np.max(norms)))
-
-
-def gauge_transform(m: MarkedMap, g: Isometry) -> MarkedMap:
-    """The map moved by g: every lift moved by g, on the surface conjugated
-    by g; words unchanged."""
-    return m.with_surface(m.surface.conjugated(g.matrix), m.lifts @ g.matrix.T)
 
 
 def initial_lifts(

@@ -80,17 +80,14 @@ from .graphs import WeightedGraph
 from .hyperboloid import (
     J_DIAG,
     J_MATRIX,
-    Isometry,
-    _prevalidated,
     _project_tangent_arr,
     dist_arr,
     exp_arr,
     log_arr,
     minkowski_dot,
-    points_arr,
     tangent_basis_arr,
 )
-from .maps import Hessian, MarkedMap, _derived, _random_lifts, gauge_transform
+from .maps import Hessian, MarkedMap, _derived, _random_lifts
 from .surfaces import SurfaceModel
 
 # Largest distance between the limits of two starts, as the solver returns
@@ -130,12 +127,15 @@ class SolveTrace:
     energies: tuple[float, ...]
     residuals: tuple[float, ...]
     final_map: MarkedMap
-    iterations: int
     # "converged" (residual tolerance met), "budget" (max_iters used up) or
     # "stalled" (no step passes the line search: the float floor)
     stop_reason: str
     # kind of each accepted step: "lu" (exact) or "cg" (truncated CG)
     steps: tuple[str, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
 
     @property
     def converged(self) -> bool:
@@ -403,14 +403,14 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
             r = None if any(part is None for part in known) else np.concatenate(known)
             x, *geometry = map(np.concatenate, zip(*(piece[4:] for piece in found)))
 
-    return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), _final_map(m0, finals[s]), len(kinds[s]),
+    return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), _final_map(m0, finals[s]),
                        stop_reason[s], tuple(kinds[s])) for s in range(count)]
 
 
 def _final_map(m0: MarkedMap, x: np.ndarray) -> MarkedMap:
-    """m0 at the last iterate x of a start, bit for bit: x is validated and
-    normalized already, by exp_arr or as the start's own lifts, and a second
-    normalization could move it."""
+    """m0 at the last iterate x of a start, bit for bit, with no second check:
+    x is validated and normalized already, by exp_arr or as the start's own
+    lifts."""
     lifts = np.array(x)
     lifts.flags.writeable = False
     return _derived(m0, lifts=lifts)
@@ -432,9 +432,10 @@ def gauge_fix(m: MarkedMap) -> MarkedMap:
     # no tangent to turn: the frame's inverse alone
     c, s = (1.0, 0.0) if size < 1e-12 else (t0[1] / size, t0[2] / size)
     turn = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])  # about the origin, by minus the tangent's angle
-    # a Minkowski-orthonormal frame's inverse turned about the origin is an
-    # isometry as built
-    return gauge_transform(m, _prevalidated(Isometry, turn @ to_origin))
+    # a Minkowski-orthonormal frame's inverse turned about the origin: an
+    # isometry as built, which moves the map onto the conjugated surface
+    g = turn @ to_origin
+    return m.with_surface(m.surface.conjugated(g), m.lifts @ g.T)
 
 
 def hessian_fd(m: MarkedMap, h: float = 1e-4) -> np.ndarray:
@@ -527,7 +528,7 @@ def uniqueness_probe(
     uniqueness hypothesis fails for this homotopy class.
 
     Start i is `initial_lifts(..., "random", seed=cfg.seed + i)`, bit for
-    bit, drawn seed by seed and normalized in stacked passes, and the starts
+    bit, drawn seed by seed and normalized together, and the starts
     descend as one stack (S, V, 3), in lockstep, each exactly as `solve`
     would take it alone.  Each start's energy is the last of its trace, and
     the largest distance between corresponding lifts of two limits, over
@@ -540,8 +541,7 @@ def uniqueness_probe(
         raise DomainError(f"uniqueness probe needs at least 2 starts, got {n_starts}")
     cfg = cfg or SolverConfig()
 
-    # normalized as a map normalizes the lifts it is given
-    starts = points_arr(_random_lifts(surface, graph, range(cfg.seed, cfg.seed + n_starts)))
+    starts = _random_lifts(surface, graph, range(cfg.seed, cfg.seed + n_starts))
     base = MarkedMap.from_unoriented_words(surface, graph, starts[0], deck_words)
     traces = _solve_stack(base, starts, cfg)
     x = np.stack([t.final_map.lifts for t in traces])

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, GeometryError
 from .graphs import WeightedGraph, bouquet, cycle_with_doubled_edges
 from .hyperboloid import (
-    J_OUTER, Isometry, _prevalidated, isometries_arr, minkowski_cross, minkowski_dot, points_arr,
+    J_OUTER, Isometry, isometries_arr, minkowski_cross, minkowski_dot, points_arr,
     polygon_interior_angles)
 
 _LD = np.longdouble
@@ -193,7 +193,7 @@ class SurfaceModel:
     @cached_property
     def generators(self) -> tuple[Isometry, ...]:
         """The generators as Isometry values, built on first use."""
-        return tuple(_prevalidated(Isometry, m) for m in self.matrices)
+        return tuple(map(Isometry, self.matrices))
 
     def generator_matrix(self, signed_index: int) -> np.ndarray:
         """Matrix of generator k (1-based); negative index means the inverse."""
@@ -475,7 +475,9 @@ def _genus2_hexagon(s: float) -> tuple[SurfaceModel, np.ndarray]:
     corners = (tiles[_GENUS2_TILE] @ v[_GENUS2_TILE_CORNER, :, None])[..., 0]
     polygon = np.asarray(corners @ u.T, dtype=float)
     surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, _GENUS2_RELATORS)
-    return surface, np.asarray(v @ u.T, dtype=float)
+    lifts = np.asarray(v @ u.T, dtype=float)
+    # normalized in float64, not kept as rounded: the family's energies rest on these bits
+    return surface, lifts / np.sqrt(-minkowski_dot(lifts, lifts))[:, None]
 
 
 def hexagon_corners(s: float) -> np.ndarray:

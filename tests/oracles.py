@@ -285,6 +285,12 @@ def gauged_document(doc, g):
     return out
 
 
+def moved(m, g):
+    """Map m moved by the isometry matrix g: every lift moved by g, on the
+    surface conjugated by g, the words unchanged."""
+    return m.with_surface(m.surface.conjugated(g), m.lifts @ g.T)
+
+
 def ld_conjugate(g, m):
     """g m g^-1 for isometry matrices g and m, a value at a time in long
     double: (g m) first, each entry summed over k = 0, 1, 2 in turn, then
@@ -355,7 +361,7 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
     from functools import reduce
 
     from graphuniform.graphs import cycle_with_doubled_edges
-    from graphuniform.hyperboloid import points_arr
+    from graphuniform.hyperboloid import minkowski_dot
     from graphuniform.maps import EdgeData
     from graphuniform.surfaces import (
         _EYE_LD, _GENUS2_REFLECTION_WORDS, _GENUS2_RELATORS, _GENUS2_SIDE_PAIRS, _J_LD, SurfaceModel,
@@ -372,7 +378,8 @@ def reference_hexagon(s, weights=(1.0, 1.0)):
                 ((2, 3, 4, 5, 0), (5, 4, 3, 2), (3, 4, 5, 0), (5, 4, 3)))
     polygon = np.asarray(np.concatenate([v[list(k)] @ m.T for m, k in tiles]) @ u.T, dtype=float)
     surface = SurfaceModel(2, gens, polygon, _GENUS2_SIDE_PAIRS, _GENUS2_RELATORS)
-    lifts = points_arr(np.asarray(v @ u.T, dtype=float))
+    lifts = np.asarray(v @ u.T, dtype=float)
+    lifts = lifts / np.sqrt(-minkowski_dot(lifts, lifts))[:, None]  # normalized in float64
 
     graph = cycle_with_doubled_edges(6, *weights)
     words = [()] * graph.half_edge_count

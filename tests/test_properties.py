@@ -19,9 +19,10 @@ from graphuniform.hyperboloid import (
     exp_arr,
     log_arr,
     minkowski_dot,
+    points_arr,
     tangent_basis_arr,
 )
-from graphuniform.maps import balanced_residual, energy, gauge_transform
+from graphuniform.maps import balanced_residual, energy
 from graphuniform.surfaces import build_genus2_hexagon_surface
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True)
@@ -79,11 +80,36 @@ def test_dist_symmetric_and_isometry_invariant(r1, phi1, r2, phi2, g):
     assert abs(dist_arr(gp, gq) - dist_arr(p, q)) <= 1e-14 * size(p, q, gp, gq) ** 2
 
 
+@KERNEL
+@given(st.integers(0, 2**32 - 1))
+def test_points_arr_is_idempotent(seed):
+    # rows that points_arr and exp_arr hand out, with x0 from 1 to 1e6, are
+    # on the sheet to their rounding, and normalizing them again keeps their
+    # bits; a row off the sheet by more than rounding is rescaled
+    rng = np.random.default_rng(seed)
+    n = 500
+    r, phi = np.arccosh(10.0 ** rng.uniform(0.0, 6.0, n)), rng.uniform(-math.pi, math.pi, n)
+    direction = np.stack([np.zeros(n), np.cos(phi), np.sin(phi)], axis=1)
+    raw = rng.uniform(0.5, 2.0, n)[:, None] * np.stack([np.cosh(r), np.sinh(r) * direction[:, 1],
+                                                       np.sinh(r) * direction[:, 2]], axis=1)
+    once = points_arr(raw)
+    q = minkowski_dot(raw, raw)
+    off = np.abs(q + 1.0) > 16.0 * np.finfo(float).eps * raw[:, 0] ** 2
+    assert once[off].tobytes() == (raw[off] / np.sqrt(-q[off])[:, None]).tobytes()
+    assert once[~off].tobytes() == raw[~off].tobytes()
+    assert points_arr(np.concatenate([raw, once])).tobytes() == np.concatenate([once, once]).tobytes()
+    near = points_arr(raw / raw[:, :1] * np.array([1.0, 0.99, 0.99]))  # within 2.7 of the origin
+    e1, e2 = np.moveaxis(tangent_basis_arr(near), -2, 0)
+    step = rng.uniform(0.0, 3.0, n)[:, None] * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+    for moved in (exp_arr(np.tile([1.0, 0.0, 0.0], (n, 1)), r[:, None] * direction), exp_arr(near, step)):
+        assert points_arr(moved).tobytes() == moved.tobytes()
+
+
 @MAPS
 @given(st.floats(0.0, 0.3), st.integers(0, 2**32 - 1), isometries)
 def test_energy_and_residual_invariant_under_gauge_transform(scale, seed, g):
     m = perturbed(REFERENCE, scale, seed)
-    moved = gauge_transform(m, g)
+    moved = oracles.moved(m, g.matrix)
     s2 = size(m.lifts, moved.lifts) ** 2
     e0 = energy(m)
     assert abs(energy(moved) - e0) <= 1e-11 * s2 * (1.0 + e0)

@@ -13,7 +13,7 @@ from graphuniform import serialize
 from graphuniform.errors import DomainError, GraphValidationError, SchemaError
 from graphuniform.graphs import cycle_with_doubled_edges
 from graphuniform.hyperboloid import Isometry, J_MATRIX, points_arr
-from graphuniform.maps import energy, gauge_transform, initial_lifts
+from graphuniform.maps import energy, initial_lifts
 from graphuniform.serialize import (
     dumps,
     graph_from_json,
@@ -26,7 +26,12 @@ from graphuniform.serialize import (
     surface_to_json,
     write_artifact,
 )
-from graphuniform.surfaces import validate_surface
+from graphuniform.surfaces import (
+    build_genus2_hexagon_surface,
+    build_klein_quartic,
+    build_regular_4g_surface,
+    validate_surface,
+)
 
 
 # ---------------------------------------------------------------- emitter
@@ -211,10 +216,21 @@ def test_surface_roundtrip_is_bit_exact(genus2_bundle):
         assert np.array_equal(a.matrix, b.matrix)
     assert back.side_pairs == surface.side_pairs
     assert back.relator_words == surface.relator_words
-    # points renormalize on load, shifting far-out corners by a few ulp
+    # a normalized corner is on the sheet to its rounding, and loading keeps it
     assert back.polygon.shape == surface.polygon.shape
-    assert np.max(np.abs(back.polygon - surface.polygon)) < 1e-13
+    assert back.polygon.tobytes() == surface.polygon.tobytes()
     assert validate_surface(back).ok
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda s=s: build_genus2_hexagon_surface(s)[0] for s in (0.26, 0.6, 1.3, 2.9, 3.99)),
+    *(lambda g=g: build_regular_4g_surface(g) for g in (2, 3, 5, 10, 40, 80)),
+    build_klein_quartic,
+])
+def test_polygon_reads_back_bit_for_bit(build):
+    # loading normalizes the corners again, which keeps every one of them
+    surface = build()
+    assert surface_from_json(surface_to_json(surface)).polygon.tobytes() == surface.polygon.tobytes()
 
 
 def test_surface_schema_errors_carry_paths():
@@ -244,7 +260,7 @@ def test_map_roundtrip_with_gauge(genus2_bundle):
     # so its deck matrices, read back bit for bit
     _surface, _graph, m = genus2_bundle
     g = Isometry(oracles.x_translation(0.7) @ oracles.rot_z(0.3))
-    moved = gauge_transform(m, g)
+    moved = oracles.moved(m, g.matrix)
     doc = map_to_json(moved)
     assert "gauge" not in doc and "gauge" not in map_to_json(m)
     back = map_from_json(doc)
@@ -390,7 +406,7 @@ def test_map_reader_names_the_first_offender_of_a_large_document(case, k32_docum
 def test_parsed_map_matches_a_value_at_a_time_build_bit_for_bit(k, genus2_bundle, tmp_path):
     _surface, _graph, ref = genus2_bundle
     path = str(tmp_path / "map.json")
-    write_artifact(path, map_to_json(gauge_transform(oracles.subdivide(ref, k), Isometry(oracles.rot_z(0.3)))))
+    write_artifact(path, map_to_json(oracles.moved(oracles.subdivide(ref, k), oracles.rot_z(0.3))))
     doc = read_json(path)
     got, want = map_from_json(doc), oracles.reference_map(doc)
     for a, b in ((got.lifts, want.lifts), (got.surface.matrices, want.surface.matrices),

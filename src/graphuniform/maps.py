@@ -244,7 +244,8 @@ class BlockPlan:
     """A vertex order in which the Hessian of a map is block-tridiagonal.
 
     A graph of at most LEVEL_BLOCK_VERTICES vertices is one level, and so
-    one block, in vertex order, with no breadth-first search.  A larger
+    one block, in vertex order, with no breadth-first search: its
+    `coordinates` are the identity permutation.  A larger
     graph's levels are its breadth-first levels (Cuthill-McKee order): each
     component from its lowest-numbered vertex, neighbours by edges other
     than loops, each level in vertex order, the components' levels one
@@ -276,16 +277,17 @@ class BlockPlan:
     @staticmethod
     def build(edges: EdgeData) -> "BlockPlan":
         count = edges.vertex_count
-        levels = ((np.arange(count),) if count <= LEVEL_BLOCK_VERTICES
+        levels = ([list(range(count))] if count <= LEVEL_BLOCK_VERTICES
                   else _breadth_first_levels(count, edges.origins, edges.termini))
-        if max(len(level) for level in levels) > DENSE_MAX_VERTICES:
+        if max(map(len, levels)) > DENSE_MAX_VERTICES:
             return BlockPlan((), (), (0,), np.empty(0, dtype=int))
         blocks = [levels[0]]
         for level in levels[1:]:
             if len(blocks[-1]) + len(level) <= LEVEL_BLOCK_VERTICES:
-                blocks[-1] = np.concatenate([blocks[-1], level])
+                blocks[-1] = blocks[-1] + level
             else:
                 blocks.append(level)
+        blocks = [np.array(block) for block in blocks]
         return BlockPlan(tuple(blocks), *_block_layout(edges, blocks))
 
     @cached_property
@@ -295,17 +297,10 @@ class BlockPlan:
         order = 2 * np.concatenate(self.blocks)
         return np.stack([order, order + 1], axis=1).ravel()
 
-    @cached_property
-    def in_vertex_order(self) -> bool:
-        """Whether the blocks list the vertices in vertex order, so that the
-        coordinates need no reordering."""
-        order = np.concatenate(self.blocks)
-        return bool(np.array_equal(order, np.arange(len(order))))
 
-
-def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) -> tuple[np.ndarray, ...]:
+def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) -> list[list[int]]:
     """Breadth-first levels of the graph with half-edges origins -> termini,
-    as described for `BlockPlan`."""
+    as described for `BlockPlan`, each a sorted list of its vertices."""
     neighbours: list[list[int]] = [[] for _ in range(count)]
     for o, t in zip(origins.tolist(), termini.tolist()):
         if o != t:
@@ -318,7 +313,7 @@ def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) 
         seen[root] = True
         frontier = [root]
         while frontier:
-            levels.append(np.array(sorted(frontier)))
+            levels.append(sorted(frontier))
             following = []
             for v in frontier:
                 for u in neighbours[v]:
@@ -326,7 +321,7 @@ def _breadth_first_levels(count: int, origins: np.ndarray, termini: np.ndarray) 
                         seen[u] = True
                         following.append(u)
             frontier = following
-    return tuple(levels)
+    return levels
 
 
 def _block_layout(edges: EdgeData, blocks: list[np.ndarray]) -> tuple[tuple, tuple, np.ndarray]:
@@ -393,7 +388,7 @@ class Hessian:
         entry on lifts of norm 63), the far ones times their deck matrix.
         A stack of S goes through one `np.bincount`, each start's entries
         scattered to the plan's index offset by `offsets[-1]` times its
-        place in the stack."""
+        place in the stack, a stack of one too."""
         edges = self.edges
         plan = edges.block_plan
         left = bases * J_DIAG
@@ -402,7 +397,7 @@ class Hessian:
         blocks = np.concatenate([left @ self.near @ right, far], axis=-3)
         stack, size = blocks.shape[:-3], plan.offsets[-1]
         count = math.prod(stack)
-        scatter = plan.scatter if count == 1 else (plan.scatter + size * np.arange(count)[:, None]).ravel()
+        scatter = (plan.scatter + size * np.arange(count)[:, None]).ravel()
         flat = np.bincount(scatter, weights=blocks.ravel(), minlength=count * size).reshape(stack + (size,))
         pieces = [flat[..., start:end].reshape(stack + shape)
                   for start, end, shape in zip(plan.offsets, plan.offsets[1:], plan.shapes)]

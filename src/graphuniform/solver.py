@@ -63,8 +63,7 @@ Energy, residual and Hessian blocks come from the map's `maps.EdgeData`
 kernel, evaluated at trial lift arrays.  Each line-search trial makes one
 pass over the edge geometry, for its energy; the accepted trial's pass also
 gives the next iterate's residual and blocks, and the blocks are built only
-when a step is taken.  A trial that the float-floor test accepted hands on
-the residual that the test computed.
+when a step is taken.
 """
 
 from __future__ import annotations
@@ -232,19 +231,16 @@ def _exact_step(hessian, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     self-adjoint, so the assembled matrix's antisymmetric part is rounding
     and is dropped: (H + H^T) s = 4r.  `Hessian.matrix` gives it in the
     blocks of the map's `BlockPlan`, and `_eliminate` solves every start's
-    system at once, in the plan's order: one block is one batched LU
-    solve."""
+    system at once, its coordinates in the plan's order (`coordinates`,
+    the identity for a map of one block, which is one batched LU solve)."""
     plan = hessian.edges.block_plan
     bases = tangent_basis_arr(x)
     rhs = 2.0 * minkowski_dot(r[..., None, :], bases).reshape(len(x), -1)
     diagonal, upper = hessian.matrix(bases)
     failures = (np.linalg.LinAlgError, FloatingPointError)  # a singular block, or a step that overflows
-    if plan.in_vertex_order:  # the same solve, without a step's reordering (10% of a V = 6 step)
-        coords = _by_start(_eliminate, failures, diagonal, upper, 2.0 * rhs[..., None])[..., 0]
-    else:
-        coords = np.empty_like(rhs)
-        coords[:, plan.coordinates] = _by_start(_eliminate, failures, diagonal, upper,
-                                                2.0 * rhs[:, plan.coordinates, None])[..., 0]
+    coords = np.empty_like(rhs)
+    coords[:, plan.coordinates] = _by_start(_eliminate, failures, diagonal, upper,
+                                            2.0 * rhs[:, plan.coordinates, None])[..., 0]
     with np.errstate(all="ignore"):
         cosine = _dots(rhs, coords) / np.sqrt(_dots(rhs, rhs) * _dots(coords, coords))
         steps = (coords.reshape(len(x), -1, 1, 2) @ bases).reshape(x.shape)
@@ -292,11 +288,9 @@ def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: 
     tau = 1, 1/2, ..., in lockstep: each trial is one exp_arr and one pass
     over the edge geometry for all the starts still searching.  A start
     whose step is a row of NaN has none and does not search.  Returns
-    (rows, energies, residuals, lifts, *geometry) for each trial that some
-    starts passed: those rows of the stack and their accepted trials, with
-    the residuals that the float-floor test computed when every start
-    searching passed the trial by that test, else None.  A trial that
-    leaves the sheet is rejected for its start like one that fails the
+    (rows, energies, lifts, *geometry) for each trial that some starts
+    passed: those rows of the stack and their accepted trials.  A trial
+    that leaves the sheet is rejected for its start like one that fails the
     test.  A stack holds a few starts: their scalars are Python floats."""
     slope = (2.0 * _dots((r * J_DIAG).reshape(len(x), -1), delta.reshape(len(x), -1))).tolist()
     rows = [i for i, value in enumerate(slope) if not math.isnan(value)]
@@ -322,15 +316,11 @@ def _line_search(edges, x: np.ndarray, delta: np.ndarray, r: np.ndarray, e_cur: 
                 flat.append(k)
         if flat:
             x_flat, *trial_flat = _rows((x_new, *trial), flat)
-            r_flat = edges.residual(x_flat, trial_flat)
-            for k, value in zip(flat, _max_residuals(r_flat)):
+            for k, value in zip(flat, _max_residuals(edges.residual(x_flat, trial_flat))):
                 ok[k] = value < max_res[rows[k]]
-        if all(ok):  # the residuals of a trial that all its rows passed by the float-floor test are handed on
-            passed.append((rows, e_new, r_flat if len(flat) == len(ok) else None, x_new, *trial))
-            break
         done = [k for k, passes in enumerate(ok) if passes]
         if done:
-            passed.append(([rows[k] for k in done], [e_new[k] for k in done], None, *_rows((x_new, *trial), done)))
+            passed.append(([rows[k] for k in done], [e_new[k] for k in done], *_rows((x_new, *trial), done)))
         rows = [i for i, passes in zip(rows, ok) if not passes]
         tau *= BACKTRACK_FACTOR
     return passed
@@ -356,10 +346,8 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
     x = lifts
     geometry = edges.geometry(x)
     e_cur = edges.energy(x, geometry).tolist()
-    r = None  # the residual at x, when the line search computed it
     for iteration in itertools.count():
-        if r is None:
-            r = edges.residual(x, geometry)
+        r = edges.residual(x, geometry)
         max_res = _max_residuals(r)
         keep = []
         for i, (s, e, res) in enumerate(zip(live, e_cur, max_res)):
@@ -378,7 +366,7 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
             x, r, *geometry = _rows((x, r, *geometry), keep)
 
         hessian = edges.hessian(x, geometry)
-        found = []  # (kind, rows of the stack, energies, residuals, lifts, *geometry) of the trials that they passed
+        found = []  # (kind, rows of the stack, energies, lifts, *geometry) of the trials that they passed
         if edges.block_plan.blocks:  # built at the first step, for this map and its copies
             found = [("lu", *piece) for piece in _line_search(edges, x, _exact_step(hessian, x, r), r, e_cur, max_res)]
         unmoved = set(range(len(x))).difference(*(piece[1] for piece in found))
@@ -396,12 +384,10 @@ def _descend(m0: MarkedMap, lifts: np.ndarray, cfg: SolverConfig) -> list[SolveT
                 kinds[live[i]].append(kind)
         live = [live[i] for piece in found for i in piece[1]]
         if len(found) == 1:
-            e_cur, r, x, *geometry = found[0][2:]
+            e_cur, x, *geometry = found[0][2:]
         else:  # the stack in the order of the pieces, as `live` now is
             e_cur = [e for piece in found for e in piece[2]]
-            known = [piece[3] for piece in found]
-            r = None if any(part is None for part in known) else np.concatenate(known)
-            x, *geometry = map(np.concatenate, zip(*(piece[4:] for piece in found)))
+            x, *geometry = map(np.concatenate, zip(*(piece[3:] for piece in found)))
 
     return [SolveTrace(tuple(energies[s]), tuple(residual_trace[s]), _final_map(m0, finals[s]),
                        stop_reason[s], tuple(kinds[s])) for s in range(count)]

@@ -382,16 +382,13 @@ def test_probe_builds_hessians_once_per_lockstep_iteration(genus2_bundle, monkey
     assert calls["geometry"] == calls["exp_arr"] + 1
 
 
-def test_float_floor_step_hands_its_residual_on(genus2_bundle, monkeypatch):
-    # the last step raises the energy, so the float-floor test accepted it,
-    # and the residual that test computed is the next iterate's: one
-    # residual per iterate
-    calls = []
-    residual = EdgeData.residual
-    monkeypatch.setattr(EdgeData, "residual", lambda self, *args: calls.append(1) or residual(self, *args))
+def test_float_floor_step_may_raise_the_energy(genus2_bundle):
+    # the last step raises the energy, so the float-floor test accepted it
+    # on a strictly lower residual, and the solve converges
     trace = solve(perturbed(genus2_bundle[2], 0.05, seed=6), SolverConfig(residual_tol=1e-11))
     assert trace.converged and trace.energies[-1] > trace.energies[-2]
-    assert len(calls) == len(trace.residuals) == 4
+    assert trace.residuals[-1] < trace.residuals[-2]
+    assert len(trace.residuals) == 4
 
 
 def _spans_a_line_by_singular_values(edges, x):
@@ -715,6 +712,23 @@ def test_dense_hessian_matches_fd_hessian_at_a_harmonic_map(genus2_solved, klein
     assert np.max(np.abs(dense - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
+@pytest.mark.parametrize("case", ["k1-perturbed", "k8-perturbed"])
+def test_matrix_of_a_stack_of_one_is_the_first_start_of_a_stack_of_two(genus2_solved, klein_surface, case):
+    # every stack goes through the same scatter, offset by its place in the
+    # stack: one start's blocks are those of the first of two, bit for bit
+    m = _dense_test_maps(genus2_solved, klein_surface, case)
+    assert len(m.edges.block_plan.blocks) == (1 if case == "k1-perturbed" else 5)
+    one = np.stack([m.lifts])
+    two = np.stack([m.lifts, m.lifts])
+    single = m.edges.hessian(one).matrix(tangent_basis_arr(one))
+    double = m.edges.hessian(two).matrix(tangent_basis_arr(two))
+    for blocks, stacked in zip(single, double):
+        assert len(blocks) == len(stacked)
+        for block, pair in zip(blocks, stacked):
+            assert block.shape[0] == 1 and pair.shape[0] == 2
+            assert block[0].tobytes() == pair[0].tobytes() == pair[1].tobytes()
+
+
 @pytest.mark.parametrize("case", ["k1-perturbed", "k2-perturbed", "octagon-bouquet", "klein-bouquet", "one-loop",
                                   "k8-perturbed"])
 def test_exact_step_equals_a_converged_cg_step(genus2_solved, klein_surface, case):
@@ -766,8 +780,8 @@ def test_one_block_out_of_vertex_order_steps_as_a_dense_solve(genus2_solved, kle
     m = _dense_test_maps(genus2_solved, klein_surface, "k2-perturbed")
     edges = _derived(m.edges, mats=m.edges.mats)  # a copy whose plan this test may set
     order = np.concatenate(_breadth_first_levels(edges.vertex_count, edges.origins, edges.termini))
-    edges.__dict__["block_plan"] = plan = BlockPlan((order,), *_block_layout(edges, [order]))
-    assert not plan.in_vertex_order
+    edges.__dict__["block_plan"] = BlockPlan((order,), *_block_layout(edges, [order]))
+    assert not np.array_equal(order, np.arange(len(order)))
     _assert_exact_step_is_the_dense_solve(edges, m.lifts)
 
 

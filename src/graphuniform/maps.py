@@ -496,8 +496,7 @@ class MarkedMap:
         words = self._word_index
         if words.reach > len(surface.matrices):
             for word in self.deck_words:
-                for w in word:
-                    surface.generator_matrix(w)  # raises at the first letter it has no generator for
+                surface.word_matrix(word)  # raises at the first letter it has no generator for
         return words.products(surface._table)[words.index]
 
     @staticmethod

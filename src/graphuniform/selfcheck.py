@@ -39,6 +39,11 @@ def _check(name: str, value: float, bound: float, extra: str = "") -> CheckResul
     return CheckResult(name, bool(value <= bound), detail)
 
 
+def _verdict(name: str, report: surfaces.SurfaceReport) -> CheckResult:
+    """`validate_surface`'s verdict as a row: its issue codes, or none."""
+    return CheckResult(name, report.ok, ", ".join(code for code, _ in report.issues) or "no issues")
+
+
 def check_hexagon_area() -> CheckResult:
     corners = surfaces.hexagon_corners(1.0)
     return _check("right-angled hexagon area = pi", abs(polygon_area(corners) - math.pi), 1e-8)
@@ -139,7 +144,8 @@ def example_regular_4g(genus: int = 2) -> list[CheckResult]:
     surface = surfaces.build_regular_4g_surface(genus)
     report = surfaces.validate_surface(surface)
     defect, gate = max(zip(report.relator_defects, report.relator_gates), key=lambda pair: pair[0] / pair[1])
-    checks = [_check(f"4g-gon relators close up (genus {genus})", defect / gate, 1.0,
+    checks = [_verdict(f"4g-gon surface validates (genus {genus})", report),
+              _check(f"4g-gon relators close up (genus {genus})", defect / gate, 1.0,
                      extra=f"ratio of defect {defect:.3e} to gate {gate:.3e}"),
               _check("polygon area matches Gauss-Bonnet", abs(report.area - report.area_expected), report.area_gate)]
     if genus == 2:
@@ -156,9 +162,11 @@ def example_regular_4g(genus: int = 2) -> list[CheckResult]:
 
 
 def example_klein() -> list[CheckResult]:
-    """The Klein quartic's 14-gon: its relators, area 8*pi and two corner cycles."""
+    """The Klein quartic's 14-gon: its verdict, relators, area 8*pi and two
+    corner cycles."""
     report = surfaces.validate_surface(surfaces.build_klein_quartic())
-    return [_check("14-gon relators close up", max(report.relator_defects), 1e-8),
+    return [_verdict("14-gon surface validates", report),
+            _check("14-gon relators close up", max(report.relator_defects), 1e-8),
             _check("polygon area is 8*pi", abs(report.area - 8.0 * math.pi), 1e-8),
             _check("both corner cycles have angle sum 2*pi",
                    max(abs(a - 2.0 * math.pi) for a in report.angle_sums), 1e-8),

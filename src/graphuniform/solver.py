@@ -474,16 +474,6 @@ class UniquenessReport:
     def ok(self) -> bool:
         return all(self.converged) and not self.degenerate and self.max_gauge_deviation <= GAUGE_TOL
 
-    @property
-    def message(self) -> str:
-        if self.degenerate:
-            return "uniqueness hypothesis violated"
-        if not all(self.converged):
-            return f"{self.converged.count(False)} of {self.n_starts} starts did not converge"
-        if self.max_gauge_deviation > GAUGE_TOL:
-            return f"starts disagree (deviation {self.max_gauge_deviation:.3e})"
-        return "all starts agree"
-
 
 def _image_is_one_dimensional(edges, x: np.ndarray) -> np.ndarray:
     """For each start of a stack of lifts (S, V, 3): True when at every

@@ -8,12 +8,16 @@ values only at the API edges), corners one (n, 3) array in counterclockwise
 order.  Constructors cover the regular 4g-gon, the genus-2 surface tiled by
 four right-angled hexagons, and the Klein 14-gon.
 
-Generator matrices are built in extended precision (longdouble), after
-conjugating the development to be centered at a polygon corner; this keeps
-relator products near the identity instead of letting round-off get
-amplified by the matrix norms.  `SurfaceModel` rounds them to float64 once
-and keeps the long-double table beside the float64 one (generators given in
-float64, as from JSON, are widened), so that `maps.energy` can evaluate on
+Generator matrices are built in extended precision (longdouble) from
+reflections in polygon sides, the hexagon family's in a development centered
+at a polygon corner; this keeps relator products near the identity instead
+of letting round-off get amplified by the matrix norms.  The regular 4g-gons
+and the Klein 14-gon share one rule (`_ld_regular_surface`): each pairing is
+the reflection in its first side followed by the reflection in the diameter
+halfway between the two sides, all of them one stacked product on the
+polygon's corners.  `SurfaceModel` rounds them to float64 once and keeps the
+long-double table beside the float64 one (generators given in float64, as
+from JSON, are widened), so that `maps.energy` can evaluate on
 the generators the solver's were rounded from.  A change of frame by an
 isometry g is the conjugated surface (`SurfaceModel.conjugated`), its
 generators g m g^-1 multiplied on that table.  The genus-2 hexagon
@@ -55,22 +59,17 @@ _NEXT_CORNER = np.array([1, 2, 3, 4, 5, 0])
 # costs more than its arithmetic; rounded to float64 at the end)
 
 
-# the float64 kernel's permuted copies keep the dtype: each component is one
-# difference of two products, rounded as np.cross rounds it
-_ld_cross = minkowski_cross
-
-
-def _ld_unit_space(v):
-    return v / np.sqrt(minkowski_dot(v, v))[..., None]
-
-
 def _ld_reflection(pole):
     """Reflection in the geodesic of a unit spacelike pole, or one per row of poles."""
     return _EYE_LD - 2.0 * (pole[..., :, None] * pole[..., None, :] * _J_LD)
 
 
 def _ld_pole_through(p, q):
-    return _ld_unit_space(_ld_cross(p, q))
+    """Unit pole of the geodesic through p and q, or one per row; the float64
+    kernel's cross product keeps the dtype, each component one difference of
+    two products, rounded as np.cross rounds it."""
+    v = minkowski_cross(p, q)
+    return v / np.sqrt(minkowski_dot(v, v))[..., None]
 
 
 def _ld_regular_corners(n: int, half) -> np.ndarray:
@@ -293,8 +292,10 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
     of the gate at genus 2-150, 3.1e-7 at genus 150).  A side pairing is
     gated at 1e-8 (1 + c), or at 8 eps (1 + c)^3 where that is larger
     (from genus 39): renormalizing a corner of size c rescales it by
-    1 + O(eps c^2), moving it by eps c^3, and the regular 4g-gons' pairings
-    are off by up to 1.4 eps (1 + c)^3 at genus 2-150 (8.9e-5 at genus 70).
+    1 + O(eps c^2), moving it by eps c^3, as read polygons whose corners are
+    off the sheet need.  The regular 4g-gons' corners stay as built, and
+    their pairings are off by at most 0.3% of 1e-8 (1 + c) at genus 2-150
+    (3.4e-8 at genus 70).
     Reported relator defects are absolute, but the pass/fail gate scales
     1e-8 by the squared norm of the largest partial product: a float64
     product of long words cannot beat rounding amplified by those norms, and
@@ -349,55 +350,36 @@ def validate_surface(surface: SurfaceModel) -> SurfaceReport:
 # constructors
 
 
-def build_regular_4g_surface(g: int) -> SurfaceModel:
-    """Regular 4g-gon with interior angle pi/(2g), opposite sides identified.
+def _ld_regular_surface(genus: int, n: int, half, side_pairs) -> SurfaceModel:
+    """The surface glued from the regular n-gon with interior angle 2 half
+    by side_pairs, listed in generator order.  Generator k of the pair
+    (a, b, k) is the reflection in side a followed by the reflection in the
+    diameter at polar angle theta = pi (2a + ((b - a) mod n) + 1) / n,
+    halfway between the midpoints of sides a and b: the product carries
+    side a onto side b, reversed.  All generators are one stacked
+    long-double product."""
+    corners = _ld_regular_corners(n, half)
+    a, b, _ = np.array(side_pairs).T
+    theta = _PI_LD * (2 * a + (b - a) % n + 1) / n
+    diameters = np.stack([np.zeros(len(a), dtype=_LD), -np.sin(theta), np.cos(theta)], axis=1)
+    gens = _ld_reflection(diameters) @ _ld_reflection(_ld_pole_through(corners[a], corners[(a + 1) % n]))
+    relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
+    return SurfaceModel(genus, gens, np.asarray(corners, dtype=float), side_pairs, relators)
 
-    Generator k+1 is the hyperbolic translation through the midpoints of
-    sides k and k+2g (length twice the inradius), carrying side k+2g onto
-    side k.
-    """
+
+def build_regular_4g_surface(g: int) -> SurfaceModel:
+    """Regular 4g-gon with interior angle pi/(2g), opposite sides identified:
+    generator k+1 carries side k+2g onto side k, a translation by twice the
+    inradius through their midpoints."""
     if g < 2:
         raise DomainError(f"regular 4g-gon surface needs genus >= 2, got {g}")
-    n = 4 * g
-    half = _PI_LD / (4 * g)  # half the interior angle
-    inr = np.arccosh(np.cos(half) / np.sin(_PI_LD / n))
-    corners = np.asarray(_ld_regular_corners(n, half), dtype=float)
-    trans = np.eye(3, dtype=_LD)
-    trans[0, 0] = trans[1, 1] = np.cosh(2 * inr)
-    trans[0, 1] = trans[1, 0] = np.sinh(2 * inr)
-    gens = []
-    for k in range(2 * g):
-        phi = 2 * _PI_LD * (k + _LD("0.5")) / n
-        rot = np.eye(3, dtype=_LD)
-        rot[1, 1] = rot[2, 2] = np.cos(phi)
-        rot[1, 2], rot[2, 1] = -np.sin(phi), np.sin(phi)
-        gens.append(rot @ trans @ rot.T)
-    side_pairs = tuple((k + 2 * g, k, k + 1) for k in range(2 * g))
-    relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
-    return SurfaceModel(g, np.array(gens), corners, side_pairs, relators)
+    return _ld_regular_surface(g, 4 * g, _PI_LD / (4 * g), tuple((k + 2 * g, k, k + 1) for k in range(2 * g)))
 
 
 def build_klein_quartic() -> SurfaceModel:
-    """Genus-3 surface from the regular 14-gon with interior angle 2*pi/7.
-
-    Sides are paired by the rule side 2k -> side 2k+5 (mod 14); each pairing
-    isometry is the product of the reflection across side 2k and the
-    reflection across the diameter bisecting the skip.
-    """
-    n = 14
-    kw = _ld_regular_corners(n, _PI_LD / 7)  # half the interior angle
-    gens = []
-    for k in range(7):
-        a = 2 * k
-        phi = _PI_LD * (2 * k + 3) / 7
-        axis_pole = np.array([_LD(0), -np.sin(phi), np.cos(phi)], dtype=_LD)
-        m = _ld_reflection(axis_pole) @ _ld_reflection(_ld_pole_through(kw[a], kw[(a + 1) % n]))
-        gens.append(m)
-
-    corners = np.asarray(kw, dtype=float)
-    side_pairs = tuple((2 * k, (2 * k + 5) % n, k + 1) for k in range(7))
-    relators = tuple(c.relator_word for c in vertex_cycles(n, side_pairs))
-    return SurfaceModel(3, np.array(gens), corners, side_pairs, relators)
+    """Genus-3 surface from the regular 14-gon with interior angle 2*pi/7,
+    side 2k paired with side 2k+5 (mod 14)."""
+    return _ld_regular_surface(3, 14, _PI_LD / 7, tuple((2 * k, (2 * k + 5) % 14, k + 1) for k in range(7)))
 
 
 # Genus-2 hexagon tiling: four right-angled hexagons with sides alternating

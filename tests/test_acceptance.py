@@ -117,8 +117,7 @@ def test_criterion_06_uniqueness_up_to_gauge(genus2_bundle, octagon_surface):
 
     loop = uniqueness_probe(octagon_surface, bouquet(1), ((1,),), n_starts=3,
                             cfg=SolverConfig(residual_tol=1e-9, max_iters=2000))
-    assert loop.degenerate
-    assert "uniqueness hypothesis" in loop.message
+    assert loop.degenerate and not loop.ok
     _report("uniqueness", f"10-start gauge deviation = {rep.max_gauge_deviation:.2e} <= 1e-7; "
             "single-loop class flagged degenerate")
 

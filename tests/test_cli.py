@@ -9,10 +9,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphuniform
-from graphuniform import cli, serialize
+from graphuniform import cli, serialize, surfaces
 from graphuniform.cli import main
 
 THETA_STAR = math.log(2.0 + math.sqrt(3.0))
@@ -533,8 +534,8 @@ def test_example_genus_g_rejects_low_genus():
 def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") >= 21 and "FAIL" not in out
-    assert "21/21 checks passed" in out
+    assert out.count("PASS") >= 23 and "FAIL" not in out
+    assert "23/23 checks passed" in out
     assert "PASS  klein centre bouquet energy closed form" in out
     assert not [line for line in out.splitlines() if "triangle" in line]
 
@@ -600,6 +601,24 @@ def test_regular_4g_relator_row_shows_its_gate(capsys):
     assert row.startswith("PASS") and found, row
     ratio, defect, gate = map(float, found.groups())
     assert ratio <= 1.0 and ratio == pytest.approx(defect / gate, rel=2e-3)
+
+
+@pytest.mark.parametrize("example, builder", [("regular-4g", "build_regular_4g_surface"),
+                                              ("klein", "build_klein_quartic")])
+def test_example_fails_a_surface_whose_generators_stop_pairing_its_sides(example, builder, monkeypatch, capsys):
+    # the polygon relabelled one corner on: the generators, relators, area
+    # and corner angles are as built, and only the side pairings break
+    build = getattr(surfaces, builder)
+
+    def relabelled(*args):
+        s = build(*args)
+        return surfaces.SurfaceModel(s.genus, s.matrices, np.roll(s.polygon, -1, axis=0), s.side_pairs,
+                                     s.relator_words)
+
+    monkeypatch.setattr(surfaces, builder, relabelled)
+    main(["example", example])
+    fails = [row for row in _table_rows(capsys.readouterr().out) if row.startswith("FAIL")]
+    assert len(fails) == 1 and "surface validates" in fails[0] and fails[0].endswith("PAIRING"), fails
 
 
 def test_render_surface_svg(tmp_path, genus2_bundle):

@@ -221,7 +221,6 @@ def test_uniqueness_probe_flags_single_loop(octagon_surface):
     )
     assert report.degenerate
     assert not report.ok
-    assert "uniqueness hypothesis" in report.message
     # the loop's Hessian is singular along the generator's axis at the limit;
     # the exact steps that reach it still converge from every start
     for seed in range(8):
@@ -426,10 +425,9 @@ def test_report_with_disagreeing_starts_is_not_ok():
     report = UniquenessReport(
         n_starts=2, converged=(True, True), energies=(23.44, 23.44),
         max_gauge_deviation=1e-3, degenerate=False)
-    assert not report.ok
-    assert "disagree" in report.message
+    assert not report.ok and not report.degenerate and report.max_gauge_deviation > GAUGE_TOL
     agree = UniquenessReport(2, (True, True), (23.44, 23.44), 1e-12, False)
-    assert agree.ok and agree.message == "all starts agree"
+    assert agree.ok
 
 
 def _tangent_field(m, coords):
@@ -626,7 +624,7 @@ def test_uniqueness_probe_builds_no_points_per_vertex(genus2_bundle, monkeypatch
         words = tuple(m.deck_words[e] for e, *_ in m.graph.unoriented_edges())
         before = len(calls)
         report = uniqueness_probe(m.surface, m.graph, words, 4)
-        assert report.ok, report.message
+        assert report.ok, (report.converged, report.degenerate, report.max_gauge_deviation)
         counts.append(len(calls) - before)
     assert counts[0] == counts[1], counts
 

@@ -6,7 +6,8 @@ import pytest
 import oracles
 from graphuniform.errors import DomainError, GeometryError
 from graphuniform.families import hexagon_family_energy
-from graphuniform.hyperboloid import J_MATRIX, dist_arr, polygon_area, polygon_interior_angles
+from graphuniform.hyperboloid import (
+    J_MATRIX, Isometry, dist_arr, minkowski_cross, polygon_area, polygon_interior_angles)
 from graphuniform.maps import energy
 from graphuniform.surfaces import (
     SurfaceModel,
@@ -29,17 +30,16 @@ def test_genus2_surface_validates(genus2_bundle):
 
 
 def test_ld_cross_matches_numpy_cross_exactly():
-    # the long-double Minkowski cross product is J (u x w), written out by
-    # components; every component must round exactly as np.cross does
-    from graphuniform.surfaces import _ld_cross
-
+    # the Minkowski cross product that `_ld_pole_through` takes in long
+    # double is J (u x w), written out by components; every component must
+    # keep the dtype and round exactly as np.cross does
     rng = np.random.default_rng(7)
     scales = np.longdouble(10.0) ** rng.integers(-3, 4, size=(500, 2))
     for su, sw in scales:
         u = rng.standard_normal(3).astype(np.longdouble) * su
         w = rng.standard_normal(3).astype(np.longdouble) * sw
         want = np.cross(u, w) * np.array([-1, 1, 1], dtype=np.longdouble)
-        got = _ld_cross(u, w)
+        got = minkowski_cross(u, w)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, want)
 
@@ -110,8 +110,8 @@ def test_regular_4g_surfaces_validate_for_small_genus():
 @pytest.mark.parametrize("genus", [25, 30, 40, 56, 70, 80])
 def test_regular_4g_surfaces_validate_at_large_genus(genus):
     # rounding grows with the corner coordinates: the angle sum is off by
-    # 3.9e-8 at genus 70 and 5.4e-8 at 80, over 1e-8; and a paired corner
-    # lands 8.9e-5 and 1.6e-4 away at genus 70 and 80, over 1e-8 (1 + c)
+    # 3.9e-8 at genus 70 and 5.4e-8 at 80, over 1e-8; a paired corner lands
+    # 3.4e-8 and 7.1e-8 away, at most 0.3% of 1e-8 (1 + c)
     report = validate_surface(build_regular_4g_surface(genus))
     assert report.ok, report.issues
 
@@ -159,19 +159,15 @@ def test_angle_cycle_gate_catches_a_moved_corner_at_genus_2():
     assert abs(report.angle_sums[0] - 2.0 * math.pi) < 1e-5
 
 
-def test_octagon_generator_translation_length(octagon_surface):
-    target = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
-    r_oracle = oracles.regular_polygon_inradius_oracle(8, math.pi / 4)
-    assert abs(2.0 * r_oracle - target) < 1e-12
-    from graphuniform.hyperboloid import Isometry
-
-    for k in range(1, 5):
-        g = Isometry(surface_matrix(octagon_surface, k))
-        assert abs(g.translation_length() - target) < 1e-8
-
-
-def surface_matrix(surface, k):
-    return surface.generator_matrix(k)
+@pytest.mark.parametrize("genus", range(2, 11))
+def test_octagon_generator_translation_length(genus):
+    # every generator translates by twice the inradius, which the builder
+    # never computes: its reflections run through corners at the circumradius
+    target = 2.0 * oracles.regular_polygon_inradius_oracle(4 * genus, math.pi / (2 * genus))
+    if genus == 2:
+        assert abs(target - 2.0 * math.acosh(1.0 + math.sqrt(2.0))) < 1e-12
+    for m in build_regular_4g_surface(genus).matrices:
+        assert abs(Isometry(m).translation_length() - target) < 1e-12
 
 
 def test_side_pairings_carry_sides(genus2_bundle, klein_surface, octagon_surface):
